@@ -15,6 +15,7 @@
 //!    of stall time, and the prefetch-overlap diagnostic can never
 //!    exceed compute.
 
+use ampom_core::lifecycle::WritebackSpec;
 use ampom_core::reliability::FaultProfile;
 use ampom_core::runner::{run_workload, RunConfig, SyscallProfile};
 use ampom_core::transport::{run_with_transport, SimulatedTransport};
@@ -22,7 +23,7 @@ use ampom_core::{RunReport, Scheme};
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::SimDuration;
 use ampom_workloads::memref::Workload;
-use ampom_workloads::synthetic::{Scripted, Sequential, UniformRandom};
+use ampom_workloads::synthetic::{Scripted, Sequential, SequentialWrite, UniformRandom};
 
 const CPU: SimDuration = SimDuration::from_micros(10);
 
@@ -65,8 +66,8 @@ fn faulty_cfg() -> RunConfig {
 }
 
 /// Every configuration the invariance sweep covers: all schemes, a
-/// random-access pattern, memory pressure, forwarded syscalls, and a
-/// lossy fault profile.
+/// random-access pattern, memory pressure, forwarded syscalls, a lossy
+/// fault profile, and background writeback with and without a RAM cap.
 fn sweep() -> Vec<(&'static str, MakeWorkload, RunConfig)> {
     let mk_seq = || -> Box<dyn Workload> { Box::new(seq512()) };
     vec![
@@ -101,6 +102,18 @@ fn sweep() -> Vec<(&'static str, MakeWorkload, RunConfig)> {
             }),
         ),
         ("faulty", Box::new(mk_seq), faulty_cfg()),
+        (
+            "writeback",
+            Box::new(|| -> Box<dyn Workload> { Box::new(SequentialWrite::new(512, CPU)) }),
+            RunConfig::new(Scheme::Ampom).with_writeback(WritebackSpec::default()),
+        ),
+        (
+            "writeback_pressure",
+            Box::new(|| -> Box<dyn Workload> { Box::new(rand512()) }),
+            RunConfig::new(Scheme::Ampom)
+                .with_writeback(WritebackSpec::default())
+                .with_resident_limit_mb(1),
+        ),
     ]
 }
 
