@@ -49,7 +49,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
 
 use ampom_mem::page::PageId;
-use ampom_mem::space::AddressSpace;
 use ampom_mem::table::{PageLocation, PageTablePair};
 use ampom_net::cross::CrossTraffic;
 use ampom_net::fault::{Fate, FaultPlan};
@@ -68,7 +67,7 @@ use crate::monitor::MonitorDaemon;
 use crate::prefetcher::NetEstimates;
 use crate::reliability::{FaultProfile, RetrySchedule, RetryStep};
 use crate::runner::RunConfig;
-use crate::transport::{run_with_transport, validate_for_transport, Transport};
+use crate::transport::{refuse_simulated_only, run_with_transport, Destination, Transport};
 
 /// Control-message size for a forwarded syscall (matches
 /// [`Deputy::forward_syscall`](crate::deputy::Deputy::forward_syscall)).
@@ -547,7 +546,7 @@ impl Transport for MigrantHandle {
         }
     }
 
-    fn install_arrived(&mut self, now: &mut SimTime, space: &mut AddressSpace) {
+    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
         if self.unknown > 0 {
             // Some arrivals are still coordinator-side: sync first.
             if let Ok(reply) = self.call(Call::Install { now: *now }) {
@@ -561,7 +560,7 @@ impl Transport for MigrantHandle {
             }
             self.staged.pop_front();
             self.in_flight.remove(&page);
-            space.install(page);
+            dest.space.install(page);
             installed += 1;
         }
         if installed > 0 {
@@ -577,13 +576,17 @@ impl Transport for MigrantHandle {
         self.in_flight.len()
     }
 
-    fn forward_syscall(&mut self, now: SimTime, work: SimDuration) -> Result<SimTime, AmpomError> {
+    fn forward_syscall(
+        &mut self,
+        now: SimTime,
+        work: SimDuration,
+    ) -> Result<(SimTime, SimTime), AmpomError> {
         let reply = self.call(Call::Syscall { now, work })?;
         let ReplyBody::SyscallDone { at } = reply.body else {
             return Err(AmpomError::Transport("unexpected syscall reply".into()));
         };
         self.absorb(reply.deliveries);
-        Ok(at)
+        Ok((now, at))
     }
 
     fn estimates(&mut self, now: SimTime) -> NetEstimates {
@@ -1089,7 +1092,8 @@ pub fn run_multi(spec: &MultiRunSpec) -> Result<MultiRunReport, AmpomError> {
             "a multi-run needs at least one migrant".into(),
         ));
     }
-    validate_for_transport(&spec.cfg)?;
+    spec.cfg.validate()?;
+    refuse_simulated_only(&spec.cfg, "a multi-run")?;
     for m in &spec.migrants {
         m.workload.validate()?;
     }
@@ -1354,6 +1358,21 @@ mod tests {
                 r.total_time,
                 solo.total_time
             );
+        }
+    }
+
+    #[test]
+    fn simulated_only_features_are_refused() {
+        for cfg in [
+            RunConfig::new(Scheme::Ffa),
+            RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.1)),
+            RunConfig::new(Scheme::Ampom).with_resident_limit_mb(1),
+        ] {
+            let spec = MultiRunSpec::homogeneous(cfg, quick_spec(), 5, 2);
+            assert!(matches!(
+                run_multi(&spec),
+                Err(AmpomError::InvalidConfig(_))
+            ));
         }
     }
 

@@ -1,33 +1,40 @@
-//! The deputy↔migrant transport abstraction.
+//! The migrant loop and the deputy↔migrant transport it drives.
 //!
-//! [`run_workload`](crate::runner::run_workload) is welded to the
-//! simulated [`NetPath`]: requests, replies and the monitor daemon all go
-//! through the FIFO link model directly. The paper's claims, however, are
-//! about a *protocol* — demand paging with piggy-backed prefetch — and
-//! that protocol should run unchanged whether the far side is a simulated
-//! deputy or a real one behind a socket (`ampom-rpc`).
+//! [`run_with_transport`] is the one per-reference fault loop every
+//! forward run goes through: the simulated runner
+//! ([`run_workload`](crate::runner::run_workload)), the VM runner
+//! ([`run_vm`](crate::vm::run_vm)), each migrant of a multi-run, and the
+//! live socket client in `ampom-rpc`. It is Algorithm 1 written once:
+//! fault, zone analysis, a demand request with the zone piggy-backed,
+//! wait, install — plus the accounting every run reports (the SLO stall
+//! sketch, background writeback, series sampling, the phase partition).
 //!
-//! [`Transport`] captures exactly the runner↔network surface: freeze,
-//! paging requests, arrival waits, page installs, syscall forwarding and
-//! the monitor estimates the AMPoM analysis consumes.
-//! [`SimulatedTransport`] reproduces the historical fault-free runner
-//! semantics bit-for-bit (guarded by the `transport_identity` fingerprint
-//! tests); `ampom-rpc` provides the live implementation over TCP or Unix
-//! sockets.
+//! [`Transport`] is everything on the far side of the kernel's fault
+//! handler: freeze, paging requests, arrival waits, page installs,
+//! syscall forwarding, the monitor estimates the analysis consumes, and
+//! the write-back of pages evicted under a RAM cap.
+//! [`Destination`] is the near side the loop owns: the migrant's address
+//! space, its page tables and, under a RAM cap, the CLOCK evictor.
 //!
-//! [`run_with_transport`] is the generic loop. It deliberately covers the
-//! *protocol* surface only — FFA (file-server paging), fault injection
-//! and memory-pressure eviction stay on the legacy
-//! [`run_workload`](crate::runner::run_workload) path, which remains the
-//! full-featured entry point for simulation studies.
+//! [`SimulatedTransport`] is the in-process far side: the FIFO link
+//! model, the deputy and the monitor daemon, plus — when the
+//! configuration asks for them — FFA's file server and the fault
+//! injector's recovery protocol (timeouts, retries, stall-reconnect,
+//! eager fallback, remigration). `ampom-rpc` provides the live
+//! implementation over TCP or Unix sockets; drivers whose far side
+//! cannot carry a feature refuse it at their own entry points (see
+//! [`refuse_simulated_only`]).
 
 use std::collections::{HashMap, VecDeque};
 
+use ampom_mem::eviction::ClockEvictor;
 use ampom_mem::page::{PageId, PAGE_SIZE};
 use ampom_mem::space::{AddressSpace, PageState, TouchOutcome};
-use ampom_mem::table::PageTablePair;
-use ampom_net::calibration::AMPOM_ANALYSIS_COST;
+use ampom_mem::table::{PageLocation, PageTablePair};
+use ampom_net::calibration::{AMPOM_ANALYSIS_COST, MIGRATION_BASE_COST, PER_MESSAGE_OVERHEAD};
 use ampom_net::cross::CrossTraffic;
+use ampom_net::fault::Fate;
+use ampom_net::link::LinkConfig;
 use ampom_obs::PhaseBreakdown;
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
@@ -35,7 +42,7 @@ use ampom_sim::trace::{Trace, TraceData, TraceKind};
 use ampom_workloads::memref::Workload;
 
 use crate::cluster::NetPath;
-use crate::deputy::Deputy;
+use crate::deputy::{Deputy, ServedPage};
 use crate::error::AmpomError;
 use crate::lifecycle::{writeback_batch_bytes, ForwardWriteback};
 use crate::metrics::{DeputyStats, FaultStats, RunReport, RunSeries};
@@ -43,10 +50,11 @@ use crate::migration::{perform_freeze, FreezeOutcome, PreMigrationState, Scheme}
 use crate::monitor::MonitorDaemon;
 use crate::policy::{PrefetchFeedback, Prefetcher};
 use crate::prefetcher::{NetEstimates, PrefetchStats};
+use crate::reliability::{FailurePolicy, FaultInjector, RetryStep};
 use crate::runner::{RunConfig, MINOR_FAULT_COST, PAGE_INSTALL_COST};
 use crate::slo::QuantileSketch;
 
-/// The wire between the migrant-side runner and the home-node deputy.
+/// The wire between the migrant-side loop and the home-node deputy.
 ///
 /// Implementations own everything on the far side of the kernel's fault
 /// handler: the request/reply channel, the staging buffer of arrived
@@ -83,9 +91,26 @@ pub trait Transport {
     /// the shared [`RetrySchedule`](crate::reliability::RetrySchedule).
     fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError>;
 
-    /// Installs every staged page that has arrived by `now` into `space`,
+    /// Installs every staged page that has arrived by `now` into `dest`,
     /// charging [`PAGE_INSTALL_COST`] per page.
-    fn install_arrived(&mut self, now: &mut SimTime, space: &mut AddressSpace);
+    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination);
+
+    /// Stalls until the just-requested demand `page` is resident in
+    /// `dest`, installing whatever arrives meanwhile, and returns the part
+    /// of the clock advance spent stalled (the rest is install charges).
+    /// The default waits for the page and installs the arrivals; the
+    /// simulated transport adds FFA's file server and the fault
+    /// injector's retry/degrade protocol.
+    fn await_demand(
+        &mut self,
+        page: PageId,
+        now: &mut SimTime,
+        dest: &mut Destination,
+        trace: &mut Trace,
+    ) -> Result<SimDuration, AmpomError> {
+        let _ = trace;
+        await_in_flight(self, page, now, dest)
+    }
 
     /// Whether `page` has been requested and not yet installed.
     fn is_in_flight(&self, page: PageId) -> bool;
@@ -93,9 +118,14 @@ pub trait Transport {
     /// Number of requested-but-uninstalled pages.
     fn in_flight_count(&self) -> usize;
 
-    /// Forwards a system call to the home node; returns its completion
-    /// time (the home dependency, paper §2.2).
-    fn forward_syscall(&mut self, now: SimTime, work: SimDuration) -> Result<SimTime, AmpomError>;
+    /// Forwards a system call to the home node (the home dependency,
+    /// paper §2.2). Returns when the call was issued — later than `now`
+    /// only while the deputy is down — and when it completed.
+    fn forward_syscall(
+        &mut self,
+        now: SimTime,
+        work: SimDuration,
+    ) -> Result<(SimTime, SimTime), AmpomError>;
 
     /// Advances the monitor daemon to `now` and returns its current
     /// `t0`/`td` estimates for the prefetcher's Eq. 3 budget.
@@ -118,9 +148,18 @@ pub trait Transport {
     fn deputy_stats(&self) -> DeputyStats;
 
     /// Recovery-protocol statistics (retries, reconnects, fallbacks).
-    /// The simulated fault-free transport reports all-zero.
+    /// A fault-free run reports all-zero.
     fn fault_stats(&self) -> FaultStats {
         FaultStats::default()
+    }
+
+    /// Pushes `pages` pages evicted under the destination's RAM cap back
+    /// to the home node (swap-over-network). Background traffic: the
+    /// link is charged, the migrant's clock is not. Transports that
+    /// refuse resident limits (see [`refuse_simulated_only`]) never
+    /// receive evictions.
+    fn evict_to_home(&mut self, now: SimTime, pages: u64) {
+        let _ = (now, pages);
     }
 
     /// Carries one writeback delta batch toward the home node and returns
@@ -145,20 +184,156 @@ pub trait Transport {
     }
 }
 
-/// The in-process transport: the exact fault-free request/reply semantics
-/// of the historical runner, factored behind [`Transport`].
+/// [`Transport::await_demand`]'s plain protocol: wait for the page's
+/// reply, then install everything that has arrived.
+fn await_in_flight<T: Transport + ?Sized>(
+    transport: &mut T,
+    page: PageId,
+    now: &mut SimTime,
+    dest: &mut Destination,
+) -> Result<SimDuration, AmpomError> {
+    let arrival = transport.wait_for(page, *now)?;
+    let stall = arrival.saturating_since(*now);
+    *now = (*now).max(arrival);
+    transport.install_arrived(now, dest);
+    Ok(stall)
+}
+
+/// Refuses the features only [`SimulatedTransport`] models — FFA's file
+/// server, link-model fault injection and the destination RAM cap — for
+/// a `driver` whose far side is a deputy that cannot carry them.
+pub fn refuse_simulated_only(cfg: &RunConfig, driver: &str) -> Result<(), AmpomError> {
+    let refused = if cfg.scheme == Scheme::Ffa {
+        "the FFA scheme (it pages from a file server, not the deputy)"
+    } else if cfg.faults.as_ref().is_some_and(|p| !p.is_null()) {
+        "a simulated fault profile (faults here happen on the real channel)"
+    } else if cfg.resident_limit_mb.is_some() {
+        "a resident limit (its evictions need the simulated link)"
+    } else {
+        return Ok(());
+    };
+    Err(AmpomError::InvalidConfig(format!(
+        "{driver} cannot run {refused}; use run_workload"
+    )))
+}
+
+/// The destination node's half of the migrant, owned by the loop: the
+/// address space, the page-table pair and — under a RAM cap — the CLOCK
+/// evictor whose victims go back home over the transport.
+#[derive(Debug)]
+pub struct Destination {
+    /// The migrant's address space at the destination.
+    pub space: AddressSpace,
+    /// The MPT/HPT pair.
+    pub table: PageTablePair,
+    evictor: Option<ClockEvictor>,
+    /// The page whose fault is being served: eviction never picks it.
+    faulting: PageId,
+    pages_evicted: u64,
+}
+
+impl Destination {
+    /// Takes over the freeze's address space and tables under a RAM cap
+    /// of `limit_mb`. Whatever the freeze installed beyond the cap goes
+    /// straight back (what an eager copy into a too-small node does);
+    /// returns the destination and how many pages bounced.
+    fn new(freeze_space: AddressSpace, table: PageTablePair, limit_mb: Option<u64>) -> (Self, u64) {
+        let mut dest = Destination {
+            space: freeze_space,
+            table,
+            evictor: None,
+            faulting: PageId(0),
+            pages_evicted: 0,
+        };
+        let Some(mb) = limit_mb else {
+            return (dest, 0);
+        };
+        let limit = (mb * 1024 * 1024 / PAGE_SIZE).max(4);
+        let mut ev = ClockEvictor::new(dest.space.total_pages(), limit);
+        let resident: Vec<PageId> = dest
+            .space
+            .pages_where(|st| matches!(st, PageState::Resident { .. }))
+            .collect();
+        for p in resident {
+            if ev.at_capacity() {
+                dest.pages_evicted += 1;
+                dest.table.return_to_origin(p);
+                dest.space.mark_remote(p);
+            } else {
+                ev.on_install(p);
+            }
+        }
+        dest.evictor = Some(ev);
+        let bounced = dest.pages_evicted;
+        (dest, bounced)
+    }
+
+    /// Touches `page`, telling the evictor about hits.
+    #[inline]
+    fn touch(&mut self, page: PageId, write: bool) -> TouchOutcome {
+        let outcome = self.space.touch(page, write);
+        if outcome == TouchOutcome::Hit {
+            if let Some(ev) = self.evictor.as_mut() {
+                ev.on_touch(page);
+            }
+        }
+        outcome
+    }
+
+    /// Installs an arrived `page`. Under a RAM cap it first evicts until
+    /// the page fits; returns how many pages it evicted, which the
+    /// caller ships home.
+    pub fn install(&mut self, page: PageId) -> u64 {
+        let evicted = self.admit(page);
+        self.space.install(page);
+        evicted
+    }
+
+    /// Registers a newly resident `page` with the evictor, evicting
+    /// until it fits; returns how many pages it evicted.
+    fn admit(&mut self, page: PageId) -> u64 {
+        let Some(ev) = self.evictor.as_mut() else {
+            return 0;
+        };
+        let mut evicted = 0;
+        while ev.at_capacity() {
+            let victim = ev.evict(self.faulting);
+            if self.table.lookup(victim) == Some(PageLocation::Destination) {
+                self.table.return_to_origin(victim);
+            }
+            self.space.mark_remote(victim);
+            evicted += 1;
+        }
+        ev.on_install(page);
+        self.pages_evicted += evicted;
+        evicted
+    }
+}
+
+/// The in-process transport: the FIFO link model, the deputy and the
+/// monitor daemon, with FFA's file server and the fault injector when
+/// the configuration asks for them.
 #[derive(Debug)]
 pub struct SimulatedTransport {
     path: NetPath,
     deputy: Deputy,
     monitor: MonitorDaemon,
+    /// Requested-but-uninstalled pages and their (earliest) arrival.
     in_flight: HashMap<PageId, SimTime>,
+    /// Arrived-or-arriving replies in arrival order. The fault-free
+    /// reply link is FIFO, so arrivals are monotone; jitter under faults
+    /// is inserted in place.
     staged: VecDeque<(SimTime, PageId)>,
+    /// Message loss, deputy outages and the recovery protocol; `None` on
+    /// a fault-free run, which then never consults it.
+    faults: Option<FaultInjector>,
+    /// FFA's file server, set up by an FFA freeze.
+    file_server: Option<FileServer>,
 }
 
 impl SimulatedTransport {
     /// Builds the transport for `cfg`'s link (with cross traffic when
-    /// configured, seeded from `cfg.seed` like the legacy runner).
+    /// configured) and fault profile, both seeded from `cfg.seed`.
     pub fn new(cfg: &RunConfig) -> Self {
         let mut path = NetPath::new(cfg.link);
         if let Some(spec) = cfg.cross_traffic {
@@ -175,7 +350,211 @@ impl SimulatedTransport {
             monitor,
             in_flight: HashMap::new(),
             staged: VecDeque::new(),
+            faults: cfg
+                .faults
+                .as_ref()
+                .filter(|p| !p.is_null())
+                .map(|p| FaultInjector::new(p, cfg.link, cfg.seed)),
+            file_server: None,
         }
+    }
+
+    /// Sends one request to the deputy and registers the delivered
+    /// replies; returns the delivered prefetch pages. Under faults the
+    /// request may be dropped or jittered, the deputy may be down, and
+    /// each reply gets its own fate.
+    fn send(
+        &mut self,
+        now: SimTime,
+        demand: Option<PageId>,
+        prefetch: &[PageId],
+        table: &mut PageTablePair,
+    ) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
+        pages.extend(demand);
+        pages.extend_from_slice(prefetch);
+        let served: Vec<ServedPage> = match self.faults.as_mut() {
+            None => {
+                let at_home = self.path.send_request(now, pages.len());
+                self.deputy
+                    .serve_request(at_home, &pages, table, &mut self.path)
+            }
+            Some(f) => {
+                let at_home = match f.request_plan.fate() {
+                    Fate::Dropped => {
+                        self.path.send_request_lost(now, pages.len());
+                        f.stats.messages_dropped += 1;
+                        return Vec::new();
+                    }
+                    Fate::Delivered { extra_delay } => {
+                        self.path.send_request(now, pages.len()) + extra_delay
+                    }
+                };
+                if f.profile.downtime.is_down(at_home) {
+                    // The request reached a dead host; nothing answers.
+                    f.stats.deputy_unavailable += 1;
+                    return Vec::new();
+                }
+                let plan = &mut f.reply_plan;
+                let dropped_before = plan.dropped();
+                let served = self.deputy.serve_request_faulty(
+                    at_home,
+                    &pages,
+                    table,
+                    &mut self.path,
+                    || plan.fate(),
+                );
+                f.stats.messages_dropped += plan.dropped() - dropped_before;
+                served
+            }
+        };
+        let mut queued = Vec::new();
+        for s in served {
+            // A retry's resend can race the late original; keep the
+            // earliest arrival so the migrant never waits longer than it
+            // has to.
+            let arrives = self.in_flight.entry(s.page).or_insert(s.arrives);
+            *arrives = (*arrives).min(s.arrives);
+            stage_sorted(&mut self.staged, s.arrives, s.page);
+            if demand != Some(s.page) {
+                queued.push(s.page);
+            }
+        }
+        queued
+    }
+
+    fn injector(&mut self) -> &mut FaultInjector {
+        self.faults
+            .as_mut()
+            .expect("recovery runs only under a fault profile")
+    }
+
+    /// The demand wait under faults: stall for the faulted page with
+    /// timeouts, backoff and retries, degrading via the configured
+    /// [`FailurePolicy`] when the budget runs out. On return the demanded
+    /// page is resident; the result is the time spent stalled.
+    fn await_with_recovery(
+        &mut self,
+        demand: PageId,
+        now: &mut SimTime,
+        dest: &mut Destination,
+    ) -> SimDuration {
+        let mut stall = SimDuration::ZERO;
+        self.injector().schedule.begin_wait();
+        loop {
+            self.install_arrived(now, dest);
+            if dest.space.is_resident(demand) {
+                return stall;
+            }
+            let deadline = self.injector().schedule.deadline_after(*now);
+            if let Some(&arrival) = self.in_flight.get(&demand) {
+                if arrival <= deadline {
+                    // The reply is on the wire and will beat the timer.
+                    // Saturating: the per-page install charge advances the
+                    // clock after the pop loop breaks, so a big arrived
+                    // batch can push `now` past the next arrival — the
+                    // reply is then already here and the next install pass
+                    // picks it up.
+                    stall += arrival.saturating_since(*now);
+                    *now = (*now).max(arrival);
+                    continue;
+                }
+            }
+            // Nothing (timely) in flight: the timer fires.
+            stall += deadline.since(*now);
+            *now = deadline;
+            let f = self.injector();
+            f.stats.timeouts += 1;
+            let policy = match f.schedule.on_timeout() {
+                RetryStep::Retry => {
+                    f.stats.retries += 1;
+                    self.send(*now, Some(demand), &[], &mut dest.table);
+                    continue;
+                }
+                // Retry budget exhausted: graceful degradation (the
+                // schedule already forced the eager fallback if this run
+                // is past its policy-cycle cap).
+                RetryStep::Degrade(policy) => policy,
+            };
+            f.stats.reconnects += 1;
+            let start = *now;
+            let up = f.profile.downtime.next_up(*now);
+            match policy {
+                FailurePolicy::StallReconnect => {
+                    // Wait out any deputy downtime; if the demand's reply
+                    // is already on the wire (timeouts were just tighter
+                    // than a congested reply queue), stall for it instead
+                    // of re-requesting into the backlog.
+                    f.schedule.begin_wait();
+                    match self.in_flight.get(&demand) {
+                        Some(&arrival) => *now = up.max(arrival),
+                        None => {
+                            *now = up;
+                            self.send(*now, Some(demand), &[], &mut dest.table);
+                        }
+                    }
+                }
+                FailurePolicy::EagerFallback => self.eager_fallback(up, now, dest),
+                FailurePolicy::Remigrate => self.remigrate(up, now, dest),
+            }
+            let spent = now.since(start);
+            stall += spent;
+            self.injector().stats.recovery_time += spent;
+        }
+    }
+
+    /// Residual eager copy from `up` (the deputy back): abandon
+    /// outstanding requests and ship every page still remote in one bulk
+    /// transfer, as the original openMosix would have at freeze time.
+    fn eager_fallback(&mut self, up: SimTime, now: &mut SimTime, dest: &mut Destination) {
+        self.staged.clear();
+        self.in_flight.clear();
+        let remote: Vec<PageId> = dest
+            .space
+            .pages_where(|st| matches!(st, PageState::Remote))
+            .collect();
+        for &p in &remote {
+            if dest.table.lookup(p) == Some(PageLocation::Origin) {
+                dest.table.transfer_to_destination(p);
+            }
+        }
+        let n = remote.len() as u64;
+        *now = self.path.bulk_transfer(up, n * PAGE_SIZE);
+        for &p in &remote {
+            let evicted = dest.install(p);
+            self.evict_to_home(*now, evicted);
+        }
+        *now += PAGE_INSTALL_COST.saturating_mul(n);
+        self.injector().stats.fallback_pages += n;
+    }
+
+    /// Migrate back home from `up`: write the dirty resident pages back,
+    /// pay the migration base cost, and continue co-located with the home
+    /// node — every remaining remote page becomes a local page there.
+    fn remigrate(&mut self, up: SimTime, now: &mut SimTime, dest: &mut Destination) {
+        self.staged.clear();
+        self.in_flight.clear();
+        let resident: Vec<PageId> = dest
+            .space
+            .pages_where(|st| matches!(st, PageState::Resident { .. }))
+            .collect();
+        let bytes = resident.len() as u64 * PAGE_SIZE;
+        *now = self
+            .path
+            .bulk_transfer_to_home(up + MIGRATION_BASE_COST, bytes);
+        for &p in &resident {
+            if dest.table.lookup(p) == Some(PageLocation::Destination) {
+                dest.table.return_to_origin(p);
+            }
+        }
+        let remote: Vec<PageId> = dest
+            .space
+            .pages_where(|st| matches!(st, PageState::Remote))
+            .collect();
+        for &p in &remote {
+            dest.space.install(p);
+        }
+        self.injector().stats.remigrated = true;
     }
 }
 
@@ -186,7 +565,12 @@ impl Transport for SimulatedTransport {
         pre: &PreMigrationState,
         trace: &mut Trace,
     ) -> Result<FreezeOutcome, AmpomError> {
-        Ok(perform_freeze(scheme, pre, &mut self.path, trace))
+        let outcome = perform_freeze(scheme, pre, &mut self.path, trace);
+        if scheme == Scheme::Ffa {
+            let resume_at = SimTime::ZERO + outcome.freeze_time;
+            self.file_server = Some(FileServer::new(pre, resume_at, self.path.config()));
+        }
+        Ok(outcome)
     }
 
     fn request_pages(
@@ -196,24 +580,11 @@ impl Transport for SimulatedTransport {
         prefetch: &[PageId],
         table: &mut PageTablePair,
     ) -> Result<Vec<PageId>, AmpomError> {
-        let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
-        if let Some(d) = demand {
-            pages.push(d);
+        if self.file_server.is_some() {
+            // FFA faults are served by the file server at the wait.
+            return Ok(Vec::new());
         }
-        pages.extend_from_slice(prefetch);
-        let at_home = self.path.send_request(now, pages.len());
-        let served = self
-            .deputy
-            .serve_request(at_home, &pages, table, &mut self.path);
-        let mut queued = Vec::new();
-        for s in &served {
-            self.in_flight.insert(s.page, s.arrives);
-            self.staged.push_back((s.arrives, s.page));
-            if demand != Some(s.page) {
-                queued.push(s.page);
-            }
-        }
-        Ok(queued)
+        Ok(self.send(now, demand, prefetch, table))
     }
 
     fn wait_for(&mut self, page: PageId, _now: SimTime) -> Result<SimTime, AmpomError> {
@@ -222,7 +593,7 @@ impl Transport for SimulatedTransport {
         })
     }
 
-    fn install_arrived(&mut self, now: &mut SimTime, space: &mut AddressSpace) {
+    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
         let mut installed = 0u64;
         while let Some(&(arrival, page)) = self.staged.front() {
             if arrival > *now {
@@ -230,12 +601,49 @@ impl Transport for SimulatedTransport {
             }
             self.staged.pop_front();
             self.in_flight.remove(&page);
-            space.install(page);
+            if dest.space.is_resident(page) {
+                // Jitter reorders and retries duplicate replies: a copy
+                // of a page the migrant already has is counted, never
+                // installed twice.
+                if let Some(f) = self.faults.as_mut() {
+                    f.stats.duplicate_replies += 1;
+                }
+                continue;
+            }
+            if dest.space.state(page) != PageState::Remote {
+                // Evicted while in flight and re-created locally; drop
+                // the stale copy.
+                continue;
+            }
+            let evicted = dest.install(page);
+            self.evict_to_home(*now, evicted);
             installed += 1;
         }
         if installed > 0 {
             *now += PAGE_INSTALL_COST.saturating_mul(installed);
         }
+    }
+
+    fn await_demand(
+        &mut self,
+        page: PageId,
+        now: &mut SimTime,
+        dest: &mut Destination,
+        trace: &mut Trace,
+    ) -> Result<SimDuration, AmpomError> {
+        if let Some(fs) = self.file_server.as_ref() {
+            let done = fs.fetch(*now, page, trace);
+            let stall = done.since(*now);
+            *now = done;
+            dest.table.transfer_to_destination(page);
+            let evicted = dest.install(page);
+            self.evict_to_home(*now, evicted);
+            return Ok(stall);
+        }
+        if self.faults.is_some() {
+            return Ok(self.await_with_recovery(page, now, dest));
+        }
+        await_in_flight(self, page, now, dest)
     }
 
     fn is_in_flight(&self, page: PageId) -> bool {
@@ -246,8 +654,20 @@ impl Transport for SimulatedTransport {
         self.in_flight.len()
     }
 
-    fn forward_syscall(&mut self, now: SimTime, work: SimDuration) -> Result<SimTime, AmpomError> {
-        Ok(self.deputy.forward_syscall(now, work, &mut self.path))
+    fn forward_syscall(
+        &mut self,
+        now: SimTime,
+        work: SimDuration,
+    ) -> Result<(SimTime, SimTime), AmpomError> {
+        // The home dependency is absolute: a forwarded call can only
+        // execute once the deputy is back up.
+        let issued = self
+            .faults
+            .as_mut()
+            .and_then(|f| f.syscall_delay(now))
+            .unwrap_or(now);
+        let done = self.deputy.forward_syscall(issued, work, &mut self.path);
+        Ok((issued, done))
     }
 
     fn estimates(&mut self, now: SimTime) -> NetEstimates {
@@ -275,6 +695,17 @@ impl Transport for SimulatedTransport {
         self.deputy.stats()
     }
 
+    fn fault_stats(&self) -> FaultStats {
+        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+    }
+
+    fn evict_to_home(&mut self, now: SimTime, pages: u64) {
+        for _ in 0..pages {
+            self.path
+                .send_control_to_home(now, NetPath::page_reply_bytes());
+        }
+    }
+
     fn writeback_batch(
         &mut self,
         now: SimTime,
@@ -287,46 +718,80 @@ impl Transport for SimulatedTransport {
     }
 }
 
-/// Checks `cfg` for knobs the generic transport loop does not model.
-pub(crate) fn validate_for_transport(cfg: &RunConfig) -> Result<(), AmpomError> {
-    cfg.validate()?;
-    if cfg.scheme == Scheme::Ffa {
-        return Err(AmpomError::InvalidConfig(
-            "the FFA scheme pages from the file server, not the deputy \
-             transport; use run_workload"
-                .into(),
-        ));
+/// Inserts `(arrives, page)` keeping `staged` sorted by arrival time.
+/// Jitter makes arrivals slightly out of order; scanning from the back is
+/// O(displacement), which is tiny in practice (zero on a FIFO link).
+fn stage_sorted(staged: &mut VecDeque<(SimTime, PageId)>, arrives: SimTime, page: PageId) {
+    let mut idx = staged.len();
+    while idx > 0 && staged[idx - 1].0 > arrives {
+        idx -= 1;
     }
-    if cfg.faults.as_ref().is_some_and(|p| !p.is_null()) {
-        return Err(AmpomError::InvalidConfig(
-            "simulated fault injection is a link-model feature; use \
-             run_workload (live transports inject faults on the wire)"
-                .into(),
-        ));
-    }
-    if cfg.resident_limit_mb.is_some() {
-        return Err(AmpomError::InvalidConfig(
-            "memory-pressure eviction is not modelled by the transport \
-             loop; use run_workload"
-                .into(),
-        ));
-    }
-    Ok(())
+    staged.insert(idx, (arrives, page));
 }
 
-/// Executes `workload` under `cfg` against an arbitrary [`Transport`].
-///
-/// With a [`SimulatedTransport`] this reproduces
-/// [`run_workload`](crate::runner::run_workload)'s fault-free path
-/// bit-for-bit (same fingerprints); with `ampom-rpc`'s live transport the
-/// same protocol drives a real socket.
+/// FFA's file server: the home node streams every dirty page to it at
+/// link speed from resume on (the home↔file-server link does not contend
+/// with the migrant's path), and faults are served from it.
+#[derive(Debug)]
+struct FileServer {
+    /// Completion time of each page's flush to the file server.
+    flush_done: HashMap<PageId, SimTime>,
+    /// File-server link (latency/capacity like the cluster LAN).
+    link: LinkConfig,
+}
+
+impl FileServer {
+    fn new(pre: &PreMigrationState, resume_at: SimTime, link: LinkConfig) -> Self {
+        let per_page = link.serialization_time(PAGE_SIZE);
+        let mut flush_done = HashMap::new();
+        let mut t = resume_at;
+        for p in pre.dirty_pages() {
+            t += per_page;
+            flush_done.insert(p, t + link.latency);
+        }
+        FileServer { flush_done, link }
+    }
+
+    /// Demand-fetches `page` at `now`; returns when the page is at the
+    /// destination.
+    fn fetch(&self, now: SimTime, page: PageId, trace: &mut Trace) -> SimTime {
+        let request_arrives = now + PER_MESSAGE_OVERHEAD + self.link.latency;
+        let available = self
+            .flush_done
+            .get(&page)
+            .copied()
+            .unwrap_or(request_arrives);
+        let served = request_arrives.max(available);
+        let reply = served + self.link.serialization_time(PAGE_SIZE + 32) + self.link.latency;
+        trace.record_with(reply, TraceKind::FileServerFlush, || {
+            TraceData::page(page.index()).with_note("via file server")
+        });
+        reply
+    }
+}
+
+/// Executes `workload` under `cfg` against an arbitrary [`Transport`]:
+/// the migrant loop every forward run goes through. The prefetch policy
+/// is `cfg.policy` under [`Scheme::Ampom`] and none otherwise.
 pub fn run_with_transport<W: Workload + ?Sized>(
     workload: &mut W,
     cfg: &RunConfig,
     transport: &mut dyn Transport,
 ) -> Result<RunReport, AmpomError> {
-    validate_for_transport(cfg)?;
+    cfg.validate()?;
+    let mut policy = (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
+    let prefetcher = policy.as_deref_mut().map(|p| p as &mut dyn Prefetcher);
+    drive(workload, cfg, transport, prefetcher)
+}
 
+/// The loop itself, with the prefetcher supplied by the caller (the VM
+/// runner routes faults to per-guest windows).
+pub(crate) fn drive<W: Workload + ?Sized>(
+    workload: &mut W,
+    cfg: &RunConfig,
+    transport: &mut dyn Transport,
+    mut prefetcher: Option<&mut dyn Prefetcher>,
+) -> Result<RunReport, AmpomError> {
     let layout = workload.layout().clone();
     let pre = PreMigrationState::new(layout.clone(), workload.allocation_pages());
     let program_mb = (pre.allocated.len() as u64 * PAGE_SIZE) >> 20;
@@ -338,12 +803,11 @@ pub fn run_with_transport<W: Workload + ?Sized>(
     };
 
     let freeze = transport.freeze(cfg.scheme, &pre, &mut trace)?;
-    let mut space = freeze.space;
-    let mut table = freeze.table;
     let mut now = SimTime::ZERO + freeze.freeze_time;
-
-    let mut prefetcher: Option<Box<dyn Prefetcher>> =
-        (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
+    let (mut dest, bounced) = Destination::new(freeze.space, freeze.table, cfg.resident_limit_mb);
+    if bounced > 0 {
+        transport.evict_to_home(now, bounced);
+    }
 
     let total_pages = layout.total_pages();
     let mut was_prefetched = vec![false; total_pages as usize];
@@ -351,13 +815,16 @@ pub fn run_with_transport<W: Workload + ?Sized>(
     let sample_every = cfg.sample_series_every.unwrap_or(u64::MAX);
     let mut faults_since_sample = 0u64;
 
-    // Measurement state (same set as the legacy runner).
+    // Measurement state.
     let mut compute_time = SimDuration::ZERO;
     let mut stall_time = SimDuration::ZERO;
+    // Per-fault stall distribution for the SLO layer. Syscall-delay
+    // stalls are not recorded: the sketch measures paging behaviour.
     let mut stall_sketch = QuantileSketch::new();
     let mut analysis_time = SimDuration::ZERO;
-    // Phase attribution, mirroring the legacy runner: every clock advance
-    // is charged to exactly one phase.
+    // Phase attribution: every clock advance below is charged to exactly
+    // one phase, so the disjoint phases sum to total_time to the
+    // nanosecond (tested in tests/observability.rs).
     let mut install_time = SimDuration::ZERO;
     let mut prefetch_overlap = SimDuration::ZERO;
     let mut faults_total = 0u64;
@@ -368,6 +835,8 @@ pub fn run_with_transport<W: Workload + ?Sized>(
     let mut prefetched_used = 0u64;
     let mut pages_local_alloc = 0u64;
 
+    // CPU-utilisation tracking for the C array: share of wall time spent
+    // computing since the previous fault.
     let mut cpu_since_fault = SimDuration::ZERO;
     let mut last_fault_at = now;
 
@@ -385,42 +854,45 @@ pub fn run_with_transport<W: Workload + ?Sized>(
             refs_since_syscall += 1;
             if refs_since_syscall >= profile.every_refs {
                 refs_since_syscall = 0;
-                let done = transport.forward_syscall(now, profile.work)?;
-                syscall_time += done.since(now);
+                let (issued, done) = transport.forward_syscall(now, profile.work)?;
+                stall_time += issued.since(now);
+                syscall_time += done.since(issued);
                 syscalls_forwarded += 1;
                 trace.record(done, TraceKind::SyscallForwarded, TraceData::empty());
                 now = done;
             }
         }
 
+        // Prefetch-usage accounting (one cheap indexed read per touch).
         let pidx = r.page.index() as usize;
         if was_prefetched[pidx] {
             was_prefetched[pidx] = false;
             prefetched_used += 1;
         }
 
-        match space.touch(r.page, r.write) {
+        match dest.touch(r.page, r.write) {
             TouchOutcome::Hit => {
                 if let Some(wb) = wb.as_mut() {
                     wb.note_touch(r.page, r.write);
                 }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-                if transport.in_flight_count() > 0 {
-                    prefetch_overlap += r.cpu;
-                }
             }
             TouchOutcome::LocalAllocate => {
+                // Anonymous first touch: minor fault, no network. Still a
+                // fault for the lookback window — the kernel handler runs.
                 faults_total += 1;
                 pages_local_alloc += 1;
+                dest.faulting = r.page;
                 if let Some(wb) = wb.as_mut() {
                     // First touches allocate dirty (zero-fill).
                     wb.note_touch(r.page, true);
                 }
                 now += MINOR_FAULT_COST;
-                if table.lookup(r.page).is_none() {
-                    table.create_at_destination(r.page);
+                if dest.table.lookup(r.page).is_none() {
+                    dest.table.create_at_destination(r.page);
+                }
+                let evicted = dest.admit(r.page);
+                if evicted > 0 {
+                    transport.evict_to_home(now, evicted);
                 }
                 let util = utilization(cpu_since_fault, now, last_fault_at);
                 last_fault_at = now;
@@ -433,7 +905,7 @@ pub fn run_with_transport<W: Workload + ?Sized>(
                         util,
                         transport,
                         page_limit,
-                        &space,
+                        &dest.space,
                         PrefetchFeedback {
                             pages_prefetched,
                             prefetched_used,
@@ -444,36 +916,32 @@ pub fn run_with_transport<W: Workload + ?Sized>(
                     if !prefetch.is_empty() {
                         prefetch_only_requests += 1;
                         note_queued(
-                            transport.request_pages(now, None, &prefetch, &mut table)?,
+                            transport.request_pages(now, None, &prefetch, &mut dest.table)?,
                             &mut was_prefetched,
                             &mut pages_prefetched,
                         );
                     }
                 }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-                if transport.in_flight_count() > 0 {
-                    prefetch_overlap += r.cpu;
-                }
             }
             TouchOutcome::RemoteFault => {
                 faults_total += 1;
                 let fault_at = now;
+                dest.faulting = r.page;
                 trace.record(now, TraceKind::PageFault, TraceData::page(r.page.index()));
                 if let Some(wb) = wb.as_mut() {
                     if wb.on_fault() {
-                        flush_writeback(wb, now, transport, &mut space, &mut trace)?;
+                        flush_writeback(wb, now, transport, &mut dest.space, &mut trace)?;
                     }
                 }
                 let install_from = now;
-                transport.install_arrived(&mut now, &mut space);
+                transport.install_arrived(&mut now, &mut dest);
                 install_time += now.since(install_from);
 
                 let util = utilization(cpu_since_fault, fault_at, last_fault_at);
                 last_fault_at = fault_at;
                 cpu_since_fault = SimDuration::ZERO;
 
+                // Prefetch analysis (every fault, per Algorithm 1).
                 let prefetch = match prefetcher.as_deref_mut() {
                     Some(pf) => analyze(
                         pf,
@@ -482,7 +950,7 @@ pub fn run_with_transport<W: Workload + ?Sized>(
                         util,
                         transport,
                         page_limit,
-                        &space,
+                        &dest.space,
                         PrefetchFeedback {
                             pages_prefetched,
                             prefetched_used,
@@ -500,8 +968,10 @@ pub fn run_with_transport<W: Workload + ?Sized>(
                         series
                             .in_flight
                             .push(now, transport.in_flight_count() as f64);
-                        series.resident.push(now, space.resident_pages() as f64);
-                        if let Some(pf) = prefetcher.as_ref() {
+                        series
+                            .resident
+                            .push(now, dest.space.resident_pages() as f64);
+                        if let Some(pf) = prefetcher.as_deref() {
                             series
                                 .zone_budget
                                 .push(now, pf.observe().stats.budgets.mean());
@@ -512,42 +982,34 @@ pub fn run_with_transport<W: Workload + ?Sized>(
                     }
                 }
 
-                if space.is_resident(r.page) {
-                    // Arrived with the last batch: the install above
-                    // resolved it. Any new zone pages still go out.
+                if dest.space.is_resident(r.page) || transport.is_in_flight(r.page) {
+                    // Arrived with the last batch, or already requested:
+                    // no demand request ("wait for i to arrive"). Any new
+                    // zone pages still go out.
                     if !prefetch.is_empty() {
                         prefetch_only_requests += 1;
                         note_queued(
-                            transport.request_pages(now, None, &prefetch, &mut table)?,
+                            transport.request_pages(now, None, &prefetch, &mut dest.table)?,
                             &mut was_prefetched,
                             &mut pages_prefetched,
                         );
                     }
-                } else if transport.is_in_flight(r.page) {
-                    // Already requested: wait for the pipeline, no demand
-                    // request ("wait for i to arrive").
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        note_queued(
-                            transport.request_pages(now, None, &prefetch, &mut table)?,
-                            &mut was_prefetched,
-                            &mut pages_prefetched,
-                        );
+                    if !dest.space.is_resident(r.page) {
+                        let arrival = transport.wait_for(r.page, now)?;
+                        if arrival > now {
+                            stall_time += arrival.since(now);
+                            stall_sketch.record(arrival.since(now));
+                            now = arrival;
+                        }
+                        let install_from = now;
+                        transport.install_arrived(&mut now, &mut dest);
+                        install_time += now.since(install_from);
+                        trace.record_with(now, TraceKind::FaultResolved, || {
+                            TraceData::page(r.page.index()).with_note("pipelined")
+                        });
                     }
-                    let arrival = transport.wait_for(r.page, now)?;
-                    if arrival > now {
-                        stall_time += arrival.since(now);
-                        stall_sketch.record(arrival.since(now));
-                        now = arrival;
-                    }
-                    let install_from = now;
-                    transport.install_arrived(&mut now, &mut space);
-                    install_time += now.since(install_from);
-                    trace.record_with(now, TraceKind::FaultResolved, || {
-                        TraceData::page(r.page.index()).with_note("pipelined")
-                    });
                 } else {
-                    // Demand fetch from the deputy, zone piggy-backed.
+                    // Demand fetch, zone piggy-backed.
                     fault_requests += 1;
                     pages_demand += 1;
                     trace.record(
@@ -556,17 +1018,15 @@ pub fn run_with_transport<W: Workload + ?Sized>(
                         TraceData::page(r.page.index()).with_pages(prefetch.len() as u64),
                     );
                     note_queued(
-                        transport.request_pages(now, Some(r.page), &prefetch, &mut table)?,
+                        transport.request_pages(now, Some(r.page), &prefetch, &mut dest.table)?,
                         &mut was_prefetched,
                         &mut pages_prefetched,
                     );
-                    let arrival = transport.wait_for(r.page, now)?;
-                    stall_time += arrival.saturating_since(now);
-                    stall_sketch.record(arrival.saturating_since(now));
-                    now = now.max(arrival);
-                    let install_from = now;
-                    transport.install_arrived(&mut now, &mut space);
-                    install_time += now.since(install_from);
+                    let wait_from = now;
+                    let stall = transport.await_demand(r.page, &mut now, &mut dest, &mut trace)?;
+                    stall_time += stall;
+                    stall_sketch.record(stall);
+                    install_time += now.since(wait_from).saturating_sub(stall);
                     trace.record(
                         now,
                         TraceKind::FaultResolved,
@@ -575,25 +1035,25 @@ pub fn run_with_transport<W: Workload + ?Sized>(
                 }
 
                 // The faulted page is resident now; apply the touch.
-                debug_assert!(space.is_resident(r.page));
-                let outcome = space.touch(r.page, r.write);
+                debug_assert!(dest.space.is_resident(r.page));
+                let outcome = dest.touch(r.page, r.write);
                 debug_assert_eq!(outcome, TouchOutcome::Hit);
                 if let Some(wb) = wb.as_mut() {
                     wb.note_touch(r.page, r.write);
                 }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-                if transport.in_flight_count() > 0 {
-                    prefetch_overlap += r.cpu;
-                }
             }
+        }
+        now += r.cpu;
+        compute_time += r.cpu;
+        cpu_since_fault += r.cpu;
+        if transport.in_flight_count() > 0 {
+            prefetch_overlap += r.cpu;
         }
     }
 
     // Final writeback drain: the run ends with every dirty page home.
     if let Some(wb) = wb.as_mut() {
-        flush_writeback(wb, now, transport, &mut space, &mut trace)?;
+        flush_writeback(wb, now, transport, &mut dest.space, &mut trace)?;
     }
 
     for (at, kind, data) in transport.drain_trace() {
@@ -602,13 +1062,7 @@ pub fn run_with_transport<W: Workload + ?Sized>(
     trace.record(now, TraceKind::WorkloadDone, TraceData::empty());
     let total_time = now.since(SimTime::ZERO);
 
-    let (analysis_count, prefetch_stats) = match prefetcher {
-        Some(pf) => {
-            let stats = pf.observe().stats;
-            (stats.analyses, stats)
-        }
-        None => (0, PrefetchStats::default()),
-    };
+    let prefetch_stats = prefetcher.map_or_else(PrefetchStats::default, |pf| pf.observe().stats);
 
     let fault_stats = transport.fault_stats();
     let phases = PhaseBreakdown {
@@ -641,12 +1095,12 @@ pub fn run_with_transport<W: Workload + ?Sized>(
         pages_local_alloc,
         syscalls_forwarded,
         syscall_time,
-        pages_evicted: 0,
+        pages_evicted: dest.pages_evicted,
         bytes_to_dest: transport.bytes_to_dest(),
         bytes_from_dest: transport.bytes_from_dest(),
         mpt_bytes: freeze.mpt_bytes,
         analysis_time,
-        analysis_count,
+        analysis_count: prefetch_stats.analyses,
         prefetch_stats,
         faults: fault_stats,
         deputy: transport.deputy_stats(),
@@ -657,12 +1111,14 @@ pub fn run_with_transport<W: Workload + ?Sized>(
     })
 }
 
-/// Ships every ready writeback batch over the transport and accounts it.
+/// Ships every ready writeback batch over the transport and cleans the
+/// flushed pages (background traffic: the link is charged, the migrant's
+/// clock is not).
 fn flush_writeback(
     wb: &mut ForwardWriteback,
     now: SimTime,
     transport: &mut dyn Transport,
-    space: &mut ampom_mem::space::AddressSpace,
+    space: &mut AddressSpace,
     trace: &mut Trace,
 ) -> Result<(), AmpomError> {
     while let Some((seq, entries)) = wb.take_batch() {
@@ -699,7 +1155,9 @@ fn utilization(cpu: SimDuration, now: SimTime, last_fault: SimTime) -> f64 {
     }
 }
 
-/// One prefetch analysis against the transport's monitor estimates.
+/// One prefetch analysis against the transport's monitor estimates:
+/// outcome feedback, the policy's window/zone decision, and the
+/// analysis-time charge.
 #[allow(clippy::too_many_arguments)]
 fn analyze(
     pf: &mut dyn Prefetcher,
@@ -746,6 +1204,8 @@ fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reliability::FaultProfile;
+    use ampom_mem::region::MemoryLayout;
     use ampom_workloads::synthetic::Sequential;
 
     const CPU: SimDuration = SimDuration::from_micros(10);
@@ -757,40 +1217,41 @@ mod tests {
     }
 
     #[test]
-    fn simulated_transport_completes_all_schemes() {
-        for scheme in [Scheme::Ampom, Scheme::NoPrefetch, Scheme::OpenMosix] {
+    fn simulated_transport_completes_every_scheme_and_feature() {
+        for scheme in [
+            Scheme::Ampom,
+            Scheme::NoPrefetch,
+            Scheme::OpenMosix,
+            Scheme::Ffa,
+        ] {
             let r = run_sim(&RunConfig::new(scheme), 128);
             assert_eq!(r.scheme, scheme);
             assert!(r.total_time > SimDuration::ZERO);
         }
+        let lossy = run_sim(
+            &RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.1)),
+            256,
+        );
+        assert!(lossy.faults.messages_dropped > 0);
+        let capped = run_sim(
+            &RunConfig::new(Scheme::Ampom).with_resident_limit_mb(1),
+            512,
+        );
+        assert!(capped.pages_evicted > 0);
     }
 
     #[test]
-    fn ffa_rejected_by_transport_loop() {
-        let cfg = RunConfig::new(Scheme::Ffa);
-        let mut w = Sequential::new(64, CPU);
-        let mut t = SimulatedTransport::new(&cfg);
-        let err = run_with_transport(&mut w, &cfg, &mut t).unwrap_err();
-        assert!(matches!(err, AmpomError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn simulated_faults_rejected_by_transport_loop() {
-        let cfg =
-            RunConfig::new(Scheme::Ampom).with_faults(crate::reliability::FaultProfile::lossy(0.1));
-        let mut w = Sequential::new(64, CPU);
-        let mut t = SimulatedTransport::new(&cfg);
-        let err = run_with_transport(&mut w, &cfg, &mut t).unwrap_err();
-        assert!(matches!(err, AmpomError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn resident_limit_rejected_by_transport_loop() {
-        let cfg = RunConfig::new(Scheme::Ampom).with_resident_limit_mb(1);
-        let mut w = Sequential::new(64, CPU);
-        let mut t = SimulatedTransport::new(&cfg);
-        let err = run_with_transport(&mut w, &cfg, &mut t).unwrap_err();
-        assert!(matches!(err, AmpomError::InvalidConfig(_)));
+    fn deputy_drivers_refuse_what_only_the_simulation_models() {
+        let ok = RunConfig::new(Scheme::Ampom);
+        assert!(refuse_simulated_only(&ok, "x").is_ok());
+        for cfg in [
+            RunConfig::new(Scheme::Ffa),
+            ok.clone().with_faults(FaultProfile::lossy(0.1)),
+            ok.clone().with_resident_limit_mb(1),
+        ] {
+            let err = refuse_simulated_only(&cfg, "x").unwrap_err();
+            assert!(matches!(err, AmpomError::InvalidConfig(_)));
+        }
     }
 
     #[test]
@@ -799,5 +1260,48 @@ mod tests {
         let mut t = SimulatedTransport::new(&cfg);
         let err = t.wait_for(PageId(3), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, AmpomError::Transport(_)));
+    }
+
+    #[test]
+    fn one_reply_delivered_twice_counts_one_duplicate() {
+        // Cross-transport identity anchor: `duplicate_replies` means "a
+        // reply arrived for a page the migrant already has", counted once
+        // per extra copy. The live transport's `note_reply` and bulk-fetch
+        // accounting are pinned to the same meaning by the unit tests in
+        // `crates/rpc/src/live.rs`; together with this test they keep the
+        // counter comparable across transports.
+        let cfg = RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.01));
+        let mut t = SimulatedTransport::new(&cfg);
+        let mut space = AddressSpace::new(MemoryLayout::with_data_bytes(8 * PAGE_SIZE));
+        let page = space.layout().data_start();
+        space.mark_remote(page);
+        let table = PageTablePair::at_migration([page]);
+        let (mut dest, _) = Destination::new(space, table, None);
+        // The original reply and a resent copy, both already arrived.
+        t.staged.push_back((SimTime::ZERO, page));
+        t.staged.push_back((SimTime::ZERO, page));
+        t.in_flight.insert(page, SimTime::ZERO);
+        let mut now = SimTime::ZERO + SimDuration::from_micros(1);
+        t.install_arrived(&mut now, &mut dest);
+        assert!(dest.space.is_resident(page), "first copy installs the page");
+        assert_eq!(
+            t.fault_stats().duplicate_replies,
+            1,
+            "the resent copy is suppressed and counted exactly once"
+        );
+        assert_eq!(dest.pages_evicted, 0);
+    }
+
+    #[test]
+    fn stage_sorted_keeps_arrival_order() {
+        let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
+        for (t, p) in [(50u64, 0u64), (10, 1), (30, 2), (30, 3), (20, 4)] {
+            stage_sorted(&mut staged, SimTime::from_nanos(t), PageId(p));
+        }
+        let times: Vec<u64> = staged.iter().map(|&(t, _)| t.as_nanos()).collect();
+        assert_eq!(times, vec![10, 20, 30, 30, 50]);
+        // Equal arrivals keep insertion order (FIFO tie-break).
+        let pages: Vec<u64> = staged.iter().map(|&(_, p)| p.0).collect();
+        assert_eq!(pages, vec![1, 4, 2, 3, 0]);
     }
 }

@@ -19,33 +19,27 @@
 //!
 //! * [`VmWorkload`] — a guest: several `Workload`s, each mapped into its
 //!   own slice of the VM's address space, interleaved by a round-robin
-//!   scheduler with a configurable time slice,
+//!   scheduler with a configurable time slice; itself a `Workload`,
 //! * [`VmAnalysis`] — shared-window (naive) vs per-process-window
 //!   (tailored) analysis,
-//! * [`run_vm`] — the migration runner for a VM under AMPoM, reporting
-//!   the same metrics as the single-process runner.
+//! * [`run_vm`] — the migration runner for a VM under AMPoM: the one
+//!   migrant loop with a prefetcher that routes each fault to its
+//!   guest's window, reporting the same metrics as any other run.
 //!
 //! The `hpcc-repro ext-vm` experiment and `examples/vm_migration.rs`
 //! compare the two analyses.
 
-use std::collections::{HashMap, VecDeque};
-
 use ampom_mem::page::PageId;
 use ampom_mem::region::MemoryLayout;
-use ampom_mem::space::TouchOutcome;
-use ampom_net::calibration::AMPOM_ANALYSIS_COST;
-use ampom_sim::time::{SimDuration, SimTime};
-use ampom_sim::trace::Trace;
+use ampom_sim::time::SimTime;
 use ampom_workloads::memref::{MemRef, Workload};
 
-use crate::cluster::NetPath;
-use crate::deputy::Deputy;
 use crate::metrics::RunReport;
-use crate::migration::{perform_freeze, PreMigrationState, Scheme};
-use crate::monitor::MonitorDaemon;
-use crate::policy::Prefetcher;
-use crate::prefetcher::PrefetchStats;
-use crate::runner::{RunConfig, PAGE_INSTALL_COST};
+use crate::migration::Scheme;
+use crate::policy::{PrefetchFeedback, PrefetchObservation, Prefetcher};
+use crate::prefetcher::{NetEstimates, PrefetchStats, ZoneDecision};
+use crate::runner::RunConfig;
+use crate::transport::{drive, SimulatedTransport};
 
 /// How the prefetcher treats the VM's interleaved fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,13 +69,16 @@ struct GuestProc {
     workload: Box<dyn Workload>,
     /// Where this process's address space begins inside the VM's space.
     base_offset: u64,
+    /// First guest-physical page of this process's data slice.
+    first_page: u64,
     /// Pending slice budget (refs remaining in the current quantum).
     slice_left: u32,
     done: bool,
 }
 
 /// A virtual machine: several guest processes over one guest-physical
-/// address space, scheduled round-robin.
+/// address space, scheduled round-robin. As a [`Workload`] it yields the
+/// interleaved, translated reference stream the hypervisor sees.
 pub struct VmWorkload {
     layout: MemoryLayout,
     procs: Vec<GuestProc>,
@@ -109,19 +106,16 @@ impl VmWorkload {
         for w in workloads {
             // Each guest's pages map at `offset - guest_data_start`.
             let guest_start = w.layout().data_start().index();
+            let pages = w.data_bytes().div_ceil(ampom_mem::PAGE_SIZE);
             total_refs += w.total_refs_hint();
             procs.push(GuestProc {
                 base_offset: offset - guest_start,
+                first_page: offset,
                 slice_left: slice,
                 done: false,
                 workload: w,
             });
-            offset += procs
-                .last()
-                .unwrap()
-                .workload
-                .data_bytes()
-                .div_ceil(ampom_mem::PAGE_SIZE);
+            offset += pages;
         }
         VmWorkload {
             layout,
@@ -138,35 +132,25 @@ impl VmWorkload {
         self.procs.len()
     }
 
-    /// The VM's guest-physical layout.
-    pub fn layout(&self) -> &MemoryLayout {
-        &self.layout
+    /// First guest-physical page of each guest's data slice, ascending:
+    /// the slices are disjoint, so a page's owner is the last guest that
+    /// starts at or below it (see [`guest_of`]).
+    pub fn guest_starts(&self) -> Vec<u64> {
+        self.procs.iter().map(|p| p.first_page).collect()
     }
+}
 
-    /// Total references across all guests.
-    pub fn total_refs_hint(&self) -> u64 {
-        self.total_refs
-    }
+/// The guest owning `page`, given [`VmWorkload::guest_starts`].
+pub fn guest_of(starts: &[u64], page: PageId) -> usize {
+    starts
+        .partition_point(|&s| s <= page.index())
+        .saturating_sub(1)
+}
 
-    /// Total data bytes across all guests.
-    pub fn data_bytes(&self) -> u64 {
-        self.data_bytes
-    }
+impl Iterator for VmWorkload {
+    type Item = MemRef;
 
-    /// Every guest page, translated to guest-physical (for the
-    /// pre-migration allocation).
-    pub fn allocation_pages(&self) -> Vec<PageId> {
-        let mut pages = Vec::new();
-        for p in &self.procs {
-            for page in p.workload.allocation_pages() {
-                pages.push(PageId(page.index() + p.base_offset));
-            }
-        }
-        pages
-    }
-
-    /// The next reference and the guest process that made it.
-    pub fn next_ref(&mut self) -> Option<(usize, MemRef)> {
+    fn next(&mut self) -> Option<MemRef> {
         let n = self.procs.len();
         for _ in 0..n {
             let idx = self.current;
@@ -182,13 +166,105 @@ impl VmWorkload {
                         p.slice_left = self.slice;
                         self.current = (idx + 1) % n;
                     }
-                    return Some((idx, translated));
+                    return Some(translated);
                 }
                 p.done = true;
             }
             self.current = (idx + 1) % n;
         }
         None
+    }
+}
+
+impl Workload for VmWorkload {
+    fn name(&self) -> &'static str {
+        "VM"
+    }
+
+    fn layout(&self) -> &MemoryLayout {
+        &self.layout
+    }
+
+    fn data_bytes(&self) -> u64 {
+        self.data_bytes
+    }
+
+    /// Every guest page, translated to guest-physical.
+    fn allocation_pages(&self) -> Vec<PageId> {
+        let mut pages = Vec::new();
+        for p in &self.procs {
+            for page in p.workload.allocation_pages() {
+                pages.push(PageId(page.index() + p.base_offset));
+            }
+        }
+        pages
+    }
+
+    fn total_refs_hint(&self) -> u64 {
+        self.total_refs
+    }
+}
+
+/// The VM's prefetcher: routes each fault to the lookback window of the
+/// guest owning the faulted page, or to one shared window.
+struct GuestWindows {
+    windows: Vec<Box<dyn Prefetcher>>,
+    /// [`VmWorkload::guest_starts`] when routing per guest; empty for
+    /// the shared window.
+    starts: Vec<u64>,
+    /// The window that analysed the latest fault.
+    last: usize,
+}
+
+impl GuestWindows {
+    /// Mean spatial score over every window's analyses.
+    fn mean_score(&self) -> f64 {
+        let mut score_sum = 0.0;
+        let mut score_n = 0u64;
+        for w in &self.windows {
+            let s = w.observe().stats;
+            score_sum += s.scores.mean() * s.scores.count() as f64;
+            score_n += s.scores.count();
+        }
+        if score_n == 0 {
+            0.0
+        } else {
+            score_sum / score_n as f64
+        }
+    }
+}
+
+impl Prefetcher for GuestWindows {
+    fn on_fault(
+        &mut self,
+        page: PageId,
+        now: SimTime,
+        cpu_util: f64,
+        net: NetEstimates,
+        page_limit: PageId,
+        fetchable: &mut dyn FnMut(PageId) -> bool,
+    ) -> ZoneDecision {
+        self.last = guest_of(&self.starts, page);
+        self.windows[self.last].on_fault(page, now, cpu_util, net, page_limit, fetchable)
+    }
+
+    fn note_outcome(&mut self, feedback: PrefetchFeedback) {
+        for w in &mut self.windows {
+            w.note_outcome(feedback);
+        }
+    }
+
+    /// The latest fault's window, with the statistics of every window
+    /// merged: the monitor re-samples bandwidth when that window wraps.
+    fn observe(&self) -> PrefetchObservation {
+        let mut stats = PrefetchStats::default();
+        for w in &self.windows {
+            stats.merge(&w.observe().stats);
+        }
+        PrefetchObservation {
+            stats,
+            ..self.windows[self.last].observe()
+        }
     }
 }
 
@@ -205,317 +281,49 @@ pub struct VmReport {
 }
 
 /// Migrates a VM under AMPoM-style lightweight migration and runs it to
-/// completion with the chosen analysis mode.
+/// completion through the one migrant loop, with the chosen analysis
+/// mode as its prefetcher.
+///
+/// # Panics
+/// Panics on an invalid configuration.
 pub fn run_vm(mut vm: VmWorkload, cfg: &RunConfig, analysis: VmAnalysis) -> VmReport {
-    let layout = vm.layout().clone();
-    let pre = PreMigrationState::new(layout.clone(), vm.allocation_pages());
-    let program_mb = (pre.allocated.len() as u64 * ampom_mem::PAGE_SIZE) >> 20;
-
-    let mut path = NetPath::new(cfg.link);
-    let mut trace = Trace::disabled();
-    let freeze = perform_freeze(Scheme::Ampom, &pre, &mut path, &mut trace);
-    let mut space = freeze.space;
-    let mut table = freeze.table;
-    let mut now = SimTime::ZERO + freeze.freeze_time;
-
-    let mut monitor = MonitorDaemon::new(&path);
-    let mut deputy = Deputy::new();
-
-    let n_procs = vm.process_count();
-    let mk = || cfg.policy.build(&cfg.ampom);
-    let mut prefetchers: Vec<Box<dyn Prefetcher>> = match analysis {
-        VmAnalysis::SharedWindow => vec![mk()],
-        VmAnalysis::PerProcess => (0..n_procs).map(|_| mk()).collect(),
-        VmAnalysis::NoPrefetch => Vec::new(),
+    // Every mode migrates with AMPoM's freeze; the mode picks the windows.
+    let cfg = RunConfig {
+        scheme: Scheme::Ampom,
+        ..cfg.clone()
     };
-
-    let mut in_flight: HashMap<PageId, SimTime> = HashMap::new();
-    let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
-    let total_pages = layout.total_pages();
-    let page_limit = PageId(total_pages);
-
-    let mut compute_time = SimDuration::ZERO;
-    let mut stall_time = SimDuration::ZERO;
-    let mut stall_sketch = crate::slo::QuantileSketch::new();
-    let mut analysis_time = SimDuration::ZERO;
-    let mut faults_total = 0u64;
-    let mut fault_requests = 0u64;
-    let mut prefetch_only_requests = 0u64;
-    let mut pages_demand = 0u64;
-    let mut pages_prefetched = 0u64;
-    let mut cpu_since_fault = SimDuration::ZERO;
-    let mut last_fault_at = now;
-
-    // Background writeback rides along even under VM workloads: every
-    // guest's dirty pages share one write-set toward the home node.
-    let mut wb = cfg.writeback.map(crate::lifecycle::ForwardWriteback::new);
-
-    while let Some((proc_id, r)) = vm.next_ref() {
-        match space.touch(r.page, r.write) {
-            TouchOutcome::Hit => {
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
-                }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-            }
-            TouchOutcome::LocalAllocate => {
-                faults_total += 1;
-                if table.lookup(r.page).is_none() {
-                    table.create_at_destination(r.page);
-                }
-                if let Some(wb) = wb.as_mut() {
-                    // First touches allocate dirty (zero-fill).
-                    wb.note_touch(r.page, true);
-                }
-                now += crate::runner::MINOR_FAULT_COST + r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-            }
-            TouchOutcome::RemoteFault => {
-                faults_total += 1;
-                let fault_at = now;
-                if let Some(wb) = wb.as_mut() {
-                    if wb.on_fault() {
-                        crate::runner::flush_writeback(wb, now, &mut path, &mut space, &mut trace);
-                    }
-                }
-                install_arrived(&mut staged, &mut in_flight, &mut space, &mut now);
-
-                let wall = fault_at.saturating_since(last_fault_at).as_secs_f64();
-                let util = if wall <= 0.0 {
-                    1.0
-                } else {
-                    (cpu_since_fault.as_secs_f64() / wall).clamp(0.0, 1.0)
-                };
-                last_fault_at = fault_at;
-                cpu_since_fault = SimDuration::ZERO;
-
-                let prefetch: Vec<PageId> = match analysis {
-                    VmAnalysis::NoPrefetch => Vec::new(),
-                    _ => {
-                        let idx = if analysis == VmAnalysis::PerProcess {
-                            proc_id
-                        } else {
-                            0
-                        };
-                        monitor.advance(now, &mut path);
-                        let est = monitor.estimates();
-                        let pf = prefetchers[idx].as_mut();
-                        let d = pf.on_fault(r.page, now, util, est, page_limit, &mut |p| {
-                            space.state(p) == ampom_mem::space::PageState::Remote
-                                && !in_flight.contains_key(&p)
-                        });
-                        now += AMPOM_ANALYSIS_COST;
-                        analysis_time += AMPOM_ANALYSIS_COST;
-                        monitor.on_window_wrap(now, pf.observe().window_wraps, &path);
-                        d.prefetch
-                    }
-                };
-
-                if space.is_resident(r.page) {
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        send(
-                            &prefetch,
-                            None,
-                            now,
-                            &mut path,
-                            &mut deputy,
-                            &mut table,
-                            &mut in_flight,
-                            &mut staged,
-                            &mut pages_prefetched,
-                        );
-                    }
-                } else if let Some(&arrival) = in_flight.get(&r.page) {
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        send(
-                            &prefetch,
-                            None,
-                            now,
-                            &mut path,
-                            &mut deputy,
-                            &mut table,
-                            &mut in_flight,
-                            &mut staged,
-                            &mut pages_prefetched,
-                        );
-                    }
-                    if arrival > now {
-                        stall_time += arrival.since(now);
-                        stall_sketch.record(arrival.since(now));
-                        now = arrival;
-                    }
-                    install_arrived(&mut staged, &mut in_flight, &mut space, &mut now);
-                } else {
-                    fault_requests += 1;
-                    pages_demand += 1;
-                    send(
-                        &prefetch,
-                        Some(r.page),
-                        now,
-                        &mut path,
-                        &mut deputy,
-                        &mut table,
-                        &mut in_flight,
-                        &mut staged,
-                        &mut pages_prefetched,
-                    );
-                    let arrival = in_flight[&r.page];
-                    stall_time += arrival.since(now);
-                    stall_sketch.record(arrival.since(now));
-                    now = arrival;
-                    install_arrived(&mut staged, &mut in_flight, &mut space, &mut now);
-                }
-
-                let outcome = space.touch(r.page, r.write);
-                debug_assert_eq!(outcome, TouchOutcome::Hit);
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
-                }
-                now += r.cpu;
-                compute_time += r.cpu;
-                cpu_since_fault += r.cpu;
-            }
-        }
-    }
-
-    // Final writeback drain: the run ends with every dirty page home.
-    if let Some(wb) = wb.as_mut() {
-        crate::runner::flush_writeback(wb, now, &mut path, &mut space, &mut trace);
-    }
-
-    let (analysis_count, stats, mean_score) = if prefetchers.is_empty() {
-        (0, PrefetchStats::default(), 0.0)
-    } else {
-        let mut merged = PrefetchStats::default();
-        let mut score_sum = 0.0;
-        let mut score_n = 0u64;
-        for pf in &prefetchers {
-            let s = pf.observe().stats;
-            score_sum += s.scores.mean() * s.scores.count() as f64;
-            score_n += s.scores.count();
-            // merge() folds every counter, including score_clamps (the
-            // previous field-by-field merge silently dropped it).
-            merged.merge(&s);
-        }
-        let mean = if score_n == 0 {
-            0.0
-        } else {
-            score_sum / score_n as f64
-        };
-        (merged.analyses, merged, mean)
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid VM run configuration: {e}"));
+    let (windows, starts) = match analysis {
+        VmAnalysis::SharedWindow => (1, Vec::new()),
+        VmAnalysis::PerProcess => (vm.process_count(), vm.guest_starts()),
+        VmAnalysis::NoPrefetch => (0, Vec::new()),
     };
-
-    // Phase attribution: the VM loop's advances outside compute, stall and
-    // analysis are all page-install charges, so the residual of the total is
-    // attributed to `install` — keeping the phases an exact partition.
-    let total_time = now.since(SimTime::ZERO);
-    let accounted = freeze.freeze_time + compute_time + stall_time + analysis_time;
-    let phases = ampom_obs::PhaseBreakdown {
-        freeze: freeze.freeze_time,
-        compute: compute_time,
-        minor_fault: SimDuration::ZERO,
-        analysis: analysis_time,
-        install: total_time.saturating_sub(accounted),
-        fault_stall: stall_time,
-        recovery: SimDuration::ZERO,
-        syscall: SimDuration::ZERO,
-        prefetch_overlap: SimDuration::ZERO,
+    let mut router = GuestWindows {
+        windows: (0..windows).map(|_| cfg.policy.build(&cfg.ampom)).collect(),
+        starts,
+        last: 0,
     };
-
+    let prefetcher = (windows > 0).then_some(&mut router as &mut dyn Prefetcher);
+    let mut report = drive(
+        &mut vm,
+        &cfg,
+        &mut SimulatedTransport::new(&cfg),
+        prefetcher,
+    )
+    .unwrap_or_else(|e| panic!("simulated VM run failed: {e}"));
+    report.workload = format!("VM[{}]", vm.process_count());
     VmReport {
         analysis,
-        mean_score,
-        report: RunReport {
-            scheme: Scheme::Ampom,
-            workload: format!("VM[{n_procs}]"),
-            program_mb,
-            freeze_time: freeze.freeze_time,
-            total_time,
-            compute_time,
-            stall_time,
-            stall_sketch,
-            faults_total,
-            fault_requests,
-            prefetch_only_requests,
-            pages_demand_fetched: pages_demand,
-            pages_prefetched,
-            prefetched_pages_used: 0, // not tracked at VM granularity
-            pages_local_alloc: 0,
-            syscalls_forwarded: 0,
-            syscall_time: SimDuration::ZERO,
-            pages_evicted: 0,
-            bytes_to_dest: path.bytes_to_dest(),
-            bytes_from_dest: path.bytes_from_dest(),
-            mpt_bytes: freeze.mpt_bytes,
-            analysis_time,
-            analysis_count,
-            prefetch_stats: stats,
-            faults: crate::metrics::FaultStats::default(),
-            deputy: deputy.stats(),
-            writeback: wb.map(|w| w.stats()).unwrap_or_default(),
-            trace,
-            series: None,
-            phases,
-        },
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn send(
-    prefetch: &[PageId],
-    demand: Option<PageId>,
-    now: SimTime,
-    path: &mut NetPath,
-    deputy: &mut Deputy,
-    table: &mut ampom_mem::table::PageTablePair,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    pages_prefetched: &mut u64,
-) {
-    let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
-    if let Some(d) = demand {
-        pages.push(d);
-    }
-    pages.extend_from_slice(prefetch);
-    let at_home = path.send_request(now, pages.len());
-    for s in deputy.serve_request(at_home, &pages, table, path) {
-        in_flight.insert(s.page, s.arrives);
-        staged.push_back((s.arrives, s.page));
-        if demand != Some(s.page) {
-            *pages_prefetched += 1;
-        }
-    }
-}
-
-fn install_arrived(
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    space: &mut ampom_mem::space::AddressSpace,
-    now: &mut SimTime,
-) {
-    let mut installed = 0u64;
-    while let Some(&(arrival, page)) = staged.front() {
-        if arrival > *now {
-            break;
-        }
-        staged.pop_front();
-        in_flight.remove(&page);
-        space.install(page);
-        installed += 1;
-    }
-    if installed > 0 {
-        *now += PAGE_INSTALL_COST.saturating_mul(installed);
+        mean_score: router.mean_score(),
+        report,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampom_sim::time::SimDuration;
     use ampom_workloads::synthetic::Sequential;
 
     const CPU: SimDuration = SimDuration::from_micros(15);
@@ -531,10 +339,10 @@ mod tests {
     fn vm_interleaves_and_translates_addresses() {
         let mut vm = vm_of(3, 32, 1);
         assert_eq!(vm.process_count(), 3);
-        let (p0, r0) = vm.next_ref().unwrap();
-        let (p1, r1) = vm.next_ref().unwrap();
-        let (p2, r2) = vm.next_ref().unwrap();
-        assert_eq!((p0, p1, p2), (0, 1, 2));
+        let starts = vm.guest_starts();
+        let (r0, r1, r2) = (vm.next().unwrap(), vm.next().unwrap(), vm.next().unwrap());
+        let owners = [r0, r1, r2].map(|r| guest_of(&starts, r.page));
+        assert_eq!(owners, [0, 1, 2]);
         // Distinct address-space slices.
         assert_ne!(r0.page, r1.page);
         assert_ne!(r1.page, r2.page);
@@ -543,22 +351,17 @@ mod tests {
 
     #[test]
     fn vm_slice_controls_interleaving_granularity() {
-        let mut vm = vm_of(2, 16, 4);
-        let owners: Vec<usize> = std::iter::from_fn(|| vm.next_ref().map(|(p, _)| p))
-            .take(12)
-            .collect();
+        let vm = vm_of(2, 16, 4);
+        let starts = vm.guest_starts();
+        let owners: Vec<usize> = vm.take(12).map(|r| guest_of(&starts, r.page)).collect();
         assert_eq!(owners, vec![0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0]);
     }
 
     #[test]
     fn vm_drains_every_guest_completely() {
-        let mut vm = vm_of(3, 20, 2);
+        let vm = vm_of(3, 20, 2);
         let total = vm.total_refs_hint();
-        let mut n = 0;
-        while vm.next_ref().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, total);
+        assert_eq!(vm.count() as u64, total);
         assert_eq!(total, 60);
     }
 

@@ -223,25 +223,24 @@ fn phase_breakdown_partitions_the_run_exactly() {
     }
 }
 
-/// The transport loop reproduces both guarantees: identical phases and
-/// fingerprints to the legacy runner for transport-compatible configs.
+/// Both guarantees hold through the one loop for every configuration —
+/// FFA, fault injection and the RAM cap included: `run_workload` and
+/// `run_with_transport` over a [`SimulatedTransport`] agree on the
+/// fingerprint and the phase attribution.
 #[test]
 fn transport_loop_reports_identical_phases() {
     for (name, mk, cfg) in sweep() {
-        if cfg.faults.is_some() || cfg.resident_limit_mb.is_some() || cfg.scheme == Scheme::Ffa {
-            continue; // the transport loop rejects these by contract
-        }
-        let legacy = run(&*mk, &cfg);
+        let direct = run(&*mk, &cfg);
         let mut w = mk();
         let mut t = SimulatedTransport::new(&cfg);
-        let via_transport = run_with_transport(&mut *w, &cfg, &mut t).expect("compatible config");
+        let via_transport = run_with_transport(&mut *w, &cfg, &mut t).expect("valid config");
         assert_eq!(
             via_transport.fingerprint(),
-            legacy.fingerprint(),
+            direct.fingerprint(),
             "{name}: transport fingerprint diverged"
         );
         assert_eq!(
-            via_transport.phases, legacy.phases,
+            via_transport.phases, direct.phases,
             "{name}: transport phase attribution diverged"
         );
         assert_eq!(via_transport.phases.total(), via_transport.total_time);

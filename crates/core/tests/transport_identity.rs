@@ -1,15 +1,16 @@
-//! Regression guard for the [`Transport`] trait extraction.
+//! Golden fingerprints of the one migrant loop.
 //!
-//! Two layers of protection:
+//! Every forward run — `run_workload`, `run_vm`, each migrant of a
+//! multi-run, a live run — goes through `run_with_transport`. The
+//! goldens below were captured from the runner before it was unified
+//! into that loop (release build) and must hold through it unchanged:
 //!
-//! 1. **Golden fingerprints** pin the legacy `run_workload` path to the
-//!    exact counters/times it produced *before* the transport refactor
-//!    (captured from the release build at the refactor's base commit).
-//!    Any arithmetic drift in the runner, deputy, link model or
-//!    reliability layer trips these.
-//! 2. **Legacy ↔ transport identity**: `run_with_transport` over a
-//!    [`SimulatedTransport`] must reproduce the legacy fingerprint
-//!    bit-for-bit for every configuration the transport loop supports.
+//! 1. the protocol paths (AMPoM, NoPrefetch, openMosix with forwarded
+//!    syscalls, cross traffic) and the fault-recovery paths (a lossy
+//!    link, a deputy outage under eager fallback and stall-reconnect);
+//! 2. the features those leave unpinned (writeback, the RAM cap, fault
+//!    recovery under the RAM cap), each with its phase split;
+//! 3. `run_vm` per analysis mode.
 //!
 //! The fingerprint mixes every exact field of the report (times in
 //! nanoseconds, all counters, fault and deputy stats), so equality here
@@ -32,7 +33,7 @@ use ampom_workloads::synthetic::{Scripted, Sequential, SequentialWrite, UniformR
 
 const CPU: SimDuration = SimDuration::from_micros(10);
 
-/// Golden fingerprints of the pre-refactor runner (release build).
+/// Golden fingerprints of the pre-transport runner (release build).
 const AMPOM_SEQ512: u64 = 0xef7c94edaf2703bf;
 const NOPF_SEQ512: u64 = 0xc5f6a86a554a782a;
 const OM_SEQ256_SYSCALL: u64 = 0x9508299f16242982;
@@ -46,7 +47,7 @@ fn seq(pages: u64) -> Sequential {
 }
 
 fn rand_workload() -> UniformRandom {
-    UniformRandom::new(512, 2048, CPU, ampom_sim::rng::SimRng::seed_from_u64(7))
+    UniformRandom::new(512, 2048, CPU, SimRng::seed_from_u64(7))
 }
 
 fn syscall_cfg() -> RunConfig {
@@ -63,98 +64,64 @@ fn cross_cfg() -> RunConfig {
     })
 }
 
-fn legacy_fp<W: Workload>(mut w: W, cfg: &RunConfig) -> u64 {
-    run_workload(&mut w, cfg).fingerprint()
+/// One run through the loop over a fresh [`SimulatedTransport`].
+fn run_loop(w: &mut dyn Workload, cfg: &RunConfig) -> RunReport {
+    run_with_transport(w, cfg, &mut SimulatedTransport::new(cfg)).expect("valid config")
 }
 
-fn transport_fp<W: Workload>(mut w: W, cfg: &RunConfig) -> u64 {
-    let mut t = SimulatedTransport::new(cfg);
-    run_with_transport(&mut w, cfg, &mut t)
-        .expect("transport-compatible config")
-        .fingerprint()
+fn fp<W: Workload>(mut w: W, cfg: &RunConfig) -> u64 {
+    run_loop(&mut w, cfg).fingerprint()
 }
 
 #[test]
-fn legacy_runner_matches_golden_fingerprints() {
+fn protocol_paths_match_golden_fingerprints() {
+    assert_eq!(fp(seq(512), &RunConfig::new(Scheme::Ampom)), AMPOM_SEQ512);
     assert_eq!(
-        legacy_fp(seq(512), &RunConfig::new(Scheme::Ampom)),
-        AMPOM_SEQ512
-    );
-    assert_eq!(
-        legacy_fp(seq(512), &RunConfig::new(Scheme::NoPrefetch)),
+        fp(seq(512), &RunConfig::new(Scheme::NoPrefetch)),
         NOPF_SEQ512
     );
-    assert_eq!(legacy_fp(seq(256), &syscall_cfg()), OM_SEQ256_SYSCALL);
-    assert_eq!(legacy_fp(rand_workload(), &cross_cfg()), AMPOM_RAND_CROSS);
+    assert_eq!(fp(seq(256), &syscall_cfg()), OM_SEQ256_SYSCALL);
+    assert_eq!(fp(rand_workload(), &cross_cfg()), AMPOM_RAND_CROSS);
 }
 
 #[test]
-fn legacy_fault_paths_match_golden_fingerprints() {
+fn fault_paths_match_golden_fingerprints() {
     let cfg = RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.02));
-    assert_eq!(legacy_fp(seq(512), &cfg), AMPOM_LOSSY2);
+    assert_eq!(fp(seq(512), &cfg), AMPOM_LOSSY2);
 
-    let retry = RetryPolicy {
-        timeout_factor: 1,
-        max_retries: 2,
-    };
-    let downtime = || {
-        DowntimeSchedule::single(
-            SimTime::from_nanos(60_000_000),
-            SimTime::from_nanos(250_000_000),
-        )
-    };
-    let fallback = FaultProfile {
-        faults: FaultSpec::lossy(0.02),
-        downtime: downtime(),
-        retry,
-        policy: FailurePolicy::EagerFallback,
-    };
-    let cfg = RunConfig::new(Scheme::Ampom).with_faults(fallback);
-    assert_eq!(legacy_fp(seq(512), &cfg), AMPOM_OUTAGE_FALLBACK);
+    let fallback = RunConfig::new(Scheme::Ampom)
+        .with_faults(outage(FaultSpec::lossy(0.02), FailurePolicy::EagerFallback));
+    assert_eq!(fp(seq(512), &fallback), AMPOM_OUTAGE_FALLBACK);
 
-    let stall = FaultProfile {
-        faults: FaultSpec::lossy(0.05),
-        downtime: downtime(),
-        retry,
-        policy: FailurePolicy::StallReconnect,
-    };
-    let cfg = RunConfig::new(Scheme::Ampom).with_faults(stall);
-    assert_eq!(legacy_fp(seq(512), &cfg), AMPOM_OUTAGE_STALL);
+    let stall = RunConfig::new(Scheme::Ampom).with_faults(outage(
+        FaultSpec::lossy(0.05),
+        FailurePolicy::StallReconnect,
+    ));
+    assert_eq!(fp(seq(512), &stall), AMPOM_OUTAGE_STALL);
 }
 
 #[test]
-fn simulated_transport_is_bit_identical_to_legacy() {
-    let cases: [(&str, RunConfig, u64); 4] = [
-        ("ampom_seq512", RunConfig::new(Scheme::Ampom), AMPOM_SEQ512),
-        (
-            "nopf_seq512",
-            RunConfig::new(Scheme::NoPrefetch),
-            NOPF_SEQ512,
-        ),
-        ("om_seq256_syscall", syscall_cfg(), OM_SEQ256_SYSCALL),
-        ("ampom_rand_cross", cross_cfg(), AMPOM_RAND_CROSS),
-    ];
-    for (name, cfg, golden) in cases {
-        let fp = match name {
-            "ampom_rand_cross" => transport_fp(rand_workload(), &cfg),
-            "om_seq256_syscall" => transport_fp(seq(256), &cfg),
-            _ => transport_fp(seq(512), &cfg),
-        };
-        assert_eq!(fp, golden, "transport diverged from legacy on {name}");
+fn run_workload_is_the_transport_loop() {
+    for cfg in [
+        RunConfig::new(Scheme::Ampom),
+        RunConfig::new(Scheme::Ffa),
+        RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.02)),
+    ] {
+        let direct = run_workload(&mut seq(512), &cfg);
+        let via_loop = run_loop(&mut seq(512), &cfg);
+        assert_eq!(direct.fingerprint(), via_loop.fingerprint());
+        assert_eq!(direct.phases, via_loop.phases);
     }
 }
 
 #[test]
-fn transport_identity_holds_with_series_and_trace() {
-    // Sampling and tracing exercise the remaining transport surface
-    // (reply_utilization, in_flight_count); both paths must still agree
-    // with each other (series content is not fingerprinted, timing is).
+fn tracing_and_sampling_keep_the_golden() {
+    // Sampling and tracing exercise the rest of the transport surface
+    // (reply_utilization, in_flight_count); neither may move a number.
     let cfg = RunConfig::new(Scheme::Ampom)
         .with_trace()
         .with_sample_series(50);
-    let legacy = legacy_fp(seq(2048), &cfg);
-    let via_transport = transport_fp(seq(2048), &cfg);
-    assert_eq!(legacy, via_transport);
+    assert_eq!(fp(seq(512), &cfg), AMPOM_SEQ512);
 }
 
 /// A golden forward run: the report's fingerprint and its phase split in
@@ -185,9 +152,9 @@ fn golden_of(r: &RunReport) -> Golden {
 
 /// A deputy outage with a tight retry budget, so the failure policy
 /// fires inside the run.
-fn outage(loss: f64, policy: FailurePolicy) -> FaultProfile {
+fn outage(faults: FaultSpec, policy: FailurePolicy) -> FaultProfile {
     FaultProfile {
-        faults: FaultSpec::lossy(loss),
+        faults,
         downtime: DowntimeSchedule::single(
             SimTime::from_nanos(60_000_000),
             SimTime::from_nanos(250_000_000),
@@ -256,7 +223,10 @@ fn feature_rows() -> Vec<(&'static str, Box<dyn Workload>, RunConfig, Golden)> {
             "lossy_1mb_stall",
             Box::new(two_passes()),
             ampom()
-                .with_faults(outage(0.05, FailurePolicy::StallReconnect))
+                .with_faults(outage(
+                    FaultSpec::lossy(0.05),
+                    FailurePolicy::StallReconnect,
+                ))
                 .with_resident_limit_mb(1),
             (
                 0x0b1943ac4a6f2fc0,
@@ -277,7 +247,7 @@ fn feature_rows() -> Vec<(&'static str, Box<dyn Workload>, RunConfig, Golden)> {
             "lossy_1mb_fallback",
             Box::new(two_passes()),
             ampom()
-                .with_faults(outage(0.02, FailurePolicy::EagerFallback))
+                .with_faults(outage(FaultSpec::lossy(0.02), FailurePolicy::EagerFallback))
                 .with_resident_limit_mb(1),
             (
                 0xa4f52670a9412d90,
@@ -321,8 +291,11 @@ fn feature_rows() -> Vec<(&'static str, Box<dyn Workload>, RunConfig, Golden)> {
 #[test]
 fn feature_paths_match_golden_fingerprints_and_phases() {
     for (name, mut w, cfg, golden) in feature_rows() {
-        let r = run_workload(&mut *w, &cfg);
-        assert_eq!(golden_of(&r), golden, "{name} drifted");
+        assert_eq!(
+            golden_of(&run_loop(&mut *w, &cfg)),
+            golden,
+            "{name} drifted"
+        );
     }
 }
 

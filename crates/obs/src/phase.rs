@@ -1,9 +1,9 @@
 //! Per-phase time attribution.
 //!
 //! The paper's evaluation (§5) attributes execution time to phases —
-//! freeze, compute, fault stalls, recovery, … — and both run loops
-//! (`ampom_core::run_workload` and `run_with_transport`) charge every
-//! clock advance to exactly one phase as it happens. The disjoint phases
+//! freeze, compute, fault stalls, recovery, … — and the migrant loop
+//! (`ampom_core::run_with_transport`, which `run_workload` drives)
+//! charges every clock advance to exactly one phase as it happens. The disjoint phases
 //! therefore sum *exactly* to the reported total simulated time; the CI
 //! tolerance on that identity is pure slack.
 //!

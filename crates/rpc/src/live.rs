@@ -42,7 +42,7 @@ use ampom_core::migration::{FreezeOutcome, PreMigrationState, Scheme};
 use ampom_core::prefetcher::NetEstimates;
 use ampom_core::reliability::{FailurePolicy, RetryPolicy, RetrySchedule, RetryStep};
 use ampom_core::runner::RunConfig;
-use ampom_core::transport::{run_with_transport, Transport};
+use ampom_core::transport::{refuse_simulated_only, run_with_transport, Destination, Transport};
 use ampom_mem::page::{PageId, PAGE_SIZE};
 use ampom_mem::space::AddressSpace;
 use ampom_mem::table::{PageLocation, PageTablePair};
@@ -601,7 +601,7 @@ impl Transport for LiveTransport {
         }
     }
 
-    fn install_arrived(&mut self, now: &mut SimTime, space: &mut AddressSpace) {
+    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
         // Pull in whatever the reply pipeline has already delivered.
         if !self.dead {
             if let Some(client) = self.client.as_mut() {
@@ -622,7 +622,7 @@ impl Transport for LiveTransport {
         let mut installed = 0u64;
         for page in std::mem::take(&mut self.staged) {
             self.in_flight.remove(&page);
-            space.install(page);
+            dest.space.install(page);
             installed += 1;
         }
         if installed > 0 {
@@ -638,7 +638,11 @@ impl Transport for LiveTransport {
         self.in_flight.len()
     }
 
-    fn forward_syscall(&mut self, now: SimTime, work: SimDuration) -> Result<SimTime, AmpomError> {
+    fn forward_syscall(
+        &mut self,
+        now: SimTime,
+        work: SimDuration,
+    ) -> Result<(SimTime, SimTime), AmpomError> {
         let start = Instant::now();
         let call_id = self
             .client_mut()?
@@ -662,7 +666,10 @@ impl Transport for LiveTransport {
             }
         }
         // The round trip is measured; the home-node execution is virtual.
-        Ok(now + sim_duration(start.elapsed()) + SYSCALL_EXEC_COST + work)
+        Ok((
+            now,
+            now + sim_duration(start.elapsed()) + SYSCALL_EXEC_COST + work,
+        ))
     }
 
     fn writeback_batch(
@@ -786,6 +793,7 @@ pub fn run_live<W: Workload + ?Sized>(
                 .into(),
         ));
     }
+    refuse_simulated_only(cfg, "the live transport")?;
     let mut transport = LiveTransport::connect(endpoint, opts)?;
     let measured = transport.measured();
     let report = run_with_transport(workload, cfg, &mut transport)?;
@@ -945,6 +953,23 @@ mod tests {
             cached_deputy: DeputyStats::default(),
             last_wraps: 0,
             run_epoch: None,
+        }
+    }
+
+    #[test]
+    fn run_live_refuses_what_only_the_simulation_models() {
+        // Refused at the entry point, before the endpoint is dialled.
+        for cfg in [
+            RunConfig::new(Scheme::Ffa),
+            RunConfig::new(Scheme::Ampom)
+                .with_faults(ampom_core::reliability::FaultProfile::lossy(0.1)),
+            RunConfig::new(Scheme::Ampom).with_resident_limit_mb(1),
+        ] {
+            let mut w =
+                ampom_workloads::synthetic::Sequential::new(8, SimDuration::from_micros(10));
+            let endpoint = Endpoint::tcp("127.0.0.1:1");
+            let err = run_live(&mut w, &cfg, endpoint, &LiveOptions::default()).unwrap_err();
+            assert!(matches!(err, AmpomError::InvalidConfig(_)), "{err}");
         }
     }
 
