@@ -210,6 +210,10 @@ pub struct ServerStats {
     pub vectored_writes: u64,
     /// Worst unflushed outbound backlog any session reached, bytes.
     pub peak_write_backlog_bytes: u64,
+    /// `accept` calls that failed (EMFILE/ENFILE descriptor exhaustion,
+    /// or any other error). The connection stays queued and the shard
+    /// backs off before accepting again.
+    pub accept_errors: u64,
 }
 
 impl ampom_obs::MetricSource for ServerStats {
@@ -319,6 +323,11 @@ impl ampom_obs::MetricSource for ServerStats {
             "Worst unflushed outbound backlog any session reached",
             self.peak_write_backlog_bytes,
         );
+        reg.export_counter(
+            "ampom_deputy_server_accept_errors_total",
+            "Failed accept calls (descriptor exhaustion and other errors)",
+            self.accept_errors,
+        );
     }
 }
 
@@ -348,6 +357,7 @@ struct ShardTally {
     write_stalls: u64,
     vectored_writes: u64,
     peak_write_backlog: u64,
+    accept_errors: u64,
 }
 
 /// One shard's published tally. Single writer (the owning worker),
@@ -373,6 +383,7 @@ struct ShardCounters {
     write_stalls: AtomicU64,
     vectored_writes: AtomicU64,
     peak_write_backlog: AtomicU64,
+    accept_errors: AtomicU64,
 }
 
 impl ShardCounters {
@@ -409,6 +420,7 @@ impl ShardCounters {
             .store(t.vectored_writes, Ordering::Relaxed);
         self.peak_write_backlog
             .store(t.peak_write_backlog, Ordering::Relaxed);
+        self.accept_errors.store(t.accept_errors, Ordering::Relaxed);
     }
 }
 
@@ -470,6 +482,7 @@ impl StatsHub {
             out.returns_served += sh.returns_served.load(Ordering::Relaxed);
             out.write_stalls += sh.write_stalls.load(Ordering::Relaxed);
             out.vectored_writes += sh.vectored_writes.load(Ordering::Relaxed);
+            out.accept_errors += sh.accept_errors.load(Ordering::Relaxed);
             out.peak_write_backlog_bytes = out
                 .peak_write_backlog_bytes
                 .max(sh.peak_write_backlog.load(Ordering::Relaxed));
@@ -928,6 +941,11 @@ const POLL_INTERVAL: Duration = Duration::from_millis(1);
 /// itself ends the wait immediately.
 const REACTOR_WAIT: Duration = Duration::from_millis(25);
 
+/// How long a shard leaves the listener alone after a failed `accept`
+/// (typically descriptor exhaustion). Live sessions keep being served
+/// meanwhile; pending connections wait in the listen backlog.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Most segments one `write_vectored` call flushes. Far below any
 /// platform `IOV_MAX`; 32 maximal batch replies is ~8 MiB, well past
 /// what one socket buffer accepts anyway.
@@ -1032,12 +1050,21 @@ impl WaitMode {
     /// refreshes readiness with a zero timeout), then marks each
     /// session's `ready_read`. In sleep-poll mode: sleeps when idle and
     /// marks everything ready, i.e. the original scan-everything loop.
-    /// Returns whether the listener should be accepted from.
-    fn wait(&mut self, listener: &Listener, sessions: &mut [SessionConn], idle: bool) -> bool {
+    /// Returns whether the listener should be accepted from; a `None`
+    /// listener (accepting is paused) is neither waited on nor ready.
+    fn wait(
+        &mut self,
+        listener: Option<&Listener>,
+        sessions: &mut [SessionConn],
+        idle: bool,
+    ) -> bool {
         #[cfg(unix)]
         if let Some(poller) = &mut self.poller {
             poller.clear();
-            poller.push(listener.raw_fd(), true, false);
+            if let Some(l) = listener {
+                poller.push(l.raw_fd(), true, false);
+            }
+            let first_session = usize::from(listener.is_some());
             for s in sessions.iter() {
                 poller.push(
                     s.conn.raw_fd(),
@@ -1049,9 +1076,9 @@ impl WaitMode {
             match poller.wait(timeout) {
                 Ok(_) => {
                     for (i, s) in sessions.iter_mut().enumerate() {
-                        s.ready_read = poller.readable(i + 1);
+                        s.ready_read = poller.readable(i + first_session);
                     }
-                    return poller.readable(0);
+                    return listener.is_some() && poller.readable(0);
                 }
                 Err(_) => {
                     // Readiness unavailable this pass: degrade to the
@@ -1062,18 +1089,17 @@ impl WaitMode {
                     if idle {
                         std::thread::sleep(POLL_INTERVAL);
                     }
-                    return true;
+                    return listener.is_some();
                 }
             }
         }
-        let _ = listener;
         for s in sessions.iter_mut() {
             s.ready_read = true;
         }
         if idle {
             std::thread::sleep(POLL_INTERVAL);
         }
-        true
+        listener.is_some()
     }
 }
 
@@ -1098,6 +1124,8 @@ fn worker_loop(
     // Whether the previous pass made no progress (the wait phase then
     // blocks instead of spinning).
     let mut idle = false;
+    // Set after a failed accept: the listener is left alone until then.
+    let mut accept_paused_until: Option<Instant> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
             // Best-effort flush of what sessions are owed, then bail.
@@ -1108,7 +1136,8 @@ fn worker_loop(
             shard.publish(&tally);
             return;
         }
-        let accept_ready = wait_mode.wait(listener, &mut sessions, idle);
+        let accepting = !matches!(accept_paused_until, Some(t) if Instant::now() < t);
+        let accept_ready = wait_mode.wait(accepting.then_some(listener), &mut sessions, idle);
         let mut progress = false;
 
         // Accept whatever is pending. Every shard polls the listener
@@ -1116,7 +1145,21 @@ fn worker_loop(
         // exactly one of them, and a shard already serving sessions
         // multiplexes the newcomer alongside.
         if accept_ready {
-            while let Ok(Some(conn)) = listener.try_accept() {
+            loop {
+                let conn = match listener.try_accept() {
+                    Ok(Some(conn)) => conn,
+                    Ok(None) => break,
+                    Err(_) => {
+                        // Out of descriptors (EMFILE/ENFILE) or another
+                        // failure: the connection stays queued and a
+                        // level-triggered listener stays readable, so
+                        // retrying now would spin. Serve the live
+                        // sessions and try again after a pause.
+                        tally.accept_errors += 1;
+                        accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                        break;
+                    }
+                };
                 tally.connections += 1;
                 if !sessions.is_empty() {
                     tally.queued_connections += 1;
