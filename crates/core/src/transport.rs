@@ -848,6 +848,9 @@ pub(crate) fn drive<W: Workload + ?Sized>(
     let mut wb = cfg.writeback.map(ForwardWriteback::new);
 
     let page_limit = PageId(total_pages);
+    // Whether a requested page is still in flight. Only a transport call
+    // can change it, so it is re-read after each one, not on every hit.
+    let mut pages_in_flight = false;
 
     for r in &mut *workload {
         if let Some(profile) = cfg.syscalls {
@@ -860,6 +863,7 @@ pub(crate) fn drive<W: Workload + ?Sized>(
                 syscalls_forwarded += 1;
                 trace.record(done, TraceKind::SyscallForwarded, TraceData::empty());
                 now = done;
+                pages_in_flight = transport.in_flight_count() > 0;
             }
         }
 
@@ -870,7 +874,8 @@ pub(crate) fn drive<W: Workload + ?Sized>(
             prefetched_used += 1;
         }
 
-        match dest.touch(r.page, r.write) {
+        let outcome = dest.touch(r.page, r.write);
+        match outcome {
             TouchOutcome::Hit => {
                 if let Some(wb) = wb.as_mut() {
                     wb.note_touch(r.page, r.write);
@@ -1036,17 +1041,20 @@ pub(crate) fn drive<W: Workload + ?Sized>(
 
                 // The faulted page is resident now; apply the touch.
                 debug_assert!(dest.space.is_resident(r.page));
-                let outcome = dest.touch(r.page, r.write);
-                debug_assert_eq!(outcome, TouchOutcome::Hit);
+                let retouch = dest.touch(r.page, r.write);
+                debug_assert_eq!(retouch, TouchOutcome::Hit);
                 if let Some(wb) = wb.as_mut() {
                     wb.note_touch(r.page, r.write);
                 }
             }
         }
+        if outcome != TouchOutcome::Hit {
+            pages_in_flight = transport.in_flight_count() > 0;
+        }
         now += r.cpu;
         compute_time += r.cpu;
         cpu_since_fault += r.cpu;
-        if transport.in_flight_count() > 0 {
+        if pages_in_flight {
             prefetch_overlap += r.cpu;
         }
     }
