@@ -225,7 +225,7 @@ pub struct Destination {
     /// The migrant's address space at the destination.
     pub space: AddressSpace,
     /// The MPT/HPT pair.
-    pub table: PageTablePair,
+    pub(crate) table: PageTablePair,
     evictor: Option<ClockEvictor>,
     /// The page whose fault is being served: eviction never picks it.
     faulting: PageId,
@@ -283,7 +283,7 @@ impl Destination {
     /// Installs an arrived `page`. Under a RAM cap it first evicts until
     /// the page fits; returns how many pages it evicted, which the
     /// caller ships home.
-    pub fn install(&mut self, page: PageId) -> u64 {
+    fn install(&mut self, page: PageId) -> u64 {
         let evicted = self.admit(page);
         self.space.install(page);
         evicted

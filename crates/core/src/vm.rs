@@ -135,13 +135,13 @@ impl VmWorkload {
     /// First guest-physical page of each guest's data slice, ascending:
     /// the slices are disjoint, so a page's owner is the last guest that
     /// starts at or below it (see [`guest_of`]).
-    pub fn guest_starts(&self) -> Vec<u64> {
+    fn guest_starts(&self) -> Vec<u64> {
         self.procs.iter().map(|p| p.first_page).collect()
     }
 }
 
 /// The guest owning `page`, given [`VmWorkload::guest_starts`].
-pub fn guest_of(starts: &[u64], page: PageId) -> usize {
+fn guest_of(starts: &[u64], page: PageId) -> usize {
     starts
         .partition_point(|&s| s <= page.index())
         .saturating_sub(1)

@@ -44,12 +44,15 @@ extern "C" {
 
 fn nofile_limit() -> RLimit {
     let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a live, writable `struct rlimit` (two `rlim_t`,
+    // 64-bit on Linux) for the duration of the call.
     assert_eq!(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) }, 0);
     lim
 }
 
 fn set_nofile_limit(cur: u64, max: u64) {
     let lim = RLimit { cur, max };
+    // SAFETY: `lim` is a live `struct rlimit` the call only reads.
     assert_eq!(unsafe { setrlimit(RLIMIT_NOFILE, &lim) }, 0, "setrlimit");
 }
 
@@ -60,6 +63,8 @@ fn process_cpu() -> Duration {
         stime: [0; 2],
         _rest: [0; 14],
     };
+    // SAFETY: `ru` matches the 64-bit Linux `struct rusage` (two
+    // `timeval`s then fourteen `long`s) and is writable for the call.
     assert_eq!(unsafe { getrusage(RUSAGE_SELF, &mut ru) }, 0);
     let us = |tv: [i64; 2]| tv[0] as u64 * 1_000_000 + tv[1] as u64;
     Duration::from_micros(us(ru.utime) + us(ru.stime))
@@ -132,8 +137,11 @@ fn accept_errors_are_counted_not_spun_on() {
         );
     }
 
-    // Let the shard hit the full table, then measure what waiting costs.
-    std::thread::sleep(Duration::from_millis(200));
+    // Once the shard has hit the full table, measure what waiting costs.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().accept_errors == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let (wall_from, cpu_from) = (Instant::now(), process_cpu());
     std::thread::sleep(Duration::from_millis(1500));
     let (wall, cpu) = (wall_from.elapsed(), process_cpu() - cpu_from);
