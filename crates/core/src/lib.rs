@@ -36,7 +36,10 @@
 //!   optional cross traffic,
 //! * [`reliability`] — the failure model: lossy links, deputy outages,
 //!   and the migrant's retry/timeout/fallback recovery protocol,
-//! * [`runner`] — the discrete-event experiment runner producing
+//! * [`transport`] — the one migrant loop every forward run drives, and
+//!   the simulated deputy transport behind it,
+//! * [`runner`] — the run configuration and the simulated runner (the
+//!   loop over a [`transport::SimulatedTransport`]) producing
 //!   [`metrics::RunReport`]s,
 //! * [`scheduler`] — the §7 future-work sketch: load-balancing policies
 //!   that exploit cheap migrations.

@@ -206,7 +206,7 @@ pub fn refuse_simulated_only(cfg: &RunConfig, driver: &str) -> Result<(), AmpomE
     let refused = if cfg.scheme == Scheme::Ffa {
         "the FFA scheme (it pages from a file server, not the deputy)"
     } else if cfg.faults.as_ref().is_some_and(|p| !p.is_null()) {
-        "a simulated fault profile (faults here happen on the real channel)"
+        "a link-model fault profile (its faults come from its own channel)"
     } else if cfg.resident_limit_mb.is_some() {
         "a resident limit (its evictions need the simulated link)"
     } else {
@@ -237,9 +237,9 @@ impl Destination {
     /// of `limit_mb`. Whatever the freeze installed beyond the cap goes
     /// straight back (what an eager copy into a too-small node does);
     /// returns the destination and how many pages bounced.
-    fn new(freeze_space: AddressSpace, table: PageTablePair, limit_mb: Option<u64>) -> (Self, u64) {
+    fn new(space: AddressSpace, table: PageTablePair, limit_mb: Option<u64>) -> (Self, u64) {
         let mut dest = Destination {
-            space: freeze_space,
+            space,
             table,
             evictor: None,
             faulting: PageId(0),
