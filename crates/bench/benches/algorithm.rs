@@ -4,11 +4,12 @@
 //! 0.6% of execution time. Our simulator charges a fixed
 //! `AMPOM_ANALYSIS_COST` (2 µs) per fault; these benches measure what the
 //! *actual Rust implementation* costs per invocation so the constant can
-//! be sanity-checked (it comes out in the hundreds of nanoseconds on a
-//! modern core, i.e. the 2 µs P4-era charge is conservative).
+//! be sanity-checked. The cost grows with the zone: under a microsecond
+//! for a small zone, about the 2 µs charge at the 512-page cap (DESIGN
+//! §7 lists the measured costs).
 
 use ampom_bench::{black_box, Harness};
-use ampom_core::census::census;
+use ampom_core::census::{census, OutstandingStream};
 use ampom_core::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates};
 use ampom_core::score::spatial_score;
 use ampom_core::window::LookbackWindow;
@@ -73,6 +74,20 @@ fn bench_score_and_zone(h: &mut Harness) {
             PageId(1_000_000),
         )
     });
+    // The budget the runner reaches on the stride kernels, split over
+    // four streams, two of which close on the same page (their walks
+    // overlap, so the second spends its quota past the first's).
+    let streams: Vec<OutstandingStream> = [(1_000, 1), (50_000, 1), (50_000, 2), (90_000, 3)]
+        .iter()
+        .map(|&(pivot, d)| OutstandingStream {
+            end_page: pivot - 1,
+            d,
+            pivot,
+        })
+        .collect();
+    g.bench("select_512_4streams", || {
+        select_zone(black_box(&streams), 512, PageId(999), PageId(1_000_000))
+    });
     g.finish();
 }
 
@@ -97,6 +112,30 @@ fn bench_full_analysis(h: &mut Harness) {
             |_| true,
         )
     });
+    // A pipelined fault on a sequential stream: faults 1 µs apart push
+    // the zone to its 512-page cap, and every candidate but the last few
+    // is already in flight, so the filter refuses almost all of them.
+    let mut pf = AmpomPrefetcher::new(AmpomConfig::default());
+    let mut i = 0u64;
+    let mut pipelined = move || {
+        i += 1;
+        let frontier = i + 508;
+        pf.on_fault(
+            PageId(black_box(i)),
+            SimTime::from_nanos(i * 1_000),
+            0.9,
+            net,
+            PageId(10_000_000),
+            |p| p.index() > frontier,
+        )
+    };
+    // Fill the lookback window so every timed call sees the capped zone.
+    let warm = (0..20)
+        .map(|_| pipelined())
+        .last()
+        .expect("20 warm-up faults");
+    assert_eq!((warm.budget, warm.prefetch.len()), (512, 4));
+    g.bench("on_fault_pipelined_512", pipelined);
     g.finish();
 }
 

@@ -130,8 +130,9 @@ pub struct ZoneDecision {
 /// which): `analyses`, `fallbacks` and `score_clamps` count analysis
 /// **batches** (one per recorded fault); `pages_selected` counts
 /// **pages**. The three distributions are per-batch samples. All
-/// counters are `u64` — at the simulator's ~20 k faults/s a 64-bit
-/// page counter is ~29 M years from wrapping, so no width concern.
+/// counters are `u64` — at the simulator's ~210 k faults/s (perfbench
+/// `sim-paper` on a 2-vCPU Xeon host) a 64-bit page counter is ~2.8 M
+/// years from wrapping, so no width concern.
 #[derive(Debug, Default, Clone)]
 pub struct PrefetchStats {
     /// Analyses performed, in batches (= faults recorded).

@@ -319,7 +319,7 @@ pub struct SimulatedTransport {
     deputy: Deputy,
     monitor: MonitorDaemon,
     /// Requested-but-uninstalled pages and their (earliest) arrival.
-    in_flight: HashMap<PageId, SimTime>,
+    in_flight: InFlight,
     /// Arrived-or-arriving replies in arrival order. The fault-free
     /// reply link is FIFO, so arrivals are monotone; jitter under faults
     /// is inserted in place.
@@ -348,7 +348,7 @@ impl SimulatedTransport {
             path,
             deputy: Deputy::new(),
             monitor,
-            in_flight: HashMap::new(),
+            in_flight: InFlight::default(),
             staged: VecDeque::new(),
             faults: cfg
                 .faults
@@ -410,11 +410,7 @@ impl SimulatedTransport {
         };
         let mut queued = Vec::new();
         for s in served {
-            // A retry's resend can race the late original; keep the
-            // earliest arrival so the migrant never waits longer than it
-            // has to.
-            let arrives = self.in_flight.entry(s.page).or_insert(s.arrives);
-            *arrives = (*arrives).min(s.arrives);
+            self.in_flight.insert(s.page, s.arrives);
             stage_sorted(&mut self.staged, s.arrives, s.page);
             if demand != Some(s.page) {
                 queued.push(s.page);
@@ -447,7 +443,7 @@ impl SimulatedTransport {
                 return stall;
             }
             let deadline = self.injector().schedule.deadline_after(*now);
-            if let Some(&arrival) = self.in_flight.get(&demand) {
+            if let Some(arrival) = self.in_flight.arrival(demand) {
                 if arrival <= deadline {
                     // The reply is on the wire and will beat the timer.
                     // Saturating: the per-page install charge advances the
@@ -486,8 +482,8 @@ impl SimulatedTransport {
                     // than a congested reply queue), stall for it instead
                     // of re-requesting into the backlog.
                     f.schedule.begin_wait();
-                    match self.in_flight.get(&demand) {
-                        Some(&arrival) => *now = up.max(arrival),
+                    match self.in_flight.arrival(demand) {
+                        Some(arrival) => *now = up.max(arrival),
                         None => {
                             *now = up;
                             self.send(*now, Some(demand), &[], &mut dest.table);
@@ -588,7 +584,7 @@ impl Transport for SimulatedTransport {
     }
 
     fn wait_for(&mut self, page: PageId, _now: SimTime) -> Result<SimTime, AmpomError> {
-        self.in_flight.get(&page).copied().ok_or_else(|| {
+        self.in_flight.arrival(page).ok_or_else(|| {
             AmpomError::Transport(format!("page {page} awaited but never requested"))
         })
     }
@@ -600,7 +596,7 @@ impl Transport for SimulatedTransport {
                 break;
             }
             self.staged.pop_front();
-            self.in_flight.remove(&page);
+            self.in_flight.remove(page);
             if dest.space.is_resident(page) {
                 // Jitter reorders and retries duplicate replies: a copy
                 // of a page the migrant already has is counted, never
@@ -647,7 +643,7 @@ impl Transport for SimulatedTransport {
     }
 
     fn is_in_flight(&self, page: PageId) -> bool {
-        self.in_flight.contains_key(&page)
+        self.in_flight.contains(page)
     }
 
     fn in_flight_count(&self) -> usize {
@@ -715,6 +711,63 @@ impl Transport for SimulatedTransport {
         let bytes = writeback_batch_bytes(entries.len());
         let arrival = self.path.send_control_to_home(now, bytes);
         Ok((bytes, arrival))
+    }
+}
+
+/// The requested-but-uninstalled pages of [`SimulatedTransport`].
+///
+/// The zone filter asks "is `p` in flight?" once per candidate page, so
+/// membership is a page-indexed bitset (1 bit per page, grown on demand).
+/// Arrival times stay in a map: only the waits read them, once per fault
+/// and once per served page. Both change only through this type's
+/// methods, so a page has its bit set exactly while it has an arrival.
+#[derive(Debug, Default)]
+struct InFlight {
+    bits: Vec<u64>,
+    arrivals: HashMap<PageId, SimTime>,
+}
+
+impl InFlight {
+    /// Marks `page` in flight. A retry's resend can race the late
+    /// original; the earliest arrival is kept so the migrant never waits
+    /// longer than it has to.
+    fn insert(&mut self, page: PageId, arrives: SimTime) {
+        let at = self.arrivals.entry(page).or_insert(arrives);
+        *at = (*at).min(arrives);
+        let (word, bit) = Self::slot(page);
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
+        }
+        self.bits[word] |= bit;
+    }
+
+    fn remove(&mut self, page: PageId) {
+        if self.arrivals.remove(&page).is_some() {
+            let (word, bit) = Self::slot(page);
+            self.bits[word] &= !bit;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.arrivals.clear();
+        self.bits.clear();
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        let (word, bit) = Self::slot(page);
+        self.bits.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    fn arrival(&self, page: PageId) -> Option<SimTime> {
+        self.arrivals.get(&page).copied()
+    }
+
+    fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    fn slot(page: PageId) -> (usize, u64) {
+        ((page.index() / 64) as usize, 1 << (page.index() % 64))
     }
 }
 
@@ -1298,6 +1351,92 @@ mod tests {
             "the resent copy is suppressed and counted exactly once"
         );
         assert_eq!(dest.pages_evicted, 0);
+    }
+
+    /// A destination whose `n` data pages are all still at the home node.
+    fn remote_destination(n: u64) -> (Destination, Vec<PageId>) {
+        let mut space = AddressSpace::new(MemoryLayout::with_data_bytes(n * PAGE_SIZE));
+        let first = space.layout().data_start().index();
+        let pages: Vec<PageId> = (first..first + n).map(PageId).collect();
+        for &p in &pages {
+            space.mark_remote(p);
+        }
+        let table = PageTablePair::at_migration(pages.iter().copied());
+        (Destination::new(space, table, None).0, pages)
+    }
+
+    #[test]
+    fn resent_page_keeps_its_earliest_arrival() {
+        let mut f = InFlight::default();
+        let p = PageId(70);
+        for ns in [50, 30, 40] {
+            f.insert(p, SimTime::from_nanos(ns));
+        }
+        assert!(f.contains(p));
+        assert_eq!(f.len(), 1);
+        assert_eq!(f.arrival(p), Some(SimTime::from_nanos(30)));
+    }
+
+    #[test]
+    fn removing_or_clearing_resets_membership_and_count() {
+        let mut t = SimulatedTransport::new(&RunConfig::new(Scheme::Ampom));
+        for p in [1, 64, 65, 300] {
+            t.in_flight.insert(PageId(p), SimTime::from_nanos(p));
+        }
+        assert_eq!(t.in_flight_count(), 4);
+        t.in_flight.remove(PageId(64));
+        assert!(!t.is_in_flight(PageId(64)));
+        assert!(t.is_in_flight(PageId(65)), "a neighbour's bit survives");
+        assert_eq!(t.in_flight_count(), 3);
+        // Removing a page that is not in flight changes nothing.
+        t.in_flight.remove(PageId(64));
+        t.in_flight.remove(PageId(2));
+        assert_eq!(t.in_flight_count(), 3);
+        t.in_flight.clear();
+        assert_eq!(t.in_flight_count(), 0);
+        for p in [1, 64, 65, 300] {
+            assert!(!t.is_in_flight(PageId(p)));
+        }
+    }
+
+    #[test]
+    fn page_beyond_the_bitset_is_not_in_flight() {
+        let mut t = SimulatedTransport::new(&RunConfig::new(Scheme::Ampom));
+        assert!(!t.is_in_flight(PageId(0)), "empty set");
+        t.in_flight.insert(PageId(3), SimTime::ZERO);
+        for p in [64, 1 << 40, u64::MAX] {
+            assert!(!t.is_in_flight(PageId(p)));
+            t.in_flight.remove(PageId(p));
+        }
+        assert!(t.is_in_flight(PageId(3)));
+    }
+
+    #[test]
+    fn recovery_clears_leave_no_stale_bit() {
+        let cfg = RunConfig::new(Scheme::Ampom).with_faults(FaultProfile::lossy(0.01));
+        let clears: [fn(&mut SimulatedTransport, SimTime, &mut SimTime, &mut Destination); 2] = [
+            SimulatedTransport::eager_fallback,
+            SimulatedTransport::remigrate,
+        ];
+        for clear in clears {
+            let mut t = SimulatedTransport::new(&cfg);
+            let (mut dest, pages) = remote_destination(130);
+            for &p in &pages {
+                t.in_flight.insert(p, SimTime::from_nanos(p.index()));
+            }
+            let mut now = SimTime::ZERO;
+            clear(&mut t, SimTime::ZERO, &mut now, &mut dest);
+            assert_eq!(t.in_flight_count(), 0);
+            assert!(pages.iter().all(|&p| !t.is_in_flight(p)));
+            // A fresh request marks only its own page.
+            t.in_flight.insert(pages[1], now);
+            let flying: Vec<PageId> = pages
+                .iter()
+                .copied()
+                .filter(|&p| t.is_in_flight(p))
+                .collect();
+            assert_eq!(flying, vec![pages[1]]);
+        }
     }
 
     #[test]

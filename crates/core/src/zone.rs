@@ -65,6 +65,13 @@ pub fn dependent_zone_size(inp: &ZoneSizeInputs) -> f64 {
 ///   (zone pages beyond it are dropped).
 ///
 /// Returns the selected pages in selection order, duplicate-free.
+///
+/// **Dedup by walked ranges.** Each stream walks contiguously upward from
+/// its pivot, so once stream `k` stops at page `e_k`, every page of
+/// `[pivot_k, e_k)` is selected — by stream `k` or by an earlier one. The
+/// selected set is therefore the union of at most `m` walked ranges: a
+/// later stream that lands inside one skips to its end in one step and
+/// emits the gap up to the next range as a single run.
 pub fn select_zone(
     outstanding: &[OutstandingStream],
     budget: u64,
@@ -74,24 +81,22 @@ pub fn select_zone(
     if budget == 0 {
         return Vec::new();
     }
-    let valid = |p: u64| p < page_limit.index();
+    let limit = page_limit.index();
     let mut selected: Vec<PageId> = Vec::with_capacity(budget as usize);
-    let mut chosen = std::collections::HashSet::new();
 
     if outstanding.is_empty() {
         // Read-ahead fallback: r_l + 1 … r_l + N.
-        for i in 1..=budget {
-            let p = last_page.index() + i;
-            if valid(p) {
-                selected.push(PageId(p));
-            }
-        }
+        let first = last_page.index().saturating_add(1);
+        let end = first.saturating_add(budget).min(limit);
+        selected.extend((first..end).map(PageId));
         return selected;
     }
 
     let m = outstanding.len() as u64;
     let base_quota = budget / m;
     let remainder = budget % m;
+    // `[start, end)` of each earlier stream's walk.
+    let mut walked: Vec<(u64, u64)> = Vec::with_capacity(outstanding.len());
 
     for (idx, stream) in outstanding.iter().enumerate() {
         // Earlier pivots absorb the division remainder, so the full budget
@@ -100,12 +105,23 @@ pub fn select_zone(
         let mut p = stream.pivot;
         // Extend past overlaps ("saved quota"), bounded by the address
         // space so degenerate inputs cannot loop forever.
-        while quota > 0 && valid(p) {
-            if chosen.insert(p) {
-                selected.push(PageId(p));
-                quota -= 1;
+        while quota > 0 && p < limit {
+            if let Some(&(_, end)) = walked.iter().find(|&&(s, e)| s <= p && p < e) {
+                p = end;
+                continue;
             }
-            p += 1;
+            let next_walked = walked
+                .iter()
+                .map(|&(s, _)| s)
+                .filter(|&s| s > p)
+                .fold(limit, u64::min);
+            let run_end = p.saturating_add(quota).min(next_walked);
+            selected.extend((p..run_end).map(PageId));
+            quota -= run_end - p;
+            p = run_end;
+        }
+        if p > stream.pivot {
+            walked.push((stream.pivot, p));
         }
     }
     selected

@@ -1,13 +1,16 @@
-//! Property tests of the stride census against an independent
-//! brute-force reference implementation.
+//! Property tests of the stride census and the dependent-zone selection
+//! against independent brute-force reference implementations.
 //!
 //! The census is the heart of the paper's analysis; a subtle off-by-one in
 //! the minimum-distance or outstanding-stream rules would silently skew
 //! every experiment. This suite re-derives the definitions from scratch in
 //! the most literal (and least efficient) way possible and checks the
-//! production implementation against it on random windows.
+//! production implementation against it on random windows. The zone
+//! selection is checked the same way against a per-page set.
 
-use ampom_core::census::{census, Census};
+use ampom_core::census::{census, Census, OutstandingStream};
+use ampom_core::zone::select_zone;
+use ampom_mem::page::PageId;
 use ampom_sim::propcheck::{forall, Gen};
 
 /// Reference: for each position p (0-based), the minimal d ≥ 1 with
@@ -161,5 +164,136 @@ fn census_is_translation_invariant() {
         let pa: Vec<u64> = a.outstanding.iter().map(|o| o.pivot + offset).collect();
         let pb: Vec<u64> = b.outstanding.iter().map(|o| o.pivot).collect();
         assert_eq!(pa, pb);
+    });
+}
+
+/// Reference zone selection: split the budget across the pivots, walk
+/// each upward one page at a time, and skip every page already in a
+/// per-page set of chosen pages.
+fn reference_select_zone(
+    outstanding: &[OutstandingStream],
+    budget: u64,
+    last_page: PageId,
+    page_limit: PageId,
+) -> Vec<PageId> {
+    if budget == 0 {
+        return Vec::new();
+    }
+    let valid = |p: u64| p < page_limit.index();
+    let mut selected: Vec<PageId> = Vec::with_capacity(budget as usize);
+    let mut chosen = std::collections::HashSet::new();
+
+    if outstanding.is_empty() {
+        // Read-ahead fallback: r_l + 1 … r_l + N.
+        for i in 1..=budget {
+            let p = last_page.index() + i;
+            if valid(p) {
+                selected.push(PageId(p));
+            }
+        }
+        return selected;
+    }
+
+    let m = outstanding.len() as u64;
+    let base_quota = budget / m;
+    let remainder = budget % m;
+
+    for (idx, stream) in outstanding.iter().enumerate() {
+        // Earlier pivots absorb the division remainder, so the full budget
+        // is always distributed.
+        let mut quota = base_quota + u64::from((idx as u64) < remainder);
+        let mut p = stream.pivot;
+        // Extend past overlaps ("saved quota"), bounded by the address
+        // space so degenerate inputs cannot loop forever.
+        while quota > 0 && valid(p) {
+            if chosen.insert(p) {
+                selected.push(PageId(p));
+                quota -= 1;
+            }
+            p += 1;
+        }
+    }
+    selected
+}
+
+/// Up to five streams whose pivots crowd a small page range around
+/// `limit`: a quarter repeat an earlier pivot, and some start at or past
+/// the end of the address space.
+fn random_streams(g: &mut Gen, limit: u64) -> Vec<OutstandingStream> {
+    let m = g.usize(0..6);
+    let mut streams: Vec<OutstandingStream> = Vec::with_capacity(m);
+    for _ in 0..m {
+        let pivot = if !streams.is_empty() && g.bool(0.25) {
+            g.choose(&streams).pivot
+        } else {
+            g.u64(1..limit + 8)
+        };
+        streams.push(OutstandingStream {
+            end_page: pivot - 1,
+            d: g.usize(1..5),
+            pivot,
+        });
+    }
+    streams
+}
+
+#[test]
+fn select_zone_matches_reference_on_random_streams() {
+    // Which edge cases the generator reached: duplicate pivots,
+    // overlapping walks, a pivot at or past the limit, 0 < budget < m,
+    // budget 0, no streams.
+    let mut seen = [0u32; 6];
+    forall("zone-random-streams", 1024, |g| {
+        let limit = g.u64(1..160);
+        let streams = random_streams(g, limit);
+        let m = streams.len() as u64;
+        let budget = match g.usize(0..4) {
+            0 => 0,
+            1 => g.u64(0..m + 1),
+            _ => g.u64(0..2 * limit),
+        };
+        let last = PageId(g.u64(0..limit + 4));
+        let got = select_zone(&streams, budget, last, PageId(limit));
+        let want = reference_select_zone(&streams, budget, last, PageId(limit));
+        assert_eq!(
+            got, want,
+            "streams {streams:?} budget {budget} last {last:?} limit {limit}"
+        );
+
+        let pivots: Vec<u64> = streams.iter().map(|s| s.pivot).collect();
+        let quota = budget / m.max(1);
+        let pairs = || {
+            pivots
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &a)| pivots[i + 1..].iter().map(move |&b| (a, b)))
+        };
+        seen[0] += u32::from(pairs().any(|(a, b)| a == b) && budget >= m);
+        seen[1] += u32::from(pairs().any(|(a, b)| a != b && a.abs_diff(b) < quota));
+        seen[2] += u32::from(budget > 0 && pivots.iter().any(|&p| p >= limit));
+        seen[3] += u32::from(budget > 0 && budget < m);
+        seen[4] += u32::from(budget == 0 && m > 0);
+        seen[5] += u32::from(budget > 0 && m == 0);
+    });
+    assert!(
+        seen.iter().all(|&n| n >= 10),
+        "edge cases reached: {seen:?}"
+    );
+}
+
+#[test]
+fn select_zone_matches_reference_on_census_streams() {
+    // Streams as the census emits them, two of which may close on the
+    // same page.
+    forall("zone-census-streams", 512, |g| {
+        let pages = random_window(g);
+        let c = census(&pages, random_dmax(g));
+        let limit = PageId(g.u64(1..48));
+        let budget = g.u64(0..64);
+        let last = PageId(pages.last().copied().unwrap_or(0));
+        assert_eq!(
+            select_zone(&c.outstanding, budget, last, limit),
+            reference_select_zone(&c.outstanding, budget, last, limit)
+        );
     });
 }
