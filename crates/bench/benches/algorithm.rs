@@ -7,6 +7,11 @@
 //! be sanity-checked. The cost grows with the zone: under a microsecond
 //! for a small zone, about the 2 µs charge at the 512-page cap (DESIGN
 //! §7 lists the measured costs).
+//!
+//! The `paging` group times the per-page bookkeeping an eviction-bound
+//! run repeats around each fault, at `sim-scatter`'s shape: the MPT/HPT
+//! transitions behind every served and every evicted page, and the
+//! write-set's note-then-flush cycle.
 
 use ampom_bench::{black_box, Harness};
 use ampom_core::census::{census, OutstandingStream};
@@ -15,6 +20,8 @@ use ampom_core::score::spatial_score;
 use ampom_core::window::LookbackWindow;
 use ampom_core::zone::{dependent_zone_size, select_zone, ZoneSizeInputs};
 use ampom_mem::page::PageId;
+use ampom_mem::table::{PageLocation, PageTablePair};
+use ampom_mem::writeback::WriteSet;
 use ampom_sim::time::{SimDuration, SimTime};
 
 fn bench_window_record(h: &mut Harness) {
@@ -139,11 +146,56 @@ fn bench_full_analysis(h: &mut Harness) {
     g.finish();
 }
 
+fn bench_paging(h: &mut Harness) {
+    // A 64 MB heap with half of it resident, visited at a scattered
+    // stride (odd, so it permutes the pages): call `i` serves page `i`
+    // of the permutation and evicts page `i - RESIDENT`, the lookups
+    // guarding each transition as the deputy and the evictor do.
+    const PAGES: u64 = 16_384;
+    const RESIDENT: u64 = PAGES / 2;
+    const STRIDE: u64 = 7_919;
+    let nth = |i: u64| PageId(i * STRIDE % PAGES);
+    let mut g = h.group("paging");
+    let mut table = PageTablePair::at_migration((0..PAGES).map(PageId));
+    for i in 0..RESIDENT {
+        table.transfer_to_destination(nth(i));
+    }
+    let mut i = RESIDENT;
+    g.bench("serve_evict_16k", || {
+        let (served, evicted) = (nth(i), nth(i - RESIDENT));
+        i += 1;
+        if table.lookup(served) == Some(PageLocation::Origin) {
+            table.transfer_to_destination(served);
+        }
+        if table.lookup(evicted) == Some(PageLocation::Destination) {
+            table.return_to_origin(evicted);
+        }
+    });
+    assert_eq!(table.pages_at_destination(), RESIDENT);
+
+    // Eight stores to scattered pages between flushes, then one batch
+    // sent and acknowledged.
+    let mut ws = WriteSet::new();
+    let mut j = 0u64;
+    g.bench("writeset_note_flush", || {
+        for _ in 0..8 {
+            ws.note_write(nth(j));
+            j += 1;
+        }
+        let (seq, entries) = ws.build_batch(64).expect("eight dirty pages");
+        ws.on_ack(seq);
+        entries.len()
+    });
+    assert!(ws.is_drained());
+    g.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_window_record(&mut h);
     bench_census(&mut h);
     bench_score_and_zone(&mut h);
     bench_full_analysis(&mut h);
+    bench_paging(&mut h);
     h.finish();
 }

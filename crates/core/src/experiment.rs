@@ -629,6 +629,26 @@ mod tests {
     }
 
     #[test]
+    fn a_cap_at_or_above_the_image_is_no_cap() {
+        // Caps far past a 16 MB STREAM's image, up to ones whose byte
+        // count overflows a u64: each run is the uncapped run.
+        let stream = || {
+            let size = ProblemSize {
+                problem: 0,
+                memory_mb: 16,
+            };
+            Experiment::new(Scheme::Ampom).kernel(Kernel::Stream, size)
+        };
+        let uncapped = stream().run().unwrap();
+        assert_eq!(uncapped.pages_evicted, 0);
+        for mb in [1 << 30, 1 << 44, u64::MAX] {
+            let capped = stream().resident_limit_mb(mb).run().unwrap();
+            assert_eq!(capped.pages_evicted, 0, "{mb} MB");
+            assert_eq!(capped.fingerprint(), uncapped.fingerprint(), "{mb} MB");
+        }
+    }
+
+    #[test]
     fn missing_workload_is_a_typed_error() {
         let err = Experiment::new(Scheme::Ampom).run().unwrap_err();
         assert_eq!(err, AmpomError::MissingWorkload);

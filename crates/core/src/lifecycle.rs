@@ -533,12 +533,11 @@ impl WritebackChannel {
     /// version of every page ever dirtied.
     fn conservation_ok(&self) -> bool {
         self.wset.is_drained()
-            && self.sink.pages_written_back() == self.wset.versions().len() as u64
+            && self.sink.pages_written_back() == self.wset.pages_dirtied()
             && self
                 .wset
                 .versions()
-                .iter()
-                .all(|(&p, &v)| self.sink.applied_version(p) == v)
+                .all(|(p, v)| self.sink.applied_version(p) == v)
     }
 }
 
@@ -797,7 +796,7 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
     if let Some(c) = channel.as_mut() {
         now = c.drain(now, &mut path, &mut trace);
         sink_restarts = c.sink_restarts;
-        pages_dirtied = c.wset.versions().len() as u64;
+        pages_dirtied = c.wset.pages_dirtied();
         sink_pages = c.sink.pages_written_back();
         conservation_ok = c.conservation_ok();
         for &page in c.sink.applied().keys() {

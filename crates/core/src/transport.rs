@@ -248,7 +248,8 @@ impl Destination {
         let Some(mb) = limit_mb else {
             return (dest, 0);
         };
-        let limit = (mb * 1024 * 1024 / PAGE_SIZE).max(4);
+        // Saturating: a cap past the address space's reach is no cap.
+        let limit = (mb.saturating_mul(1024 * 1024) / PAGE_SIZE).max(4);
         let mut ev = ClockEvictor::new(dest.space.total_pages(), limit);
         let resident: Vec<PageId> = dest
             .space

@@ -39,7 +39,8 @@ pub struct ClockEvictor {
 
 impl ClockEvictor {
     /// Creates an evictor for an address space of `total_pages`, allowing
-    /// at most `limit` resident pages.
+    /// at most `limit` resident pages. The ring never holds more than
+    /// `total_pages`, so a `limit` past that reserves no more.
     ///
     /// # Panics
     /// Panics if `limit` is zero.
@@ -47,7 +48,7 @@ impl ClockEvictor {
         assert!(limit > 0, "resident limit must be positive");
         ClockEvictor {
             limit,
-            ring: Vec::with_capacity(limit as usize),
+            ring: Vec::with_capacity(limit.min(total_pages) as usize),
             pos: vec![NOT_RESIDENT; total_pages as usize],
             referenced: vec![false; total_pages as usize],
             hand: 0,

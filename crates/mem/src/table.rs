@@ -15,8 +15,6 @@
 //! in exactly one place**, and the HPT is precisely the set of mapped pages
 //! stored at the origin (plus, for FFA, the file server's stock).
 
-use std::collections::BTreeMap;
-
 use crate::page::PageId;
 
 /// Where a mapped page's contents are stored.
@@ -41,11 +39,19 @@ pub enum TableUpdate {
 }
 
 /// The MPT/HPT pair tracking one migrated process's pages.
+///
+/// Laid out like the kernel tables it models: one entry per page, indexed
+/// by page number, so every lookup and transition is one array access. An
+/// entry is `None` for an unmapped page; the array grows to the highest
+/// page ever mapped and iterates in ascending page order. The HPT is not
+/// stored apart: it is the entries whose location is
+/// [`PageLocation::Origin`].
 #[derive(Debug, Clone, Default)]
 pub struct PageTablePair {
-    /// The master page table: every mapped page and where it is stored.
-    /// BTreeMap keeps iteration deterministic for tests and traces.
-    mpt: BTreeMap<PageId, PageLocation>,
+    /// The master page table: where each mapped page is stored.
+    mpt: Vec<Option<PageLocation>>,
+    /// Number of `Some` entries in `mpt`.
+    mapped: u64,
     /// Count of MPT updates performed (bookkeeping-cost accounting).
     mpt_updates: u64,
     /// Count of HPT updates performed.
@@ -59,22 +65,44 @@ impl PageTablePair {
 
     /// Builds the pair at migration time: every currently-mapped page
     /// starts stored at the origin. (The migration mechanism then moves the
-    /// freeze-time pages to the destination.)
+    /// freeze-time pages to the destination.) A page listed twice is
+    /// mapped once.
     pub fn at_migration(mapped: impl IntoIterator<Item = PageId>) -> Self {
-        let mpt: BTreeMap<_, _> = mapped
-            .into_iter()
-            .map(|p| (p, PageLocation::Origin))
-            .collect();
-        PageTablePair {
-            mpt,
-            mpt_updates: 0,
-            hpt_updates: 0,
+        let mut pair = PageTablePair::default();
+        for page in mapped {
+            let entry = pair.slot(page);
+            if entry.is_none() {
+                *entry = Some(PageLocation::Origin);
+                pair.mapped += 1;
+            }
         }
+        pair
+    }
+
+    /// The entry for `page`, growing the table to hold it.
+    fn slot(&mut self, page: PageId) -> &mut Option<PageLocation> {
+        let i = page.index() as usize;
+        if i >= self.mpt.len() {
+            self.mpt.resize(i + 1, None);
+        }
+        &mut self.mpt[i]
+    }
+
+    /// The location of a mapped `page`, for updating in place.
+    fn entry_mut(&mut self, page: PageId) -> Option<&mut PageLocation> {
+        self.mpt
+            .get_mut(page.index() as usize)
+            .and_then(Option::as_mut)
+    }
+
+    /// How many mapped pages are stored at `loc`.
+    fn count_at(&self, loc: PageLocation) -> u64 {
+        self.mpt.iter().filter(|&&l| l == Some(loc)).count() as u64
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.mpt.len() as u64
+        self.mapped
     }
 
     /// Bytes the MPT occupies when shipped at freeze time.
@@ -83,33 +111,29 @@ impl PageTablePair {
     }
 
     /// Where `page` is stored, or `None` if unmapped.
+    #[inline]
     pub fn lookup(&self, page: PageId) -> Option<PageLocation> {
-        self.mpt.get(&page).copied()
+        self.mpt.get(page.index() as usize).copied().flatten()
     }
 
     /// The home page table: mapped pages whose contents the origin still
-    /// stores.
+    /// stores, in ascending page order.
     pub fn hpt_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.mpt
             .iter()
-            .filter(|&(_, &loc)| loc == PageLocation::Origin)
-            .map(|(&p, _)| p)
+            .enumerate()
+            .filter(|&(_, &loc)| loc == Some(PageLocation::Origin))
+            .map(|(i, _)| PageId(i as u64))
     }
 
     /// Number of pages still stored at the origin.
     pub fn pages_at_origin(&self) -> u64 {
-        self.mpt
-            .values()
-            .filter(|&&l| l == PageLocation::Origin)
-            .count() as u64
+        self.count_at(PageLocation::Origin)
     }
 
     /// Number of pages stored at the destination.
     pub fn pages_at_destination(&self) -> u64 {
-        self.mpt
-            .values()
-            .filter(|&&l| l == PageLocation::Destination)
-            .count() as u64
+        self.count_at(PageLocation::Destination)
     }
 
     /// A page's contents were transferred to the migrant (at freeze time or
@@ -121,8 +145,7 @@ impl PageTablePair {
     /// already had.
     pub fn transfer_to_destination(&mut self, page: PageId) -> TableUpdate {
         let loc = self
-            .mpt
-            .get_mut(&page)
+            .entry_mut(page)
             .unwrap_or_else(|| panic!("transfer of unmapped page {page}"));
         assert_ne!(
             *loc,
@@ -148,8 +171,7 @@ impl PageTablePair {
     /// Panics unless the page is currently stored at the destination.
     pub fn return_to_origin(&mut self, page: PageId) -> TableUpdate {
         let loc = self
-            .mpt
-            .get_mut(&page)
+            .entry_mut(page)
             .unwrap_or_else(|| panic!("return of unmapped page {page}"));
         assert_eq!(
             *loc,
@@ -170,8 +192,7 @@ impl PageTablePair {
     /// Panics unless the page is currently stored at the origin.
     pub fn flush_to_file_server(&mut self, page: PageId) -> TableUpdate {
         let loc = self
-            .mpt
-            .get_mut(&page)
+            .entry_mut(page)
             .unwrap_or_else(|| panic!("flush of unmapped page {page}"));
         assert_eq!(
             *loc,
@@ -190,8 +211,9 @@ impl PageTablePair {
     /// # Panics
     /// Panics if the page is already mapped.
     pub fn create_at_destination(&mut self, page: PageId) -> TableUpdate {
-        let prev = self.mpt.insert(page, PageLocation::Destination);
+        let prev = self.slot(page).replace(PageLocation::Destination);
         assert!(prev.is_none(), "create of already-mapped page {page}");
+        self.mapped += 1;
         self.mpt_updates += 1;
         TableUpdate::MptOnly
     }
@@ -204,8 +226,10 @@ impl PageTablePair {
     pub fn unmap(&mut self, page: PageId) -> TableUpdate {
         let loc = self
             .mpt
-            .remove(&page)
+            .get_mut(page.index() as usize)
+            .and_then(Option::take)
             .unwrap_or_else(|| panic!("unmap of unmapped page {page}"));
+        self.mapped -= 1;
         self.mpt_updates += 1;
         if loc == PageLocation::Origin {
             self.hpt_updates += 1;
@@ -226,16 +250,14 @@ impl PageTablePair {
     }
 
     /// Checks the single-storage invariant: the per-location counts
-    /// partition the mapped set. (Trivially true by construction, asserted
-    /// for belt-and-braces in property tests.)
+    /// partition the mapped set, and the kept mapped count matches a scan
+    /// of the table.
     pub fn check_invariants(&self) {
+        let scanned = self.mpt.iter().filter(|l| l.is_some()).count() as u64;
+        assert_eq!(scanned, self.mapped, "mapped count drifted from the table");
         let origin = self.pages_at_origin();
         let dest = self.pages_at_destination();
-        let fs = self
-            .mpt
-            .values()
-            .filter(|&&l| l == PageLocation::FileServer)
-            .count() as u64;
+        let fs = self.count_at(PageLocation::FileServer);
         assert_eq!(origin + dest + fs, self.mapped_pages());
     }
 }

@@ -46,14 +46,21 @@ pub struct WriteSetCounters {
 
 /// The migrant-side write-set: dirty pages awaiting writeback, per-page
 /// version counters, and the in-flight batches not yet acknowledged.
+///
+/// Per-page state is indexed by page number, like the page tables: a
+/// version array (0 for a page never dirtied) and a dirty bitset, both
+/// grown on demand to the highest page dirtied.
 #[derive(Debug, Clone, Default)]
 pub struct WriteSet {
     /// Highest version ever assigned per page (monotone, never reset).
-    versions: BTreeMap<PageId, u64>,
-    /// Dirty pages whose latest version is not yet in any batch.
-    dirty: BTreeSet<PageId>,
-    /// Sent-but-unacked batches by sequence number.
-    pending: BTreeMap<u64, Vec<(PageId, u64)>>,
+    versions: Vec<u64>,
+    /// Dirty pages whose latest version is not yet in any batch: one bit
+    /// per page, 64 pages per word.
+    dirty: Vec<u64>,
+    /// Number of bits set in `dirty`.
+    dirty_count: usize,
+    /// Sent-but-unacked batches, ascending by sequence number.
+    pending: Vec<(u64, Vec<(PageId, u64)>)>,
     next_seq: u64,
     /// Accumulated counters.
     pub counters: WriteSetCounters,
@@ -71,22 +78,36 @@ impl WriteSet {
     /// twice, once per version.
     pub fn note_write(&mut self, page: PageId) {
         self.counters.writes_noted += 1;
-        if self.dirty.contains(&page) {
+        let i = page.index() as usize;
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if word >= self.dirty.len() {
+            self.dirty.resize(word + 1, 0);
+        }
+        if self.dirty[word] & bit != 0 {
             // Latest version not yet batched; nothing new to flush.
             return;
         }
-        let prior = self.versions.get(&page).copied().unwrap_or(0);
+        if i >= self.versions.len() {
+            self.versions.resize(i + 1, 0);
+        }
+        let prior = self.versions[i];
         if prior > 0 && self.in_flight(page) {
             self.counters.redirties += 1;
         }
-        self.versions.insert(page, prior + 1);
-        self.dirty.insert(page);
+        self.versions[i] = prior + 1;
+        self.dirty[word] |= bit;
+        self.dirty_count += 1;
     }
 
     fn in_flight(&self, page: PageId) -> bool {
         self.pending
-            .values()
-            .any(|entries| entries.iter().any(|&(p, _)| p == page))
+            .iter()
+            .any(|(_, entries)| entries.iter().any(|&(p, _)| p == page))
+    }
+
+    /// The position of pending batch `seq`.
+    fn pending_index(&self, seq: u64) -> Option<usize> {
+        self.pending.binary_search_by_key(&seq, |&(s, _)| s).ok()
     }
 
     /// Builds the next delta batch of at most `max_pages` dirty pages
@@ -94,29 +115,36 @@ impl WriteSet {
     /// is dirty; otherwise the batch is recorded as pending under the
     /// returned sequence number until [`WriteSet::on_ack`].
     pub fn build_batch(&mut self, max_pages: usize) -> Option<(u64, Vec<(PageId, u64)>)> {
-        if self.dirty.is_empty() || max_pages == 0 {
+        if self.dirty_count == 0 || max_pages == 0 {
             return None;
         }
-        let take: Vec<PageId> = self.dirty.iter().take(max_pages).copied().collect();
-        let entries: Vec<(PageId, u64)> = take
-            .iter()
-            .map(|&p| {
-                self.dirty.remove(&p);
-                (p, self.versions[&p])
-            })
-            .collect();
+        let take = max_pages.min(self.dirty_count);
+        let mut entries = Vec::with_capacity(take);
+        let mut word = 0;
+        while entries.len() < take {
+            let bits = self.dirty[word];
+            if bits == 0 {
+                word += 1;
+                continue;
+            }
+            let i = word * 64 + bits.trailing_zeros() as usize;
+            self.dirty[word] = bits & (bits - 1);
+            entries.push((PageId(i as u64), self.versions[i]));
+        }
+        self.dirty_count -= take;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.counters.batches_built += 1;
         self.counters.pages_flushed += entries.len() as u64;
-        self.pending.insert(seq, entries.clone());
+        self.pending.push((seq, entries.clone()));
         Some((seq, entries))
     }
 
     /// Acknowledges batch `seq`; unknown sequence numbers (a duplicate
     /// ack) are ignored.
     pub fn on_ack(&mut self, seq: u64) {
-        if self.pending.remove(&seq).is_some() {
+        if let Some(at) = self.pending_index(seq) {
+            self.pending.remove(at);
             self.counters.acks += 1;
         }
     }
@@ -124,32 +152,40 @@ impl WriteSet {
     /// Hands back the pending batch `seq` for retransmission (a lost
     /// batch or a lost ack — the sink dedups either way).
     pub fn take_for_retry(&mut self, seq: u64) -> Option<Vec<(PageId, u64)>> {
-        let entries = self.pending.get(&seq).cloned();
-        if entries.is_some() {
-            self.counters.retransmits += 1;
-            self.counters.pages_flushed += entries.as_ref().map_or(0, Vec::len) as u64;
-        }
-        entries
+        let entries = self.pending[self.pending_index(seq)?].1.clone();
+        self.counters.retransmits += 1;
+        self.counters.pages_flushed += entries.len() as u64;
+        Some(entries)
     }
 
     /// Sequence numbers of every sent-but-unacked batch, ascending.
     pub fn pending_seqs(&self) -> Vec<u64> {
-        self.pending.keys().copied().collect()
+        self.pending.iter().map(|&(s, _)| s).collect()
     }
 
     /// True when every dirtied page has been batched *and* acknowledged.
     pub fn is_drained(&self) -> bool {
-        self.dirty.is_empty() && self.pending.is_empty()
+        self.dirty_count == 0 && self.pending.is_empty()
     }
 
     /// Pages currently dirty and not yet batched.
     pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
+        self.dirty_count
     }
 
-    /// The version high-water mark per page (pages never dirtied absent).
-    pub fn versions(&self) -> &BTreeMap<PageId, u64> {
-        &self.versions
+    /// The version high-water mark of every page ever dirtied, in
+    /// ascending page order.
+    pub fn versions(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
+        self.versions
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v > 0)
+            .map(|(i, &v)| (PageId(i as u64), v))
+    }
+
+    /// Number of distinct pages ever dirtied.
+    pub fn pages_dirtied(&self) -> u64 {
+        self.versions().count() as u64
     }
 }
 
