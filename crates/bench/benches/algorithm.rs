@@ -4,9 +4,9 @@
 //! 0.6% of execution time. Our simulator charges a fixed
 //! `AMPOM_ANALYSIS_COST` (2 µs) per fault; these benches measure what the
 //! *actual Rust implementation* costs per invocation so the constant can
-//! be sanity-checked. The cost grows with the zone: under a microsecond
-//! for a small zone, about the 2 µs charge at the 512-page cap (DESIGN
-//! §7 lists the measured costs).
+//! be sanity-checked. Every shape below, up to a pipelined fault at the
+//! 512-page cap, stays under the 2 µs charge (DESIGN §7 lists the
+//! measured costs).
 //!
 //! The `paging` group times the per-page bookkeeping an eviction-bound
 //! run repeats around each fault, at `sim-scatter`'s shape: the MPT/HPT
@@ -15,6 +15,7 @@
 
 use ampom_bench::{black_box, Harness};
 use ampom_core::census::{census, OutstandingStream};
+use ampom_core::policy::{extend_by_word, Fetchable, PolicySpec};
 use ampom_core::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates};
 use ampom_core::score::spatial_score;
 use ampom_core::window::LookbackWindow;
@@ -143,7 +144,72 @@ fn bench_full_analysis(h: &mut Harness) {
         .expect("20 warm-up faults");
     assert_eq!((warm.budget, warm.prefetch.len()), (512, 4));
     g.bench("on_fault_pipelined_512", pipelined);
+
+    // The same fault through the `Prefetcher` trait, as the runner makes
+    // it: the zone's runs go to a query over two page bitsets, which
+    // answers 64 pages per word.
+    let mut pf = PolicySpec::Ampom.build(&AmpomConfig::default());
+    let limit = PageId(10_000_000);
+    let mut bits = PageBits::new(limit);
+    for p in 0..=508 {
+        bits.set_in_flight(PageId(p));
+    }
+    let mut i = 0u64;
+    let mut pipelined_words = move || {
+        i += 1;
+        bits.set_in_flight(PageId(i + 508));
+        pf.on_fault(
+            PageId(black_box(i)),
+            SimTime::from_nanos(i * 1_000),
+            0.9,
+            net,
+            limit,
+            &mut bits,
+        )
+    };
+    let warm = (0..20)
+        .map(|_| pipelined_words())
+        .last()
+        .expect("20 warm-up faults");
+    assert_eq!((warm.budget, warm.prefetch.len()), (512, 4));
+    g.bench("on_fault_pipelined_512_words", pipelined_words);
     g.finish();
+}
+
+/// Remote and in-flight page bitsets, read a word at a time the way the
+/// forward loop's zone filter reads the address space and the transport.
+struct PageBits {
+    remote: Vec<u64>,
+    in_flight: Vec<u64>,
+}
+
+impl PageBits {
+    /// Every page below `limit` remote, none in flight.
+    fn new(limit: PageId) -> Self {
+        let words = limit.index().div_ceil(64) as usize;
+        PageBits {
+            remote: vec![u64::MAX; words],
+            in_flight: vec![0; words],
+        }
+    }
+
+    fn set_in_flight(&mut self, page: PageId) {
+        self.in_flight[(page.index() / 64) as usize] |= 1 << (page.index() % 64);
+    }
+}
+
+impl Fetchable for PageBits {
+    fn extend_fetchable(&mut self, start: PageId, end: PageId, out: &mut Vec<PageId>) {
+        extend_by_word(start, end, out, |word, run| {
+            let w = word as usize;
+            let left = run & !self.in_flight[w];
+            if left == 0 {
+                0
+            } else {
+                left & self.remote[w]
+            }
+        });
+    }
 }
 
 fn bench_paging(h: &mut Harness) {

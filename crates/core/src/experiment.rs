@@ -649,6 +649,34 @@ mod tests {
     }
 
     #[test]
+    fn a_zone_cap_past_the_space_runs_like_a_smaller_one() {
+        // The validator accepts any cap at or above the read-ahead floor.
+        // Past the 256-page space every such cap selects the same zones,
+        // and none may allocate by its size.
+        let run = |cap: u64| {
+            Experiment::new(Scheme::Ampom)
+                .sequential(256, CPU)
+                .ampom(AmpomConfig {
+                    baseline_readahead: cap,
+                    max_zone: cap,
+                    ..AmpomConfig::default()
+                })
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let small = run(1 << 20);
+        assert!(small.pages_prefetched > 0);
+        for cap in [1 << 40, u64::MAX] {
+            let r = run(cap);
+            assert_eq!(r.total_time, small.total_time, "cap {cap}");
+            assert_eq!(r.faults_total, small.faults_total, "cap {cap}");
+            assert_eq!(r.pages_prefetched, small.pages_prefetched, "cap {cap}");
+        }
+    }
+
+    #[test]
     fn missing_workload_is_a_typed_error() {
         let err = Experiment::new(Scheme::Ampom).run().unwrap_err();
         assert_eq!(err, AmpomError::MissingWorkload);

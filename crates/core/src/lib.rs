@@ -122,8 +122,8 @@ pub use metrics::RunReport;
 pub use migration::Scheme;
 pub use multirun::{run_multi, MigrantSpec, MultiRunReport, MultiRunSpec};
 pub use policy::{
-    IndigoConfig, IndigoPrefetcher, LeapConfig, LeapPrefetcher, PolicySpec, PrefetchFeedback,
-    PrefetchObservation, Prefetcher,
+    Fetchable, IndigoConfig, IndigoPrefetcher, LeapConfig, LeapPrefetcher, PolicySpec,
+    PrefetchFeedback, PrefetchObservation, Prefetcher,
 };
 pub use prefetcher::{AmpomConfig, AmpomPrefetcher};
 pub use reliability::{FailurePolicy, FaultProfile, RetryPolicy, RetrySchedule, RetryStep};

@@ -65,7 +65,7 @@ use crate::metrics::{DeputyStats, FaultStats, RunReport};
 use crate::migration::{perform_freeze, FreezeOutcome, PreMigrationState, Scheme};
 use crate::monitor::MonitorDaemon;
 use crate::prefetcher::NetEstimates;
-use crate::reliability::{FaultProfile, RetrySchedule, RetryStep};
+use crate::reliability::{FailurePolicy, FaultProfile, RetrySchedule, RetryStep};
 use crate::runner::RunConfig;
 use crate::transport::{refuse_simulated_only, run_with_transport, Destination, Transport};
 
@@ -99,7 +99,9 @@ pub struct MultiRunSpec {
     /// Optional chaos profile: message loss/jitter on every migrant's
     /// request and reply path plus deputy downtime, resolved by the
     /// coordinator. `None` (or a null profile) leaves the run
-    /// bit-identical to a chaos-free multi-run.
+    /// bit-identical to a chaos-free multi-run. The coordinator models
+    /// only [`FailurePolicy::StallReconnect`]; [`run_multi`] refuses a
+    /// non-null profile with any other policy.
     pub chaos: Option<FaultProfile>,
     /// Deputy admission control. The default is unbounded, which is
     /// bit-identical to the pre-admission deputy.
@@ -1099,6 +1101,15 @@ pub fn run_multi(spec: &MultiRunSpec) -> Result<MultiRunReport, AmpomError> {
     }
     if let Some(profile) = &spec.chaos {
         profile.validate()?;
+        // `ChaosState::charge_timeout` books every degrade as a
+        // reconnect: any other policy would silently run as this one.
+        if !profile.is_null() && profile.policy != FailurePolicy::StallReconnect {
+            return Err(AmpomError::InvalidConfig(format!(
+                "a multi-run's chaos can only stall and reconnect; \
+                 failure policy {} is not modelled",
+                profile.policy.name()
+            )));
+        }
     }
     spec.admission
         .validate()
@@ -1374,6 +1385,34 @@ mod tests {
                 Err(AmpomError::InvalidConfig(_))
             ));
         }
+    }
+
+    #[test]
+    fn chaos_policies_other_than_stall_reconnect_are_refused() {
+        let spec = |policy| {
+            let profile = FaultProfile {
+                policy,
+                ..FaultProfile::lossy(0.2)
+            };
+            MultiRunSpec::homogeneous(RunConfig::new(Scheme::Ampom), quick_spec(), 5, 2)
+                .with_chaos(profile)
+        };
+        for policy in [FailurePolicy::EagerFallback, FailurePolicy::Remigrate] {
+            match run_multi(&spec(policy)) {
+                Err(AmpomError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(policy.name()), "{msg}")
+                }
+                other => panic!("{policy:?} ran: {other:?}"),
+            }
+        }
+        assert!(run_multi(&spec(FailurePolicy::StallReconnect)).is_ok());
+        // A null profile draws no fates, so its policy never acts.
+        let null = MultiRunSpec::homogeneous(RunConfig::new(Scheme::Ampom), quick_spec(), 5, 2)
+            .with_chaos(FaultProfile {
+                policy: FailurePolicy::Remigrate,
+                ..FaultProfile::default()
+            });
+        assert!(run_multi(&null).is_ok());
     }
 
     #[test]

@@ -62,12 +62,65 @@ pub struct PrefetchObservation {
     pub outstanding_streams: usize,
 }
 
+/// The zone filter's query, "if j is not stored locally": which pages of
+/// a run are fetchable — stored remotely and not already in flight.
+///
+/// The prefetchers hand the query the runs they select, so an
+/// implementation that keeps its state in page bitsets answers 64 pages
+/// per word (see [`extend_by_word`]). A per-page predicate
+/// `FnMut(PageId) -> bool` is a `Fetchable` too, asked once per page in
+/// ascending order.
+pub trait Fetchable {
+    /// Appends the fetchable pages of `[start, end)` to `out`, in
+    /// ascending order. An empty or inverted run appends nothing.
+    fn extend_fetchable(&mut self, start: PageId, end: PageId, out: &mut Vec<PageId>);
+}
+
+impl<F: FnMut(PageId) -> bool> Fetchable for F {
+    fn extend_fetchable(&mut self, start: PageId, end: PageId, out: &mut Vec<PageId>) {
+        // The predicate visits every page of the run anyway, so room for
+        // all of them costs one allocation, not a doubling per few pages.
+        let pages = start.index()..end.index();
+        out.reserve(pages.end.saturating_sub(pages.start) as usize);
+        out.extend(pages.map(PageId).filter(|&p| self(p)));
+    }
+}
+
+/// Answers a [`Fetchable`] query a word at a time. For each word `w` the
+/// run `[start, end)` touches, `fetchable_word(w, run)` receives the mask
+/// of the run's pages among `64·w … 64·w + 63` (bit `i` is page
+/// `64·w + i`) and returns which of them are fetchable; bits outside
+/// `run` are ignored. The set bits are appended to `out` in ascending
+/// order.
+pub fn extend_by_word(
+    start: PageId,
+    end: PageId,
+    out: &mut Vec<PageId>,
+    mut fetchable_word: impl FnMut(u64, u64) -> u64,
+) {
+    let (start, end) = (start.index(), end.index());
+    if start >= end {
+        return;
+    }
+    for word in start / 64..=(end - 1) / 64 {
+        let base = word * 64;
+        let lo = start.saturating_sub(base);
+        let hi = (end - base).min(64);
+        let run = (u64::MAX >> (64 - (hi - lo))) << lo;
+        let mut mask = fetchable_word(word, run) & run;
+        while mask != 0 {
+            out.push(PageId(base + u64::from(mask.trailing_zeros())));
+            mask &= mask - 1;
+        }
+    }
+}
+
 /// One prefetch policy driving the run loops' per-fault analysis.
 ///
 /// Implementations must be conservative: every page in the returned
-/// [`ZoneDecision::prefetch`] list must satisfy the `fetchable`
-/// predicate and differ from the faulted page (property-tested for all
-/// in-tree policies).
+/// [`ZoneDecision::prefetch`] list must have come back from the
+/// `fetchable` query and differ from the faulted page (property-tested
+/// for all in-tree policies).
 pub trait Prefetcher {
     /// Runs one fault analysis; see
     /// [`AmpomPrefetcher::on_fault`] for the argument contract.
@@ -78,7 +131,7 @@ pub trait Prefetcher {
         cpu_util: f64,
         net: NetEstimates,
         page_limit: PageId,
-        fetchable: &mut dyn FnMut(PageId) -> bool,
+        fetchable: &mut dyn Fetchable,
     ) -> ZoneDecision;
 
     /// Feeds the loop's cumulative hit/waste counters back into the
@@ -98,9 +151,9 @@ impl Prefetcher for AmpomPrefetcher {
         cpu_util: f64,
         net: NetEstimates,
         page_limit: PageId,
-        fetchable: &mut dyn FnMut(PageId) -> bool,
+        fetchable: &mut dyn Fetchable,
     ) -> ZoneDecision {
-        AmpomPrefetcher::on_fault(self, page, now, cpu_util, net, page_limit, fetchable)
+        self.analyse(page, now, cpu_util, net, page_limit, fetchable)
     }
 
     fn observe(&self) -> PrefetchObservation {
@@ -304,7 +357,7 @@ impl Prefetcher for LeapPrefetcher {
         cpu_util: f64,
         _net: NetEstimates,
         page_limit: PageId,
-        fetchable: &mut dyn FnMut(PageId) -> bool,
+        fetchable: &mut dyn Fetchable,
     ) -> ZoneDecision {
         self.window.record(page, now, cpu_util);
         self.stats.analyses += 1;
@@ -347,8 +400,8 @@ impl Prefetcher for LeapPrefetcher {
                     break;
                 }
                 let p = PageId(idx as u64);
-                if p != page && fetchable(p) {
-                    prefetch.push(p);
+                if p != page {
+                    fetchable.extend_fetchable(p, p.succ(), &mut prefetch);
                 }
             }
         }
@@ -505,7 +558,7 @@ impl Prefetcher for IndigoPrefetcher {
         cpu_util: f64,
         _net: NetEstimates,
         page_limit: PageId,
-        fetchable: &mut dyn FnMut(PageId) -> bool,
+        fetchable: &mut dyn Fetchable,
     ) -> ZoneDecision {
         self.window.record(page, now, cpu_util);
         self.stats.analyses += 1;
@@ -544,8 +597,8 @@ impl Prefetcher for IndigoPrefetcher {
                 break;
             }
             let p = PageId(idx as u64);
-            if p != page && fetchable(p) {
-                prefetch.push(p);
+            if p != page {
+                fetchable.extend_fetchable(p, p.succ(), &mut prefetch);
             }
         }
         self.stats.pages_selected += prefetch.len() as u64;
@@ -790,9 +843,14 @@ mod tests {
             let mut p = spec.build(&AmpomConfig::default());
             let limit = PageId(100_000);
             for i in 0..40u64 {
-                let d = p.on_fault(PageId(i * 2), t(i * 100), 1.0, net(), limit, &mut |pg| {
-                    pg.index() % 4 == 0
-                });
+                let d = p.on_fault(
+                    PageId(i * 2),
+                    t(i * 100),
+                    1.0,
+                    net(),
+                    limit,
+                    &mut |pg: PageId| matches!(pg.index() % 4, 0),
+                );
                 assert!(
                     d.prefetch.iter().all(|pg| pg.index() % 4 == 0),
                     "{}: unfetchable page selected",

@@ -26,6 +26,7 @@ use ampom_sim::stats::OnlineStats;
 use ampom_sim::time::{SimDuration, SimTime};
 
 use crate::census::{census, Census};
+use crate::policy::Fetchable;
 use crate::score::spatial_score_detail;
 use crate::window::LookbackWindow;
 use crate::zone::{dependent_zone_size, select_zone, ZoneSizeInputs};
@@ -130,8 +131,8 @@ pub struct ZoneDecision {
 /// which): `analyses`, `fallbacks` and `score_clamps` count analysis
 /// **batches** (one per recorded fault); `pages_selected` counts
 /// **pages**. The three distributions are per-batch samples. All
-/// counters are `u64` — at the simulator's ~210 k faults/s (perfbench
-/// `sim-paper` on a 2-vCPU Xeon host) a 64-bit page counter is ~2.8 M
+/// counters are `u64` — at the simulator's ~500 k faults/s (perfbench
+/// `sim-paper` on a 2-vCPU Xeon host) a 64-bit page counter is ~1.2 M
 /// years from wrapping, so no width concern.
 #[derive(Debug, Default, Clone)]
 pub struct PrefetchStats {
@@ -228,6 +229,13 @@ impl AmpomPrefetcher {
     /// * `page_limit` — one past the last valid page,
     /// * `fetchable` — predicate: true iff the page is stored remotely and
     ///   not already in flight ("if j is not stored locally").
+    ///
+    /// This is the per-page form of [`Prefetcher::on_fault`]: the
+    /// predicate answers the same range queries through
+    /// [`Fetchable`]'s blanket impl, once per zone page in selection
+    /// order, never for `page` itself.
+    ///
+    /// [`Prefetcher::on_fault`]: crate::policy::Prefetcher::on_fault
     pub fn on_fault(
         &mut self,
         page: PageId,
@@ -236,6 +244,21 @@ impl AmpomPrefetcher {
         net: NetEstimates,
         page_limit: PageId,
         mut fetchable: impl FnMut(PageId) -> bool,
+    ) -> ZoneDecision {
+        self.analyse(page, now, cpu_util, net, page_limit, &mut fetchable)
+    }
+
+    /// [`Self::on_fault`] over a range query: the zone's runs go to
+    /// `fetchable` whole, except that a run holding `page` is split
+    /// around it.
+    pub(crate) fn analyse<F: Fetchable + ?Sized>(
+        &mut self,
+        page: PageId,
+        now: SimTime,
+        cpu_util: f64,
+        net: NetEstimates,
+        page_limit: PageId,
+        fetchable: &mut F,
     ) -> ZoneDecision {
         self.window.record(page, now, cpu_util);
         self.stats.analyses += 1;
@@ -271,11 +294,15 @@ impl AmpomPrefetcher {
         if c.outstanding.is_empty() {
             self.stats.fallbacks += 1;
         }
-        let zone = select_zone(&c.outstanding, budget, page, page_limit);
-        let prefetch: Vec<PageId> = zone
-            .into_iter()
-            .filter(|&p| p != page && fetchable(p))
-            .collect();
+        let mut prefetch = Vec::new();
+        for run in select_zone(&c.outstanding, budget, page, page_limit) {
+            if run.contains(page) {
+                fetchable.extend_fetchable(run.start, page, &mut prefetch);
+                fetchable.extend_fetchable(page.succ(), run.end, &mut prefetch);
+            } else {
+                fetchable.extend_fetchable(run.start, run.end, &mut prefetch);
+            }
+        }
         self.stats.pages_selected += prefetch.len() as u64;
         self.last_census = Some(c);
 
@@ -409,6 +436,37 @@ mod tests {
             let d = p.on_fault(PageId(i), t(i * 100), 1.0, net(), limit, |_| true);
             assert!(!d.prefetch.contains(&PageId(i)));
         }
+    }
+
+    #[test]
+    fn the_faulted_page_is_never_asked_about() {
+        use crate::zone::select_zone;
+        use ampom_sim::propcheck::forall;
+        // Faults crowded into 48 pages often make a stream's pivot the
+        // faulted page, so a zone run holds it. Every page asked about is
+        // fetchable: only the split around the faulted page keeps it out.
+        let mut runs_holding_it = 0u32;
+        forall("faulted-page-split", 128, |g| {
+            let mut p = prefetcher();
+            let limit = PageId(48);
+            for i in 0..40u64 {
+                let page = PageId(g.u64(0..48));
+                let mut asked = Vec::new();
+                let d = p.on_fault(page, t(i * 100), 1.0, net(), limit, |q| {
+                    asked.push(q);
+                    true
+                });
+                assert!(!asked.contains(&page), "asked about {page}: {asked:?}");
+                assert!(!d.prefetch.contains(&page));
+                let outstanding = &p.last_census.as_ref().expect("analysed").outstanding;
+                let runs = select_zone(outstanding, d.budget, page, limit);
+                runs_holding_it += u32::from(runs.iter().any(|r| r.contains(page)));
+            }
+        });
+        assert!(
+            runs_holding_it >= 10,
+            "{runs_holding_it} zones held the page"
+        );
     }
 
     #[test]

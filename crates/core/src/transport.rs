@@ -48,7 +48,7 @@ use crate::lifecycle::{writeback_batch_bytes, ForwardWriteback};
 use crate::metrics::{DeputyStats, FaultStats, RunReport, RunSeries};
 use crate::migration::{perform_freeze, FreezeOutcome, PreMigrationState, Scheme};
 use crate::monitor::MonitorDaemon;
-use crate::policy::{PrefetchFeedback, Prefetcher};
+use crate::policy::{extend_by_word, Fetchable, PrefetchFeedback, Prefetcher};
 use crate::prefetcher::{NetEstimates, PrefetchStats};
 use crate::reliability::{FailurePolicy, FaultInjector, RetryStep};
 use crate::runner::{RunConfig, MINOR_FAULT_COST, PAGE_INSTALL_COST};
@@ -114,6 +114,16 @@ pub trait Transport {
 
     /// Whether `page` has been requested and not yet installed.
     fn is_in_flight(&self, page: PageId) -> bool;
+
+    /// The in-flight pages among `64·word … 64·word + 63` as a bit mask
+    /// (bit `i` is page `64·word + i`). The zone filter reads it once per
+    /// word of the zone. The default asks [`Self::is_in_flight`] per page;
+    /// a transport that keeps a page bitset answers with one word.
+    fn in_flight_word(&self, word: u64) -> u64 {
+        (0..64)
+            .filter(|&bit| self.is_in_flight(PageId(word * 64 + bit)))
+            .fold(0, |mask, bit| mask | 1 << bit)
+    }
 
     /// Number of requested-but-uninstalled pages.
     fn in_flight_count(&self) -> usize;
@@ -647,6 +657,10 @@ impl Transport for SimulatedTransport {
         self.in_flight.contains(page)
     }
 
+    fn in_flight_word(&self, word: u64) -> u64 {
+        self.in_flight.word(word)
+    }
+
     fn in_flight_count(&self) -> usize {
         self.in_flight.len()
     }
@@ -717,8 +731,9 @@ impl Transport for SimulatedTransport {
 
 /// The requested-but-uninstalled pages of [`SimulatedTransport`].
 ///
-/// The zone filter asks "is `p` in flight?" once per candidate page, so
-/// membership is a page-indexed bitset (1 bit per page, grown on demand).
+/// The zone filter asks "which of these 64 pages are in flight?" once per
+/// word of the zone, so membership is a page-indexed bitset (1 bit per
+/// page, grown on demand).
 /// Arrival times stay in a map: only the waits read them, once per fault
 /// and once per served page. Both change only through this type's
 /// methods, so a page has its bit set exactly while it has an arrival.
@@ -757,6 +772,16 @@ impl InFlight {
     fn contains(&self, page: PageId) -> bool {
         let (word, bit) = Self::slot(page);
         self.bits.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Membership of pages `64·word … 64·word + 63`; words past the end
+    /// of the bitset hold no page.
+    fn word(&self, word: u64) -> u64 {
+        usize::try_from(word)
+            .ok()
+            .and_then(|w| self.bits.get(w))
+            .copied()
+            .unwrap_or(0)
     }
 
     fn arrival(&self, page: PageId) -> Option<SimTime> {
@@ -1217,6 +1242,29 @@ fn utilization(cpu: SimDuration, now: SimTime, last_fault: SimTime) -> f64 {
     }
 }
 
+/// The forward loop's answer to the zone query: a page is fetchable when
+/// it is remote in the destination's address space and not in flight.
+/// Read a word at a time, in-flight mask first: in steady state nearly
+/// every word of the zone is already in flight, and then the address
+/// space is not read at all.
+struct ZoneFilter<'a> {
+    space: &'a AddressSpace,
+    transport: &'a dyn Transport,
+}
+
+impl Fetchable for ZoneFilter<'_> {
+    fn extend_fetchable(&mut self, start: PageId, end: PageId, out: &mut Vec<PageId>) {
+        extend_by_word(start, end, out, |word, run| {
+            let left = run & !self.transport.in_flight_word(word);
+            if left == 0 {
+                0
+            } else {
+                left & self.space.remote_word(word)
+            }
+        });
+    }
+}
+
 /// One prefetch analysis against the transport's monitor estimates:
 /// outcome feedback, the policy's window/zone decision, and the
 /// analysis-time charge.
@@ -1235,9 +1283,11 @@ fn analyze(
 ) -> Vec<PageId> {
     let est = transport.estimates(*now);
     pf.note_outcome(feedback);
-    let decision = pf.on_fault(page, *now, util, est, page_limit, &mut |p| {
-        space.state(p) == PageState::Remote && !transport.is_in_flight(p)
-    });
+    let mut filter = ZoneFilter {
+        space,
+        transport: &*transport,
+    };
+    let decision = pf.on_fault(page, *now, util, est, page_limit, &mut filter);
     if decision.score_clamped {
         trace.record(
             *now,
@@ -1438,6 +1488,79 @@ mod tests {
                 .collect();
             assert_eq!(flying, vec![pages[1]]);
         }
+    }
+
+    #[test]
+    fn zone_filter_matches_the_per_page_predicate() {
+        use ampom_sim::propcheck::forall;
+        // Which cases the generator reached: a run starting off / on a
+        // word boundary, ending off / on one, a one-page run, an empty
+        // run, the tail word of a space that is not a whole number of
+        // words, an in-flight word past the bitset's end, a word entirely
+        // in flight, a word with no remote page.
+        let mut seen = [0u32; 10];
+        forall("zone-filter-words", 512, |g| {
+            let data_pages = g.u64(1..320);
+            let layout = MemoryLayout::new(PAGE_SIZE, data_pages * PAGE_SIZE, PAGE_SIZE);
+            let mut space = AddressSpace::new(layout);
+            let total = space.total_pages();
+            let remote_share = *g.choose(&[0.0, 0.3, 0.9, 1.0]);
+            for p in (0..total).map(PageId) {
+                if g.bool(remote_share) {
+                    space.mark_remote(p);
+                } else if g.bool(0.5) {
+                    space.touch(p, g.bool(0.5));
+                }
+            }
+            // In-flight pages only below a random end, so the bitset can
+            // stop short of the space.
+            let mut t = SimulatedTransport::new(&RunConfig::new(Scheme::Ampom));
+            let flying_share = *g.choose(&[0.0, 0.5, 0.95, 1.0]);
+            for p in (0..g.u64(0..total + 1)).map(PageId) {
+                if g.bool(flying_share) {
+                    t.in_flight.insert(p, SimTime::ZERO);
+                }
+            }
+            for _ in 0..4 {
+                let start = g.u64(0..total + 1);
+                let end = match g.usize(0..4) {
+                    0 => start,
+                    1 => (start + 1).min(total),
+                    _ => g.u64(start..total + 1),
+                };
+                let mut got = Vec::new();
+                let mut filter = ZoneFilter {
+                    space: &space,
+                    transport: &t,
+                };
+                filter.extend_fetchable(PageId(start), PageId(end), &mut got);
+                let want: Vec<PageId> = (start..end)
+                    .map(PageId)
+                    .filter(|&p| space.state(p) == PageState::Remote && !t.is_in_flight(p))
+                    .collect();
+                assert_eq!(got, want, "run {start}..{end} of {total} pages");
+
+                if start == end {
+                    seen[5] += 1;
+                    continue;
+                }
+                let words = start / 64..=(end - 1) / 64;
+                let (start_bit, end_bit, tail) = (start % 64, end % 64, total % 64);
+                seen[0] += u32::from(start_bit != 0);
+                seen[1] += u32::from(start_bit == 0);
+                seen[2] += u32::from(end_bit != 0);
+                seen[3] += u32::from(end_bit == 0);
+                seen[4] += u32::from(end - start == 1);
+                seen[6] += u32::from(tail != 0 && end > total - tail);
+                seen[7] += u32::from(*words.end() >= t.in_flight.bits.len() as u64);
+                seen[8] += u32::from(words.clone().any(|w| t.in_flight_word(w) == u64::MAX));
+                seen[9] += u32::from(words.clone().any(|w| space.remote_word(w) == 0));
+            }
+        });
+        assert!(
+            seen.iter().all(|&n| n >= 10),
+            "edge cases reached: {seen:?}"
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use ampom_workloads::memref::{MemRef, Workload};
 
 use crate::metrics::RunReport;
 use crate::migration::Scheme;
-use crate::policy::{PrefetchFeedback, PrefetchObservation, Prefetcher};
+use crate::policy::{Fetchable, PrefetchFeedback, PrefetchObservation, Prefetcher};
 use crate::prefetcher::{NetEstimates, PrefetchStats, ZoneDecision};
 use crate::runner::RunConfig;
 use crate::transport::{drive, SimulatedTransport};
@@ -242,7 +242,7 @@ impl Prefetcher for GuestWindows {
         cpu_util: f64,
         net: NetEstimates,
         page_limit: PageId,
-        fetchable: &mut dyn FnMut(PageId) -> bool,
+        fetchable: &mut dyn Fetchable,
     ) -> ZoneDecision {
         self.last = guest_of(&self.starts, page);
         self.windows[self.last].on_fault(page, now, cpu_util, net, page_limit, fetchable)

@@ -16,7 +16,7 @@
 //! dependent, imitating the read ahead policy of the Linux virtual memory
 //! manager."
 
-use ampom_mem::page::PageId;
+use ampom_mem::page::{PageId, PageRange};
 use ampom_sim::time::SimDuration;
 
 use crate::census::OutstandingStream;
@@ -64,7 +64,11 @@ pub fn dependent_zone_size(inp: &ZoneSizeInputs) -> f64 {
 /// * `page_limit` — one past the last valid page of the address space
 ///   (zone pages beyond it are dropped).
 ///
-/// Returns the selected pages in selection order, duplicate-free.
+/// Returns the selected pages as non-empty runs of consecutive pages, in
+/// selection order: the read-ahead run, or each stream's gap runs.
+/// Flattened, the runs are the selected pages in selection order,
+/// duplicate-free. A run costs two page numbers however many pages it
+/// covers, so nothing here is sized by `budget`.
 ///
 /// **Dedup by walked ranges.** Each stream walks contiguously upward from
 /// its pivot, so once stream `k` stops at page `e_k`, every page of
@@ -77,19 +81,21 @@ pub fn select_zone(
     budget: u64,
     last_page: PageId,
     page_limit: PageId,
-) -> Vec<PageId> {
+) -> Vec<PageRange> {
     if budget == 0 {
         return Vec::new();
     }
     let limit = page_limit.index();
-    let mut selected: Vec<PageId> = Vec::with_capacity(budget as usize);
+    let mut runs = Vec::new();
 
     if outstanding.is_empty() {
         // Read-ahead fallback: r_l + 1 … r_l + N.
         let first = last_page.index().saturating_add(1);
         let end = first.saturating_add(budget).min(limit);
-        selected.extend((first..end).map(PageId));
-        return selected;
+        if first < end {
+            runs.push(PageRange::new(PageId(first), PageId(end)));
+        }
+        return runs;
     }
 
     let m = outstanding.len() as u64;
@@ -116,7 +122,7 @@ pub fn select_zone(
                 .filter(|&s| s > p)
                 .fold(limit, u64::min);
             let run_end = p.saturating_add(quota).min(next_walked);
-            selected.extend((p..run_end).map(PageId));
+            runs.push(PageRange::new(PageId(p), PageId(run_end)));
             quota -= run_end - p;
             p = run_end;
         }
@@ -124,13 +130,18 @@ pub fn select_zone(
             walked.push((stream.pivot, p));
         }
     }
-    selected
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::census::census;
+
+    /// The selected pages in selection order.
+    fn pages(runs: &[PageRange]) -> Vec<PageId> {
+        runs.iter().flat_map(PageRange::iter).collect()
+    }
 
     fn inputs(s: f64, r: f64) -> ZoneSizeInputs {
         ZoneSizeInputs {
@@ -178,7 +189,7 @@ mod tests {
 
     #[test]
     fn fallback_reads_ahead_of_last_page() {
-        let zone = select_zone(&[], 4, PageId(100), PageId(1_000));
+        let zone = pages(&select_zone(&[], 4, PageId(100), PageId(1_000)));
         assert_eq!(
             zone,
             vec![PageId(101), PageId(102), PageId(103), PageId(104)]
@@ -187,14 +198,14 @@ mod tests {
 
     #[test]
     fn fallback_respects_address_space_end() {
-        let zone = select_zone(&[], 10, PageId(98), PageId(100));
+        let zone = pages(&select_zone(&[], 10, PageId(98), PageId(100)));
         assert_eq!(zone, vec![PageId(99)]);
     }
 
     #[test]
     fn quota_splits_across_pivots() {
         let c = census(&[100, 200, 101, 201, 102, 202], 4);
-        let zone = select_zone(&c.outstanding, 6, PageId(202), PageId(10_000));
+        let zone = pages(&select_zone(&c.outstanding, 6, PageId(202), PageId(10_000)));
         // Two pivots (103, 203), three pages each.
         assert_eq!(zone.len(), 6);
         assert!(zone.contains(&PageId(103)));
@@ -206,7 +217,7 @@ mod tests {
     #[test]
     fn remainder_goes_to_earlier_pivots() {
         let c = census(&[100, 200, 101, 201, 102, 202], 4);
-        let zone = select_zone(&c.outstanding, 5, PageId(202), PageId(10_000));
+        let zone = pages(&select_zone(&c.outstanding, 5, PageId(202), PageId(10_000)));
         assert_eq!(zone.len(), 5);
         // First outstanding stream (ends earlier in the window) gets 3.
         let low: Vec<_> = zone.iter().filter(|p| p.index() < 200).collect();
@@ -230,7 +241,7 @@ mod tests {
                 pivot: 10,
             },
         ];
-        let zone = select_zone(&streams, 4, PageId(9), PageId(1_000));
+        let zone = pages(&select_zone(&streams, 4, PageId(9), PageId(1_000)));
         assert_eq!(zone, vec![PageId(10), PageId(11), PageId(12), PageId(13)]);
     }
 
@@ -241,11 +252,24 @@ mod tests {
     }
 
     #[test]
+    fn a_run_costs_the_same_at_any_budget() {
+        // A cap the validator accepts may exceed any address space; the
+        // zone is still one run, not a budget-sized list.
+        let runs = select_zone(&[], u64::MAX, PageId(5), PageId(u64::MAX));
+        assert_eq!(runs, vec![PageRange::new(PageId(6), PageId(u64::MAX))]);
+        let c = census(&[100, 200, 101, 201, 102, 202], 4);
+        let runs = select_zone(&c.outstanding, u64::MAX, PageId(202), PageId(1 << 40));
+        // The first pivot's quota reaches the end of the space, so the
+        // second pivot lands inside its walk.
+        assert_eq!(runs, vec![PageRange::new(PageId(103), PageId(1 << 40))]);
+    }
+
+    #[test]
     fn paper_example_pivots_drive_selection() {
         // §3.4's window: pivots 16, 5, 6 — with budget 3 each pivot gets
         // one page.
         let c = census(&[13, 27, 7, 8, 14, 8, 3, 15, 4, 5], 4);
-        let zone = select_zone(&c.outstanding, 3, PageId(5), PageId(1_000));
+        let zone = pages(&select_zone(&c.outstanding, 3, PageId(5), PageId(1_000)));
         let mut got: Vec<u64> = zone.iter().map(|p| p.index()).collect();
         got.sort();
         assert_eq!(got, vec![5, 6, 16]);

@@ -6,11 +6,12 @@
 //! every experiment. This suite re-derives the definitions from scratch in
 //! the most literal (and least efficient) way possible and checks the
 //! production implementation against it on random windows. The zone
-//! selection is checked the same way against a per-page set.
+//! selection is checked the same way against a per-page set: its runs,
+//! flattened, must be the reference's pages in the reference's order.
 
 use ampom_core::census::{census, Census, OutstandingStream};
 use ampom_core::zone::select_zone;
-use ampom_mem::page::PageId;
+use ampom_mem::page::{PageId, PageRange};
 use ampom_sim::propcheck::{forall, Gen};
 
 /// Reference: for each position p (0-based), the minimal d ≥ 1 with
@@ -216,6 +217,23 @@ fn reference_select_zone(
     selected
 }
 
+/// Checks the shape of `select_zone`'s runs — each non-empty, none
+/// overlapping another, none ending past `page_limit` — and returns the
+/// pages they cover in selection order.
+fn flatten_runs(runs: &[PageRange], page_limit: PageId) -> Vec<PageId> {
+    for (i, run) in runs.iter().enumerate() {
+        assert!(!run.is_empty(), "empty run {run:?} in {runs:?}");
+        assert!(run.end <= page_limit, "run {run:?} passes {page_limit:?}");
+        for other in &runs[i + 1..] {
+            assert!(
+                run.end <= other.start || other.end <= run.start,
+                "runs {run:?} and {other:?} overlap"
+            );
+        }
+    }
+    runs.iter().flat_map(PageRange::iter).collect()
+}
+
 /// Up to five streams whose pivots crowd a small page range around
 /// `limit`: a quarter repeat an earlier pivot, and some start at or past
 /// the end of the address space.
@@ -253,7 +271,10 @@ fn select_zone_matches_reference_on_random_streams() {
             _ => g.u64(0..2 * limit),
         };
         let last = PageId(g.u64(0..limit + 4));
-        let got = select_zone(&streams, budget, last, PageId(limit));
+        let got = flatten_runs(
+            &select_zone(&streams, budget, last, PageId(limit)),
+            PageId(limit),
+        );
         let want = reference_select_zone(&streams, budget, last, PageId(limit));
         assert_eq!(
             got, want,
@@ -292,7 +313,7 @@ fn select_zone_matches_reference_on_census_streams() {
         let budget = g.u64(0..64);
         let last = PageId(pages.last().copied().unwrap_or(0));
         assert_eq!(
-            select_zone(&c.outstanding, budget, last, limit),
+            flatten_runs(&select_zone(&c.outstanding, budget, last, limit), limit),
             reference_select_zone(&c.outstanding, budget, last, limit)
         );
     });

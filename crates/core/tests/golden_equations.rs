@@ -120,7 +120,7 @@ fn zone_selection_golden_paper_pivots() {
     // budget 3 gives each pivot exactly one page.
     let c = census(&[13, 27, 7, 8, 14, 8, 3, 15, 4, 5], DMAX);
     let zone = select_zone(&c.outstanding, 3, PageId(5), PageId(1_000));
-    let mut got: Vec<u64> = zone.iter().map(|p| p.index()).collect();
+    let mut got: Vec<u64> = zone.iter().flat_map(|run| run.as_indices()).collect();
     got.sort_unstable();
     assert_eq!(got, vec![5, 6, 16]);
 }

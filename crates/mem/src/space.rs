@@ -101,6 +101,29 @@ impl AddressSpace {
         self.remote
     }
 
+    /// The remote pages among `64·word … 64·word + 63` as a bit mask (bit
+    /// `i` is page `64·word + i`), for filters that answer 64 pages at a
+    /// time. Pages past the end of the space are not remote.
+    pub fn remote_word(&self, word: u64) -> u64 {
+        let start = usize::try_from(word.saturating_mul(64)).unwrap_or(usize::MAX);
+        let states = self.states.get(start..).unwrap_or_default();
+        // One 0/1 byte per page (a loop the compiler vectorizes), then
+        // eight bytes to eight bits per multiply: byte `i`'s bit lands at
+        // bit `56 + i` of the product, and no two partial products
+        // overlap, so nothing carries into the top byte.
+        let mut remote = [0u8; 64];
+        for (r, s) in remote.iter_mut().zip(states) {
+            *r = u8::from(*s == PageState::Remote);
+        }
+        remote
+            .chunks_exact(8)
+            .enumerate()
+            .fold(0, |mask, (k, bytes)| {
+                let bytes = u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"));
+                mask | (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
+            })
+    }
+
     /// Touches `page` (read or write), updating residency state and dirty
     /// bits, and reports what kind of fault (if any) occurred. On
     /// `RemoteFault` the state is *not* changed — the caller must fetch the
@@ -309,6 +332,24 @@ mod tests {
     fn out_of_range_page_panics() {
         let s = small_space();
         let _ = s.state(PageId(100));
+    }
+
+    #[test]
+    fn remote_word_reads_64_pages_and_stops_at_the_end() {
+        // 130 pages: two full words and a two-page tail.
+        let mut s = AddressSpace::new(MemoryLayout::new(4096, 128 * 4096, 4096));
+        assert_eq!(s.total_pages(), 130);
+        for p in [0, 5, 63, 64, 127, 129] {
+            s.mark_remote(PageId(p));
+        }
+        s.touch(PageId(6), true);
+        assert_eq!(s.remote_word(0), 1 | 1 << 5 | 1 << 63);
+        assert_eq!(s.remote_word(1), 1 | 1 << 63);
+        assert_eq!(s.remote_word(2), 1 << 1, "the tail word stops at page 129");
+        s.install(PageId(129));
+        for word in [2, 3, u64::MAX / 64, u64::MAX] {
+            assert_eq!(s.remote_word(word), 0, "word {word}");
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub const EAGER_PAGE_COST: SimDuration = SimDuration::from_micros(6);
 /// Simulated cost of one execution of AMPoM's dependent-zone analysis
 /// (record fault, stride census over l=20, Eq. 1, Eq. 3, pivot selection).
 /// The `algorithm` microbenchmarks measure the Rust implementation at
-/// 0.56–1.3 µs for a ~34-page zone and 1.3–2.5 µs at the 512-page cap on a
+/// 0.85–1.5 µs for a ~34-page zone and 1.0–1.7 µs at the 512-page cap on a
 /// 2-vCPU Xeon host; a 2 GHz P4 running the in-kernel C version is modelled
 /// at 2 µs, keeping the Figure 11 overhead fraction comfortably under the
 /// paper's 0.6 % ceiling.

@@ -43,7 +43,7 @@ fn section_3_4_outstanding_streams_and_pivots() {
     // stream overlaps the pivot-5 stream's selection, so its saved quota
     // extends to pages 7 and 8 (the §3.4 "saved quota" rule).
     let zone = select_zone(&c.outstanding, 6, PageId(5), PageId(100_000));
-    let mut got: Vec<u64> = zone.iter().map(|p| p.index()).collect();
+    let mut got: Vec<u64> = zone.iter().flat_map(|run| run.as_indices()).collect();
     got.sort_unstable();
     assert_eq!(got, vec![5, 6, 7, 8, 16, 17]);
 }

@@ -6,6 +6,7 @@
 use std::collections::HashSet;
 
 use ampom::core::migration::Scheme;
+use ampom::core::policy::{extend_by_word, Fetchable};
 use ampom::core::prefetcher::{AmpomConfig, NetEstimates};
 use ampom::core::runner::{run_workload, RunConfig};
 use ampom::core::{PolicySpec, PrefetchFeedback, RunReport};
@@ -236,16 +237,72 @@ fn trait_object_default_policy_matches_the_pre_refactor_fingerprint() {
     assert_eq!(explicit.fingerprint(), GOLD_SEQ512_AMPOM);
 }
 
+/// How the conservation check answers a policy's zone query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Query {
+    /// A per-page closure over the requested set; the faulted page is
+    /// marked requested before the analysis.
+    Closure,
+    /// Two page bitsets read a word at a time, as the forward loop's
+    /// zone filter reads them; the faulted page is still remote and not
+    /// in flight while the analysis runs.
+    Bitsets,
+}
+
+/// Remote and in-flight page bitsets answering the zone query 64 pages
+/// per word.
+struct PageBits {
+    remote: Vec<u64>,
+    in_flight: Vec<u64>,
+}
+
+impl PageBits {
+    /// Every page of a `pages`-page space remote, none in flight.
+    fn all_remote(pages: u64) -> Self {
+        let words = pages.div_ceil(64) as usize;
+        let mut remote = vec![u64::MAX; words];
+        let tail = pages % 64;
+        if tail != 0 {
+            remote[words - 1] = u64::MAX >> (64 - tail);
+        }
+        PageBits {
+            remote,
+            in_flight: vec![0; words],
+        }
+    }
+
+    fn request(&mut self, page: PageId) {
+        self.in_flight[(page.0 / 64) as usize] |= 1 << (page.0 % 64);
+    }
+
+    fn install(&mut self, page: PageId) {
+        let (word, bit) = ((page.0 / 64) as usize, 1u64 << (page.0 % 64));
+        self.in_flight[word] &= !bit;
+        self.remote[word] &= !bit;
+    }
+}
+
+impl Fetchable for PageBits {
+    fn extend_fetchable(&mut self, start: PageId, end: PageId, out: &mut Vec<PageId>) {
+        extend_by_word(start, end, out, |word, run| {
+            let w = word as usize;
+            run & self.remote[w] & !self.in_flight[w]
+        });
+    }
+}
+
 /// Drives one boxed policy through a generated fault stream while
-/// mirroring the runner's bookkeeping: the fetchable predicate rejects
+/// mirroring the runner's bookkeeping: the fetchable query rejects
 /// resident and in-flight pages, and every page a decision requests
 /// immediately becomes in-flight.
-fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec) {
+fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec, query: Query) {
     let mut pf = spec.build(&AmpomConfig::default());
     let page_limit = PageId(g.u64(64..4096));
     let faults = g.usize(10..80);
     let stride = g.u64(1..4);
     let mut resident: HashSet<u64> = HashSet::new();
+    let mut bits = PageBits::all_remote(page_limit.0);
+    let mut flying: Vec<PageId> = Vec::new();
     let mut now = SimTime::ZERO;
     let mut cursor = g.u64(0..page_limit.0);
     let mut prefetched: u64 = 0;
@@ -275,11 +332,30 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec) {
             prefetched_used: used,
         });
 
-        // The faulted page is being demand-fetched: not fetchable.
-        resident.insert(page.0);
-        let d = pf.on_fault(page, now, g.unit_f64(), net, page_limit, &mut |p| {
-            !resident.contains(&p.0)
-        });
+        let cpu = g.unit_f64();
+        let d = match query {
+            Query::Closure => {
+                // The faulted page is being demand-fetched: not fetchable.
+                resident.insert(page.0);
+                pf.on_fault(page, now, cpu, net, page_limit, &mut |p: PageId| {
+                    !resident.contains(&p.0)
+                })
+            }
+            Query::Bitsets => {
+                // Some earlier requests arrive; then the fault is
+                // analysed before its own demand request goes out.
+                let arrived = g.usize(0..flying.len() + 1);
+                for p in flying.drain(..arrived) {
+                    bits.install(p);
+                }
+                let d = pf.on_fault(page, now, cpu, net, page_limit, &mut bits);
+                if resident.insert(page.0) {
+                    bits.request(page);
+                    flying.push(page);
+                }
+                d
+            }
+        };
 
         let mut this_decision: HashSet<u64> = HashSet::new();
         for p in &d.prefetch {
@@ -298,6 +374,8 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec) {
                 p.0
             );
             resident.insert(p.0);
+            bits.request(*p);
+            flying.push(*p);
         }
         prefetched += d.prefetch.len() as u64;
         assert!(d.prefetch.len() as u64 <= d.budget.max(1));
@@ -313,7 +391,16 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec) {
 fn no_policy_requests_a_resident_or_pending_page() {
     forall("policy-conservation", 24, |g| {
         for spec in PolicySpec::all() {
-            check_policy_conservation(g, &spec);
+            check_policy_conservation(g, &spec, Query::Closure);
+        }
+    });
+}
+
+#[test]
+fn no_policy_requests_a_resident_or_pending_page_from_bitsets() {
+    forall("policy-conservation-bitsets", 24, |g| {
+        for spec in PolicySpec::all() {
+            check_policy_conservation(g, &spec, Query::Bitsets);
         }
     });
 }
