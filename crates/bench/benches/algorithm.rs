@@ -12,14 +12,24 @@
 //! run repeats around each fault, at `sim-scatter`'s shape: the MPT/HPT
 //! transitions behind every served and every evicted page, and the
 //! write-set's note-then-flush cycle.
+//!
+//! The `multirun` group times the whole migrant loop on its own and
+//! inside `run_multi`: a 16,384-page sequential sweep solo and as the one
+//! migrant of a multi-run, under AMPoM and NoPrefetch, then 4 and 64
+//! migrants of a 2,048-page sweep against the same runs solo.
 
 use ampom_bench::{black_box, Harness};
 use ampom_core::census::{census, OutstandingStream};
+use ampom_core::experiment::WorkloadSpec;
+use ampom_core::multirun::{run_multi, MultiRunSpec};
 use ampom_core::policy::{extend_by_word, Fetchable, PolicySpec};
 use ampom_core::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates};
+use ampom_core::runner::RunConfig;
 use ampom_core::score::spatial_score;
+use ampom_core::transport::{run_with_transport, SimulatedTransport};
 use ampom_core::window::LookbackWindow;
 use ampom_core::zone::{dependent_zone_size, select_zone, ZoneSizeInputs};
+use ampom_core::{RunReport, Scheme};
 use ampom_mem::page::PageId;
 use ampom_mem::table::{PageLocation, PageTablePair};
 use ampom_mem::writeback::WriteSet;
@@ -256,6 +266,46 @@ fn bench_paging(h: &mut Harness) {
     g.finish();
 }
 
+fn bench_multirun(h: &mut Harness) {
+    let sweep = |pages| WorkloadSpec::Sequential {
+        pages,
+        cpu: SimDuration::from_micros(10),
+    };
+    let solo = |cfg: &RunConfig, spec: &WorkloadSpec, seed| -> RunReport {
+        let mut w = spec.build(seed).expect("valid sweep");
+        run_with_transport(w.as_mut(), cfg, &mut SimulatedTransport::new(cfg)).expect("valid run")
+    };
+    let mut g = h.group("multirun");
+    for (scheme, name) in [(Scheme::Ampom, "ampom"), (Scheme::NoPrefetch, "noprefetch")] {
+        let cfg = RunConfig::new(scheme);
+        let spec = MultiRunSpec::homogeneous(cfg.clone(), sweep(16_384), 1, 1);
+        let one = run_multi(&spec).expect("valid multi-run");
+        assert_eq!(
+            one.reports[0].fingerprint(),
+            solo(&cfg, &sweep(16_384), 1).fingerprint()
+        );
+        g.bench(&format!("solo_16k_{name}"), || {
+            solo(&cfg, &sweep(16_384), 1).faults_total
+        });
+        g.bench(&format!("n1_16k_{name}"), || {
+            run_multi(&spec).expect("valid multi-run").makespan
+        });
+    }
+    for n in [4, 64] {
+        let spec = MultiRunSpec::homogeneous(RunConfig::new(Scheme::Ampom), sweep(2_048), 1, n);
+        g.bench(&format!("solo_2k_x{n}"), || {
+            spec.migrants
+                .iter()
+                .map(|m| solo(&spec.cfg, &m.workload, m.seed).total_time)
+                .max()
+        });
+        g.bench(&format!("n{n}_2k"), || {
+            run_multi(&spec).expect("valid multi-run").makespan
+        });
+    }
+    g.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_window_record(&mut h);
@@ -263,5 +313,6 @@ fn main() {
     bench_score_and_zone(&mut h);
     bench_full_analysis(&mut h);
     bench_paging(&mut h);
+    bench_multirun(&mut h);
     h.finish();
 }

@@ -224,9 +224,13 @@ impl WorkloadSpec {
             } if *streams == 0 || *stream_pages == 0 => fail(format!(
                 "interleave of {streams} streams x {stream_pages} pages"
             )),
-            WorkloadSpec::Strided { pages, stride, .. } if *pages == 0 || *stride == 0 => fail(
-                format!("strided sweep of {pages} pages with stride {stride}"),
-            ),
+            WorkloadSpec::Strided { pages, stride, .. }
+                if *pages == 0 || *stride == 0 || *stride > *pages =>
+            {
+                fail(format!(
+                    "strided sweep of {pages} pages with stride {stride}"
+                ))
+            }
             WorkloadSpec::UniformRandom { pages, touches, .. } if *pages == 0 || *touches == 0 => {
                 fail(format!("{touches} random touches over {pages} pages"))
             }
@@ -755,15 +759,25 @@ mod tests {
 
     #[test]
     fn script_beyond_pool_is_rejected() {
-        let spec = WorkloadSpec::Scripted {
-            pages: 4,
-            refs: std::sync::Arc::new(vec![1, 2, 9]),
-            cpu: CPU,
-        };
-        assert!(matches!(
-            spec.validate(),
-            Err(AmpomError::WorkloadExhausted(_))
-        ));
+        for spec in [
+            WorkloadSpec::Scripted {
+                pages: 4,
+                refs: std::sync::Arc::new(vec![1, 2, 9]),
+                cpu: CPU,
+            },
+            // A stride past the pool: `Strided::new` would panic.
+            WorkloadSpec::Strided {
+                pages: 4,
+                stride: 9,
+                cpu: CPU,
+            },
+        ] {
+            assert!(matches!(
+                spec.validate(),
+                Err(AmpomError::WorkloadExhausted(_))
+            ));
+            assert!(spec.build(0).is_err());
+        }
     }
 
     #[test]

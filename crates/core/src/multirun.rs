@@ -4,23 +4,27 @@
 //! dependency argument (§2.2, §7) only matters at cluster scale, where a
 //! single home node answers paging requests for *many* migrated
 //! processes at once. [`run_multi`] executes N migrant protocol loops —
-//! each the unmodified [`run_with_transport`] — against one
+//! each the unmodified loop of
+//! [`run_with_transport`](crate::transport::run_with_transport) — against one
 //! [`MultiDeputy`] that shards queues per
 //! migrant, coalesces duplicate page requests, and divides the shared
 //! service capacity by deficit round robin.
 //!
 //! ## Execution model
 //!
-//! Each migrant runs on its own OS thread behind a [`Transport`] handle
-//! whose every operation is a *rendezvous*: the call (tagged with the
-//! migrant's simulated clock) parks on a channel until the coordinator
-//! answers it. The coordinator acts only when **every** live migrant is
-//! parked, and always processes the parked call with the smallest
-//! `(time, migrant index)` — so the interleaving is a pure function of
-//! the simulated clocks and never of host scheduling. Determinism is
-//! pinned by tests; the N=1 path is pinned bit-identical to
+//! Every migrant runs on the caller's thread. Its loop is a future over
+//! a member [`Transport`], and each member call whose answer may depend
+//! on another migrant first waits for the migrant's *turn*, then runs in
+//! place. Turns are chosen only when **every** live migrant waits, and
+//! go to the waiting call with the smallest `(time, migrant index)` — so
+//! the interleaving is a pure function of the simulated clocks.
+//! [`run_multi`] polls the futures in a plain loop: no thread, no async
+//! runtime. With one live migrant every turn is granted on the spot, so
+//! an N=1 run never suspends. Determinism is pinned by tests; the N=1
+//! path is pinned bit-identical to
 //! [`SimulatedTransport`](crate::transport::SimulatedTransport) by the
-//! `multi_identity` golden fingerprints.
+//! `multi_identity` golden fingerprints, and N>1 runs by that suite's
+//! multi-migrant table.
 //!
 //! ## Commit horizons
 //!
@@ -29,11 +33,11 @@
 //! commit is allowed only when no future submission could have been
 //! scheduled before it:
 //!
-//! * with unprocessed parked calls, commits stop at the earliest parked
-//!   clock (any future submission must arrive strictly later);
-//! * when every parked call is blocked waiting on the deputy, commits
-//!   proceed one event at a time until a wait resolves (the woken
-//!   migrant's future submissions arrive after its wake time);
+//! * with migrants waiting for their turn, commits stop at the earliest
+//!   waiting clock (any future submission must arrive strictly later);
+//! * when every live migrant is blocked on the deputy, commits proceed
+//!   one event at a time until a wait resolves (the woken migrant's
+//!   future submissions arrive after its wake time);
 //! * with a single live migrant the deputy commits everything eagerly —
 //!   one shard is FIFO, so order cannot change, and the eager path
 //!   state is exactly what the single-migrant transport exposes.
@@ -44,9 +48,10 @@
 //! they sum exactly to the aggregate (pinned by the fairness property
 //! suite).
 
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::task::{Context, Poll, Waker};
 
 use ampom_mem::page::PageId;
 use ampom_mem::table::{PageLocation, PageTablePair};
@@ -54,7 +59,7 @@ use ampom_net::cross::CrossTraffic;
 use ampom_net::fault::{Fate, FaultPlan};
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
-use ampom_sim::trace::{Trace, TraceData, TraceEvent, TraceKind};
+use ampom_sim::trace::{Trace, TraceData, TraceKind};
 
 use crate::cluster::NetPath;
 use crate::deputy::{AdmissionConfig, Completion, DrrConfig, MigrantId, MultiDeputy};
@@ -66,8 +71,8 @@ use crate::migration::{perform_freeze, FreezeOutcome, PreMigrationState, Scheme}
 use crate::monitor::MonitorDaemon;
 use crate::prefetcher::NetEstimates;
 use crate::reliability::{FailurePolicy, FaultProfile, RetrySchedule, RetryStep};
-use crate::runner::RunConfig;
-use crate::transport::{refuse_simulated_only, run_with_transport, Destination, Transport};
+use crate::runner::{RunConfig, PAGE_INSTALL_COST};
+use crate::transport::{migrant_loop, refuse_simulated_only, Destination, PageBits, Transport};
 
 /// Control-message size for a forwarded syscall (matches
 /// [`Deputy::forward_syscall`](crate::deputy::Deputy::forward_syscall)).
@@ -255,80 +260,30 @@ impl ampom_obs::MetricSource for MultiRunReport {
 }
 
 // ---------------------------------------------------------------------
-// Rendezvous protocol between migrant handles and the coordinator.
+// Turns.
 
-/// A transport operation, tagged with the migrant's simulated clock.
-enum Call {
-    Freeze {
-        scheme: Scheme,
-        pre: PreMigrationState,
-        trace_on: bool,
-    },
-    Request {
-        now: SimTime,
-        /// Unfiltered page count (demand + zone): sizes the request
-        /// message on the wire exactly like the single-migrant path.
-        total_pages: usize,
-        /// Pages still at the origin, in request order.
-        submit: Vec<PageId>,
-        /// The demanded page, when it is in `submit`. Admission control
-        /// never sheds it, and downtime recovery is attributed only to
-        /// requests that carry one (a pure-prefetch request stalls
-        /// nobody).
-        demand: Option<PageId>,
-    },
-    WaitFor {
-        now: SimTime,
-        page: PageId,
-    },
-    Install {
-        now: SimTime,
-    },
-    Syscall {
-        now: SimTime,
-        work: SimDuration,
-    },
-    Estimates {
-        now: SimTime,
-    },
-    WindowWrap {
-        now: SimTime,
-        wraps: u64,
-    },
-    Utilization {
-        now: SimTime,
-    },
-    /// One writeback delta batch of `pages` dirty pages. Answered
-    /// immediately (background traffic never blocks the migrant): the
-    /// coordinator charges the member's dest→home link and replies with
-    /// the wire bytes and the settle instant.
-    Writeback {
-        now: SimTime,
-        pages: usize,
-    },
-    /// Final synchronisation: ship byte counters and shard stats.
+/// What a waiting migrant waits for.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// Its turn for a call made at this clock.
+    Turn(SimTime),
+    /// Its turn for the final sync of its counters. A synced migrant
+    /// submits nothing more, so the sync is ordered after every clock and
+    /// stays out of the commit horizon.
     Sync,
-    /// The migrant finished (or failed); its thread is exiting.
-    Done,
+    /// It took its turn and blocks until this page's delivery commits.
+    Page(PageId),
+    /// It took its turn and blocks until its forwarded syscall completes.
+    Syscall,
 }
 
-impl Call {
-    /// The simulated time the coordinator orders this call by.
-    fn at(&self) -> SimTime {
+impl Wait {
+    /// The clock a turn is ordered by; `None` for a blocked migrant.
+    fn turn_at(self) -> Option<SimTime> {
         match self {
-            Call::Freeze { .. } => SimTime::ZERO,
-            Call::Request { now, .. }
-            | Call::WaitFor { now, .. }
-            | Call::Install { now }
-            | Call::Syscall { now, .. }
-            | Call::Estimates { now }
-            | Call::WindowWrap { now, .. }
-            | Call::Utilization { now }
-            | Call::Writeback { now, .. } => *now,
-            // Sync happens after the migrant's loop: order it last among
-            // its peers by using its (maximal) observation time.
-            Call::Sync => SimTime::ZERO + SimDuration::from_nanos(u64::MAX),
-            Call::Done => SimTime::ZERO,
+            Wait::Turn(at) => Some(at),
+            Wait::Sync => Some(SimTime::ZERO + SimDuration::from_nanos(u64::MAX)),
+            Wait::Page(_) | Wait::Syscall => None,
         }
     }
 }
@@ -337,366 +292,11 @@ impl Call {
 /// order (arrivals are nondecreasing — the reply link is FIFO).
 type Deliveries = Vec<(SimTime, PageId)>;
 
-enum ReplyBody {
-    Frozen {
-        outcome: FreezeOutcome,
-        events: Vec<TraceEvent>,
-    },
-    Accepted {
-        accepted: Vec<PageId>,
-        /// Prefetch pages the deputy refused under load. The migrant
-        /// reverts them to the origin so a later touch demand-fetches
-        /// them (sheds are recoverable, never lost).
-        shed: Vec<PageId>,
-    },
-    Ack,
-    SyscallDone {
-        at: SimTime,
-    },
-    Estimates {
-        est: NetEstimates,
-    },
-    Utilization {
-        value: f64,
-    },
-    WritebackDone {
-        bytes: u64,
-        settled_at: SimTime,
-    },
-    Synced {
-        bytes_to_dest: u64,
-        bytes_from_dest: u64,
-        deputy: DeputyStats,
-        /// Coordinator-side fault accounting for this migrant (all-zero
-        /// without a chaos profile).
-        faults: FaultStats,
-    },
-}
-
-struct Reply {
-    deliveries: Deliveries,
-    body: ReplyBody,
-}
-
-// ---------------------------------------------------------------------
-// Migrant-side transport handle.
-
-/// The migrant-side endpoint: implements [`Transport`] by parking every
-/// operation on the coordinator. Locally answerable operations (staged
-/// installs, waits for pages whose arrival is already known) skip the
-/// rendezvous — with one migrant the deputy commits eagerly, so *every*
-/// wait and install is local, exactly like the single-migrant transport.
-struct MigrantHandle {
-    id: MigrantId,
-    tx: Sender<(MigrantId, Call)>,
-    rx: Receiver<Reply>,
-    /// Requested-but-uninstalled pages; `None` until the reply arrival
-    /// is known.
-    in_flight: HashMap<PageId, Option<SimTime>>,
-    /// How many `in_flight` entries still await their arrival.
-    unknown: usize,
-    /// Delivered pages not yet installed, in arrival order.
-    staged: std::collections::VecDeque<(SimTime, PageId)>,
-    /// Final counters cached by the `Sync` rendezvous.
-    final_bytes: (u64, u64),
-    final_deputy: DeputyStats,
-    final_faults: FaultStats,
-    /// Set when the coordinator went away; fallible calls error out.
-    poisoned: bool,
-}
-
-impl MigrantHandle {
-    fn new(id: MigrantId, tx: Sender<(MigrantId, Call)>, rx: Receiver<Reply>) -> Self {
-        MigrantHandle {
-            id,
-            tx,
-            rx,
-            in_flight: HashMap::new(),
-            unknown: 0,
-            staged: std::collections::VecDeque::new(),
-            final_bytes: (0, 0),
-            final_deputy: DeputyStats::default(),
-            final_faults: FaultStats::default(),
-            poisoned: false,
-        }
-    }
-
-    fn call(&mut self, call: Call) -> Result<Reply, AmpomError> {
-        if self.poisoned {
-            return Err(AmpomError::Transport("multi-run coordinator gone".into()));
-        }
-        if self.tx.send((self.id, call)).is_err() {
-            self.poisoned = true;
-            return Err(AmpomError::Transport("multi-run coordinator gone".into()));
-        }
-        match self.rx.recv() {
-            Ok(reply) => Ok(reply),
-            Err(_) => {
-                self.poisoned = true;
-                Err(AmpomError::Transport("multi-run coordinator gone".into()))
-            }
-        }
-    }
-
-    /// Merges a reply's deliveries into the local arrival state.
-    fn absorb(&mut self, deliveries: Deliveries) {
-        for (arrival, page) in deliveries {
-            match self.in_flight.get_mut(&page) {
-                Some(slot @ None) => {
-                    *slot = Some(arrival);
-                    self.unknown -= 1;
-                }
-                _ => debug_assert!(false, "delivery for page not awaiting arrival"),
-            }
-            self.staged.push_back((arrival, page));
-        }
-    }
-}
-
-impl Transport for MigrantHandle {
-    fn freeze(
-        &mut self,
-        scheme: Scheme,
-        pre: &PreMigrationState,
-        trace: &mut Trace,
-    ) -> Result<FreezeOutcome, AmpomError> {
-        let reply = self.call(Call::Freeze {
-            scheme,
-            pre: pre.clone(),
-            trace_on: trace.is_enabled(),
-        })?;
-        match reply.body {
-            ReplyBody::Frozen { outcome, events } => {
-                for e in events {
-                    trace.record(e.at, e.kind, e.data);
-                }
-                self.absorb(reply.deliveries);
-                Ok(outcome)
-            }
-            _ => Err(AmpomError::Transport("unexpected freeze reply".into())),
-        }
-    }
-
-    fn request_pages(
-        &mut self,
-        now: SimTime,
-        demand: Option<PageId>,
-        prefetch: &[PageId],
-        table: &mut PageTablePair,
-    ) -> Result<Vec<PageId>, AmpomError> {
-        let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
-        if let Some(d) = demand {
-            pages.push(d);
-        }
-        pages.extend_from_slice(prefetch);
-        let total_pages = pages.len();
-        // The deputy-side origin filter runs here against the migrant's
-        // table view: only origin pages are serviceable, and they move
-        // to the destination the moment the deputy accepts them (the
-        // single-migrant deputy does both inside `serve_request`).
-        let submit: Vec<PageId> = pages
-            .into_iter()
-            .filter(|&p| table.lookup(p) == Some(PageLocation::Origin))
-            .collect();
-        for &p in &submit {
-            table.transfer_to_destination(p);
-        }
-        let demand_submitted = demand.filter(|d| submit.contains(d));
-        let reply = self.call(Call::Request {
-            now,
-            total_pages,
-            submit,
-            demand: demand_submitted,
-        })?;
-        let ReplyBody::Accepted { accepted, shed } = reply.body else {
-            return Err(AmpomError::Transport("unexpected request reply".into()));
-        };
-        // Shed prefetches revert to the origin: they were optimistically
-        // marked in-transfer above, and the deputy never serviced them.
-        // A later touch demand-fetches the page, so nothing is lost.
-        for &p in &shed {
-            table.return_to_origin(p);
-        }
-        let mut queued = Vec::new();
-        for &p in &accepted {
-            self.in_flight.insert(p, None);
-            self.unknown += 1;
-            if demand != Some(p) {
-                queued.push(p);
-            }
-        }
-        self.absorb(reply.deliveries);
-        Ok(queued)
-    }
-
-    fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError> {
-        match self.in_flight.get(&page) {
-            None => Err(AmpomError::Transport(format!(
-                "page {page} awaited but never requested"
-            ))),
-            Some(Some(arrival)) => Ok(*arrival),
-            Some(None) => {
-                let reply = self.call(Call::WaitFor { now, page })?;
-                self.absorb(reply.deliveries);
-                match self.in_flight.get(&page) {
-                    Some(Some(arrival)) => Ok(*arrival),
-                    _ => Err(AmpomError::Transport(format!(
-                        "page {page} wait resolved without a delivery"
-                    ))),
-                }
-            }
-        }
-    }
-
-    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
-        if self.unknown > 0 {
-            // Some arrivals are still coordinator-side: sync first.
-            if let Ok(reply) = self.call(Call::Install { now: *now }) {
-                self.absorb(reply.deliveries);
-            }
-        }
-        let mut installed = 0u64;
-        while let Some(&(arrival, page)) = self.staged.front() {
-            if arrival > *now {
-                break;
-            }
-            self.staged.pop_front();
-            self.in_flight.remove(&page);
-            dest.space.install(page);
-            installed += 1;
-        }
-        if installed > 0 {
-            *now += crate::runner::PAGE_INSTALL_COST.saturating_mul(installed);
-        }
-    }
-
-    fn is_in_flight(&self, page: PageId) -> bool {
-        self.in_flight.contains_key(&page)
-    }
-
-    fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    fn forward_syscall(
-        &mut self,
-        now: SimTime,
-        work: SimDuration,
-    ) -> Result<(SimTime, SimTime), AmpomError> {
-        let reply = self.call(Call::Syscall { now, work })?;
-        let ReplyBody::SyscallDone { at } = reply.body else {
-            return Err(AmpomError::Transport("unexpected syscall reply".into()));
-        };
-        self.absorb(reply.deliveries);
-        Ok((now, at))
-    }
-
-    fn estimates(&mut self, now: SimTime) -> NetEstimates {
-        match self.call(Call::Estimates { now }) {
-            Ok(Reply {
-                deliveries,
-                body: ReplyBody::Estimates { est },
-            }) => {
-                self.absorb(deliveries);
-                est
-            }
-            _ => NetEstimates {
-                t0: SimDuration::ZERO,
-                td: SimDuration::ZERO,
-            },
-        }
-    }
-
-    fn on_window_wrap(&mut self, now: SimTime, wraps: u64) {
-        if let Ok(reply) = self.call(Call::WindowWrap { now, wraps }) {
-            self.absorb(reply.deliveries);
-        }
-    }
-
-    fn writeback_batch(
-        &mut self,
-        now: SimTime,
-        _seq: u64,
-        entries: &[(PageId, u64)],
-    ) -> Result<(u64, SimTime), AmpomError> {
-        let reply = self.call(Call::Writeback {
-            now,
-            pages: entries.len(),
-        })?;
-        let ReplyBody::WritebackDone { bytes, settled_at } = reply.body else {
-            return Err(AmpomError::Transport("unexpected writeback reply".into()));
-        };
-        self.absorb(reply.deliveries);
-        Ok((bytes, settled_at))
-    }
-
-    fn reply_utilization(&mut self, now: SimTime) -> f64 {
-        match self.call(Call::Utilization { now }) {
-            Ok(Reply {
-                deliveries,
-                body: ReplyBody::Utilization { value },
-            }) => {
-                self.absorb(deliveries);
-                value
-            }
-            _ => 0.0,
-        }
-    }
-
-    fn bytes_to_dest(&self) -> u64 {
-        self.final_bytes.0
-    }
-
-    fn bytes_from_dest(&self) -> u64 {
-        self.final_bytes.1
-    }
-
-    fn deputy_stats(&self) -> DeputyStats {
-        self.final_deputy
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.final_faults
-    }
-
-    fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
-        // The runner drains trace exactly once, after its loop and
-        // before reading the byte/deputy counters: use it as the final
-        // synchronisation point.
-        if let Ok(reply) = self.call(Call::Sync) {
-            if let ReplyBody::Synced {
-                bytes_to_dest,
-                bytes_from_dest,
-                deputy,
-                faults,
-            } = reply.body
-            {
-                self.final_bytes = (bytes_to_dest, bytes_from_dest);
-                self.final_deputy = deputy;
-                self.final_faults = faults;
-            }
-            self.absorb(reply.deliveries);
-        }
-        Vec::new()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Coordinator.
-
-/// A parked migrant call and whether its deputy side effect ran already
-/// (a processed `Syscall`/`WaitFor` stays parked until its completion
-/// commits).
-struct Parked {
-    call: Call,
-    submitted: bool,
-}
-
 /// Coordinator-side chaos: one deterministic fate stream per migrant per
 /// direction, one retry schedule per migrant (the migrant's demand-wait
 /// timer, resolved eagerly because the coordinator knows each message's
-/// fate at send time), and per-migrant fault accounting shipped to the
-/// migrant at `Sync`.
+/// fate at send time), and per-migrant fault accounting the migrant
+/// takes at its sync turn.
 struct ChaosState {
     profile: FaultProfile,
     request_plans: Vec<FaultPlan>,
@@ -724,37 +324,42 @@ impl ChaosState {
     }
 }
 
+/// The shared half of a multi-run — the deputy, every migrant's path and
+/// monitor, the chaos plans — and the turn order over the waiting
+/// migrants.
 struct Coordinator {
     md: MultiDeputy,
     paths: Vec<NetPath>,
     monitors: Vec<MonitorDaemon>,
-    reply_tx: Vec<Sender<Reply>>,
-    parked: Vec<Option<Parked>>,
-    alive: Vec<bool>,
+    /// What each migrant waits for; `None` while it runs or once its
+    /// loop finished.
+    waiting: Vec<Option<Wait>>,
+    n_waiting: usize,
+    /// Migrants whose loop has not finished.
     n_alive: usize,
     delivery_buf: Vec<Deliveries>,
-    /// Completed-but-unshipped syscall reply time, at most one per
-    /// migrant (the runner forwards syscalls synchronously).
+    /// Completed-but-untaken syscall reply time, at most one per migrant
+    /// (the loop forwards syscalls synchronously).
     syscall_ready: Vec<Option<SimTime>>,
-    trace_on: bool,
     /// `None` without a (non-null) chaos profile: the zero-chaos path
     /// draws no fates and stays bit-identical to the pre-chaos code.
     chaos: Option<ChaosState>,
     admission: AdmissionConfig,
+    /// A deadlock met while choosing a turn inside a migrant's poll, for
+    /// [`run_multi`] to report.
+    failed: Option<AmpomError>,
 }
 
 impl Coordinator {
-    /// Index of the parked, not-yet-submitted call with the smallest
-    /// `(time, migrant index)`.
-    fn next_unsubmitted(&self) -> Option<usize> {
+    /// Index of the waiting turn with the smallest `(time, migrant
+    /// index)`.
+    fn next_turn(&self) -> Option<usize> {
         let mut best: Option<(SimTime, usize)> = None;
-        for (i, slot) in self.parked.iter().enumerate() {
-            if let Some(p) = slot {
-                if !p.submitted {
-                    let key = (p.call.at(), i);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
+        for (i, wait) in self.waiting.iter().enumerate() {
+            if let Some(at) = wait.and_then(Wait::turn_at) {
+                let key = (at, i);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
                 }
             }
         }
@@ -876,17 +481,18 @@ impl Coordinator {
             }
             return;
         }
-        // Future submissions arrive strictly after the earliest
-        // unprocessed clock (its own send adds link latency), so
-        // everything starting at or before it is settled. `Sync` calls
-        // are excluded: a synced migrant submits nothing more, so it
-        // does not constrain (or license) commits.
+        // Future submissions arrive strictly after the earliest waiting
+        // turn's clock (its own send adds link latency), so everything
+        // starting at or before it is settled. A sync turn is excluded:
+        // a synced migrant submits nothing more, so it does not
+        // constrain (or license) commits.
         let horizon = self
-            .parked
+            .waiting
             .iter()
-            .filter_map(|slot| slot.as_ref())
-            .filter(|p| !p.submitted && !matches!(p.call, Call::Sync))
-            .map(|p| p.call.at())
+            .filter_map(|wait| match wait {
+                Some(Wait::Turn(at)) => Some(*at),
+                _ => None,
+            })
             .min();
         if let Some(h) = horizon {
             while let Some(c) = self.md.commit_next_bounded(Some(h)) {
@@ -895,185 +501,68 @@ impl Coordinator {
         }
     }
 
-    /// Resumes every parked-blocked migrant whose wait just resolved.
-    /// Returns true if any migrant was woken.
+    /// Resumes every blocked migrant whose wait just resolved. Returns
+    /// true if any migrant was woken.
     fn wake_resolved(&mut self) -> bool {
         let mut woke = false;
-        for i in 0..self.parked.len() {
-            let Some(p) = self.parked[i].as_ref() else {
-                continue;
-            };
-            if !p.submitted {
-                continue;
-            }
-            let resolved = match &p.call {
-                Call::WaitFor { page, .. } => {
-                    self.delivery_buf[i].iter().any(|&(_, dp)| dp == *page)
-                }
-                Call::Syscall { .. } => self.syscall_ready[i].is_some(),
+        for i in 0..self.waiting.len() {
+            let resolved = match self.waiting[i] {
+                Some(Wait::Page(page)) => self.delivery_buf[i].iter().any(|&(_, dp)| dp == page),
+                Some(Wait::Syscall) => self.syscall_ready[i].is_some(),
                 _ => false,
             };
-            if !resolved {
-                continue;
+            if resolved {
+                self.resume(i);
+                woke = true;
             }
-            let parked = self.parked[i].take().expect("checked above");
-            let body = match parked.call {
-                Call::WaitFor { .. } => ReplyBody::Ack,
-                Call::Syscall { .. } => ReplyBody::SyscallDone {
-                    at: self.syscall_ready[i].take().expect("checked above"),
-                },
-                _ => unreachable!("only waits block"),
-            };
-            self.respond(i, body);
-            woke = true;
         }
         woke
     }
 
-    fn respond(&mut self, i: usize, body: ReplyBody) {
-        let deliveries = std::mem::take(&mut self.delivery_buf[i]);
-        // A send failure means the migrant died; its Done is in flight.
-        let _ = self.reply_tx[i].send(Reply { deliveries, body });
+    fn resume(&mut self, i: usize) {
+        self.waiting[i] = None;
+        self.n_waiting -= 1;
     }
 
-    /// One coordinator action: runs when every live migrant is parked,
-    /// and resumes at least one of them (or errors on a stuck protocol).
+    /// Makes migrant `i` wait for `wait`. The last live migrant to wait
+    /// chooses what runs next, which may be its own turn.
+    fn wait(&mut self, i: usize, wait: Wait) {
+        self.waiting[i] = Some(wait);
+        self.n_waiting += 1;
+        if self.n_waiting == self.n_alive {
+            if let Err(e) = self.step() {
+                self.failed = Some(e);
+            }
+        }
+    }
+
+    /// One choice, made when every live migrant waits: commit to the
+    /// horizon, then resume the waits that resolved, else grant the turn
+    /// with the smallest `(clock, index)`, else commit one service event
+    /// and choose again. Resumes at least one migrant or reports the
+    /// deadlock.
     fn step(&mut self) -> Result<(), AmpomError> {
         loop {
             self.commit_to_horizon();
             if self.wake_resolved() {
                 return Ok(());
             }
-            let Some(u) = self.next_unsubmitted() else {
-                // Every parked call is blocked on the deputy: advance
-                // service one event at a time until a wait resolves.
-                // (Safe: the woken migrant's future submissions arrive
-                // at or after its wake time, which is at or after every
-                // finish committed here.)
-                match self.md.commit_next() {
-                    Some(c) => {
-                        self.deliver(c);
-                        continue;
-                    }
-                    None => {
-                        return Err(AmpomError::Transport(
-                            "multi-run deadlock: all migrants blocked on an idle deputy".into(),
-                        ));
-                    }
+            if let Some(u) = self.next_turn() {
+                self.resume(u);
+                return Ok(());
+            }
+            // Every live migrant is blocked on the deputy: advance
+            // service one event at a time until a wait resolves. (Safe:
+            // the woken migrant's future submissions arrive at or after
+            // its wake time, which is at or after every finish committed
+            // here.)
+            match self.md.commit_next() {
+                Some(c) => self.deliver(c),
+                None => {
+                    return Err(AmpomError::Transport(
+                        "multi-run deadlock: all migrants blocked on an idle deputy".into(),
+                    ))
                 }
-            };
-            let parked = self.parked[u].as_mut().expect("next_unsubmitted checked");
-            match &parked.call {
-                Call::Freeze {
-                    scheme,
-                    pre,
-                    trace_on,
-                } => {
-                    let mut trace = if *trace_on && self.trace_on {
-                        Trace::enabled()
-                    } else {
-                        Trace::disabled()
-                    };
-                    let (scheme, pre) = (*scheme, pre.clone());
-                    let outcome = perform_freeze(scheme, &pre, &mut self.paths[u], &mut trace);
-                    let events = trace.events().to_vec();
-                    self.parked[u] = None;
-                    self.respond(u, ReplyBody::Frozen { outcome, events });
-                    return Ok(());
-                }
-                Call::Request {
-                    now,
-                    total_pages,
-                    submit,
-                    demand,
-                } => {
-                    let (now, total_pages, submit, demand) =
-                        (*now, *total_pages, submit.clone(), *demand);
-                    let arrival = self.chaos_request_arrival(u, now, total_pages, demand.is_some());
-                    let admission = self.admission;
-                    let admitted = self.md.submit_request_admitted(
-                        MigrantId(u as u32),
-                        arrival,
-                        &submit,
-                        demand,
-                        &admission,
-                    );
-                    self.parked[u] = None;
-                    self.commit_to_horizon();
-                    self.respond(
-                        u,
-                        ReplyBody::Accepted {
-                            accepted: admitted.accepted,
-                            shed: admitted.shed,
-                        },
-                    );
-                    return Ok(());
-                }
-                Call::WaitFor { .. } => {
-                    // No side effect: the request was already submitted.
-                    // Park as blocked; commits will resolve it.
-                    parked.submitted = true;
-                    continue;
-                }
-                Call::Install { .. } => {
-                    // Commits up to this migrant's clock already ran (it
-                    // holds the minimum): every arrival at or before
-                    // `now` is in its delivery buffer.
-                    self.parked[u] = None;
-                    self.respond(u, ReplyBody::Ack);
-                    return Ok(());
-                }
-                Call::Syscall { now, work } => {
-                    let (now, work) = (*now, *work);
-                    let at_home = self.paths[u].send_control_to_home(now, SYSCALL_MSG_BYTES);
-                    self.md.submit_syscall(MigrantId(u as u32), at_home, work);
-                    parked.submitted = true;
-                    continue;
-                }
-                Call::Estimates { now } => {
-                    let now = *now;
-                    self.monitors[u].advance(now, &mut self.paths[u]);
-                    let est = self.monitors[u].estimates();
-                    self.parked[u] = None;
-                    self.respond(u, ReplyBody::Estimates { est });
-                    return Ok(());
-                }
-                Call::WindowWrap { now, wraps } => {
-                    let (now, wraps) = (*now, *wraps);
-                    self.monitors[u].on_window_wrap(now, wraps, &self.paths[u]);
-                    self.parked[u] = None;
-                    self.respond(u, ReplyBody::Ack);
-                    return Ok(());
-                }
-                Call::Utilization { now } => {
-                    let value = self.paths[u].reply_utilization(*now);
-                    self.parked[u] = None;
-                    self.respond(u, ReplyBody::Utilization { value });
-                    return Ok(());
-                }
-                Call::Writeback { now, pages } => {
-                    // Background traffic: charge the member's link and
-                    // answer immediately (no deputy queueing — the sink
-                    // apply is not on the migrant's critical path).
-                    let (now, pages) = (*now, *pages);
-                    let bytes = writeback_batch_bytes(pages);
-                    let settled_at = self.paths[u].send_control_to_home(now, bytes);
-                    self.parked[u] = None;
-                    self.respond(u, ReplyBody::WritebackDone { bytes, settled_at });
-                    return Ok(());
-                }
-                Call::Sync => {
-                    let body = ReplyBody::Synced {
-                        bytes_to_dest: self.paths[u].bytes_to_dest(),
-                        bytes_from_dest: self.paths[u].bytes_from_dest(),
-                        deputy: self.md.shard_stats(MigrantId(u as u32)),
-                        faults: self.chaos.as_ref().map(|c| c.faults[u]).unwrap_or_default(),
-                    };
-                    self.parked[u] = None;
-                    self.respond(u, body);
-                    return Ok(());
-                }
-                Call::Done => unreachable!("Done is consumed by the receive loop"),
             }
         }
     }
@@ -1085,8 +574,322 @@ impl MigrantId {
     }
 }
 
-/// Executes `spec`: N migrant protocol loops, each on its own thread,
-/// against one shared sharded deputy. Deterministic — the interleaving
+// ---------------------------------------------------------------------
+// Member transport.
+
+/// One migrant's [`Transport`]: its handle on the shared coordinator.
+/// Each call that touches the shared deputy or the migrant's path first
+/// waits for the migrant's turn, then runs in place. What the migrant
+/// can answer alone takes no turn: installs and waits for pages whose
+/// arrival it already knows. With one migrant the deputy commits
+/// eagerly, so *every* wait and install is local, exactly like the
+/// single-migrant transport.
+struct Member<'a> {
+    id: usize,
+    coord: &'a RefCell<Coordinator>,
+    /// Requested-but-uninstalled pages; `None` until the reply arrival
+    /// is known.
+    in_flight: HashMap<PageId, Option<SimTime>>,
+    /// The pages of `in_flight`, for the zone filter's word reads.
+    in_flight_bits: PageBits,
+    /// How many `in_flight` entries still await their arrival.
+    unknown: usize,
+    /// Delivered pages not yet installed, in arrival order.
+    staged: VecDeque<(SimTime, PageId)>,
+    /// Final counters, taken at the sync turn.
+    bytes: (u64, u64),
+    deputy: DeputyStats,
+    faults: FaultStats,
+}
+
+impl<'a> Member<'a> {
+    fn new(id: usize, coord: &'a RefCell<Coordinator>) -> Self {
+        Member {
+            id,
+            coord,
+            in_flight: HashMap::new(),
+            in_flight_bits: PageBits::default(),
+            unknown: 0,
+            staged: VecDeque::new(),
+            bytes: (0, 0),
+            deputy: DeputyStats::default(),
+            faults: FaultStats::default(),
+        }
+    }
+
+    /// Waits until the coordinator resumes this migrant: its turn came,
+    /// or what it blocks on committed.
+    async fn wait(&self, wait: Wait) {
+        let mut wait = Some(wait);
+        poll_fn(|_| {
+            let mut coord = self.coord.borrow_mut();
+            if let Some(wait) = wait.take() {
+                coord.wait(self.id, wait);
+            }
+            if coord.waiting[self.id].is_some() {
+                Poll::Pending
+            } else {
+                Poll::Ready(())
+            }
+        })
+        .await
+    }
+
+    /// Waits for `wait`, runs `body` on the coordinator in place, then
+    /// takes the pages delivered to this migrant.
+    async fn turn<R>(&mut self, wait: Wait, body: impl FnOnce(&mut Coordinator, usize) -> R) -> R {
+        self.wait(wait).await;
+        let out = body(&mut self.coord.borrow_mut(), self.id);
+        self.absorb();
+        out
+    }
+
+    /// Merges the pages delivered since the last turn into the local
+    /// arrival state.
+    fn absorb(&mut self) {
+        let coord = self.coord;
+        for (arrival, page) in coord.borrow_mut().delivery_buf[self.id].drain(..) {
+            match self.in_flight.get_mut(&page) {
+                Some(slot @ None) => {
+                    *slot = Some(arrival);
+                    self.unknown -= 1;
+                }
+                _ => debug_assert!(false, "delivery for page not awaiting arrival"),
+            }
+            self.staged.push_back((arrival, page));
+        }
+    }
+}
+
+impl Transport for Member<'_> {
+    async fn freeze(
+        &mut self,
+        scheme: Scheme,
+        pre: &PreMigrationState,
+        trace: &mut Trace,
+    ) -> Result<FreezeOutcome, AmpomError> {
+        let outcome = self
+            .turn(Wait::Turn(SimTime::ZERO), |c, i| {
+                perform_freeze(scheme, pre, &mut c.paths[i], trace)
+            })
+            .await;
+        Ok(outcome)
+    }
+
+    async fn request_pages(
+        &mut self,
+        now: SimTime,
+        demand: Option<PageId>,
+        prefetch: &[PageId],
+        table: &mut PageTablePair,
+    ) -> Result<Vec<PageId>, AmpomError> {
+        // Sizes the request message on the wire exactly like the
+        // single-migrant path: every page asked for, demand first.
+        let total_pages = prefetch.len() + usize::from(demand.is_some());
+        // The deputy-side origin filter runs here against the migrant's
+        // table view: only origin pages are serviceable, and they move
+        // to the destination the moment the deputy accepts them (the
+        // single-migrant deputy does both inside `serve_request`).
+        let submit: Vec<PageId> = demand
+            .into_iter()
+            .chain(prefetch.iter().copied())
+            .filter(|&p| table.lookup(p) == Some(PageLocation::Origin))
+            .collect();
+        for &p in &submit {
+            table.transfer_to_destination(p);
+        }
+        // Admission control never sheds the demand page, and downtime
+        // recovery is charged only to a request that carries one (a
+        // pure-prefetch request stalls nobody).
+        let demand_submitted = demand.filter(|d| submit.contains(d));
+        self.wait(Wait::Turn(now)).await;
+        let admitted = {
+            let mut coord = self.coord.borrow_mut();
+            let arrival =
+                coord.chaos_request_arrival(self.id, now, total_pages, demand_submitted.is_some());
+            let admission = coord.admission;
+            let admitted = coord.md.submit_request_admitted(
+                MigrantId(self.id as u32),
+                arrival,
+                &submit,
+                demand_submitted,
+                &admission,
+            );
+            coord.commit_to_horizon();
+            admitted
+        };
+        // Shed prefetches revert to the origin: they were optimistically
+        // marked in-transfer above, and the deputy never serviced them.
+        // A later touch demand-fetches the page, so nothing is lost.
+        for &p in &admitted.shed {
+            table.return_to_origin(p);
+        }
+        let mut queued = Vec::new();
+        for &p in &admitted.accepted {
+            self.in_flight.insert(p, None);
+            self.in_flight_bits.insert(p);
+            self.unknown += 1;
+            if demand != Some(p) {
+                queued.push(p);
+            }
+        }
+        self.absorb();
+        Ok(queued)
+    }
+
+    async fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError> {
+        match self.in_flight.get(&page) {
+            None => Err(AmpomError::Transport(format!(
+                "page {page} awaited but never requested"
+            ))),
+            Some(Some(arrival)) => Ok(*arrival),
+            Some(None) => {
+                // The request was submitted already: the turn has no side
+                // effect, then the migrant blocks until the page commits.
+                // Nothing is taken in between: the wake looks for the page
+                // among the undelivered pages.
+                self.wait(Wait::Turn(now)).await;
+                self.turn(Wait::Page(page), |_, _| ()).await;
+                Ok(self.in_flight[&page].expect("woken by the page's delivery"))
+            }
+        }
+    }
+
+    async fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
+        if self.unknown > 0 {
+            // Some arrivals are still with the coordinator: every commit
+            // up to this clock has run once the turn comes.
+            self.turn(Wait::Turn(*now), |_, _| ()).await;
+        }
+        let mut installed = 0u64;
+        while let Some(&(arrival, page)) = self.staged.front() {
+            if arrival > *now {
+                break;
+            }
+            self.staged.pop_front();
+            self.in_flight.remove(&page);
+            self.in_flight_bits.remove(page);
+            dest.space.install(page);
+            installed += 1;
+        }
+        if installed > 0 {
+            *now += PAGE_INSTALL_COST.saturating_mul(installed);
+        }
+    }
+
+    fn is_in_flight(&self, page: PageId) -> bool {
+        self.in_flight_bits.contains(page)
+    }
+
+    fn in_flight_word(&self, word: u64) -> u64 {
+        self.in_flight_bits.word(word)
+    }
+
+    fn in_flight_count(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    async fn forward_syscall(
+        &mut self,
+        now: SimTime,
+        work: SimDuration,
+    ) -> Result<(SimTime, SimTime), AmpomError> {
+        self.turn(Wait::Turn(now), |c, i| {
+            let at_home = c.paths[i].send_control_to_home(now, SYSCALL_MSG_BYTES);
+            c.md.submit_syscall(MigrantId(i as u32), at_home, work);
+        })
+        .await;
+        let done = self
+            .turn(Wait::Syscall, |c, i| c.syscall_ready[i].take())
+            .await;
+        Ok((now, done.expect("woken by the syscall's completion")))
+    }
+
+    async fn estimates(&mut self, now: SimTime) -> NetEstimates {
+        self.turn(Wait::Turn(now), |c, i| {
+            c.monitors[i].advance(now, &mut c.paths[i]);
+            c.monitors[i].estimates()
+        })
+        .await
+    }
+
+    async fn on_window_wrap(&mut self, now: SimTime, wraps: u64) {
+        self.turn(Wait::Turn(now), |c, i| {
+            c.monitors[i].on_window_wrap(now, wraps, &c.paths[i]);
+        })
+        .await;
+    }
+
+    async fn reply_utilization(&mut self, now: SimTime) -> f64 {
+        self.turn(Wait::Turn(now), |c, i| c.paths[i].reply_utilization(now))
+            .await
+    }
+
+    /// Background traffic: charges the member's dest→home link and
+    /// settles at once (no deputy queueing — the sink apply is not on the
+    /// migrant's critical path).
+    async fn writeback_batch(
+        &mut self,
+        now: SimTime,
+        _seq: u64,
+        entries: &[(PageId, u64)],
+    ) -> Result<(u64, SimTime), AmpomError> {
+        let bytes = writeback_batch_bytes(entries.len());
+        let settled_at = self
+            .turn(Wait::Turn(now), |c, i| {
+                c.paths[i].send_control_to_home(now, bytes)
+            })
+            .await;
+        Ok((bytes, settled_at))
+    }
+
+    fn bytes_to_dest(&self) -> u64 {
+        self.bytes.0
+    }
+
+    fn bytes_from_dest(&self) -> u64 {
+        self.bytes.1
+    }
+
+    fn deputy_stats(&self) -> DeputyStats {
+        self.deputy
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.faults
+    }
+
+    async fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
+        // The loop drains trace exactly once, after its last reference
+        // and before reading the byte/deputy counters: use it as the
+        // final sync.
+        (self.bytes, self.deputy, self.faults) = self
+            .turn(Wait::Sync, |c, i| {
+                let path = &c.paths[i];
+                (
+                    (path.bytes_to_dest(), path.bytes_from_dest()),
+                    c.md.shard_stats(MigrantId(i as u32)),
+                    c.chaos.as_ref().map(|ch| ch.faults[i]).unwrap_or_default(),
+                )
+            })
+            .await;
+        Vec::new()
+    }
+}
+
+/// One migrant's loop over its member transport.
+async fn run_member(
+    coord: &RefCell<Coordinator>,
+    id: usize,
+    migrant: &MigrantSpec,
+    cfg: &RunConfig,
+) -> Result<RunReport, AmpomError> {
+    let mut w = migrant.workload.build(migrant.seed)?;
+    migrant_loop(w.as_mut(), cfg, &mut Member::new(id, coord)).await
+}
+
+/// Executes `spec`: N migrant protocol loops against one shared sharded
+/// deputy, all on the caller's thread. Deterministic — the interleaving
 /// is a pure function of the simulated clocks (see the module docs).
 pub fn run_multi(spec: &MultiRunSpec) -> Result<MultiRunReport, AmpomError> {
     if spec.migrants.is_empty() {
@@ -1116,15 +919,6 @@ pub fn run_multi(spec: &MultiRunSpec) -> Result<MultiRunReport, AmpomError> {
         .map_err(AmpomError::InvalidConfig)?;
 
     let n = spec.migrants.len();
-    let (call_tx, call_rx) = channel::<(MigrantId, Call)>();
-    let mut reply_txs = Vec::with_capacity(n);
-    let mut reply_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel::<Reply>();
-        reply_txs.push(tx);
-        reply_rxs.push(Some(rx));
-    }
-
     let mut paths = Vec::with_capacity(n);
     let mut monitors = Vec::with_capacity(n);
     for i in 0..n {
@@ -1160,117 +954,87 @@ pub fn run_multi(spec: &MultiRunSpec) -> Result<MultiRunReport, AmpomError> {
         }
     });
 
-    let mut coord = Coordinator {
+    let coord = RefCell::new(Coordinator {
         md: MultiDeputy::with_drr(n, spec.drr),
         paths,
         monitors,
-        reply_tx: reply_txs,
-        parked: (0..n).map(|_| None).collect(),
-        alive: vec![true; n],
+        waiting: vec![None; n],
+        n_waiting: 0,
         n_alive: n,
         delivery_buf: vec![Vec::new(); n],
         syscall_ready: vec![None; n],
-        trace_on: spec.cfg.trace,
         chaos,
         admission: spec.admission,
-    };
+        failed: None,
+    });
 
-    thread::scope(|scope| -> Result<MultiRunReport, AmpomError> {
-        let mut workers = Vec::with_capacity(n);
-        for (i, migrant) in spec.migrants.iter().enumerate() {
-            let cfg = spec.cfg.clone();
-            let workload = migrant.workload.clone();
-            let seed = migrant.seed;
-            let tx = call_tx.clone();
-            let rx = reply_rxs[i].take().expect("each receiver moved once");
-            workers.push(scope.spawn(move || {
-                let id = MigrantId(i as u32);
-                let done_tx = tx.clone();
-                let result = (|| -> Result<RunReport, AmpomError> {
-                    let mut w = workload.build(seed)?;
-                    let mut handle = MigrantHandle::new(id, tx, rx);
-                    run_with_transport(w.as_mut(), &cfg, &mut handle)
-                })();
-                let _ = done_tx.send((id, Call::Done));
-                result
-            }));
-        }
-        drop(call_tx);
-
-        let coordination = (|| -> Result<(), AmpomError> {
-            while coord.n_alive > 0 {
-                // Wait until every live migrant is parked (or exits).
-                loop {
-                    let parked_count = coord.parked.iter().filter(|p| p.is_some()).count();
-                    if parked_count >= coord.n_alive {
-                        break;
-                    }
-                    let (id, call) = call_rx.recv().map_err(|_| {
-                        AmpomError::Transport("multi-run migrant thread lost".into())
-                    })?;
-                    let i = id.idx0();
-                    if matches!(call, Call::Done) {
-                        if coord.alive[i] {
-                            coord.alive[i] = false;
-                            coord.n_alive -= 1;
-                            debug_assert!(coord.parked[i].is_none());
-                        }
-                    } else {
-                        coord.parked[i] = Some(Parked {
-                            call,
-                            submitted: false,
-                        });
-                    }
-                }
-                if coord.n_alive == 0 {
-                    break;
-                }
-                coord.step()?;
+    let mut loops: Vec<_> = spec
+        .migrants
+        .iter()
+        .enumerate()
+        .map(|(i, m)| Box::pin(run_member(&coord, i, m, &spec.cfg)))
+        .collect();
+    let mut results: Vec<Option<Result<RunReport, AmpomError>>> = (0..n).map(|_| None).collect();
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        // Run the first migrant that neither waits nor finished until it
+        // waits or finishes.
+        let next = {
+            let c = coord.borrow();
+            (0..n).find(|&i| c.waiting[i].is_none() && results[i].is_none())
+        };
+        let Some(i) = next else {
+            // Every live migrant waits: one just finished.
+            let mut c = coord.borrow_mut();
+            if c.n_alive == 0 {
+                break;
             }
-            Ok(())
-        })();
-        // Drop reply senders so a worker stuck on recv errors out
-        // instead of deadlocking if coordination failed.
-        coord.reply_tx.clear();
-
-        let mut reports = Vec::with_capacity(n);
-        for w in workers {
-            let report = w
-                .join()
-                .map_err(|_| AmpomError::Transport("multi-run migrant thread panicked".into()))?;
-            reports.push(report?);
+            c.step()?;
+            continue;
+        };
+        if let Poll::Ready(result) = loops[i].as_mut().poll(&mut cx) {
+            results[i] = Some(result);
+            coord.borrow_mut().n_alive -= 1;
         }
-        coordination?;
+        if let Some(e) = coord.borrow_mut().failed.take() {
+            return Err(e);
+        }
+    }
+    drop(loops);
+    let reports = results
+        .into_iter()
+        .map(|r| r.expect("every loop finished"))
+        .collect::<Result<Vec<RunReport>, AmpomError>>()?;
 
-        let shard_stats: Vec<DeputyStats> = (0..n)
-            .map(|i| coord.md.shard_stats(MigrantId(i as u32)))
-            .collect();
-        let service_shares: Vec<f64> = (0..n)
-            .map(|i| coord.md.service_share(MigrantId(i as u32)))
-            .collect();
-        let pages_coalesced: Vec<u64> = (0..n)
-            .map(|i| coord.md.pages_coalesced(MigrantId(i as u32)))
-            .collect();
-        let makespan = reports
-            .iter()
-            .map(|r| r.total_time)
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        Ok(MultiRunReport {
-            reports,
-            shard_stats,
-            deputy: coord.md.aggregate_stats(),
-            service_shares,
-            pages_coalesced,
-            makespan,
-        })
+    let coord = coord.into_inner();
+    let shard_stats: Vec<DeputyStats> = (0..n)
+        .map(|i| coord.md.shard_stats(MigrantId(i as u32)))
+        .collect();
+    let service_shares: Vec<f64> = (0..n)
+        .map(|i| coord.md.service_share(MigrantId(i as u32)))
+        .collect();
+    let pages_coalesced: Vec<u64> = (0..n)
+        .map(|i| coord.md.pages_coalesced(MigrantId(i as u32)))
+        .collect();
+    let makespan = reports
+        .iter()
+        .map(|r| r.total_time)
+        .max()
+        .unwrap_or(SimDuration::ZERO);
+    Ok(MultiRunReport {
+        reports,
+        shard_stats,
+        deputy: coord.md.aggregate_stats(),
+        service_shares,
+        pages_coalesced,
+        makespan,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::SimulatedTransport;
+    use crate::transport::{run_with_transport, SimulatedTransport};
 
     fn quick_spec() -> WorkloadSpec {
         WorkloadSpec::Sequential {
@@ -1279,42 +1043,88 @@ mod tests {
         }
     }
 
-    fn solo_fingerprint(cfg: &RunConfig, spec: &WorkloadSpec, seed: u64) -> u64 {
+    fn solo_run(cfg: &RunConfig, spec: &WorkloadSpec, seed: u64) -> RunReport {
         let mut w = spec.build(seed).expect("valid workload");
         let mut t = SimulatedTransport::new(cfg);
-        run_with_transport(w.as_mut(), cfg, &mut t)
-            .expect("valid config")
-            .fingerprint()
+        run_with_transport(w.as_mut(), cfg, &mut t).expect("valid config")
+    }
+
+    /// An N=1 multi-run reproduces the solo loop over `SimulatedTransport`
+    /// exactly: fingerprint, trace and series.
+    fn assert_n1_identical(cfg: &RunConfig, spec: &WorkloadSpec, seed: u64) {
+        let solo = solo_run(cfg, spec, seed);
+        let multi = run_multi(&MultiRunSpec::homogeneous(
+            cfg.clone(),
+            spec.clone(),
+            seed,
+            1,
+        ))
+        .expect("multi-run succeeds");
+        let multi = &multi.reports[0];
+        assert_eq!(
+            multi.fingerprint(),
+            solo.fingerprint(),
+            "N=1 multi-run drifted from the solo loop: {cfg:?} {spec:?}"
+        );
+        assert_eq!(
+            format!("{:?}", multi.trace.events()),
+            format!("{:?}", solo.trace.events())
+        );
+        assert_eq!(format!("{:?}", multi.series), format!("{:?}", solo.series));
     }
 
     #[test]
     fn n1_multi_run_is_bit_identical_to_simulated_transport() {
-        for scheme in [Scheme::Ampom, Scheme::NoPrefetch, Scheme::OpenMosix] {
-            let cfg = RunConfig::new(scheme);
-            let solo = solo_fingerprint(&cfg, &quick_spec(), 7);
-            let multi = run_multi(&MultiRunSpec::homogeneous(cfg, quick_spec(), 7, 1))
-                .expect("multi-run succeeds");
-            assert_eq!(
-                multi.reports[0].fingerprint(),
-                solo,
-                "N=1 multi-run drifted from the single-migrant path for {scheme:?}"
-            );
-        }
-    }
+        use crate::lifecycle::WritebackSpec;
+        use crate::policy::PolicySpec;
+        use crate::runner::{CrossTrafficSpec, SyscallProfile};
+        use crate::validate::arbitrary;
 
-    #[test]
-    fn n1_with_syscalls_and_series_is_bit_identical() {
+        // The fixed cases: every scheme bare, then AMPoM with syscalls,
+        // series sampling and trace on.
+        for scheme in [Scheme::Ampom, Scheme::NoPrefetch, Scheme::OpenMosix] {
+            assert_n1_identical(&RunConfig::new(scheme), &quick_spec(), 7);
+        }
         let mut cfg = RunConfig::new(Scheme::Ampom);
-        cfg.syscalls = Some(crate::runner::SyscallProfile {
+        cfg.syscalls = Some(SyscallProfile {
             every_refs: 37,
             work: SimDuration::from_micros(3),
         });
         cfg.sample_series_every = Some(5);
         cfg.trace = true;
-        let solo = solo_fingerprint(&cfg, &quick_spec(), 11);
-        let multi = run_multi(&MultiRunSpec::homogeneous(cfg, quick_spec(), 11, 1))
-            .expect("multi-run succeeds");
-        assert_eq!(multi.reports[0].fingerprint(), solo);
+        assert_n1_identical(&cfg, &quick_spec(), 11);
+
+        ampom_sim::propcheck::forall("n1-identity", 96, |g| {
+            let scheme = *g.choose(&[Scheme::Ampom, Scheme::NoPrefetch, Scheme::OpenMosix]);
+            let mut cfg = RunConfig::new(scheme)
+                .with_link(arbitrary::link(g))
+                .with_policy(g.choose(&PolicySpec::all()).clone())
+                .with_seed(g.u64(0..u64::MAX));
+            if g.bool(0.3) {
+                cfg.syscalls = Some(SyscallProfile {
+                    every_refs: g.u64(1..200),
+                    work: SimDuration::from_nanos(g.u64(0..50_000)),
+                });
+            }
+            if g.bool(0.3) {
+                cfg.sample_series_every = Some(g.u64(1..20));
+            }
+            cfg.trace = g.bool(0.3);
+            if g.bool(0.3) {
+                cfg.writeback = Some(WritebackSpec {
+                    flush_every_faults: g.u64(1..16),
+                    max_batch_pages: g.usize(1..80),
+                });
+            }
+            if g.bool(0.3) {
+                cfg.cross_traffic = Some(CrossTrafficSpec {
+                    bytes_per_sec: g.u64(1..cfg.link.capacity_bytes_per_sec),
+                    burst_bytes: g.u64(64..16_384),
+                });
+            }
+            let spec = arbitrary::workload(g);
+            assert_n1_identical(&cfg, &spec, g.u64(0..u64::MAX));
+        });
     }
 
     #[test]
@@ -1355,11 +1165,7 @@ mod tests {
     #[test]
     fn contended_migrants_slow_down_but_terminate() {
         let cfg = RunConfig::new(Scheme::NoPrefetch);
-        let solo = {
-            let mut w = quick_spec().build(5).expect("valid workload");
-            let mut t = SimulatedTransport::new(&cfg);
-            run_with_transport(w.as_mut(), &cfg, &mut t).expect("solo run")
-        };
+        let solo = solo_run(&cfg, &quick_spec(), 5);
         let multi = run_multi(&MultiRunSpec::homogeneous(cfg, quick_spec(), 5, 4))
             .expect("multi-run succeeds");
         for r in &multi.reports {

@@ -9,6 +9,13 @@
 //! wait, install — plus the accounting every run reports (the SLO stall
 //! sketch, background writeback, series sampling, the phase partition).
 //!
+//! The loop is an `async fn`, so a migrant can pause mid-stream: its
+//! future owns the loop's state and stops at a transport call that must
+//! wait for another migrant. [`run_with_transport`] polls it once, over a
+//! transport that never waits; [`run_multi`](crate::multirun::run_multi)
+//! polls N of them, one per migrant, on one thread. There is no async
+//! runtime.
+//!
 //! [`Transport`] is everything on the far side of the kernel's fault
 //! handler: freeze, paging requests, arrival waits, page installs,
 //! syscall forwarding, the monitor estimates the analysis consumes, and
@@ -26,6 +33,9 @@
 //! [`refuse_simulated_only`]).
 
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
 
 use ampom_mem::eviction::ClockEvictor;
 use ampom_mem::page::{PageId, PAGE_SIZE};
@@ -61,11 +71,20 @@ use crate::slo::QuantileSketch;
 /// pages, and the monitor that estimates `t0`/`td` for the prefetcher.
 /// Times are [`SimTime`]: the simulated transport computes them exactly;
 /// a live transport maps measured wall-clock waits onto the same axis.
+///
+/// The `async` methods are the calls whose answer may depend on another
+/// migrant: a multi-run member suspends in them until its turn comes
+/// (see [`crate::multirun`]). The queries (`is_in_flight`, the byte,
+/// deputy and fault counters) stay synchronous. A solo transport —
+/// [`SimulatedTransport`], the live client — never suspends, and
+/// [`run_with_transport`] treats a suspension as a bug.
+// The futures need no `Send` bound: every driver polls on its own thread.
+#[allow(async_fn_in_trait)]
 pub trait Transport {
     /// Performs the freeze phase of the migration for `scheme`, shipping
     /// whatever the scheme ships eagerly, and returns the resulting
     /// address space / page tables / timing.
-    fn freeze(
+    async fn freeze(
         &mut self,
         scheme: Scheme,
         pre: &PreMigrationState,
@@ -76,7 +95,7 @@ pub trait Transport {
     /// prefetch zone — and returns the *prefetch* pages actually queued
     /// (the deputy may drop duplicates; a live client may trim to its
     /// in-flight quota). The demand page is never in the returned list.
-    fn request_pages(
+    async fn request_pages(
         &mut self,
         now: SimTime,
         demand: Option<PageId>,
@@ -89,11 +108,11 @@ pub trait Transport {
     /// already delivered by the pipeline; callers only advance `now`
     /// forward. The live implementation retries/degrades internally via
     /// the shared [`RetrySchedule`](crate::reliability::RetrySchedule).
-    fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError>;
+    async fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError>;
 
     /// Installs every staged page that has arrived by `now` into `dest`,
     /// charging [`PAGE_INSTALL_COST`] per page.
-    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination);
+    async fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination);
 
     /// Stalls until the just-requested demand `page` is resident in
     /// `dest`, installing whatever arrives meanwhile, and returns the part
@@ -101,7 +120,7 @@ pub trait Transport {
     /// The default waits for the page and installs the arrivals; the
     /// simulated transport adds FFA's file server and the fault
     /// injector's retry/degrade protocol.
-    fn await_demand(
+    async fn await_demand(
         &mut self,
         page: PageId,
         now: &mut SimTime,
@@ -109,7 +128,7 @@ pub trait Transport {
         trace: &mut Trace,
     ) -> Result<SimDuration, AmpomError> {
         let _ = trace;
-        await_in_flight(self, page, now, dest)
+        await_in_flight(self, page, now, dest).await
     }
 
     /// Whether `page` has been requested and not yet installed.
@@ -131,7 +150,7 @@ pub trait Transport {
     /// Forwards a system call to the home node (the home dependency,
     /// paper §2.2). Returns when the call was issued — later than `now`
     /// only while the deputy is down — and when it completed.
-    fn forward_syscall(
+    async fn forward_syscall(
         &mut self,
         now: SimTime,
         work: SimDuration,
@@ -139,14 +158,14 @@ pub trait Transport {
 
     /// Advances the monitor daemon to `now` and returns its current
     /// `t0`/`td` estimates for the prefetcher's Eq. 3 budget.
-    fn estimates(&mut self, now: SimTime) -> NetEstimates;
+    async fn estimates(&mut self, now: SimTime) -> NetEstimates;
 
     /// Notifies the monitor that the lookback window wrapped `wraps`
     /// times in total (bandwidth re-estimation trigger).
-    fn on_window_wrap(&mut self, now: SimTime, wraps: u64);
+    async fn on_window_wrap(&mut self, now: SimTime, wraps: u64);
 
     /// Reply-direction link utilisation over `[0, now]` (series samples).
-    fn reply_utilization(&mut self, now: SimTime) -> f64;
+    async fn reply_utilization(&mut self, now: SimTime) -> f64;
 
     /// Bytes sent home→destination so far.
     fn bytes_to_dest(&self) -> u64;
@@ -168,7 +187,7 @@ pub trait Transport {
     /// link is charged, the migrant's clock is not. Transports that
     /// refuse resident limits (see [`refuse_simulated_only`]) never
     /// receive evictions.
-    fn evict_to_home(&mut self, now: SimTime, pages: u64) {
+    async fn evict_to_home(&mut self, now: SimTime, pages: u64) {
         let _ = (now, pages);
     }
 
@@ -177,7 +196,7 @@ pub trait Transport {
     /// and acknowledged. The default declines (no writeback support):
     /// zero bytes, instant settle. Background semantics: callers charge
     /// the link, not the migrant's clock.
-    fn writeback_batch(
+    async fn writeback_batch(
         &mut self,
         now: SimTime,
         seq: u64,
@@ -189,23 +208,23 @@ pub trait Transport {
 
     /// Drains transport-internal trace events (live connects, retries,
     /// reconnects) accumulated since the last call.
-    fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
+    async fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
         Vec::new()
     }
 }
 
 /// [`Transport::await_demand`]'s plain protocol: wait for the page's
 /// reply, then install everything that has arrived.
-fn await_in_flight<T: Transport + ?Sized>(
+async fn await_in_flight<T: Transport + ?Sized>(
     transport: &mut T,
     page: PageId,
     now: &mut SimTime,
     dest: &mut Destination,
 ) -> Result<SimDuration, AmpomError> {
-    let arrival = transport.wait_for(page, *now)?;
+    let arrival = transport.wait_for(page, *now).await?;
     let stall = arrival.saturating_since(*now);
     *now = (*now).max(arrival);
-    transport.install_arrived(now, dest);
+    transport.install_arrived(now, dest).await;
     Ok(stall)
 }
 
@@ -430,6 +449,48 @@ impl SimulatedTransport {
         queued
     }
 
+    /// [`Transport::install_arrived`]: installs every staged page that
+    /// has arrived by `now`.
+    fn install_staged(&mut self, now: &mut SimTime, dest: &mut Destination) {
+        let mut installed = 0u64;
+        while let Some(&(arrival, page)) = self.staged.front() {
+            if arrival > *now {
+                break;
+            }
+            self.staged.pop_front();
+            self.in_flight.remove(page);
+            if dest.space.is_resident(page) {
+                // Jitter reorders and retries duplicate replies: a copy
+                // of a page the migrant already has is counted, never
+                // installed twice.
+                if let Some(f) = self.faults.as_mut() {
+                    f.stats.duplicate_replies += 1;
+                }
+                continue;
+            }
+            if dest.space.state(page) != PageState::Remote {
+                // Evicted while in flight and re-created locally; drop
+                // the stale copy.
+                continue;
+            }
+            let evicted = dest.install(page);
+            self.evict(*now, evicted);
+            installed += 1;
+        }
+        if installed > 0 {
+            *now += PAGE_INSTALL_COST.saturating_mul(installed);
+        }
+    }
+
+    /// [`Transport::evict_to_home`]: one page-sized message home per
+    /// evicted page.
+    fn evict(&mut self, now: SimTime, pages: u64) {
+        for _ in 0..pages {
+            self.path
+                .send_control_to_home(now, NetPath::page_reply_bytes());
+        }
+    }
+
     fn injector(&mut self) -> &mut FaultInjector {
         self.faults
             .as_mut()
@@ -449,7 +510,7 @@ impl SimulatedTransport {
         let mut stall = SimDuration::ZERO;
         self.injector().schedule.begin_wait();
         loop {
-            self.install_arrived(now, dest);
+            self.install_staged(now, dest);
             if dest.space.is_resident(demand) {
                 return stall;
             }
@@ -529,7 +590,7 @@ impl SimulatedTransport {
         *now = self.path.bulk_transfer(up, n * PAGE_SIZE);
         for &p in &remote {
             let evicted = dest.install(p);
-            self.evict_to_home(*now, evicted);
+            self.evict(*now, evicted);
         }
         *now += PAGE_INSTALL_COST.saturating_mul(n);
         self.injector().stats.fallback_pages += n;
@@ -566,7 +627,7 @@ impl SimulatedTransport {
 }
 
 impl Transport for SimulatedTransport {
-    fn freeze(
+    async fn freeze(
         &mut self,
         scheme: Scheme,
         pre: &PreMigrationState,
@@ -580,7 +641,7 @@ impl Transport for SimulatedTransport {
         Ok(outcome)
     }
 
-    fn request_pages(
+    async fn request_pages(
         &mut self,
         now: SimTime,
         demand: Option<PageId>,
@@ -594,44 +655,17 @@ impl Transport for SimulatedTransport {
         Ok(self.send(now, demand, prefetch, table))
     }
 
-    fn wait_for(&mut self, page: PageId, _now: SimTime) -> Result<SimTime, AmpomError> {
+    async fn wait_for(&mut self, page: PageId, _now: SimTime) -> Result<SimTime, AmpomError> {
         self.in_flight.arrival(page).ok_or_else(|| {
             AmpomError::Transport(format!("page {page} awaited but never requested"))
         })
     }
 
-    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
-        let mut installed = 0u64;
-        while let Some(&(arrival, page)) = self.staged.front() {
-            if arrival > *now {
-                break;
-            }
-            self.staged.pop_front();
-            self.in_flight.remove(page);
-            if dest.space.is_resident(page) {
-                // Jitter reorders and retries duplicate replies: a copy
-                // of a page the migrant already has is counted, never
-                // installed twice.
-                if let Some(f) = self.faults.as_mut() {
-                    f.stats.duplicate_replies += 1;
-                }
-                continue;
-            }
-            if dest.space.state(page) != PageState::Remote {
-                // Evicted while in flight and re-created locally; drop
-                // the stale copy.
-                continue;
-            }
-            let evicted = dest.install(page);
-            self.evict_to_home(*now, evicted);
-            installed += 1;
-        }
-        if installed > 0 {
-            *now += PAGE_INSTALL_COST.saturating_mul(installed);
-        }
+    async fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
+        self.install_staged(now, dest);
     }
 
-    fn await_demand(
+    async fn await_demand(
         &mut self,
         page: PageId,
         now: &mut SimTime,
@@ -644,13 +678,13 @@ impl Transport for SimulatedTransport {
             *now = done;
             dest.table.transfer_to_destination(page);
             let evicted = dest.install(page);
-            self.evict_to_home(*now, evicted);
+            self.evict(*now, evicted);
             return Ok(stall);
         }
         if self.faults.is_some() {
             return Ok(self.await_with_recovery(page, now, dest));
         }
-        await_in_flight(self, page, now, dest)
+        await_in_flight(self, page, now, dest).await
     }
 
     fn is_in_flight(&self, page: PageId) -> bool {
@@ -665,7 +699,7 @@ impl Transport for SimulatedTransport {
         self.in_flight.len()
     }
 
-    fn forward_syscall(
+    async fn forward_syscall(
         &mut self,
         now: SimTime,
         work: SimDuration,
@@ -681,16 +715,16 @@ impl Transport for SimulatedTransport {
         Ok((issued, done))
     }
 
-    fn estimates(&mut self, now: SimTime) -> NetEstimates {
+    async fn estimates(&mut self, now: SimTime) -> NetEstimates {
         self.monitor.advance(now, &mut self.path);
         self.monitor.estimates()
     }
 
-    fn on_window_wrap(&mut self, now: SimTime, wraps: u64) {
+    async fn on_window_wrap(&mut self, now: SimTime, wraps: u64) {
         self.monitor.on_window_wrap(now, wraps, &self.path);
     }
 
-    fn reply_utilization(&mut self, now: SimTime) -> f64 {
+    async fn reply_utilization(&mut self, now: SimTime) -> f64 {
         self.path.reply_utilization(now)
     }
 
@@ -710,14 +744,11 @@ impl Transport for SimulatedTransport {
         self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
-    fn evict_to_home(&mut self, now: SimTime, pages: u64) {
-        for _ in 0..pages {
-            self.path
-                .send_control_to_home(now, NetPath::page_reply_bytes());
-        }
+    async fn evict_to_home(&mut self, now: SimTime, pages: u64) {
+        self.evict(now, pages);
     }
 
-    fn writeback_batch(
+    async fn writeback_batch(
         &mut self,
         now: SimTime,
         _seq: u64,
@@ -739,7 +770,7 @@ impl Transport for SimulatedTransport {
 /// methods, so a page has its bit set exactly while it has an arrival.
 #[derive(Debug, Default)]
 struct InFlight {
-    bits: Vec<u64>,
+    bits: PageBits,
     arrivals: HashMap<PageId, SimTime>,
 }
 
@@ -750,17 +781,12 @@ impl InFlight {
     fn insert(&mut self, page: PageId, arrives: SimTime) {
         let at = self.arrivals.entry(page).or_insert(arrives);
         *at = (*at).min(arrives);
-        let (word, bit) = Self::slot(page);
-        if word >= self.bits.len() {
-            self.bits.resize(word + 1, 0);
-        }
-        self.bits[word] |= bit;
+        self.bits.insert(page);
     }
 
     fn remove(&mut self, page: PageId) {
         if self.arrivals.remove(&page).is_some() {
-            let (word, bit) = Self::slot(page);
-            self.bits[word] &= !bit;
+            self.bits.remove(page);
         }
     }
 
@@ -770,18 +796,11 @@ impl InFlight {
     }
 
     fn contains(&self, page: PageId) -> bool {
-        let (word, bit) = Self::slot(page);
-        self.bits.get(word).is_some_and(|w| w & bit != 0)
+        self.bits.contains(page)
     }
 
-    /// Membership of pages `64·word … 64·word + 63`; words past the end
-    /// of the bitset hold no page.
     fn word(&self, word: u64) -> u64 {
-        usize::try_from(word)
-            .ok()
-            .and_then(|w| self.bits.get(w))
-            .copied()
-            .unwrap_or(0)
+        self.bits.word(word)
     }
 
     fn arrival(&self, page: PageId) -> Option<SimTime> {
@@ -790,6 +809,47 @@ impl InFlight {
 
     fn len(&self) -> usize {
         self.arrivals.len()
+    }
+}
+
+/// A page-indexed bitset, 1 bit per page, grown on demand: the in-flight
+/// set the zone filter reads 64 pages per word.
+#[derive(Debug, Default)]
+pub(crate) struct PageBits(Vec<u64>);
+
+impl PageBits {
+    pub(crate) fn insert(&mut self, page: PageId) {
+        let (word, bit) = Self::slot(page);
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= bit;
+    }
+
+    pub(crate) fn remove(&mut self, page: PageId) {
+        let (word, bit) = Self::slot(page);
+        if let Some(w) = self.0.get_mut(word) {
+            *w &= !bit;
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    pub(crate) fn contains(&self, page: PageId) -> bool {
+        let (word, bit) = Self::slot(page);
+        self.0.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Membership of pages `64·word … 64·word + 63`; words past the end
+    /// of the bitset hold no page.
+    pub(crate) fn word(&self, word: u64) -> u64 {
+        usize::try_from(word)
+            .ok()
+            .and_then(|w| self.0.get(w))
+            .copied()
+            .unwrap_or(0)
     }
 
     fn slot(page: PageId) -> (usize, u64) {
@@ -852,23 +912,52 @@ impl FileServer {
 /// Executes `workload` under `cfg` against an arbitrary [`Transport`]:
 /// the migrant loop every forward run goes through. The prefetch policy
 /// is `cfg.policy` under [`Scheme::Ampom`] and none otherwise.
-pub fn run_with_transport<W: Workload + ?Sized>(
+///
+/// # Panics
+/// Panics if the transport suspends the loop: only a multi-run member
+/// waits on other migrants, and [`run_multi`](crate::multirun::run_multi)
+/// drives those itself.
+pub fn run_with_transport<W: Workload + ?Sized, T: Transport>(
     workload: &mut W,
     cfg: &RunConfig,
-    transport: &mut dyn Transport,
+    transport: &mut T,
+) -> Result<RunReport, AmpomError> {
+    run_solo(migrant_loop(workload, cfg, transport))
+}
+
+/// Runs a future over a transport that never suspends to its end.
+///
+/// # Panics
+/// Panics if the future suspends: a solo transport that returns
+/// `Pending` is a bug, and nothing would ever wake it.
+pub(crate) fn run_solo<F: Future>(fut: F) -> F::Output {
+    let mut fut = pin!(fut);
+    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!("a solo transport suspended the migrant loop"),
+    }
+}
+
+/// The migrant loop as a future: [`run_with_transport`] without the
+/// driver. Over a multi-run member it suspends wherever the member waits
+/// for its turn; its output is the run's report.
+pub(crate) async fn migrant_loop<W: Workload + ?Sized, T: Transport>(
+    workload: &mut W,
+    cfg: &RunConfig,
+    transport: &mut T,
 ) -> Result<RunReport, AmpomError> {
     cfg.validate()?;
     let mut policy = (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
     let prefetcher = policy.as_deref_mut().map(|p| p as &mut dyn Prefetcher);
-    drive(workload, cfg, transport, prefetcher)
+    drive(workload, cfg, transport, prefetcher).await
 }
 
 /// The loop itself, with the prefetcher supplied by the caller (the VM
 /// runner routes faults to per-guest windows).
-pub(crate) fn drive<W: Workload + ?Sized>(
+pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
     workload: &mut W,
     cfg: &RunConfig,
-    transport: &mut dyn Transport,
+    transport: &mut T,
     mut prefetcher: Option<&mut dyn Prefetcher>,
 ) -> Result<RunReport, AmpomError> {
     let layout = workload.layout().clone();
@@ -881,11 +970,11 @@ pub(crate) fn drive<W: Workload + ?Sized>(
         Trace::disabled()
     };
 
-    let freeze = transport.freeze(cfg.scheme, &pre, &mut trace)?;
+    let freeze = transport.freeze(cfg.scheme, &pre, &mut trace).await?;
     let mut now = SimTime::ZERO + freeze.freeze_time;
     let (mut dest, bounced) = Destination::new(freeze.space, freeze.table, cfg.resident_limit_mb);
     if bounced > 0 {
-        transport.evict_to_home(now, bounced);
+        transport.evict_to_home(now, bounced).await;
     }
 
     let total_pages = layout.total_pages();
@@ -936,7 +1025,7 @@ pub(crate) fn drive<W: Workload + ?Sized>(
             refs_since_syscall += 1;
             if refs_since_syscall >= profile.every_refs {
                 refs_since_syscall = 0;
-                let (issued, done) = transport.forward_syscall(now, profile.work)?;
+                let (issued, done) = transport.forward_syscall(now, profile.work).await?;
                 stall_time += issued.since(now);
                 syscall_time += done.since(issued);
                 syscalls_forwarded += 1;
@@ -976,7 +1065,7 @@ pub(crate) fn drive<W: Workload + ?Sized>(
                 }
                 let evicted = dest.admit(r.page);
                 if evicted > 0 {
-                    transport.evict_to_home(now, evicted);
+                    transport.evict_to_home(now, evicted).await;
                 }
                 let util = utilization(cpu_since_fault, now, last_fault_at);
                 last_fault_at = now;
@@ -996,11 +1085,14 @@ pub(crate) fn drive<W: Workload + ?Sized>(
                         },
                         &mut analysis_time,
                         &mut trace,
-                    );
+                    )
+                    .await;
                     if !prefetch.is_empty() {
                         prefetch_only_requests += 1;
                         note_queued(
-                            transport.request_pages(now, None, &prefetch, &mut dest.table)?,
+                            transport
+                                .request_pages(now, None, &prefetch, &mut dest.table)
+                                .await?,
                             &mut was_prefetched,
                             &mut pages_prefetched,
                         );
@@ -1014,11 +1106,11 @@ pub(crate) fn drive<W: Workload + ?Sized>(
                 trace.record(now, TraceKind::PageFault, TraceData::page(r.page.index()));
                 if let Some(wb) = wb.as_mut() {
                     if wb.on_fault() {
-                        flush_writeback(wb, now, transport, &mut dest.space, &mut trace)?;
+                        flush_writeback(wb, now, transport, &mut dest.space, &mut trace).await?;
                     }
                 }
                 let install_from = now;
-                transport.install_arrived(&mut now, &mut dest);
+                transport.install_arrived(&mut now, &mut dest).await;
                 install_time += now.since(install_from);
 
                 let util = utilization(cpu_since_fault, fault_at, last_fault_at);
@@ -1027,21 +1119,24 @@ pub(crate) fn drive<W: Workload + ?Sized>(
 
                 // Prefetch analysis (every fault, per Algorithm 1).
                 let prefetch = match prefetcher.as_deref_mut() {
-                    Some(pf) => analyze(
-                        pf,
-                        r.page,
-                        &mut now,
-                        util,
-                        transport,
-                        page_limit,
-                        &dest.space,
-                        PrefetchFeedback {
-                            pages_prefetched,
-                            prefetched_used,
-                        },
-                        &mut analysis_time,
-                        &mut trace,
-                    ),
+                    Some(pf) => {
+                        analyze(
+                            pf,
+                            r.page,
+                            &mut now,
+                            util,
+                            transport,
+                            page_limit,
+                            &dest.space,
+                            PrefetchFeedback {
+                                pages_prefetched,
+                                prefetched_used,
+                            },
+                            &mut analysis_time,
+                            &mut trace,
+                        )
+                        .await
+                    }
                     None => Vec::new(),
                 };
 
@@ -1062,7 +1157,7 @@ pub(crate) fn drive<W: Workload + ?Sized>(
                         }
                         series
                             .link_utilization
-                            .push(now, transport.reply_utilization(now));
+                            .push(now, transport.reply_utilization(now).await);
                     }
                 }
 
@@ -1073,20 +1168,22 @@ pub(crate) fn drive<W: Workload + ?Sized>(
                     if !prefetch.is_empty() {
                         prefetch_only_requests += 1;
                         note_queued(
-                            transport.request_pages(now, None, &prefetch, &mut dest.table)?,
+                            transport
+                                .request_pages(now, None, &prefetch, &mut dest.table)
+                                .await?,
                             &mut was_prefetched,
                             &mut pages_prefetched,
                         );
                     }
                     if !dest.space.is_resident(r.page) {
-                        let arrival = transport.wait_for(r.page, now)?;
+                        let arrival = transport.wait_for(r.page, now).await?;
                         if arrival > now {
                             stall_time += arrival.since(now);
                             stall_sketch.record(arrival.since(now));
                             now = arrival;
                         }
                         let install_from = now;
-                        transport.install_arrived(&mut now, &mut dest);
+                        transport.install_arrived(&mut now, &mut dest).await;
                         install_time += now.since(install_from);
                         trace.record_with(now, TraceKind::FaultResolved, || {
                             TraceData::page(r.page.index()).with_note("pipelined")
@@ -1102,12 +1199,16 @@ pub(crate) fn drive<W: Workload + ?Sized>(
                         TraceData::page(r.page.index()).with_pages(prefetch.len() as u64),
                     );
                     note_queued(
-                        transport.request_pages(now, Some(r.page), &prefetch, &mut dest.table)?,
+                        transport
+                            .request_pages(now, Some(r.page), &prefetch, &mut dest.table)
+                            .await?,
                         &mut was_prefetched,
                         &mut pages_prefetched,
                     );
                     let wait_from = now;
-                    let stall = transport.await_demand(r.page, &mut now, &mut dest, &mut trace)?;
+                    let stall = transport
+                        .await_demand(r.page, &mut now, &mut dest, &mut trace)
+                        .await?;
                     stall_time += stall;
                     stall_sketch.record(stall);
                     install_time += now.since(wait_from).saturating_sub(stall);
@@ -1140,10 +1241,10 @@ pub(crate) fn drive<W: Workload + ?Sized>(
 
     // Final writeback drain: the run ends with every dirty page home.
     if let Some(wb) = wb.as_mut() {
-        flush_writeback(wb, now, transport, &mut dest.space, &mut trace)?;
+        flush_writeback(wb, now, transport, &mut dest.space, &mut trace).await?;
     }
 
-    for (at, kind, data) in transport.drain_trace() {
+    for (at, kind, data) in transport.drain_trace().await {
         trace.record(at, kind, data);
     }
     trace.record(now, TraceKind::WorkloadDone, TraceData::empty());
@@ -1201,15 +1302,15 @@ pub(crate) fn drive<W: Workload + ?Sized>(
 /// Ships every ready writeback batch over the transport and cleans the
 /// flushed pages (background traffic: the link is charged, the migrant's
 /// clock is not).
-fn flush_writeback(
+async fn flush_writeback<T: Transport>(
     wb: &mut ForwardWriteback,
     now: SimTime,
-    transport: &mut dyn Transport,
+    transport: &mut T,
     space: &mut AddressSpace,
     trace: &mut Trace,
 ) -> Result<(), AmpomError> {
     while let Some((seq, entries)) = wb.take_batch() {
-        let (bytes, acked_at) = transport.writeback_batch(now, seq, &entries)?;
+        let (bytes, acked_at) = transport.writeback_batch(now, seq, &entries).await?;
         trace.record_with(now, TraceKind::WritebackFlush, || TraceData {
             pages: Some(entries.len() as u64),
             bytes: Some(bytes),
@@ -1247,12 +1348,12 @@ fn utilization(cpu: SimDuration, now: SimTime, last_fault: SimTime) -> f64 {
 /// Read a word at a time, in-flight mask first: in steady state nearly
 /// every word of the zone is already in flight, and then the address
 /// space is not read at all.
-struct ZoneFilter<'a> {
+struct ZoneFilter<'a, T> {
     space: &'a AddressSpace,
-    transport: &'a dyn Transport,
+    transport: &'a T,
 }
 
-impl Fetchable for ZoneFilter<'_> {
+impl<T: Transport> Fetchable for ZoneFilter<'_, T> {
     fn extend_fetchable(&mut self, start: PageId, end: PageId, out: &mut Vec<PageId>) {
         extend_by_word(start, end, out, |word, run| {
             let left = run & !self.transport.in_flight_word(word);
@@ -1269,19 +1370,19 @@ impl Fetchable for ZoneFilter<'_> {
 /// outcome feedback, the policy's window/zone decision, and the
 /// analysis-time charge.
 #[allow(clippy::too_many_arguments)]
-fn analyze(
+async fn analyze<T: Transport>(
     pf: &mut dyn Prefetcher,
     page: PageId,
     now: &mut SimTime,
     util: f64,
-    transport: &mut dyn Transport,
+    transport: &mut T,
     page_limit: PageId,
     space: &AddressSpace,
     feedback: PrefetchFeedback,
     analysis_time: &mut SimDuration,
     trace: &mut Trace,
 ) -> Vec<PageId> {
-    let est = transport.estimates(*now);
+    let est = transport.estimates(*now).await;
     pf.note_outcome(feedback);
     let mut filter = ZoneFilter {
         space,
@@ -1309,7 +1410,9 @@ fn analyze(
     );
     *now += AMPOM_ANALYSIS_COST;
     *analysis_time += AMPOM_ANALYSIS_COST;
-    transport.on_window_wrap(*now, pf.observe().window_wraps);
+    transport
+        .on_window_wrap(*now, pf.observe().window_wraps)
+        .await;
     decision.prefetch
 }
 
@@ -1367,10 +1470,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "suspended")]
+    fn a_solo_loop_that_suspends_fails_loudly() {
+        run_solo(std::future::pending::<()>());
+    }
+
+    #[test]
     fn waiting_for_unrequested_page_is_a_transport_error() {
         let cfg = RunConfig::new(Scheme::Ampom);
         let mut t = SimulatedTransport::new(&cfg);
-        let err = t.wait_for(PageId(3), SimTime::ZERO).unwrap_err();
+        let err = run_solo(t.wait_for(PageId(3), SimTime::ZERO)).unwrap_err();
         assert!(matches!(err, AmpomError::Transport(_)));
     }
 
@@ -1394,7 +1503,7 @@ mod tests {
         t.staged.push_back((SimTime::ZERO, page));
         t.in_flight.insert(page, SimTime::ZERO);
         let mut now = SimTime::ZERO + SimDuration::from_micros(1);
-        t.install_arrived(&mut now, &mut dest);
+        run_solo(t.install_arrived(&mut now, &mut dest));
         assert!(dest.space.is_resident(page), "first copy installs the page");
         assert_eq!(
             t.fault_stats().duplicate_replies,
@@ -1552,7 +1661,7 @@ mod tests {
                 seen[3] += u32::from(end_bit == 0);
                 seen[4] += u32::from(end - start == 1);
                 seen[6] += u32::from(tail != 0 && end > total - tail);
-                seen[7] += u32::from(*words.end() >= t.in_flight.bits.len() as u64);
+                seen[7] += u32::from(*words.end() >= t.in_flight.bits.0.len() as u64);
                 seen[8] += u32::from(words.clone().any(|w| t.in_flight_word(w) == u64::MAX));
                 seen[9] += u32::from(words.clone().any(|w| space.remote_word(w) == 0));
             }

@@ -494,11 +494,12 @@ pub fn run_ampom_event_driven<W: Workload + ?Sized>(
                 staged.push_back((now, page));
                 in_flight.insert(page, Some(now));
                 // If the migrant is parked waiting for exactly this page,
-                // wake it now.
-                if let Some((waiting, _)) = wait_until {
+                // wake it — but not before its fault's analysis ends.
+                if let Some((waiting, until)) = wait_until {
                     if waiting == page {
-                        wait_until = Some((waiting, now));
-                        q.schedule(now, AmpomEv::Advance);
+                        let wake = now.max(until);
+                        wait_until = Some((waiting, wake));
+                        q.schedule(wake, AmpomEv::Advance);
                     }
                 }
             }
@@ -543,9 +544,61 @@ fn install_staged(
     n
 }
 
+/// Random inputs for the oracle and identity properties: the synthetic
+/// workloads the oracles model and the links they run on.
+#[cfg(test)]
+pub(crate) mod arbitrary {
+    use ampom_sim::propcheck::Gen;
+
+    use super::*;
+    use crate::experiment::WorkloadSpec;
+
+    /// A Sequential, Strided, UniformRandom, Interleaved or Scripted
+    /// workload of up to a few hundred pages, 1 ns–100 µs per touch.
+    pub(crate) fn workload(g: &mut Gen) -> WorkloadSpec {
+        let cpu = SimDuration::from_nanos(g.u64(1..100_001));
+        let pages = g.u64(1..400);
+        match g.usize(0..5) {
+            0 => WorkloadSpec::Sequential { pages, cpu },
+            1 => WorkloadSpec::Strided {
+                pages,
+                stride: g.u64(1..pages.min(8) + 1),
+                cpu,
+            },
+            2 => WorkloadSpec::UniformRandom {
+                pages,
+                touches: g.u64(1..600),
+                cpu,
+            },
+            3 => WorkloadSpec::Interleaved {
+                streams: g.u64(1..5),
+                stream_pages: g.u64(1..100),
+                cpu,
+            },
+            _ => {
+                let refs = g.vec_u64(1..400, 0..pages);
+                WorkloadSpec::Scripted {
+                    pages,
+                    refs: std::sync::Arc::new(refs),
+                    cpu,
+                }
+            }
+        }
+    }
+
+    /// A link of 100 kB/s–125 MB/s with 1 µs–5 ms one-way latency.
+    pub(crate) fn link(g: &mut Gen) -> LinkConfig {
+        LinkConfig {
+            capacity_bytes_per_sec: g.u64(100_000..125_000_001),
+            latency: SimDuration::from_nanos(g.u64(1_000..5_000_001)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::WorkloadSpec;
     use crate::prefetcher::AmpomConfig;
     use crate::runner::{run_workload, RunConfig};
     use ampom_net::calibration::{broadband, fast_ethernet};
@@ -605,6 +658,16 @@ mod tests {
         );
     }
 
+    #[test]
+    fn agrees_on_random_workloads_and_links() {
+        ampom_sim::propcheck::forall("noprefetch-oracle", 256, |g| {
+            let spec = arbitrary::workload(g);
+            let link = arbitrary::link(g);
+            let seed = g.u64(0..u64::MAX);
+            cross_check(|| spec.build(seed).expect("valid workload"), link);
+        });
+    }
+
     fn cross_check_ampom(build: impl Fn() -> Box<dyn Workload>, link: LinkConfig) {
         use crate::prefetcher::AmpomConfig;
         let mut a = build();
@@ -647,6 +710,27 @@ mod tests {
     #[test]
     fn ampom_agrees_on_broadband() {
         cross_check_ampom(|| Box::new(Sequential::new(128, CPU)), broadband());
+    }
+
+    /// The awaited reply lands inside the fault's 2 µs analysis window:
+    /// the migrant resumes when the analysis ends, not at the arrival.
+    #[test]
+    fn ampom_agrees_when_the_reply_lands_during_the_analysis() {
+        let link = LinkConfig {
+            capacity_bytes_per_sec: 106_789_691,
+            latency: SimDuration::from_nanos(2_259_000),
+        };
+        cross_check_ampom(
+            || {
+                WorkloadSpec::Sequential {
+                    pages: 266,
+                    cpu: SimDuration::from_nanos(38_217),
+                }
+                .build(0)
+                .expect("valid workload")
+            },
+            link,
+        );
     }
 
     #[test]

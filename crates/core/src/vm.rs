@@ -39,7 +39,7 @@ use crate::migration::Scheme;
 use crate::policy::{Fetchable, PrefetchFeedback, PrefetchObservation, Prefetcher};
 use crate::prefetcher::{NetEstimates, PrefetchStats, ZoneDecision};
 use crate::runner::RunConfig;
-use crate::transport::{drive, SimulatedTransport};
+use crate::transport::{drive, run_solo, SimulatedTransport};
 
 /// How the prefetcher treats the VM's interleaved fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,12 +305,12 @@ pub fn run_vm(mut vm: VmWorkload, cfg: &RunConfig, analysis: VmAnalysis) -> VmRe
         last: 0,
     };
     let prefetcher = (windows > 0).then_some(&mut router as &mut dyn Prefetcher);
-    let mut report = drive(
+    let mut report = run_solo(drive(
         &mut vm,
         &cfg,
         &mut SimulatedTransport::new(&cfg),
         prefetcher,
-    )
+    ))
     .unwrap_or_else(|e| panic!("simulated VM run failed: {e}"));
     report.workload = format!("VM[{}]", vm.process_count());
     VmReport {

@@ -11,13 +11,9 @@
 //!   node currently executing the process,
 //! * [`table`] — the **master page table (MPT)** and **home page table
 //!   (HPT)** with the ownership-transfer rules of paper §2.2,
-//! * [`working_set`] — distinct-page tracking used by the Figure 10
-//!   small-working-set experiment and its analytics,
 //! * [`eviction`] — CLOCK page replacement for destination nodes whose
 //!   RAM cannot hold the whole migrant (the testbed's 512 MB nodes vs
 //!   575 MB processes),
-//! * [`radix`] — the two-level x86 page-table structure the freeze-time
-//!   MPT walk operates on,
 //! * [`writeback`] — the migrant-side write-set (versioned delta batches)
 //!   and deputy-side sink with exactly-once apply accounting,
 //! * [`replica`] — a Mitosis-style node-local MPT replica with lazy
@@ -28,12 +24,10 @@
 
 pub mod eviction;
 pub mod page;
-pub mod radix;
 pub mod region;
 pub mod replica;
 pub mod space;
 pub mod table;
-pub mod working_set;
 pub mod writeback;
 
 pub use eviction::ClockEvictor;
@@ -42,5 +36,4 @@ pub use region::{MemoryLayout, Region, RegionKind};
 pub use replica::MptReplica;
 pub use space::{AddressSpace, PageState};
 pub use table::{PageLocation, PageTablePair};
-pub use working_set::WorkingSetTracker;
 pub use writeback::{WriteSet, WritebackSink};

@@ -1,8 +1,7 @@
-//! Model-based property tests for the CLOCK evictor and the radix table.
+//! Model-based property tests for the CLOCK evictor.
 
 use ampom_mem::eviction::ClockEvictor;
 use ampom_mem::page::PageId;
-use ampom_mem::radix::RadixPageTable;
 use ampom_sim::propcheck::forall;
 use std::collections::HashSet;
 
@@ -64,32 +63,5 @@ fn evictor_victims_are_always_resident() {
             ev.on_install(PageId(page));
             resident.insert(page);
         }
-    });
-}
-
-#[test]
-fn radix_matches_a_set_model() {
-    forall("radix-set-model", 128, |g| {
-        let script = g.vec(0..300, |g| (g.bool(0.5), g.u64(0..100_000)));
-        let mut table = RadixPageTable::new();
-        let mut model: HashSet<u64> = HashSet::new();
-        for (map, page) in script {
-            if map {
-                let newly = table.map(PageId(page));
-                assert_eq!(newly, model.insert(page));
-            } else {
-                let was = table.unmap(PageId(page));
-                assert_eq!(was, model.remove(&page));
-            }
-            assert_eq!(table.mapped_pages(), model.len() as u64);
-        }
-        // Full iteration agrees with the model, sorted.
-        let got: Vec<u64> = table.mapped().map(|p| p.index()).collect();
-        let mut want: Vec<u64> = model.into_iter().collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        // And the packed MPT size is 6 bytes per mapped page.
-        let (bytes, _) = table.pack_mpt();
-        assert_eq!(bytes, table.mapped_pages() * 6);
     });
 }

@@ -1,8 +1,9 @@
 //! # ampom-net — the simulated cluster network
 //!
 //! Models the interconnect of the HKU Gideon 300 cluster (Fast Ethernet,
-//! star topology) that the AMPoM paper ran on, plus the `tc`-based broadband
-//! emulation used in its Figure 9 experiment.
+//! star topology) that the AMPoM paper ran on. Its Figure 9 broadband
+//! link is a [`link::LinkConfig`] of its own,
+//! [`calibration::broadband`].
 //!
 //! The model is a *store-and-forward FIFO link*: each directed node pair has
 //! a [`link::Link`] with a capacity (bytes/s) and a propagation latency.
@@ -17,8 +18,6 @@
 //! * [`link::Link`] / [`link::LinkConfig`] — capacity + latency + FIFO queue,
 //! * [`nic::Nic`] — per-node RX/TX byte counters (the `/sbin/ifconfig`
 //!   fields the original oM_infoD samples),
-//! * [`shaper::TrafficShaper`] — `tc`/`netem`-style rate limit + added
-//!   delay, used to emulate the paper's 6 Mb/s / 2 ms broadband link,
 //! * [`probe::RttProber`] and [`probe::BandwidthEstimator`] — the
 //!   measurement algorithms of the modified oM_infoD (§4),
 //! * [`cross::CrossTraffic`] — Poisson background traffic for the
@@ -33,10 +32,8 @@ pub mod fault;
 pub mod link;
 pub mod nic;
 pub mod probe;
-pub mod shaper;
 
 pub use calibration::{CalibrationParseError, MeasuredLink};
 pub use fault::{Fate, FaultConfigError, FaultPlan, FaultSpec, FaultyLink};
 pub use link::{Link, LinkConfig, LinkError, Transmission};
 pub use nic::Nic;
-pub use shaper::TrafficShaper;

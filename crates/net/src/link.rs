@@ -120,9 +120,9 @@ impl Link {
         &self.config
     }
 
-    /// Replaces the link configuration (used by the traffic shaper to model
-    /// `tc` being applied to a live interface). In-flight traffic keeps its
-    /// old schedule; only subsequent transmissions see the new rate.
+    /// Replaces the link configuration, as `tc` applied to a live
+    /// interface would. In-flight traffic keeps its old schedule; only
+    /// subsequent transmissions see the new rate.
     pub fn reconfigure(&mut self, config: LinkConfig) {
         self.config = config;
     }

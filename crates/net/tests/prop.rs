@@ -3,7 +3,6 @@
 use ampom_net::link::{Link, LinkConfig};
 use ampom_net::nic::Nic;
 use ampom_net::probe::BandwidthEstimator;
-use ampom_net::shaper::TrafficShaper;
 use ampom_sim::propcheck::{forall, Gen};
 use ampom_sim::time::{SimDuration, SimTime};
 
@@ -60,50 +59,6 @@ fn serialization_time_is_additive() {
         // Integer division may lose at most 2 ns across the split.
         assert!(sab >= sa + sb);
         assert!(sab <= sa + sb + 2);
-    });
-}
-
-#[test]
-fn shaper_long_run_rate_never_exceeds_limit() {
-    forall("shaper-rate-limit", 256, |g| {
-        let rate = g.u64(1_000..10_000_000);
-        let burst = g.u64(1..100_000);
-        let msgs = g.vec_u64(1..100, 1..50_000);
-        let mut shaper = TrafficShaper::new(rate, burst, SimDuration::ZERO);
-        // Offer everything at t=0 and measure when the last message
-        // conforms: total bytes / elapsed must be ≤ rate once the burst
-        // allowance is subtracted.
-        let total: u64 = msgs.iter().sum();
-        let mut conform_at = SimTime::ZERO;
-        for &size in &msgs {
-            let d = shaper.delay_for(SimTime::ZERO, size);
-            conform_at = conform_at.max(SimTime::ZERO + d);
-        }
-        let elapsed = conform_at.since(SimTime::ZERO).as_secs_f64();
-        if total > burst {
-            let expect = (total - burst) as f64 / rate as f64;
-            assert!(
-                (elapsed - expect).abs() < expect * 0.01 + 1e-6,
-                "elapsed {elapsed} vs expected {expect}"
-            );
-        } else {
-            assert_eq!(elapsed, 0.0);
-        }
-    });
-}
-
-#[test]
-fn shaped_config_is_idempotent_and_never_faster() {
-    forall("shaper-idempotent", 256, |g| {
-        let cfg = random_link(g);
-        let rate = g.u64(1_000..10_000_000);
-        let delay_us = g.u64(0..10_000);
-        let s = TrafficShaper::new(rate, 1024, SimDuration::from_micros(delay_us));
-        let once = s.shaped_config(&cfg);
-        let twice = s.shaped_config(&once);
-        assert!(once.capacity_bytes_per_sec <= cfg.capacity_bytes_per_sec);
-        assert!(once.latency >= cfg.latency);
-        assert_eq!(twice.capacity_bytes_per_sec, once.capacity_bytes_per_sec);
     });
 }
 

@@ -342,7 +342,7 @@ impl LiveTransport {
 }
 
 impl Transport for LiveTransport {
-    fn freeze(
+    async fn freeze(
         &mut self,
         scheme: Scheme,
         pre: &PreMigrationState,
@@ -457,7 +457,7 @@ impl Transport for LiveTransport {
         })
     }
 
-    fn request_pages(
+    async fn request_pages(
         &mut self,
         _now: SimTime,
         demand: Option<PageId>,
@@ -500,7 +500,7 @@ impl Transport for LiveTransport {
         Ok(queued)
     }
 
-    fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError> {
+    async fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError> {
         if self.staged.contains(&page) {
             return Ok(now);
         }
@@ -601,7 +601,7 @@ impl Transport for LiveTransport {
         }
     }
 
-    fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
+    async fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
         // Pull in whatever the reply pipeline has already delivered.
         if !self.dead {
             if let Some(client) = self.client.as_mut() {
@@ -638,7 +638,7 @@ impl Transport for LiveTransport {
         self.in_flight.len()
     }
 
-    fn forward_syscall(
+    async fn forward_syscall(
         &mut self,
         now: SimTime,
         work: SimDuration,
@@ -672,7 +672,7 @@ impl Transport for LiveTransport {
         ))
     }
 
-    fn writeback_batch(
+    async fn writeback_batch(
         &mut self,
         now: SimTime,
         seq: u64,
@@ -705,14 +705,14 @@ impl Transport for LiveTransport {
         Ok((bytes, now + sim_duration(start.elapsed())))
     }
 
-    fn estimates(&mut self, _now: SimTime) -> NetEstimates {
+    async fn estimates(&mut self, _now: SimTime) -> NetEstimates {
         NetEstimates {
             t0: self.measured.t0,
             td: self.measured.td,
         }
     }
 
-    fn on_window_wrap(&mut self, now: SimTime, wraps: u64) {
+    async fn on_window_wrap(&mut self, now: SimTime, wraps: u64) {
         if wraps <= self.last_wraps {
             return;
         }
@@ -735,7 +735,7 @@ impl Transport for LiveTransport {
         }
     }
 
-    fn reply_utilization(&mut self, _now: SimTime) -> f64 {
+    async fn reply_utilization(&mut self, _now: SimTime) -> f64 {
         let Some((epoch, mark)) = self.run_epoch else {
             return 0.0;
         };
@@ -766,7 +766,7 @@ impl Transport for LiveTransport {
         self.stats
     }
 
-    fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
+    async fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
         self.refresh_deputy_stats();
         std::mem::take(&mut self.trace)
     }
