@@ -1080,19 +1080,10 @@ mod tests {
         use crate::runner::{CrossTrafficSpec, SyscallProfile};
         use crate::validate::arbitrary;
 
-        // The fixed cases: every scheme bare, then AMPoM with syscalls,
-        // series sampling and trace on.
+        // The fixed cases: every scheme bare.
         for scheme in [Scheme::Ampom, Scheme::NoPrefetch, Scheme::OpenMosix] {
             assert_n1_identical(&RunConfig::new(scheme), &quick_spec(), 7);
         }
-        let mut cfg = RunConfig::new(Scheme::Ampom);
-        cfg.syscalls = Some(SyscallProfile {
-            every_refs: 37,
-            work: SimDuration::from_micros(3),
-        });
-        cfg.sample_series_every = Some(5);
-        cfg.trace = true;
-        assert_n1_identical(&cfg, &quick_spec(), 11);
 
         ampom_sim::propcheck::forall("n1-identity", 96, |g| {
             let scheme = *g.choose(&[Scheme::Ampom, Scheme::NoPrefetch, Scheme::OpenMosix]);
@@ -1125,6 +1116,18 @@ mod tests {
             let spec = arbitrary::workload(g);
             assert_n1_identical(&cfg, &spec, g.u64(0..u64::MAX));
         });
+    }
+
+    #[test]
+    fn n1_with_syscalls_and_series_is_bit_identical() {
+        let mut cfg = RunConfig::new(Scheme::Ampom);
+        cfg.syscalls = Some(crate::runner::SyscallProfile {
+            every_refs: 37,
+            work: SimDuration::from_micros(3),
+        });
+        cfg.sample_series_every = Some(5);
+        cfg.trace = true;
+        assert_n1_identical(&cfg, &quick_spec(), 11);
     }
 
     #[test]
