@@ -17,8 +17,16 @@
 //! inside `run_multi`: a 16,384-page sequential sweep solo and as the one
 //! migrant of a multi-run, under AMPoM and NoPrefetch, then 4 and 64
 //! migrants of a 2,048-page sweep against the same runs solo.
+//!
+//! The `gossip` group times cluster-life's load dissemination at its
+//! 300-node shape: an absent, fresher peer merged into a full 64-entry
+//! window (the eviction path, over half of all merges in a 300-node run),
+//! `plan_gossip` on a full window, and a whole 60 s run of a 300-node
+//! cluster, whose fingerprint must not change from sample to sample.
 
 use ampom_bench::{black_box, Harness};
+use ampom_cluster::gossip::{plan_gossip, LoadEntry, WindowView};
+use ampom_cluster::{run_cluster_life, LifeConfig};
 use ampom_core::census::{census, OutstandingStream};
 use ampom_core::experiment::WorkloadSpec;
 use ampom_core::multirun::{run_multi, MultiRunSpec};
@@ -33,6 +41,7 @@ use ampom_core::{RunReport, Scheme};
 use ampom_mem::page::PageId;
 use ampom_mem::table::{PageLocation, PageTablePair};
 use ampom_mem::writeback::WriteSet;
+use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
 
 fn bench_window_record(h: &mut Harness) {
@@ -306,6 +315,56 @@ fn bench_multirun(h: &mut Harness) {
     g.finish();
 }
 
+fn bench_gossip(h: &mut Harness) {
+    const NODES: usize = 300;
+    const WINDOW: usize = 64;
+    const MERGES: u64 = 1_000;
+    let max_age = SimDuration::from_secs(8);
+    // Merge `k` brings node `1 + k % 299` at time `k` ns. Each merge is
+    // the freshest, so the window holds the last 64 merged nodes, and the
+    // next node was last merged 299 merges ago: always absent, always
+    // evicting.
+    let merge = |view: &mut WindowView, k: u64| {
+        let at = SimTime::from_nanos(k);
+        let entry = LoadEntry {
+            load: (k % 8) as f64,
+            measured_at: at,
+        };
+        view.merge(1 + k as usize % (NODES - 1), entry, at, max_age)
+    };
+    let mut view = WindowView::new(0, WINDOW);
+    let mut k = 0;
+    while k < WINDOW as u64 {
+        merge(&mut view, k);
+        k += 1;
+    }
+    let mut g = h.group("gossip");
+    let mut changed = 0u64;
+    g.bench("merge_absent_into_full_64_x1000", || {
+        for _ in 0..MERGES {
+            changed += u64::from(merge(&mut view, black_box(k)));
+            k += 1;
+        }
+    });
+    assert_eq!(changed, k - WINDOW as u64, "every merge evicted");
+    assert_eq!(view.known_peers(), WINDOW);
+
+    let mut rng = SimRng::seed_from_u64(1);
+    g.bench("plan_gossip_full_64", || {
+        plan_gossip(black_box(&view), NODES, &mut rng)
+    });
+
+    let mut cfg = LifeConfig::standard(NODES, Scheme::Ampom);
+    cfg.horizon = SimDuration::from_secs(60);
+    let fingerprint = run_cluster_life(&cfg).fingerprint();
+    g.bench("life_300_nodes_60s", || {
+        let out = run_cluster_life(&cfg);
+        assert_eq!(out.fingerprint(), fingerprint);
+        out.completed
+    });
+    g.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_window_record(&mut h);
@@ -314,5 +373,6 @@ fn main() {
     bench_full_analysis(&mut h);
     bench_paging(&mut h);
     bench_multirun(&mut h);
+    bench_gossip(&mut h);
     h.finish();
 }

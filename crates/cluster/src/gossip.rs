@@ -9,6 +9,9 @@
 //! suboptimal migrations happen, which is precisely why the paper argues
 //! cheap freezes matter (§7).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::SimTime;
 
@@ -125,6 +128,18 @@ pub fn merge_wins(existing: LoadEntry, incoming: LoadEntry) -> bool {
         || (incoming.measured_at == existing.measured_at && incoming.load > existing.load)
 }
 
+/// The largest window [`WindowView`] can index: its node → slot index
+/// stores `slot + 1` in a `u16`.
+pub const MAX_WINDOW: usize = u16::MAX as usize;
+
+/// An eviction key: the stalest measurement first, ties toward the
+/// higher node id (a min-heap through the outer `Reverse`).
+type EvictionKey = Reverse<(SimTime, Reverse<usize>)>;
+
+fn eviction_key(node: usize, entry: LoadEntry) -> EvictionKey {
+    Reverse((entry.measured_at, Reverse(node)))
+}
+
 /// A bounded, age-stamped load window — the 1000-node form of
 /// [`LoadView`].
 ///
@@ -135,18 +150,41 @@ pub fn merge_wins(existing: LoadEntry, incoming: LoadEntry) -> bool {
 /// `capacity` peer entries, rejects entries already older than the
 /// staleness bound at merge time, and evicts the stalest entry when full
 /// (ties broken by the higher node id, so eviction is deterministic).
+///
+/// The window's order is observable: [`WindowView::payload`] shuffles it,
+/// so an insert always pushes and an eviction always `swap_remove`s. A
+/// node → slot index finds a held peer without a scan, and a heap of
+/// eviction keys finds the stalest entry. The heap is lazy: a refreshed
+/// entry pushes a new key and leaves its old one behind, a key whose
+/// timestamp no longer matches the window is popped when it surfaces, and
+/// the heap is rebuilt from the window once it holds twice as many keys as
+/// the window holds entries, so a window that never fills (and so never
+/// pops) keeps it bounded.
 #[derive(Debug, Clone)]
 pub struct WindowView {
     me: usize,
     own: LoadEntry,
     window: Vec<(usize, LoadEntry)>,
+    /// `slot[node]` is `node`'s index in `window` plus one, 0 when not
+    /// held; as long as the largest node id ever held.
+    slot: Vec<u16>,
+    /// Eviction keys: one per held entry at its current timestamp, plus
+    /// stale ones not yet popped.
+    stalest: BinaryHeap<EvictionKey>,
     capacity: usize,
 }
 
 impl WindowView {
     /// A fresh window for node `me` holding at most `capacity` peers.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is 0 or above [`MAX_WINDOW`].
     pub fn new(me: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "WindowView needs a positive capacity");
+        assert!(
+            capacity <= MAX_WINDOW,
+            "WindowView capacity {capacity} exceeds the {MAX_WINDOW} slots its index addresses"
+        );
         WindowView {
             me,
             own: LoadEntry {
@@ -154,6 +192,8 @@ impl WindowView {
                 measured_at: SimTime::ZERO,
             },
             window: Vec::with_capacity(capacity.min(1024)),
+            slot: Vec::new(),
+            stalest: BinaryHeap::new(),
             capacity,
         }
     }
@@ -179,11 +219,22 @@ impl WindowView {
     /// Forgets everything but the own entry (a restarted node rejoins
     /// with an empty window).
     pub fn reset(&mut self, now: SimTime) {
+        for &(node, _) in &self.window {
+            self.slot[node] = 0;
+        }
         self.window.clear();
+        self.stalest.clear();
         self.own = LoadEntry {
             load: 0.0,
             measured_at: now,
         };
+    }
+
+    /// `node`'s index in the window, if held.
+    fn slot_of(&self, node: usize) -> Option<usize> {
+        self.slot
+            .get(node)
+            .and_then(|&s| usize::from(s).checked_sub(1))
     }
 
     /// The entry for `node`, if inside the window.
@@ -191,10 +242,7 @@ impl WindowView {
         if node == self.me {
             return Some(self.own);
         }
-        self.window
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|&(_, e)| e)
+        self.slot_of(node).map(|i| self.window[i].1)
     }
 
     /// How many peers the window currently holds.
@@ -230,35 +278,70 @@ impl WindowView {
         if now.saturating_since(entry.measured_at) > max_age {
             return false;
         }
-        if let Some(slot) = self.window.iter_mut().find(|(n, _)| *n == node) {
-            if merge_wins(slot.1, entry) {
-                slot.1 = entry;
-                return true;
-            }
-            return false;
-        }
-        if self.window.len() >= self.capacity {
-            // Evict the stalest entry; ties broken toward the higher node
-            // id so eviction is a pure function of the window contents.
-            let victim = self
-                .window
-                .iter()
-                .enumerate()
-                .min_by(|(_, (an, ae)), (_, (bn, be))| {
-                    ae.measured_at.cmp(&be.measured_at).then(bn.cmp(an))
-                })
-                .map(|(i, _)| i)
-                .expect("non-empty window");
-            if !merge_wins(self.window[victim].1, entry)
-                && self.window[victim].1.measured_at >= entry.measured_at
-            {
-                // The incoming entry is staler than everything held.
+        if let Some(i) = self.slot_of(node) {
+            let held = self.window[i].1;
+            if !merge_wins(held, entry) {
                 return false;
             }
-            self.window.swap_remove(victim);
+            self.window[i].1 = entry;
+            if held.measured_at != entry.measured_at {
+                self.push_key(eviction_key(node, entry));
+            }
+            return true;
+        }
+        if self.window.len() >= self.capacity {
+            let victim = self.stalest_slot();
+            if !merge_wins(self.window[victim].1, entry) {
+                // The incoming entry is no fresher than the stalest held.
+                return false;
+            }
+            self.stalest.pop();
+            let (gone, _) = self.window.swap_remove(victim);
+            self.slot[gone] = 0;
+            if let Some(&(moved, _)) = self.window.get(victim) {
+                self.slot[moved] = Self::slot_value(victim);
+            }
+        }
+        if node >= self.slot.len() {
+            self.slot.reserve_exact(node + 1 - self.slot.len());
+            self.slot.resize(node + 1, 0);
         }
         self.window.push((node, entry));
+        self.slot[node] = Self::slot_value(self.window.len() - 1);
+        self.push_key(eviction_key(node, entry));
         true
+    }
+
+    /// The index stored for window slot `i`; `new` bounds the capacity so
+    /// it fits.
+    fn slot_value(i: usize) -> u16 {
+        u16::try_from(i + 1).expect("window capacity is at most MAX_WINDOW")
+    }
+
+    /// The window index of the stalest entry, popping the stale keys
+    /// above it. Only called on a non-empty window.
+    fn stalest_slot(&mut self) -> usize {
+        loop {
+            let Reverse((at, Reverse(node))) =
+                *self.stalest.peek().expect("every held entry has a key");
+            match self.slot_of(node) {
+                Some(i) if self.window[i].1.measured_at == at => return i,
+                _ => {
+                    self.stalest.pop();
+                }
+            }
+        }
+    }
+
+    /// Adds an eviction key, rebuilding the heap from the window once
+    /// stale keys make up half of it.
+    fn push_key(&mut self, key: EvictionKey) {
+        self.stalest.push(key);
+        if self.stalest.len() >= 2 * self.window.len() {
+            self.stalest.clear();
+            self.stalest
+                .extend(self.window.iter().map(|&(n, e)| eviction_key(n, e)));
+        }
     }
 
     /// The least-loaded known peer with a fresh-enough entry, ties broken
@@ -277,14 +360,22 @@ impl WindowView {
     }
 
     /// The MOSIX gossip payload: this node's own entry first, then a
-    /// random half of the window.
+    /// random half of the window. The half is the head of a shuffle of
+    /// the window in its stored order. The shuffle permutes window
+    /// indices, which takes the same draws and gives the same
+    /// permutation as shuffling the entries, so only the half that is
+    /// sent is copied and allocated.
     pub fn payload(&self, rng: &mut SimRng) -> Vec<(usize, LoadEntry)> {
-        let mut known: Vec<(usize, LoadEntry)> = self.window.clone();
-        rng.shuffle(&mut known);
-        known.truncate(known.len() / 2);
-        let mut payload = Vec::with_capacity(known.len() + 1);
+        let len = self.window.len();
+        let mut order: Vec<u16> = (0..len as u16).collect();
+        rng.shuffle(&mut order);
+        let mut payload = Vec::with_capacity(1 + len / 2);
         payload.push((self.me, self.own));
-        payload.extend(known);
+        payload.extend(
+            order[..len / 2]
+                .iter()
+                .map(|&i| self.window[usize::from(i)]),
+        );
         payload
     }
 }
@@ -615,6 +706,37 @@ mod tests {
             max_age,
         ));
         assert!(w.entry(4).is_none());
+    }
+
+    #[test]
+    fn eviction_heap_stays_bounded_in_a_window_that_never_fills() {
+        // 15 peers refreshing every round never fill 64 slots, so no
+        // eviction ever pops a key; only the rebuild bounds the heap.
+        let mut w = WindowView::new(0, 64);
+        let max_age = SimDuration::from_secs(8);
+        let mut most = 0;
+        for round in 1..=2_000 {
+            for node in 1..16 {
+                let entry = LoadEntry {
+                    load: (node % 3) as f64,
+                    measured_at: t(round),
+                };
+                assert!(w.merge(node, entry, t(round), max_age));
+                assert!(w.stalest.len() < 2 * w.known_peers());
+                most = most.max(w.stalest.len());
+            }
+        }
+        assert_eq!(w.known_peers(), 15);
+        assert!(most >= 15, "the heap held a key per entry: {most}");
+        w.reset(t(2_001));
+        assert!(w.stalest.is_empty());
+        assert!(w.slot.iter().all(|&s| s == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65535 slots its index addresses")]
+    fn window_capacity_past_the_index_width_is_refused() {
+        WindowView::new(0, MAX_WINDOW + 1);
     }
 
     #[test]

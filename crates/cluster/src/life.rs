@@ -34,6 +34,8 @@
 //! of the outcome. [`LifeOutcome::fingerprint`] condenses the run for the
 //! equality tests.
 
+use std::time::{Duration, Instant};
+
 use ampom_core::lifecycle::LifecycleCostModel;
 use ampom_core::migration::Scheme;
 use ampom_net::calibration::fast_ethernet;
@@ -45,7 +47,7 @@ use ampom_sim::time::{SimDuration, SimTime};
 use ampom_workloads::sizes::{sizes_for, Kernel};
 
 use crate::balancer::{contention_factor, BalancePolicy, Migratable, MigrationModel};
-use crate::gossip::{plan_gossip, LoadEntry, WindowView};
+use crate::gossip::{plan_gossip, LoadEntry, WindowView, MAX_WINDOW};
 use crate::job::JobId;
 use crate::simulation::freeze_bytes;
 
@@ -226,8 +228,22 @@ impl LifeConfig {
         if self.mix.specs.is_empty() {
             return Err("life.mix must have at least one spec".into());
         }
+        let total_weight = self
+            .mix
+            .specs
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.weight));
+        if !matches!(total_weight, Some(w) if w > 0) {
+            return Err("life.mix weights must sum to a positive u64".into());
+        }
         if self.window == 0 {
             return Err("life.window must be positive".into());
+        }
+        if self.window > MAX_WINDOW {
+            return Err(format!(
+                "life.window {} exceeds the {MAX_WINDOW} entries a gossip window indexes",
+                self.window
+            ));
         }
         if !(0.0..=1.0).contains(&self.arrival_node_fraction) || self.arrival_node_fraction == 0.0 {
             return Err("life.arrival_node_fraction must be in (0, 1]".into());
@@ -330,6 +346,12 @@ pub struct LifeOutcome {
     pub load_stddev_series: Series,
     /// Completions per simulated hour.
     pub throughput_jobs_per_hour: f64,
+    /// Host wall-clock time spent in the ticks' compute phases (not part
+    /// of the fingerprint).
+    pub compute_wall: Duration,
+    /// Host wall-clock time spent in the ticks' apply phases (not part of
+    /// the fingerprint).
+    pub apply_wall: Duration,
 }
 
 impl LifeOutcome {
@@ -446,51 +468,47 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
     let costs = LifecycleCostModel::new(cfg.scheme);
     let base_rng = SimRng::seed_from_u64(cfg.seed);
 
-    // Pre-generate the Poisson arrival schedule (time, node, job). The
-    // schedule is a pure function of (seed, config), independent of
-    // everything the tick loop does.
+    // The Poisson arrival schedule (time, node, job), drawn on demand
+    // from its own stream: a pure function of (seed, config), independent
+    // of everything the tick loop does.
     let mut arrival_rng = base_rng.fork(ARRIVAL_SALT);
     let arrival_nodes =
         ((cfg.nodes as f64 * cfg.arrival_node_fraction).ceil() as usize).clamp(1, cfg.nodes);
-    let mut arrivals: Vec<(SimTime, usize, LifeJob)> = Vec::new();
-    let mut t = SimTime::ZERO;
     let horizon_end = SimTime::ZERO + cfg.horizon;
+    let mut t = SimTime::ZERO;
     let mut next_id = 0u64;
-    loop {
-        if let Some(cap) = cfg.max_jobs {
-            if next_id >= cap {
-                break;
-            }
+    let mut arrivals = std::iter::from_fn(|| {
+        if cfg.max_jobs.is_some_and(|cap| next_id >= cap) {
+            return None;
         }
         let gap = arrival_rng.exponential(cfg.mean_interarrival.as_secs_f64());
         t += SimDuration::from_secs_f64(gap.max(1e-6));
         if t >= horizon_end {
-            break;
+            return None;
         }
         let spec = *cfg.mix.draw(&mut arrival_rng);
         let demand = arrival_rng
             .exponential(spec.mean_demand.as_secs_f64())
             .max(1.0);
         let node = arrival_rng.below(arrival_nodes as u64) as usize;
-        arrivals.push((
-            t,
-            node,
-            LifeJob {
-                id: JobId(next_id),
-                kernel: spec.kernel,
-                arrived: t,
-                demand: SimDuration::from_secs_f64(demand),
-                remaining: SimDuration::from_secs_f64(demand),
-                memory_mb: spec.memory_mb,
-                dirty_fraction: spec.dirty_fraction,
-                migrations: 0,
-                last_migrated: None,
-                home: node,
-                stubs: 0,
-            },
-        ));
+        let job = LifeJob {
+            id: JobId(next_id),
+            kernel: spec.kernel,
+            arrived: t,
+            demand: SimDuration::from_secs_f64(demand),
+            remaining: SimDuration::from_secs_f64(demand),
+            memory_mb: spec.memory_mb,
+            dirty_fraction: spec.dirty_fraction,
+            migrations: 0,
+            last_migrated: None,
+            home: node,
+            stubs: 0,
+        };
         next_id += 1;
-    }
+        Some((t, node, job))
+    })
+    .fuse()
+    .peekable();
 
     let mut nodes: Vec<LifeNode> = (0..cfg.nodes)
         .map(|_| LifeNode {
@@ -515,7 +533,6 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
     crashes.sort_by_key(|c| (c.at, c.node));
     let mut next_crash = 0usize;
 
-    let mut next_arrival = 0usize;
     let mut out = LifeOutcome {
         arrived: 0,
         completed: 0,
@@ -539,6 +556,8 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
         final_load_stddev: 0.0,
         load_stddev_series: Series::new(512),
         throughput_jobs_per_hour: 0.0,
+        compute_wall: Duration::ZERO,
+        apply_wall: Duration::ZERO,
     };
     let mut slowdowns: Vec<f64> = Vec::new();
     let mut stddev_stats = OnlineStats::new();
@@ -595,9 +614,7 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
 
         // 2. Arrivals due this tick; a down arrival node reroutes to the
         //    next up node (deterministic scan).
-        while next_arrival < arrivals.len() && arrivals[next_arrival].0 <= now {
-            let (_, node, mut job) = arrivals[next_arrival].clone();
-            next_arrival += 1;
+        while let Some((_, node, mut job)) = arrivals.next_if(|(at, _, _)| *at <= now) {
             let target = (0..cfg.nodes)
                 .map(|k| (node + k) % cfg.nodes)
                 .find(|&k| nodes[k].up);
@@ -635,10 +652,11 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
         // 5. Compute phase: every up node plans gossip and (at most) one
         //    move from the immutable pre-tick snapshot. Parallel; see the
         //    module docs for why this cannot perturb determinism.
+        let compute_start = Instant::now();
         let plans: Vec<TickPlan> = {
             let nodes = &nodes;
             let views = &views;
-            let base = &base_rng;
+            let tick_rng = &base_rng.fork(tick_idx);
             par_map(cfg.threads, cfg.nodes, move |i| {
                 if !nodes[i].up {
                     return TickPlan {
@@ -646,7 +664,7 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
                         action: None,
                     };
                 }
-                let mut rng = base.fork(tick_idx).fork(NODE_SALT ^ i as u64);
+                let mut rng = tick_rng.fork(NODE_SALT ^ i as u64);
                 let gossip = plan_gossip(&views[i], cfg.nodes, &mut rng);
                 let my_load = nodes[i].queue.len() as f64;
 
@@ -671,6 +689,8 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
                     .max_by_key(|j| j.remaining);
                 if let Some(j) = returner {
                     action = Some(PlannedMove::Return { job: j.id });
+                } else if nodes[i].queue.is_empty() {
+                    // Nothing to migrate: `pick_migrant` would refuse.
                 } else if let Some((target, believed)) =
                     views[i].least_loaded_peer(now, cfg.max_age)
                 {
@@ -688,6 +708,8 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
         };
 
         // 6. Apply phase, sequential in node-index order.
+        let apply_start = Instant::now();
+        out.compute_wall += apply_start - compute_start;
         let mut migrations_this_tick = 0u64;
         for (i, plan) in plans.into_iter().enumerate() {
             if let Some((target, payload)) = plan.gossip {
@@ -796,6 +818,7 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
                 );
             }
         }
+        out.apply_wall += apply_start.elapsed();
         out.peak_migrations_per_tick = out.peak_migrations_per_tick.max(migrations_this_tick);
         if migrations_this_tick >= cfg.storm_threshold {
             out.storm_ticks += 1;
@@ -970,6 +993,23 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = LifeConfig::standard(8, Scheme::Ampom);
         cfg.window = 0;
+        assert!(cfg.validate().is_err());
+        // Past what the window's u16 slot index can address.
+        let mut cfg = LifeConfig::standard(8, Scheme::Ampom);
+        cfg.window = MAX_WINDOW + 1;
+        assert!(cfg.validate().is_err());
+        cfg.window = MAX_WINDOW;
+        assert!(cfg.validate().is_ok());
+        // A mix whose weights sum to zero would draw its last spec for
+        // every job; one whose sum overflows cannot be drawn from.
+        let mut cfg = LifeConfig::standard(8, Scheme::Ampom);
+        for s in &mut cfg.mix.specs {
+            s.weight = 0;
+        }
+        assert!(cfg.validate().is_err());
+        cfg.mix.specs[0].weight = 1;
+        assert!(cfg.validate().is_ok());
+        cfg.mix.specs[1].weight = u64::MAX;
         assert!(cfg.validate().is_err());
         let mut cfg = LifeConfig::standard(8, Scheme::Ampom);
         cfg.crashes = vec![CrashEvent {

@@ -1,7 +1,8 @@
 //! Property and golden tests for the cluster-life engine: windowed
 //! gossip freshness, thread-count/re-run determinism, job conservation,
-//! deputy-chain avoidance, a pinned 16-node/100-job fingerprint, and the
-//! `results/ext_gossip.csv` seed-data reproduction.
+//! deputy-chain avoidance, a pinned 16-node/100-job fingerprint, a pinned
+//! 96-node run whose windows evict, and the `results/ext_gossip.csv`
+//! seed-data reproduction.
 
 use ampom_cluster::gossip::{plan_gossip, GossipConfig, LoadEntry, WindowView};
 use ampom_cluster::{
@@ -186,6 +187,41 @@ fn clusterlife_golden_16_node_100_job_fingerprint() {
 }
 
 const GOLDEN_FINGERPRINT: u64 = 0x7d82_dcb6_f5e1_c230;
+
+/// Golden fingerprint of a run whose windows evict: 96 nodes gossip into
+/// 16-entry windows, so nearly every delivery of an absent peer lands in
+/// a full window and either evicts the stalest entry or is refused. The
+/// 16-node golden never fills its 64-entry windows; this pins the
+/// eviction order, and through `payload()`'s shuffle of the window, the
+/// order of the window itself. One crash resets a window mid-run.
+#[test]
+fn clusterlife_golden_evicting_window_fingerprint() {
+    let mut cfg = life(96, Scheme::Ampom, 600, 0xC1FE);
+    cfg.window = 16;
+    cfg.crashes = vec![CrashEvent {
+        node: 7,
+        at: SimTime::ZERO + SimDuration::from_secs(300),
+        down_for: SimDuration::from_secs(60),
+    }];
+    let out = run_cluster_life(&cfg);
+    assert!(out.conserves_jobs());
+    assert!(
+        out.failed > 0,
+        "node 7 takes arrivals; its crash kills jobs"
+    );
+    assert_eq!(
+        out.fingerprint(),
+        EVICTING_GOLDEN_FINGERPRINT,
+        "pinned 96-node evicting-window trajectory moved: completed={} \
+         migrations={} merged={} fingerprint={:#018x}",
+        out.completed,
+        out.migrations,
+        out.gossip_entries_merged,
+        out.fingerprint()
+    );
+}
+
+const EVICTING_GOLDEN_FINGERPRINT: u64 = 0xff07_ff75_4c97_dc8a;
 
 /// The committed `results/ext_gossip.csv` seed data reproduces from the
 /// legacy simulator it was generated with — the new engine composes the

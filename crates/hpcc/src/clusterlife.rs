@@ -7,7 +7,10 @@
 //! self-verified shape as the other commands: an append-only JSONL fact
 //! stream, a Prometheus-style metrics dump, and a compact
 //! `BENCH_cluster.json` perf fact gated by `--baseline` at 80 % of the
-//! committed per-cell throughput.
+//! committed per-cell throughput. The table and the JSONL cells also give
+//! the host's wall-clock µs per tick in the engine's compute and apply
+//! phases, from the single-thread run; the BENCH fact leaves them out, so
+//! it regenerates byte-identical.
 
 use std::time::{Duration, Instant};
 
@@ -76,6 +79,10 @@ pub struct ClusterCell {
     pub fingerprint: u64,
     /// Wall-clock for all determinism runs of this cell combined.
     pub wall: Duration,
+    /// Host µs per tick in the compute phase, single-thread run.
+    pub compute_us_per_tick: f64,
+    /// Host µs per tick in the apply phase, single-thread run.
+    pub apply_us_per_tick: f64,
 }
 
 /// A completed clusterlife invocation: the cells plus the three rendered
@@ -123,6 +130,12 @@ fn run_cell(
             )));
         }
     }
+    // Phase times come from the single-thread run (`THREAD_PANEL[0]`):
+    // with more threads the compute phase also pays `par_map`'s spawns.
+    // The engine ticks once per simulated second.
+    let per_tick_us = |d: Duration| d.as_secs_f64() * 1e6 / horizon.as_secs_f64();
+    let compute_us_per_tick = per_tick_us(runs[0].1.compute_wall);
+    let apply_us_per_tick = per_tick_us(runs[0].1.apply_wall);
     let outcome = runs.pop().unwrap().1;
     if !outcome.conserves_jobs() {
         return Err(AmpomError::InvalidConfig(format!(
@@ -138,6 +151,8 @@ fn run_cell(
         outcome,
         fingerprint,
         wall: started.elapsed(),
+        compute_us_per_tick,
+        apply_us_per_tick,
     })
 }
 
@@ -207,6 +222,8 @@ fn render_facts(cells: &[ClusterCell], seed: u64) -> String {
         w.field_f64("final_load_stddev", o.final_load_stddev);
         w.field_f64("throughput_jobs_per_hour", o.throughput_jobs_per_hour);
         w.field_str("fingerprint", &hex_fp(c.fingerprint));
+        w.field_f64("compute_us_per_tick", c.compute_us_per_tick);
+        w.field_f64("apply_us_per_tick", c.apply_us_per_tick);
         lines.push(w.close());
     }
     lines.join("\n") + "\n"
@@ -425,6 +442,8 @@ pub fn clusterlife_table(run: &ClusterLifeRun) -> AsciiTable {
             "p99 slow",
             "load dev",
             "GB moved",
+            "compute us/tick",
+            "apply us/tick",
             "fingerprint",
         ],
     );
@@ -440,6 +459,8 @@ pub fn clusterlife_table(run: &ClusterLifeRun) -> AsciiTable {
             format!("{:.2}", o.p99_slowdown),
             format!("{:.2}", o.mean_load_stddev),
             format!("{:.1}", o.bytes_moved as f64 / (1u64 << 30) as f64),
+            format!("{:.1}", c.compute_us_per_tick),
+            format!("{:.1}", c.apply_us_per_tick),
             hex_fp(c.fingerprint),
         ]);
     }
@@ -463,6 +484,8 @@ mod tests {
             outcome,
             fingerprint,
             wall: Duration::from_millis(1),
+            compute_us_per_tick: 1.5,
+            apply_us_per_tick: 2.5,
         }]
     }
 
@@ -534,5 +557,8 @@ mod tests {
         let text = clusterlife_table(&run).render();
         assert!(text.contains("AMPoM"));
         assert!(text.contains("0x"));
+        assert!(text.contains("apply us/tick") && text.contains("2.5"));
+        assert!(run.jsonl.contains("\"apply_us_per_tick\":2.5"));
+        assert!(!run.bench_json.contains("us_per_tick"));
     }
 }
