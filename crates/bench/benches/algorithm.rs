@@ -18,6 +18,13 @@
 //! migrant of a multi-run, under AMPoM and NoPrefetch, then 4 and 64
 //! migrants of a 2,048-page sweep against the same runs solo.
 //!
+//! The `fault_path` group times what every simulated fault pays for:
+//! the census on a full 20-entry window, into storage reused from the
+//! last fault as the prefetcher runs it, and a whole capped,
+//! writeback-on `sim-scatter` cell at 1/16 size (RandomAccess on a 4 MB
+//! heap under a 2 MB RAM cap), whose fingerprint must not change from
+//! sample to sample.
+//!
 //! The `gossip` group times cluster-life's load dissemination at its
 //! 300-node shape: an absent, fresher peer merged into a full 64-entry
 //! window (the eviction path, over half of all merges in a 300-node run),
@@ -27,12 +34,13 @@
 use ampom_bench::{black_box, Harness};
 use ampom_cluster::gossip::{plan_gossip, LoadEntry, WindowView};
 use ampom_cluster::{run_cluster_life, LifeConfig};
-use ampom_core::census::{census, OutstandingStream};
+use ampom_core::census::{census, census_into, OutstandingStream};
 use ampom_core::experiment::WorkloadSpec;
+use ampom_core::lifecycle::WritebackSpec;
 use ampom_core::multirun::{run_multi, MultiRunSpec};
 use ampom_core::policy::{extend_by_word, Fetchable, PolicySpec};
 use ampom_core::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates};
-use ampom_core::runner::RunConfig;
+use ampom_core::runner::{try_run_workload, RunConfig};
 use ampom_core::score::spatial_score;
 use ampom_core::transport::{run_with_transport, SimulatedTransport};
 use ampom_core::window::LookbackWindow;
@@ -43,6 +51,7 @@ use ampom_mem::table::{PageLocation, PageTablePair};
 use ampom_mem::writeback::WriteSet;
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
+use ampom_workloads::{Kernel, ProblemSize};
 
 fn bench_window_record(h: &mut Harness) {
     let mut g = h.group("window");
@@ -315,6 +324,54 @@ fn bench_multirun(h: &mut Harness) {
     g.finish();
 }
 
+fn bench_fault_path(h: &mut Harness) {
+    // Two interleaved sequential streams with a stray page: stride-2
+    // chains, one d-link ending where the next starts at every step.
+    let window: Vec<u64> = (0..20u64)
+        .map(|i| {
+            if i == 13 {
+                77_777
+            } else if i % 2 == 0 {
+                1_000 + i / 2
+            } else {
+                5_000 + i / 2
+            }
+        })
+        .collect();
+    let mut reused = census(&[3, 4, 5], 1);
+    census_into(&window, 4, &mut reused);
+    assert_eq!(reused, census(&window, 4));
+    let mut g = h.group("fault_path");
+    g.bench("census_into_20", || {
+        census_into(black_box(&window), 4, &mut reused);
+        reused.outstanding.len()
+    });
+
+    let spec = WorkloadSpec::kernel(
+        Kernel::RandomAccess,
+        ProblemSize {
+            problem: 0,
+            memory_mb: 4,
+        },
+    );
+    let cfg = RunConfig::new(Scheme::Ampom)
+        .with_resident_limit_mb(2)
+        .with_writeback(WritebackSpec::default())
+        .with_seed(1);
+    let run = || {
+        let mut w = spec.build(1).expect("valid workload");
+        try_run_workload(w.as_mut(), &cfg).expect("valid run")
+    };
+    let first = run();
+    assert!(first.pages_evicted > 0 && first.writeback.batches_sent > 0);
+    g.bench("scatter_random_access_4mb", || {
+        let r = run();
+        assert_eq!(r.fingerprint(), first.fingerprint());
+        r.faults_total
+    });
+    g.finish();
+}
+
 fn bench_gossip(h: &mut Harness) {
     const NODES: usize = 300;
     const WINDOW: usize = 64;
@@ -373,6 +430,7 @@ fn main() {
     bench_full_analysis(&mut h);
     bench_paging(&mut h);
     bench_multirun(&mut h);
+    bench_fault_path(&mut h);
     bench_gossip(&mut h);
     h.finish();
 }

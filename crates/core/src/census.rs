@@ -43,7 +43,7 @@ pub struct OutstandingStream {
 }
 
 /// The full result of one window analysis.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Census {
     /// `stride_d` for `d = 1..=dmax` (index 0 holds `stride_1`).
     pub stride_counts: Vec<u64>,
@@ -58,9 +58,21 @@ pub struct Census {
 /// Runs the stride census over the window contents (`pages[0]` is `r_1`,
 /// the oldest reference).
 pub fn census(pages: &[u64], dmax: usize) -> Census {
+    let mut out = Census::default();
+    census_into(pages, dmax, &mut out);
+    out
+}
+
+/// [`census`] into `out`, reusing its storage: every field is overwritten,
+/// so one `Census` can serve a run's every analysis.
+pub fn census_into(pages: &[u64], dmax: usize, out: &mut Census) {
     assert!(dmax >= 1, "dmax must be at least 1");
     let l = pages.len();
-    let mut links = Vec::new();
+    out.l = l;
+    out.stride_counts.clear();
+    out.stride_counts.resize(dmax, 0);
+    out.links.clear();
+    out.outstanding.clear();
     // For each position p, the minimal d with pages[p + d] == pages[p] + 1.
     // The "minimum absolute distance" makes intervening occurrences
     // impossible by construction (we take the first hit).
@@ -68,7 +80,18 @@ pub fn census(pages: &[u64], dmax: usize) -> Census {
         let target = pages[p] + 1;
         for d in 1..=dmax.min(l.saturating_sub(p + 1)) {
             if pages[p + d] == target {
-                links.push(StrideLink {
+                // stride_d: distinct positions participating in minimal-d
+                // links. A position starts at most one link and ends at
+                // most one of each d, so a d-link adds both its ends,
+                // except p when p also ends one: the link from p − d.
+                let chained = out
+                    .links
+                    .iter()
+                    .rev()
+                    .take_while(|k| k.start + d >= p)
+                    .any(|k| k.start + d == p && k.d == d);
+                out.stride_counts[d - 1] += if chained { 1 } else { 2 };
+                out.links.push(StrideLink {
                     start: p,
                     end: p + d,
                     d,
@@ -78,35 +101,18 @@ pub fn census(pages: &[u64], dmax: usize) -> Census {
         }
     }
 
-    // stride_d: distinct positions participating in minimal-d links.
-    let mut stride_counts = vec![0u64; dmax];
-    for d in 1..=dmax {
-        let mut seen = vec![false; l];
-        for link in links.iter().filter(|k| k.d == d) {
-            seen[link.start] = true;
-            seen[link.end] = true;
-        }
-        stride_counts[d - 1] = seen.iter().filter(|&&s| s).count() as u64;
-    }
-
     // Outstanding: (p + d) > l − d with 1-based positions; in 0-based
     // terms, end > l − d − 1, i.e. end ≥ l − d.
-    let outstanding = links
+    let outstanding = out
+        .links
         .iter()
         .filter(|k| k.end + k.d >= l)
         .map(|k| OutstandingStream {
             end_page: pages[k.end],
             d: k.d,
             pivot: pages[k.end] + 1,
-        })
-        .collect();
-
-    Census {
-        stride_counts,
-        links,
-        outstanding,
-        l,
-    }
+        });
+    out.outstanding.extend(outstanding);
 }
 
 #[cfg(test)]

@@ -85,10 +85,11 @@ impl Deputy {
     }
 
     /// Serves a paging request that arrived at the home node at
-    /// `arrival`, asking for `pages`. Updates the page-table pair (the
-    /// origin's copy is deleted as each page ships, §2.2) and enqueues the
-    /// replies on the path. Returns per-page destination arrival times in
-    /// request order.
+    /// `arrival`, asking for `pages` in request order. Updates the
+    /// page-table pair (the origin's copy is deleted as each page ships,
+    /// §2.2), enqueues the replies on the path and appends each page's
+    /// destination arrival to `served`, in request order. The caller owns
+    /// `served`, so a run reuses one buffer for every request.
     ///
     /// Pages not stored at the origin (already shipped, or created at the
     /// destination) are skipped defensively — the migrant's request may
@@ -96,16 +97,16 @@ impl Deputy {
     pub fn serve_request(
         &mut self,
         arrival: SimTime,
-        pages: &[PageId],
+        pages: impl IntoIterator<Item = PageId>,
         table: &mut PageTablePair,
         path: &mut NetPath,
-    ) -> Vec<ServedPage> {
+        served: &mut Vec<ServedPage>,
+    ) {
         self.note_arrival(arrival);
         self.requests_served += 1;
         let mut start = arrival.max(self.busy_until) + REQUEST_PARSE_COST;
         self.stats.busy_time += REQUEST_PARSE_COST;
-        let mut served = Vec::with_capacity(pages.len());
-        for &page in pages {
+        for page in pages {
             if table.lookup(page) != Some(PageLocation::Origin) {
                 continue;
             }
@@ -117,12 +118,13 @@ impl Deputy {
             served.push(ServedPage { page, arrives });
         }
         self.busy_until = start;
-        served
     }
 
     /// Serves a paging request over a faulty reply direction: each page
     /// reply is given a fate by `reply_fate` — dropped replies occupy the
-    /// link but never arrive, jittered replies arrive late.
+    /// link but never arrive, jittered replies arrive late. The delivered
+    /// replies are appended to `served` as [`Deputy::serve_request`]
+    /// appends them.
     ///
     /// Unlike [`Deputy::serve_request`], pages already recorded at the
     /// destination are *re-sent* rather than skipped: with loss enabled
@@ -132,17 +134,17 @@ impl Deputy {
     pub fn serve_request_faulty(
         &mut self,
         arrival: SimTime,
-        pages: &[PageId],
+        pages: impl IntoIterator<Item = PageId>,
         table: &mut PageTablePair,
         path: &mut NetPath,
         mut reply_fate: impl FnMut() -> Fate,
-    ) -> Vec<ServedPage> {
+        served: &mut Vec<ServedPage>,
+    ) {
         self.note_arrival(arrival);
         self.requests_served += 1;
         let mut start = arrival.max(self.busy_until) + REQUEST_PARSE_COST;
         self.stats.busy_time += REQUEST_PARSE_COST;
-        let mut served = Vec::with_capacity(pages.len());
-        for &page in pages {
+        for page in pages {
             let resend = match table.lookup(page) {
                 Some(PageLocation::Origin) => false,
                 Some(PageLocation::Destination) => true,
@@ -165,7 +167,6 @@ impl Deputy {
             }
         }
         self.busy_until = start;
-        served
     }
 
     /// Records queue-depth/backlog observations for a request arriving at
@@ -798,11 +799,46 @@ mod tests {
         )
     }
 
+    /// One request through [`Deputy::serve_request`], into a fresh buffer.
+    fn serve(
+        d: &mut Deputy,
+        arrival: SimTime,
+        pages: &[PageId],
+        t: &mut PageTablePair,
+        p: &mut NetPath,
+    ) -> Vec<ServedPage> {
+        let mut served = Vec::new();
+        d.serve_request(arrival, pages.iter().copied(), t, p, &mut served);
+        served
+    }
+
+    /// One request through [`Deputy::serve_request_faulty`], into a fresh
+    /// buffer.
+    fn serve_faulty(
+        d: &mut Deputy,
+        arrival: SimTime,
+        pages: &[PageId],
+        t: &mut PageTablePair,
+        p: &mut NetPath,
+        reply_fate: impl FnMut() -> Fate,
+    ) -> Vec<ServedPage> {
+        let mut served = Vec::new();
+        d.serve_request_faulty(
+            arrival,
+            pages.iter().copied(),
+            t,
+            p,
+            reply_fate,
+            &mut served,
+        );
+        served
+    }
+
     #[test]
     fn serves_pages_in_order_with_pipelined_arrivals() {
         let (mut d, mut t, mut p) = setup(10);
         let req: Vec<PageId> = (0..4).map(PageId).collect();
-        let served = d.serve_request(SimTime::ZERO, &req, &mut t, &mut p);
+        let served = serve(&mut d, SimTime::ZERO, &req, &mut t, &mut p);
         assert_eq!(served.len(), 4);
         for w in served.windows(2) {
             assert!(w[1].arrives > w[0].arrives);
@@ -818,7 +854,13 @@ mod tests {
     fn already_transferred_pages_are_skipped() {
         let (mut d, mut t, mut p) = setup(4);
         t.transfer_to_destination(PageId(1));
-        let served = d.serve_request(SimTime::ZERO, &[PageId(0), PageId(1)], &mut t, &mut p);
+        let served = serve(
+            &mut d,
+            SimTime::ZERO,
+            &[PageId(0), PageId(1)],
+            &mut t,
+            &mut p,
+        );
         assert_eq!(served.len(), 1);
         assert_eq!(served[0].page, PageId(0));
     }
@@ -826,7 +868,7 @@ mod tests {
     #[test]
     fn unmapped_pages_are_skipped() {
         let (mut d, mut t, mut p) = setup(2);
-        let served = d.serve_request(SimTime::ZERO, &[PageId(99)], &mut t, &mut p);
+        let served = serve(&mut d, SimTime::ZERO, &[PageId(99)], &mut t, &mut p);
         assert!(served.is_empty());
         assert_eq!(d.requests_served(), 1);
     }
@@ -835,9 +877,44 @@ mod tests {
     fn requests_queue_behind_each_other() {
         let (mut d, mut t, mut p) = setup(100);
         let big: Vec<PageId> = (0..50).map(PageId).collect();
-        let first = d.serve_request(SimTime::ZERO, &big, &mut t, &mut p);
-        let second = d.serve_request(SimTime::ZERO, &[PageId(60)], &mut t, &mut p);
+        let first = serve(&mut d, SimTime::ZERO, &big, &mut t, &mut p);
+        let second = serve(&mut d, SimTime::ZERO, &[PageId(60)], &mut t, &mut p);
         assert!(second[0].arrives > first.last().unwrap().arrives);
+    }
+
+    #[test]
+    fn served_pages_append_to_the_callers_buffer() {
+        // The demand page chained with its zone, twice into one buffer:
+        // the second request's replies follow the first's.
+        let (mut d, mut t, mut p) = setup(16);
+        let (mut fresh, mut ft, mut fp) = setup(16);
+        let zone = [PageId(3), PageId(4)];
+        let mut served = Vec::new();
+        for (arrival_us, demand) in [(0, PageId(1)), (7, PageId(9))] {
+            let pages = std::iter::once(demand).chain(zone.iter().copied());
+            d.serve_request(at(arrival_us), pages, &mut t, &mut p, &mut served);
+        }
+        let mut want = serve(
+            &mut fresh,
+            at(0),
+            &[PageId(1), PageId(3), PageId(4)],
+            &mut ft,
+            &mut fp,
+        );
+        want.extend(serve(
+            &mut fresh,
+            at(7),
+            &[PageId(9), PageId(3), PageId(4)],
+            &mut ft,
+            &mut fp,
+        ));
+        assert_eq!(served, want);
+        let pages: Vec<u64> = served.iter().map(|s| s.page.index()).collect();
+        assert_eq!(
+            pages,
+            [1, 3, 4, 9],
+            "zone pages already shipped are skipped"
+        );
     }
 
     #[test]
@@ -852,13 +929,13 @@ mod tests {
     fn saturation_stats_track_queueing() {
         let (mut d, mut t, mut p) = setup(100);
         let big: Vec<PageId> = (0..50).map(PageId).collect();
-        d.serve_request(SimTime::ZERO, &big, &mut t, &mut p);
+        serve(&mut d, SimTime::ZERO, &big, &mut t, &mut p);
         assert_eq!(
             d.stats().queued_requests,
             0,
             "first request saw idle deputy"
         );
-        d.serve_request(SimTime::ZERO, &[PageId(60)], &mut t, &mut p);
+        serve(&mut d, SimTime::ZERO, &[PageId(60)], &mut t, &mut p);
         let s = d.stats();
         assert_eq!(s.queued_requests, 1);
         assert!(s.max_backlog >= REQUEST_PARSE_COST + PAGE_SERVICE_COST * 50);
@@ -870,14 +947,14 @@ mod tests {
     fn faulty_serve_resends_transferred_pages_and_drops_on_fate() {
         let (mut d, mut t, mut p) = setup(4);
         // First reply dropped: page 0 transfers but never arrives.
-        let served = d.serve_request_faulty(SimTime::ZERO, &[PageId(0)], &mut t, &mut p, || {
+        let served = serve_faulty(&mut d, SimTime::ZERO, &[PageId(0)], &mut t, &mut p, || {
             Fate::Dropped
         });
         assert!(served.is_empty());
         assert_eq!(t.lookup(PageId(0)), Some(PageLocation::Destination));
         // Re-request: the deputy re-sends even though the table says
         // Destination.
-        let served = d.serve_request_faulty(SimTime::ZERO, &[PageId(0)], &mut t, &mut p, || {
+        let served = serve_faulty(&mut d, SimTime::ZERO, &[PageId(0)], &mut t, &mut p, || {
             Fate::Delivered {
                 extra_delay: SimDuration::from_micros(5),
             }
@@ -893,11 +970,12 @@ mod tests {
         let (mut d1, mut t1, mut p1) = setup(8);
         let (mut d2, mut t2, mut p2) = setup(8);
         let req: Vec<PageId> = (0..5).map(PageId).collect();
-        let a = d1.serve_request(SimTime::ZERO, &req, &mut t1, &mut p1);
-        let b =
-            d2.serve_request_faulty(SimTime::ZERO, &req, &mut t2, &mut p2, || Fate::Delivered {
+        let a = serve(&mut d1, SimTime::ZERO, &req, &mut t1, &mut p1);
+        let b = serve_faulty(&mut d2, SimTime::ZERO, &req, &mut t2, &mut p2, || {
+            Fate::Delivered {
                 extra_delay: SimDuration::ZERO,
-            });
+            }
+        });
         assert_eq!(a, b);
     }
 
@@ -940,7 +1018,7 @@ mod tests {
         ];
         for (arrival_us, pages) in &history {
             let req: Vec<PageId> = pages.iter().copied().map(PageId).collect();
-            d.serve_request(at(*arrival_us), &req, &mut t, &mut p);
+            serve(&mut d, at(*arrival_us), &req, &mut t, &mut p);
             let accepted = md.submit_request(M0, at(*arrival_us), &req);
             assert_eq!(accepted, req, "fault-free run never coalesces");
         }
@@ -959,16 +1037,16 @@ mod tests {
     fn arrival_exactly_at_busy_until_is_not_queued() {
         // Eager deputy first: the audited baseline behaviour.
         let (mut d, mut t, mut p) = setup(8);
-        d.serve_request(SimTime::ZERO, &[PageId(0)], &mut t, &mut p);
+        serve(&mut d, SimTime::ZERO, &[PageId(0)], &mut t, &mut p);
         let horizon = d.busy_until();
-        d.serve_request(horizon, &[PageId(1)], &mut t, &mut p);
+        serve(&mut d, horizon, &[PageId(1)], &mut t, &mut p);
         assert_eq!(d.stats().queued_requests, 0);
         assert_eq!(d.stats().max_backlog, SimDuration::ZERO);
         // One nanosecond earlier *is* queued: the backlog test is strict.
         let (mut d2, mut t2, mut p2) = setup(8);
-        d2.serve_request(SimTime::ZERO, &[PageId(0)], &mut t2, &mut p2);
+        serve(&mut d2, SimTime::ZERO, &[PageId(0)], &mut t2, &mut p2);
         let just_before = d2.busy_until() - SimDuration::from_nanos(1);
-        d2.serve_request(just_before, &[PageId(1)], &mut t2, &mut p2);
+        serve(&mut d2, just_before, &[PageId(1)], &mut t2, &mut p2);
         assert_eq!(d2.stats().queued_requests, 1);
         assert_eq!(d2.stats().max_backlog, SimDuration::from_nanos(1));
 

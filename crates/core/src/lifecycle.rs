@@ -23,9 +23,9 @@
 //! is now a thin wrapper over it with writeback disabled, preserving the
 //! analytic round-trip report the extension experiments consume. The
 //! forward run loops reuse [`ForwardWriteback`], the reliable in-run
-//! variant of the same write-set/sink pair, gated behind
-//! [`crate::runner::RunConfig::writeback`] so default runs stay
-//! bit-identical to the golden fingerprints.
+//! variant of the same write-set (its reliable carrier needs no sink),
+//! gated behind [`crate::runner::RunConfig::writeback`] so default runs
+//! stay bit-identical to the golden fingerprints.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -545,20 +545,28 @@ impl WritebackChannel {
 // The reliable in-run engine the forward loops share.
 // ---------------------------------------------------------------------
 
-/// Write-set + sink for the forward run loops, where the in-run paging
+/// The write-set of the forward run loops, where the in-run paging
 /// protocol is reliable (the reliability layer wraps the *request* path;
 /// writeback rides the same recovered stream). Each loop supplies its own
 /// carrier — [`NetPath::send_control_to_home`] or
 /// [`crate::transport::Transport::writeback_batch`] — and completes
 /// batches through [`ForwardWriteback::complete`].
+///
+/// No [`WritebackSink`] sits at the far end: on a reliable carrier every
+/// batch is completed exactly once, and the write-set gives a page a new
+/// version each time it batches it again, so a sink would apply every
+/// entry and refuse none. The engine counts the applied pages itself and
+/// reports no duplicates. The lifecycle channel keeps its sink, because
+/// its batches can be lost, resent and replayed across restarts.
 #[derive(Debug)]
 pub struct ForwardWriteback {
     spec: WritebackSpec,
     wset: WriteSet,
-    sink: WritebackSink,
     faults_since_flush: u64,
     bytes: u64,
     flush_time: SimDuration,
+    /// Page entries of every completed batch: each one applied.
+    pages_applied: u64,
 }
 
 impl ForwardWriteback {
@@ -567,10 +575,10 @@ impl ForwardWriteback {
         ForwardWriteback {
             spec,
             wset: WriteSet::new(),
-            sink: WritebackSink::new(),
             faults_since_flush: 0,
             bytes: 0,
             flush_time: SimDuration::ZERO,
+            pages_applied: 0,
         }
     }
 
@@ -597,8 +605,8 @@ impl ForwardWriteback {
         self.wset.build_batch(self.spec.max_batch_pages)
     }
 
-    /// Completes a batch the carrier delivered: applies it to the sink,
-    /// acknowledges the write-set and accounts the wire cost.
+    /// Completes a batch the carrier delivered: counts its entries
+    /// applied, acknowledges the write-set and accounts the wire cost.
     pub fn complete(
         &mut self,
         seq: u64,
@@ -609,7 +617,7 @@ impl ForwardWriteback {
     ) {
         self.bytes += bytes;
         self.flush_time += acked_at.since(sent_at);
-        let _ = self.sink.apply_batch(seq, entries);
+        self.pages_applied += entries.len() as u64;
         self.wset.on_ack(seq);
     }
 
@@ -618,16 +626,15 @@ impl ForwardWriteback {
         self.wset.dirty_len() > 0
     }
 
-    /// The run-report counters (replica fields are the caller's).
+    /// The run-report counters (replica fields are the caller's). The
+    /// duplicate counters are 0: see the type's docs.
     pub fn stats(&self) -> WritebackStats {
         WritebackStats {
             writes_noted: self.wset.counters.writes_noted,
             redirties: self.wset.counters.redirties,
             batches_sent: self.wset.counters.batches_built,
-            pages_written_back: self.sink.counters.pages_applied,
+            pages_written_back: self.pages_applied,
             retransmits: self.wset.counters.retransmits,
-            duplicate_batches: self.sink.counters.duplicate_batches,
-            duplicate_pages: self.sink.counters.duplicate_pages,
             writeback_bytes: self.bytes,
             flush_time: self.flush_time,
             ..WritebackStats::default()
@@ -688,6 +695,7 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
         (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
     let mut in_flight: HashMap<PageId, SimTime> = HashMap::new();
     let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
+    let mut served = Vec::new();
     let page_limit = PageId(layout.total_pages());
 
     let mut channel = lc.writeback.map(|spec| WritebackChannel::new(spec, cfg));
@@ -748,10 +756,11 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
                 } else {
                     fault_requests += 1;
                     away_fault_requests += 1;
-                    let mut pages = vec![r.page];
-                    pages.extend_from_slice(&prefetch);
-                    let at_home = path.send_request(now, pages.len());
-                    for s in deputy.serve_request(at_home, &pages, &mut table, &mut path) {
+                    let at_home = path.send_request(now, 1 + prefetch.len());
+                    served.clear();
+                    let pages = std::iter::once(r.page).chain(prefetch.iter().copied());
+                    deputy.serve_request(at_home, pages, &mut table, &mut path, &mut served);
+                    for s in &served {
                         replica.invalidate(s.page);
                         in_flight.insert(s.page, s.arrives);
                         staged.push_back((s.arrives, s.page));
@@ -900,12 +909,17 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
                     install(&mut staged, &mut in_flight, &mut space, &mut now);
                 } else {
                     fault_requests += 1;
-                    let mut pages = vec![r.page];
-                    pages.extend_from_slice(&prefetch);
-                    let at_remote = path.send_request(now, pages.len());
-                    for s in
-                        return_deputy.serve_request(at_remote, &pages, &mut return_table, &mut path)
-                    {
+                    let at_remote = path.send_request(now, 1 + prefetch.len());
+                    served.clear();
+                    let pages = std::iter::once(r.page).chain(prefetch.iter().copied());
+                    return_deputy.serve_request(
+                        at_remote,
+                        pages,
+                        &mut return_table,
+                        &mut path,
+                        &mut served,
+                    );
+                    for s in &served {
                         return_replica.invalidate(s.page);
                         in_flight.insert(s.page, s.arrives);
                         staged.push_back((s.arrives, s.page));
@@ -1143,5 +1157,55 @@ mod tests {
             &RunConfig::new(Scheme::Ampom),
             &LifecycleConfig::new(1.5),
         );
+    }
+
+    #[test]
+    fn forward_writeback_counts_what_a_sink_would_apply() {
+        use ampom_sim::propcheck::forall;
+        // Every batch the engine builds, replayed through a sink the way
+        // the engine used to apply them: the sink applies every entry and
+        // refuses none, so the direct counts are the sink's.
+        forall("forward-writeback-counts", 256, |g| {
+            let spec = WritebackSpec {
+                flush_every_faults: g.u64(1..6),
+                max_batch_pages: g.usize(1..10),
+            };
+            let mut wb = ForwardWriteback::new(spec);
+            let mut sink = WritebackSink::new();
+            fn flush(wb: &mut ForwardWriteback, sink: &mut WritebackSink, now: SimTime) {
+                while let Some((seq, entries)) = wb.take_batch() {
+                    sink.apply_batch(seq, &entries);
+                    let bytes = writeback_batch_bytes(entries.len());
+                    wb.complete(seq, &entries, bytes, now, now);
+                }
+            }
+            let pages = g.u64(1..40);
+            for step in 0..g.u64(0..200) {
+                if g.usize(0..4) > 0 {
+                    wb.note_touch(PageId(g.u64(0..pages)), g.bool(0.7));
+                } else if wb.on_fault() {
+                    flush(&mut wb, &mut sink, SimTime::from_nanos(step));
+                }
+            }
+            flush(&mut wb, &mut sink, SimTime::from_nanos(200));
+            let stats = wb.stats();
+            assert!(!wb.has_dirty());
+            assert_eq!(stats.pages_written_back, sink.counters.pages_applied);
+            assert_eq!(stats.pages_written_back, wb.wset.counters.pages_flushed);
+            assert_eq!(stats.batches_sent, sink.counters.batches_applied);
+            assert_eq!(
+                (stats.duplicate_batches, stats.duplicate_pages),
+                (0, 0),
+                "the engine reports no duplicates"
+            );
+            assert_eq!(
+                (
+                    sink.counters.duplicate_batches,
+                    sink.counters.duplicate_pages
+                ),
+                (0, 0),
+                "and a sink finds none"
+            );
+        });
     }
 }

@@ -25,11 +25,11 @@ use ampom_mem::page::PageId;
 use ampom_sim::stats::OnlineStats;
 use ampom_sim::time::{SimDuration, SimTime};
 
-use crate::census::{census, Census};
+use crate::census::{census_into, Census};
 use crate::policy::Fetchable;
 use crate::score::spatial_score_detail;
 use crate::window::LookbackWindow;
-use crate::zone::{dependent_zone_size, select_zone, ZoneSizeInputs};
+use crate::zone::{dependent_zone_size, select_zone_into, ZoneBuffers, ZoneSizeInputs};
 
 /// Tunables of the AMPoM algorithm. Defaults are the paper's
 /// implementation values (§4) plus the documented engineering floors.
@@ -173,12 +173,19 @@ impl PrefetchStats {
 }
 
 /// The AMPoM analysis engine. One instance per migrant.
+///
+/// The per-fault analysis reuses the engine's own storage — the window's
+/// pages, the census and the zone selection's runs — so a fault allocates
+/// only the decision's prefetch list.
 #[derive(Debug)]
 pub struct AmpomPrefetcher {
     config: AmpomConfig,
     window: LookbackWindow,
     stats: PrefetchStats,
-    last_census: Option<Census>,
+    /// The last analysis's census (empty before the first).
+    last_census: Census,
+    window_pages: Vec<u64>,
+    zone: ZoneBuffers,
 }
 
 impl AmpomPrefetcher {
@@ -199,7 +206,9 @@ impl AmpomPrefetcher {
             window: LookbackWindow::new(config.window_len),
             config,
             stats: PrefetchStats::default(),
-            last_census: None,
+            last_census: Census::default(),
+            window_pages: Vec::new(),
+            zone: ZoneBuffers::default(),
         })
     }
 
@@ -217,7 +226,7 @@ impl AmpomPrefetcher {
             stats: self.stats.clone(),
             window_wraps: self.window.wraps(),
             window_full: self.window.is_full(),
-            outstanding_streams: self.last_census.as_ref().map_or(0, |c| c.outstanding.len()),
+            outstanding_streams: self.last_census.outstanding.len(),
         }
     }
 
@@ -263,9 +272,10 @@ impl AmpomPrefetcher {
         self.window.record(page, now, cpu_util);
         self.stats.analyses += 1;
 
-        let pages = self.window.page_indices();
-        let c = census(&pages, self.config.dmax);
-        let score_detail = spatial_score_detail(&c);
+        self.window.page_indices_into(&mut self.window_pages);
+        census_into(&self.window_pages, self.config.dmax, &mut self.last_census);
+        let c = &self.last_census;
+        let score_detail = spatial_score_detail(c);
         let score = score_detail.score;
         self.stats.scores.record(score);
         if score_detail.clamped {
@@ -294,8 +304,12 @@ impl AmpomPrefetcher {
         if c.outstanding.is_empty() {
             self.stats.fallbacks += 1;
         }
-        let mut prefetch = Vec::new();
-        for run in select_zone(&c.outstanding, budget, page, page_limit) {
+        select_zone_into(&c.outstanding, budget, page, page_limit, &mut self.zone);
+        // Room for every page the runs hold, reserved once: at most the
+        // budget, and never past the address space.
+        let room: u64 = self.zone.runs.iter().map(|run| run.len()).sum();
+        let mut prefetch = Vec::with_capacity(room as usize);
+        for run in &self.zone.runs {
             if run.contains(page) {
                 fetchable.extend_fetchable(run.start, page, &mut prefetch);
                 fetchable.extend_fetchable(page.succ(), run.end, &mut prefetch);
@@ -304,7 +318,6 @@ impl AmpomPrefetcher {
             }
         }
         self.stats.pages_selected += prefetch.len() as u64;
-        self.last_census = Some(c);
 
         ZoneDecision {
             prefetch,
@@ -458,7 +471,7 @@ mod tests {
                 });
                 assert!(!asked.contains(&page), "asked about {page}: {asked:?}");
                 assert!(!d.prefetch.contains(&page));
-                let outstanding = &p.last_census.as_ref().expect("analysed").outstanding;
+                let outstanding = &p.last_census.outstanding;
                 let runs = select_zone(outstanding, d.budget, page, limit);
                 runs_holding_it += u32::from(runs.iter().any(|r| r.contains(page)));
             }

@@ -354,6 +354,9 @@ pub struct SimulatedTransport {
     /// reply link is FIFO, so arrivals are monotone; jitter under faults
     /// is inserted in place.
     staged: VecDeque<(SimTime, PageId)>,
+    /// The deputy's replies to the request being sent, reused by every
+    /// request.
+    served: Vec<ServedPage>,
     /// Message loss, deputy outages and the recovery protocol; `None` on
     /// a fault-free run, which then never consults it.
     faults: Option<FaultInjector>,
@@ -380,6 +383,7 @@ impl SimulatedTransport {
             monitor,
             in_flight: InFlight::default(),
             staged: VecDeque::new(),
+            served: Vec::new(),
             faults: cfg
                 .faults
                 .as_ref()
@@ -400,24 +404,24 @@ impl SimulatedTransport {
         prefetch: &[PageId],
         table: &mut PageTablePair,
     ) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = Vec::with_capacity(prefetch.len() + 1);
-        pages.extend(demand);
-        pages.extend_from_slice(prefetch);
-        let served: Vec<ServedPage> = match self.faults.as_mut() {
+        let n_pages = usize::from(demand.is_some()) + prefetch.len();
+        let pages = demand.into_iter().chain(prefetch.iter().copied());
+        self.served.clear();
+        match self.faults.as_mut() {
             None => {
-                let at_home = self.path.send_request(now, pages.len());
+                let at_home = self.path.send_request(now, n_pages);
                 self.deputy
-                    .serve_request(at_home, &pages, table, &mut self.path)
+                    .serve_request(at_home, pages, table, &mut self.path, &mut self.served);
             }
             Some(f) => {
                 let at_home = match f.request_plan.fate() {
                     Fate::Dropped => {
-                        self.path.send_request_lost(now, pages.len());
+                        self.path.send_request_lost(now, n_pages);
                         f.stats.messages_dropped += 1;
                         return Vec::new();
                     }
                     Fate::Delivered { extra_delay } => {
-                        self.path.send_request(now, pages.len()) + extra_delay
+                        self.path.send_request(now, n_pages) + extra_delay
                     }
                 };
                 if f.profile.downtime.is_down(at_home) {
@@ -427,19 +431,22 @@ impl SimulatedTransport {
                 }
                 let plan = &mut f.reply_plan;
                 let dropped_before = plan.dropped();
-                let served = self.deputy.serve_request_faulty(
+                self.deputy.serve_request_faulty(
                     at_home,
-                    &pages,
+                    pages,
                     table,
                     &mut self.path,
                     || plan.fate(),
+                    &mut self.served,
                 );
                 f.stats.messages_dropped += plan.dropped() - dropped_before;
-                served
             }
-        };
-        let mut queued = Vec::new();
-        for s in served {
+        }
+        // The demand page's reply, when delivered, comes first; the zone
+        // never holds the demand page.
+        let demand_served = demand.is_some() && self.served.first().map(|s| s.page) == demand;
+        let mut queued = Vec::with_capacity(self.served.len() - usize::from(demand_served));
+        for s in &self.served {
             self.in_flight.insert(s.page, s.arrives);
             stage_sorted(&mut self.staged, s.arrives, s.page);
             if demand != Some(s.page) {
@@ -483,11 +490,11 @@ impl SimulatedTransport {
     }
 
     /// [`Transport::evict_to_home`]: one page-sized message home per
-    /// evicted page.
+    /// evicted page, sent in one link call.
     fn evict(&mut self, now: SimTime, pages: u64) {
-        for _ in 0..pages {
+        if pages > 0 {
             self.path
-                .send_control_to_home(now, NetPath::page_reply_bytes());
+                .send_controls_to_home(now, NetPath::page_reply_bytes(), pages);
         }
     }
 
@@ -764,14 +771,15 @@ impl Transport for SimulatedTransport {
 ///
 /// The zone filter asks "which of these 64 pages are in flight?" once per
 /// word of the zone, so membership is a page-indexed bitset (1 bit per
-/// page, grown on demand).
-/// Arrival times stay in a map: only the waits read them, once per fault
-/// and once per served page. Both change only through this type's
-/// methods, so a page has its bit set exactly while it has an arrival.
+/// page, grown on demand). Arrival times sit in a page-indexed array
+/// beside it, grown with the bitset to the highest page requested (8 B
+/// per page). An entry is valid only while its page's bit is set: a
+/// remove or a clear resets bits and the count, never the array.
 #[derive(Debug, Default)]
 struct InFlight {
     bits: PageBits,
-    arrivals: HashMap<PageId, SimTime>,
+    arrivals: Vec<SimTime>,
+    len: usize,
 }
 
 impl InFlight {
@@ -779,20 +787,30 @@ impl InFlight {
     /// original; the earliest arrival is kept so the migrant never waits
     /// longer than it has to.
     fn insert(&mut self, page: PageId, arrives: SimTime) {
-        let at = self.arrivals.entry(page).or_insert(arrives);
-        *at = (*at).min(arrives);
+        let i = page.index() as usize;
+        if self.bits.contains(page) {
+            self.arrivals[i] = self.arrivals[i].min(arrives);
+            return;
+        }
+        if i >= self.arrivals.len() {
+            // A whole bitset word at a time.
+            self.arrivals.resize((i / 64 + 1) * 64, SimTime::ZERO);
+        }
+        self.arrivals[i] = arrives;
         self.bits.insert(page);
+        self.len += 1;
     }
 
     fn remove(&mut self, page: PageId) {
-        if self.arrivals.remove(&page).is_some() {
+        if self.bits.contains(page) {
             self.bits.remove(page);
+            self.len -= 1;
         }
     }
 
     fn clear(&mut self) {
-        self.arrivals.clear();
         self.bits.clear();
+        self.len = 0;
     }
 
     fn contains(&self, page: PageId) -> bool {
@@ -804,11 +822,12 @@ impl InFlight {
     }
 
     fn arrival(&self, page: PageId) -> Option<SimTime> {
-        self.arrivals.get(&page).copied()
+        self.contains(page)
+            .then(|| self.arrivals[page.index() as usize])
     }
 
     fn len(&self) -> usize {
-        self.arrivals.len()
+        self.len
     }
 }
 
@@ -859,8 +878,13 @@ impl PageBits {
 
 /// Inserts `(arrives, page)` keeping `staged` sorted by arrival time.
 /// Jitter makes arrivals slightly out of order; scanning from the back is
-/// O(displacement), which is tiny in practice (zero on a FIFO link).
+/// O(displacement), which is tiny in practice (zero on a FIFO link, where
+/// every reply goes to the back).
 fn stage_sorted(staged: &mut VecDeque<(SimTime, PageId)>, arrives: SimTime, page: PageId) {
+    if staged.back().is_none_or(|&(last, _)| last <= arrives) {
+        staged.push_back((arrives, page));
+        return;
+    }
     let mut idx = staged.len();
     while idx > 0 && staged[idx - 1].0 > arrives {
         idx -= 1;
@@ -1535,6 +1559,74 @@ mod tests {
         assert!(f.contains(p));
         assert_eq!(f.len(), 1);
         assert_eq!(f.arrival(p), Some(SimTime::from_nanos(30)));
+    }
+
+    #[test]
+    fn in_flight_matches_a_map_model() {
+        use ampom_sim::propcheck::forall;
+        use std::collections::{HashMap, HashSet};
+        use std::ops::Range;
+        /// Every observable of `f` against the model, on the pages of
+        /// `words`.
+        fn agree(f: &InFlight, model: &HashMap<PageId, SimTime>, words: Range<u64>) {
+            assert_eq!(f.len(), model.len());
+            for word in words {
+                let mut want = 0;
+                for bit in 0..64 {
+                    let p = PageId(word * 64 + bit);
+                    assert_eq!(f.arrival(p), model.get(&p).copied(), "arrival of {p}");
+                    assert_eq!(f.contains(p), model.contains_key(&p), "membership of {p}");
+                    want |= u64::from(model.contains_key(&p)) << bit;
+                }
+                assert_eq!(f.word(word), want, "word {word}");
+            }
+        }
+        // Which operations the generator reached: a re-insert with an
+        // earlier arrival, one with a later arrival, a remove of a page in
+        // flight, a clear of a non-empty set, a re-insert of a page the
+        // last clear dropped.
+        let mut seen = [0u32; 5];
+        forall("in-flight-model", 256, |g| {
+            let mut f = InFlight::default();
+            let mut model: HashMap<PageId, SimTime> = HashMap::new();
+            let mut dropped_by_clear = HashSet::new();
+            let span = g.u64(1..300);
+            for _ in 0..g.usize(1..200) {
+                let page = PageId(g.u64(0..span));
+                match g.usize(0..8) {
+                    0..=4 => {
+                        let at = SimTime::from_nanos(g.u64(0..1_000));
+                        match model.get(&page) {
+                            Some(&held) => seen[usize::from(at >= held)] += 1,
+                            None => seen[4] += u32::from(dropped_by_clear.contains(&page)),
+                        }
+                        f.insert(page, at);
+                        let held = model.entry(page).or_insert(at);
+                        *held = (*held).min(at);
+                    }
+                    5 | 6 => {
+                        seen[2] += u32::from(model.contains_key(&page));
+                        f.remove(page);
+                        model.remove(&page);
+                    }
+                    _ => {
+                        seen[3] += u32::from(!model.is_empty());
+                        dropped_by_clear = model.keys().copied().collect();
+                        f.clear();
+                        model.clear();
+                        agree(&f, &model, 0..span / 64 + 2);
+                    }
+                }
+                assert_eq!(f.len(), model.len());
+                assert_eq!(f.arrival(page), model.get(&page).copied());
+            }
+            // Every word the pages reach, and one past them.
+            agree(&f, &model, 0..span / 64 + 2);
+        });
+        assert!(
+            seen.iter().all(|&n| n >= 10),
+            "operations reached: {seen:?}"
+        );
     }
 
     #[test]

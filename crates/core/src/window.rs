@@ -118,6 +118,12 @@ impl LookbackWindow {
         self.entries.iter().map(|e| e.page.index()).collect()
     }
 
+    /// [`Self::page_indices`] into `out`, reusing its storage.
+    pub fn page_indices_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(self.entries.iter().map(|e| e.page.index()));
+    }
+
     /// The newest entry `r_l`, if any.
     pub fn newest(&self) -> Option<&FaultRecord> {
         self.entries.back()
@@ -177,6 +183,9 @@ mod tests {
         w.record(PageId(9), t(10), 1.0);
         assert_eq!(w.page_indices(), vec![1, 2, 9]);
         assert_eq!(w.len(), 3);
+        let mut reused = vec![7; 5];
+        w.page_indices_into(&mut reused);
+        assert_eq!(reused, w.page_indices());
     }
 
     #[test]

@@ -82,11 +82,35 @@ pub fn select_zone(
     last_page: PageId,
     page_limit: PageId,
 ) -> Vec<PageRange> {
+    let mut buf = ZoneBuffers::default();
+    select_zone_into(outstanding, budget, last_page, page_limit, &mut buf);
+    buf.runs
+}
+
+/// The storage [`select_zone_into`] reuses from one analysis to the next.
+#[derive(Debug, Clone, Default)]
+pub struct ZoneBuffers {
+    /// The runs of the last selection, as [`select_zone`] returns them.
+    pub runs: Vec<PageRange>,
+    /// `[start, end)` of each earlier stream's walk.
+    walked: Vec<(u64, u64)>,
+}
+
+/// [`select_zone`] into `buf.runs`, reusing `buf`'s storage.
+pub fn select_zone_into(
+    outstanding: &[OutstandingStream],
+    budget: u64,
+    last_page: PageId,
+    page_limit: PageId,
+    buf: &mut ZoneBuffers,
+) {
+    let ZoneBuffers { runs, walked } = buf;
+    runs.clear();
+    walked.clear();
     if budget == 0 {
-        return Vec::new();
+        return;
     }
     let limit = page_limit.index();
-    let mut runs = Vec::new();
 
     if outstanding.is_empty() {
         // Read-ahead fallback: r_l + 1 … r_l + N.
@@ -95,14 +119,12 @@ pub fn select_zone(
         if first < end {
             runs.push(PageRange::new(PageId(first), PageId(end)));
         }
-        return runs;
+        return;
     }
 
     let m = outstanding.len() as u64;
     let base_quota = budget / m;
     let remainder = budget % m;
-    // `[start, end)` of each earlier stream's walk.
-    let mut walked: Vec<(u64, u64)> = Vec::with_capacity(outstanding.len());
 
     for (idx, stream) in outstanding.iter().enumerate() {
         // Earlier pivots absorb the division remainder, so the full budget
@@ -130,7 +152,6 @@ pub fn select_zone(
             walked.push((stream.pivot, p));
         }
     }
-    runs
 }
 
 #[cfg(test)]

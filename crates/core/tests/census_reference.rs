@@ -9,8 +9,8 @@
 //! selection is checked the same way against a per-page set: its runs,
 //! flattened, must be the reference's pages in the reference's order.
 
-use ampom_core::census::{census, Census, OutstandingStream};
-use ampom_core::zone::select_zone;
+use ampom_core::census::{census, census_into, Census, OutstandingStream};
+use ampom_core::zone::{select_zone, select_zone_into, ZoneBuffers};
 use ampom_mem::page::{PageId, PageRange};
 use ampom_sim::propcheck::{forall, Gen};
 
@@ -56,6 +56,21 @@ fn reference_outstanding(pages: &[u64], dmax: usize) -> Vec<u64> {
         .into_iter()
         .filter(|&(_, e, d)| (e + 1) + d > l) // e is 0-based, (e+1) is 1-based p+d
         .map(|(_, e, _)| pages[e] + 1)
+        .collect()
+}
+
+/// Reference outstanding streams, in link order: each outstanding link's
+/// closing page, distance and pivot.
+fn reference_streams(pages: &[u64], dmax: usize) -> Vec<OutstandingStream> {
+    let l = pages.len();
+    reference_links(pages, dmax)
+        .into_iter()
+        .filter(|&(_, e, d)| (e + 1) + d > l)
+        .map(|(_, e, d)| OutstandingStream {
+            end_page: pages[e],
+            d,
+            pivot: pages[e] + 1,
+        })
         .collect()
 }
 
@@ -317,4 +332,55 @@ fn select_zone_matches_reference_on_census_streams() {
             reference_select_zone(&c.outstanding, budget, last, limit)
         );
     });
+}
+
+#[test]
+fn reused_storage_matches_reference_across_windows() {
+    // One census and one zone buffer serve a run of windows whose
+    // lengths rise and fall, as a prefetcher's do from fault to fault;
+    // each result must match the reference as if computed afresh. Which
+    // transitions the generator reached: a shorter window after a longer
+    // one, fewer outstanding streams than the last window had, fewer
+    // links, a smaller dmax, fewer zone runs.
+    let mut seen = [0u32; 5];
+    forall("reused-census-zone", 256, |g| {
+        let mut c = Census::default();
+        let mut zone = ZoneBuffers::default();
+        // A small alphabet, so stride-d chains form.
+        let alphabet = g.u64(3..24);
+        let (mut prev_len, mut prev_dmax) = (0, 0);
+        for _ in 0..g.usize(2..16) {
+            let len = g.usize(2..41);
+            let dmax = g.usize(1..7);
+            let pages = g.vec_u64(len..len + 1, 0..alphabet);
+            let (links_before, streams_before) = (c.links.len(), c.outstanding.len());
+            let runs_before = zone.runs.len();
+            census_into(&pages, dmax, &mut c);
+            assert_eq!(c.l, len);
+            assert_eq!(c.stride_counts, reference_stride_counts(&pages, dmax));
+            let links: Vec<_> = c.links.iter().map(|k| (k.start, k.end, k.d)).collect();
+            assert_eq!(links, reference_links(&pages, dmax), "window {pages:?}");
+            assert_eq!(c.outstanding, reference_streams(&pages, dmax));
+
+            let limit = PageId(g.u64(1..alphabet + 16));
+            let budget = g.u64(0..64);
+            let last = PageId(pages[len - 1]);
+            select_zone_into(&c.outstanding, budget, last, limit, &mut zone);
+            assert_eq!(
+                flatten_runs(&zone.runs, limit),
+                reference_select_zone(&c.outstanding, budget, last, limit)
+            );
+
+            seen[0] += u32::from(len < prev_len);
+            seen[1] += u32::from(c.outstanding.len() < streams_before);
+            seen[2] += u32::from(c.links.len() < links_before);
+            seen[3] += u32::from(dmax < prev_dmax);
+            seen[4] += u32::from(zone.runs.len() < runs_before);
+            (prev_len, prev_dmax) = (len, dmax);
+        }
+    });
+    assert!(
+        seen.iter().all(|&n| n >= 10),
+        "transitions reached: {seen:?}"
+    );
 }
