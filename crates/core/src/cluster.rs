@@ -158,25 +158,13 @@ impl NetPath {
     /// A small control message destination → home (syscall forwarding,
     /// load updates). Returns its arrival time.
     pub fn send_control_to_home(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.send_controls_to_home(now, bytes, 1)
-    }
-
-    /// `n` equal control messages destination → home offered together at
-    /// `now` (the pages a RAM cap evicts in one install). Leaves the
-    /// links, NICs and own-byte count as `n` calls of
-    /// [`Self::send_control_to_home`] would, and returns the last
-    /// message's arrival.
-    ///
-    /// # Panics
-    /// Panics if `n` is 0.
-    pub fn send_controls_to_home(&mut self, now: SimTime, bytes: u64, n: u64) -> SimTime {
         self.advance(now);
         let tx = self
             .dest_to_home
-            .transmit_n(now + PER_MESSAGE_OVERHEAD, bytes, n);
-        self.dest_nic.on_transmit_n(bytes, n);
-        self.home_nic.on_receive_n(bytes, n);
-        self.own_bytes += bytes * n;
+            .transmit(now + PER_MESSAGE_OVERHEAD, bytes);
+        self.dest_nic.on_transmit(bytes);
+        self.home_nic.on_receive(bytes);
+        self.own_bytes += bytes;
         tx.arrives
     }
 
@@ -296,57 +284,6 @@ mod tests {
         assert!(busy.dest_nic_snapshot().rx_bytes > quiet.dest_nic_snapshot().rx_bytes);
         // Cross traffic is not "own" traffic.
         assert_eq!(busy.own_bytes(), NetPath::page_reply_bytes());
-    }
-
-    /// Everything a send can change: both links, both NICs, own bytes.
-    fn state(p: &NetPath) -> impl PartialEq + std::fmt::Debug {
-        let link = |l: &Link| (l.free_at(), l.bytes_carried(), l.busy_time());
-        let nic = |n: &Nic| (n.snapshot(), n.rx_packets(), n.tx_packets());
-        (
-            link(&p.home_to_dest),
-            link(&p.dest_to_home),
-            nic(&p.home_nic),
-            nic(&p.dest_nic),
-            p.own_bytes,
-        )
-    }
-
-    #[test]
-    fn one_batched_send_home_equals_n_single_sends() {
-        use ampom_sim::propcheck::forall;
-        forall("batched-send-home", 256, |g| {
-            let cross = g.bool(0.5);
-            let seed = g.u64(0..1_000);
-            let build = || {
-                let p = path();
-                if cross {
-                    p.with_cross_traffic(CrossTraffic::new(
-                        4_000_000,
-                        16 * 1024,
-                        SimRng::seed_from_u64(seed),
-                    ))
-                } else {
-                    p
-                }
-            };
-            let (mut single, mut batched) = (build(), build());
-            let mut now = SimTime::ZERO;
-            for _ in 0..g.usize(1..6) {
-                now += SimDuration::from_micros(g.u64(0..5_000));
-                // Traffic already queued both ways.
-                for p in [&mut single, &mut batched] {
-                    p.send_page(now);
-                    p.send_request(now, 3);
-                }
-                let bytes = *g.choose(&[128, NetPath::page_reply_bytes()]);
-                let n = g.u64(1..40);
-                let last = (0..n)
-                    .map(|_| single.send_control_to_home(now, bytes))
-                    .last();
-                assert_eq!(Some(batched.send_controls_to_home(now, bytes, n)), last);
-                assert_eq!(state(&batched), state(&single), "{n} x {bytes} B at {now}");
-            }
-        });
     }
 
     #[test]

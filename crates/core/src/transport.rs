@@ -490,11 +490,11 @@ impl SimulatedTransport {
     }
 
     /// [`Transport::evict_to_home`]: one page-sized message home per
-    /// evicted page, sent in one link call.
+    /// evicted page.
     fn evict(&mut self, now: SimTime, pages: u64) {
-        if pages > 0 {
+        for _ in 0..pages {
             self.path
-                .send_controls_to_home(now, NetPath::page_reply_bytes(), pages);
+                .send_control_to_home(now, NetPath::page_reply_bytes());
         }
     }
 
@@ -878,13 +878,8 @@ impl PageBits {
 
 /// Inserts `(arrives, page)` keeping `staged` sorted by arrival time.
 /// Jitter makes arrivals slightly out of order; scanning from the back is
-/// O(displacement), which is tiny in practice (zero on a FIFO link, where
-/// every reply goes to the back).
+/// O(displacement), which is tiny in practice (zero on a FIFO link).
 fn stage_sorted(staged: &mut VecDeque<(SimTime, PageId)>, arrives: SimTime, page: PageId) {
-    if staged.back().is_none_or(|&(last, _)| last <= arrives) {
-        staged.push_back((arrives, page));
-        return;
-    }
     let mut idx = staged.len();
     while idx > 0 && staged[idx - 1].0 > arrives {
         idx -= 1;

@@ -14,8 +14,6 @@
 
 use ampom_sim::time::{SimDuration, SimTime};
 
-const NANOS_PER_SEC: u64 = 1_000_000_000;
-
 /// A malformed [`LinkConfig`].
 ///
 /// Configs come in from experiment builders and sweep grids; returning a
@@ -61,17 +59,11 @@ impl LinkConfig {
     /// of running on a wrapped value.
     pub fn try_serialization_time(&self, bytes: u64) -> Result<SimDuration, LinkError> {
         self.validate()?;
-        let capacity = self.capacity_bytes_per_sec;
-        // bytes * 1e9 / capacity: in u64 whenever the product fits (every
-        // message the simulator sends), in u128 only for huge bursts.
-        let ns = match bytes.checked_mul(NANOS_PER_SEC) {
-            Some(scaled) => scaled / capacity,
-            None => {
-                let ns = u128::from(bytes) * u128::from(NANOS_PER_SEC) / u128::from(capacity);
-                u64::try_from(ns).unwrap_or(u64::MAX)
-            }
-        };
-        Ok(SimDuration::from_nanos(ns))
+        // bytes * 1e9 / capacity, in u128 to avoid overflow for huge bursts.
+        let ns = (bytes as u128 * 1_000_000_000u128) / self.capacity_bytes_per_sec as u128;
+        Ok(SimDuration::from_nanos(
+            u64::try_from(ns).unwrap_or(u64::MAX),
+        ))
     }
 
     /// Time to clock `bytes` onto the wire at this link's capacity.
@@ -148,29 +140,16 @@ impl Link {
     /// requires `now` monotonicity per sender, which the event loop
     /// guarantees).
     pub fn transmit(&mut self, now: SimTime, size: u64) -> Transmission {
-        self.transmit_n(now, size, 1)
-    }
-
-    /// Enqueues `n` back-to-back `size`-byte messages at time `now`,
-    /// leaving the link exactly as `n` calls of [`Link::transmit`] would,
-    /// and returns the last message's schedule.
-    ///
-    /// # Panics
-    /// Panics if `n` is 0: there is no last message.
-    pub fn transmit_n(&mut self, now: SimTime, size: u64, n: u64) -> Transmission {
-        assert!(n > 0, "transmit_n needs at least one message");
         let start = now.max(self.free_at);
         let ser = self.config.serialization_time(size);
-        // The first message waits for the transmitter; each later one
-        // starts as the one before it departs.
-        let departs = start + ser * n;
+        let departs = start + ser;
         self.free_at = departs;
-        self.bytes_carried += size * n;
-        self.busy_time += ser * n;
+        self.bytes_carried += size;
+        self.busy_time += ser;
         Transmission {
             departs,
             arrives: departs + self.config.latency,
-            queued_for: (departs - ser).since(now),
+            queued_for: start.since(now),
         }
     }
 
@@ -324,85 +303,21 @@ mod tests {
         assert_eq!(l.utilization(SimTime::ZERO), 0.0);
     }
 
-    /// The quotient computed in u128 throughout, saturated to u64.
-    fn wide_serialization_ns(bytes: u64, capacity: u64) -> u64 {
-        let ns = u128::from(bytes) * 1_000_000_000 / u128::from(capacity);
-        u64::try_from(ns).unwrap_or(u64::MAX)
-    }
-
-    #[test]
-    fn the_u64_path_agrees_with_u128_at_its_boundary() {
-        // The largest burst whose bytes·1e9 fits in u64 (the fast path)
-        // and the smallest that does not (the u128 path).
-        let last_fast = u64::MAX / 1_000_000_000;
-        assert!(last_fast.checked_mul(1_000_000_000).is_some());
-        assert!((last_fast + 1).checked_mul(1_000_000_000).is_none());
-        for capacity in [1, 3, 7_919, 12_500_000, 1_000_000_000, u64::MAX] {
-            let cfg = LinkConfig {
-                capacity_bytes_per_sec: capacity,
-                latency: SimDuration::ZERO,
-            };
-            for bytes in [
-                0,
-                1,
-                4_128,
-                last_fast - 1,
-                last_fast,
-                last_fast + 1,
-                u64::MAX,
-            ] {
-                assert_eq!(
-                    cfg.serialization_time(bytes).as_nanos(),
-                    wide_serialization_ns(bytes, capacity),
-                    "{bytes} B at {capacity} B/s"
-                );
-            }
-        }
-    }
-
     #[test]
     fn a_serialization_time_past_u64_saturates_instead_of_wrapping() {
         let at = |capacity| LinkConfig {
             capacity_bytes_per_sec: capacity,
             latency: SimDuration::ZERO,
         };
-        let burst = 32u64 << 30; // 32 GiB
-                                 // 3.44e19 ns at 1 B/s: past u64, where a truncating cast read
-                                 // 1.59e19.
+        // 32 GiB takes 3.44e19 ns at 1 B/s: past u64, where a truncating
+        // cast read 1.59e19.
+        let burst = 32u64 << 30;
         assert_eq!(at(1).serialization_time(burst).as_nanos(), u64::MAX);
         // 1.72e19 ns at 2 B/s still fits, and comes out exact.
         assert_eq!(
             at(2).serialization_time(burst).as_nanos(),
             17_179_869_184_000_000_000
         );
-    }
-
-    #[test]
-    fn n_messages_at_once_leave_the_link_as_n_transmits_do() {
-        // A backlog of `queued` bytes (1 µs each) ahead of the messages,
-        // which are offered at 1 µs.
-        for (queued, n) in [(3_000, 1), (3_000, 5), (0, 4), (2_990, 64)] {
-            let mut one_by_one = test_link();
-            let mut batched = test_link();
-            for l in [&mut one_by_one, &mut batched] {
-                l.transmit(SimTime::ZERO, queued);
-            }
-            let now = SimTime::from_nanos(1_000);
-            let last = (0..n)
-                .map(|_| one_by_one.transmit(now, 4_096))
-                .last()
-                .expect("n >= 1");
-            assert_eq!(batched.transmit_n(now, 4_096, n), last);
-            assert_eq!(batched.free_at(), one_by_one.free_at());
-            assert_eq!(batched.bytes_carried(), one_by_one.bytes_carried());
-            assert_eq!(batched.busy_time(), one_by_one.busy_time());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn zero_messages_at_once_is_refused() {
-        test_link().transmit_n(SimTime::ZERO, 1, 0);
     }
 
     #[test]

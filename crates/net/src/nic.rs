@@ -52,24 +52,14 @@ impl Nic {
 
     /// Accounts one transmitted message.
     pub fn on_transmit(&mut self, bytes: u64) {
-        self.on_transmit_n(bytes, 1);
-    }
-
-    /// Accounts `n` transmitted messages of `bytes` each.
-    pub fn on_transmit_n(&mut self, bytes: u64, n: u64) {
-        self.tx_bytes += bytes * n;
-        self.tx_packets += n;
+        self.tx_bytes += bytes;
+        self.tx_packets += 1;
     }
 
     /// Accounts one received message.
     pub fn on_receive(&mut self, bytes: u64) {
-        self.on_receive_n(bytes, 1);
-    }
-
-    /// Accounts `n` received messages of `bytes` each.
-    pub fn on_receive_n(&mut self, bytes: u64, n: u64) {
-        self.rx_bytes += bytes * n;
-        self.rx_packets += n;
+        self.rx_bytes += bytes;
+        self.rx_packets += 1;
     }
 
     /// Current counter values (what `ifconfig` would print).
