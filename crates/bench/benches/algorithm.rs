@@ -22,8 +22,10 @@
 //! the census on a full 20-entry window, into storage reused from the
 //! last fault as the prefetcher runs it, and a whole capped,
 //! writeback-on `sim-scatter` cell at 1/16 size (RandomAccess on a 4 MB
-//! heap under a 2 MB RAM cap), whose fingerprint must not change from
-//! sample to sample.
+//! heap under a 2 MB RAM cap). Beside them it times the hit path: the
+//! `sim-paper` DGEMM cell at 1/16 size, 41,472 references for 903
+//! faults, which must make at least 30 references per fault. Neither
+//! cell's fingerprint may change from sample to sample.
 //!
 //! The `gossip` group times cluster-life's load dissemination at its
 //! 300-node shape: an absent, fresher peer merged into a full 64-entry
@@ -51,6 +53,7 @@ use ampom_mem::table::{PageLocation, PageTablePair};
 use ampom_mem::writeback::WriteSet;
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
+use ampom_workloads::sizes::sizes_for;
 use ampom_workloads::{Kernel, ProblemSize};
 
 fn bench_window_record(h: &mut Harness) {
@@ -365,6 +368,34 @@ fn bench_fault_path(h: &mut Harness) {
     let first = run();
     assert!(first.pages_evicted > 0 && first.writeback.batches_sent > 0);
     g.bench("scatter_random_access_4mb", || {
+        let r = run();
+        assert_eq!(r.fingerprint(), first.fingerprint());
+        r.faults_total
+    });
+
+    // perfbench's sim-paper DGEMM cell at 1/16 size: tens of hits per
+    // fault, so the per-reference path is most of what it times.
+    let table1 = sizes_for(Kernel::Dgemm)[0];
+    let spec = WorkloadSpec::kernel(
+        Kernel::Dgemm,
+        ProblemSize {
+            memory_mb: table1.memory_mb / 16,
+            ..table1
+        },
+    );
+    let cfg = RunConfig::new(Scheme::Ampom).with_seed(1);
+    let run = || {
+        let mut w = spec.build(1).expect("valid workload");
+        try_run_workload(w.as_mut(), &cfg).expect("valid run")
+    };
+    let first = run();
+    let refs = spec.build(1).expect("valid workload").count() as u64;
+    assert!(
+        refs >= 30 * first.faults_total,
+        "{refs} references for {} faults",
+        first.faults_total
+    );
+    g.bench("paper_dgemm_1_16", || {
         let r = run();
         assert_eq!(r.fingerprint(), first.fingerprint());
         r.faults_total

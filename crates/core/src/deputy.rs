@@ -583,53 +583,49 @@ impl MultiDeputy {
         });
     }
 
-    /// Picks the next item under deficit round robin without mutating
-    /// scheduler state. Returns `(shard, start, deficits, credited)`
-    /// where `deficits` holds every shard's credit after the selection
-    /// sweep and `credited` says the chosen shard already received its
-    /// quantum for the visit in progress.
-    fn select_next(&self) -> Option<(usize, SimTime, Vec<SimDuration>, bool)> {
-        if self.shards.iter().all(|s| s.queue.is_empty()) {
-            return None;
-        }
-        // An idle deputy jumps its clock to the earliest queued arrival;
-        // an item arriving exactly at the clock is immediately eligible
-        // (the `>` in `note_arrival_against` is the same strict rule).
+    /// When the next service starts, if any work is queued: an idle
+    /// deputy jumps its clock to the earliest queued arrival. Whichever
+    /// shard [`MultiDeputy::select_next`] then picks is eligible, so its
+    /// head arrived by this time and starts exactly at it.
+    fn next_start(&self) -> Option<SimTime> {
         let min_arrival = self
             .shards
             .iter()
             .filter_map(|s| s.queue.front().map(|i| i.arrival))
-            .min()
-            .expect("some queue is non-empty");
-        let clock = self.clock.max(min_arrival);
-        let eligible = |s: &Shard| s.queue.front().is_some_and(|item| item.arrival <= clock);
+            .min()?;
+        Some(self.clock.max(min_arrival))
+    }
 
-        let mut deficits: Vec<SimDuration> = self.shards.iter().map(|s| s.deficit).collect();
-        let mut cursor = self.cursor;
-        let mut credited = self.credited;
+    /// Runs the deficit-round-robin sweep from the cursor to the shard
+    /// served at `clock` (from [`MultiDeputy::next_start`]), crediting
+    /// and forfeiting as it goes, and returns that shard with the cursor
+    /// on it. An item arriving exactly at `clock` is eligible (the `>` in
+    /// `note_arrival_against` is the same strict rule).
+    fn select_next(&mut self, clock: SimTime) -> usize {
         // Each full sweep credits every eligible shard one quantum, so
         // the costliest queued item (bounded at submission) is reachable
         // in finitely many sweeps; at least one shard is eligible at
         // `clock` by construction, so the sweep cannot spin on an empty
         // schedule.
         loop {
-            let shard = &self.shards[cursor];
-            if eligible(shard) {
-                if !credited {
-                    deficits[cursor] += self.drr.quantum;
-                    credited = true;
+            let cursor = self.cursor;
+            let shard = &mut self.shards[cursor];
+            match shard.queue.front() {
+                Some(item) if item.arrival <= clock => {
+                    if !self.credited {
+                        shard.deficit += self.drr.quantum;
+                        self.credited = true;
+                    }
+                    if item.cost <= shard.deficit {
+                        return cursor;
+                    }
                 }
-                let item = shard.queue.front().expect("eligible shard has a head");
-                if item.cost <= deficits[cursor] {
-                    let start = clock.max(item.arrival);
-                    return Some((cursor, start, deficits, credited));
-                }
-            } else if shard.queue.is_empty() {
+                Some(_) => {}
                 // Classic DRR: an emptied queue forfeits leftover credit.
-                deficits[cursor] = SimDuration::ZERO;
+                None => shard.deficit = SimDuration::ZERO,
             }
-            cursor = (cursor + 1) % self.shards.len();
-            credited = false;
+            self.cursor = (cursor + 1) % self.shards.len();
+            self.credited = false;
         }
     }
 
@@ -647,17 +643,13 @@ impl MultiDeputy {
     /// commit exactly the causally-settled prefix.
     pub fn commit_next_bounded(&mut self, horizon: Option<SimTime>) -> Option<Completion> {
         loop {
-            let (i, start, deficits, credited) = self.select_next()?;
+            let start = self.next_start()?;
+            // The sweep's credit/reset decisions become real only when an
+            // item is committed, so the horizon is checked first.
             if horizon.is_some_and(|h| start > h) {
                 return None;
             }
-            // Apply the selection: the sweep's credit/reset decisions
-            // become real only when an item is actually committed.
-            self.cursor = i;
-            self.credited = credited;
-            for (shard, d) in self.shards.iter_mut().zip(deficits) {
-                shard.deficit = d;
-            }
+            let i = self.select_next(start);
             let shard = &mut self.shards[i];
             let item = shard.queue.pop_front().expect("selected shard has a head");
             shard.deficit -= item.cost;

@@ -971,8 +971,17 @@ pub(crate) async fn migrant_loop<W: Workload + ?Sized, T: Transport>(
     drive(workload, cfg, transport, prefetcher).await
 }
 
+/// References the loop pulls from its workload per
+/// [`Workload::next_block`] call: 6 KB of `MemRef`s, small enough to stay
+/// in L1, so a `dyn Workload` costs one virtual call per 256 references.
+const REF_BLOCK: usize = 256;
+
 /// The loop itself, with the prefetcher supplied by the caller (the VM
 /// runner routes faults to per-guest windows).
+///
+/// It pulls references a block at a time, so the workload may be up to
+/// [`REF_BLOCK`] references ahead of the simulation; a [`Workload`] is
+/// open-loop, so that changes nothing it yields.
 pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
     workload: &mut W,
     cfg: &RunConfig,
@@ -1039,107 +1048,65 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
     // can change it, so it is re-read after each one, not on every hit.
     let mut pages_in_flight = false;
 
-    for r in &mut *workload {
-        if let Some(profile) = cfg.syscalls {
-            refs_since_syscall += 1;
-            if refs_since_syscall >= profile.every_refs {
-                refs_since_syscall = 0;
-                let (issued, done) = transport.forward_syscall(now, profile.work).await?;
-                stall_time += issued.since(now);
-                syscall_time += done.since(issued);
-                syscalls_forwarded += 1;
-                trace.record(done, TraceKind::SyscallForwarded, TraceData::empty());
-                now = done;
-                pages_in_flight = transport.in_flight_count() > 0;
-            }
+    let mut block = Vec::with_capacity(REF_BLOCK);
+    loop {
+        block.clear();
+        workload.next_block(&mut block, REF_BLOCK);
+        if block.is_empty() {
+            break;
         }
-
-        // Prefetch-usage accounting (one cheap indexed read per touch).
-        let pidx = r.page.index() as usize;
-        if was_prefetched[pidx] {
-            was_prefetched[pidx] = false;
-            prefetched_used += 1;
-        }
-
-        let outcome = dest.touch(r.page, r.write);
-        match outcome {
-            TouchOutcome::Hit => {
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
+        for &r in &block {
+            if let Some(profile) = cfg.syscalls {
+                refs_since_syscall += 1;
+                if refs_since_syscall >= profile.every_refs {
+                    refs_since_syscall = 0;
+                    let (issued, done) = transport.forward_syscall(now, profile.work).await?;
+                    stall_time += issued.since(now);
+                    syscall_time += done.since(issued);
+                    syscalls_forwarded += 1;
+                    trace.record(done, TraceKind::SyscallForwarded, TraceData::empty());
+                    now = done;
+                    pages_in_flight = transport.in_flight_count() > 0;
                 }
             }
-            TouchOutcome::LocalAllocate => {
-                // Anonymous first touch: minor fault, no network. Still a
-                // fault for the lookback window — the kernel handler runs.
-                faults_total += 1;
-                pages_local_alloc += 1;
-                dest.faulting = r.page;
-                if let Some(wb) = wb.as_mut() {
-                    // First touches allocate dirty (zero-fill).
-                    wb.note_touch(r.page, true);
-                }
-                now += MINOR_FAULT_COST;
-                if dest.table.lookup(r.page).is_none() {
-                    dest.table.create_at_destination(r.page);
-                }
-                let evicted = dest.admit(r.page);
-                if evicted > 0 {
-                    transport.evict_to_home(now, evicted).await;
-                }
-                let util = utilization(cpu_since_fault, now, last_fault_at);
-                last_fault_at = now;
-                cpu_since_fault = SimDuration::ZERO;
-                if let Some(pf) = prefetcher.as_deref_mut() {
-                    let prefetch = analyze(
-                        pf,
-                        r.page,
-                        &mut now,
-                        util,
-                        transport,
-                        page_limit,
-                        &dest.space,
-                        PrefetchFeedback {
-                            pages_prefetched,
-                            prefetched_used,
-                        },
-                        &mut analysis_time,
-                        &mut trace,
-                    )
-                    .await;
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
-                        note_queued(
-                            transport
-                                .request_pages(now, None, &prefetch, &mut dest.table)
-                                .await?,
-                            &mut was_prefetched,
-                            &mut pages_prefetched,
-                        );
+
+            // Prefetch-usage accounting (one cheap indexed read per touch).
+            let pidx = r.page.index() as usize;
+            if was_prefetched[pidx] {
+                was_prefetched[pidx] = false;
+                prefetched_used += 1;
+            }
+
+            let outcome = dest.touch(r.page, r.write);
+            match outcome {
+                TouchOutcome::Hit => {
+                    if let Some(wb) = wb.as_mut() {
+                        wb.note_touch(r.page, r.write);
                     }
                 }
-            }
-            TouchOutcome::RemoteFault => {
-                faults_total += 1;
-                let fault_at = now;
-                dest.faulting = r.page;
-                trace.record(now, TraceKind::PageFault, TraceData::page(r.page.index()));
-                if let Some(wb) = wb.as_mut() {
-                    if wb.on_fault() {
-                        flush_writeback(wb, now, transport, &mut dest.space, &mut trace).await?;
+                TouchOutcome::LocalAllocate => {
+                    // Anonymous first touch: minor fault, no network. Still a
+                    // fault for the lookback window — the kernel handler runs.
+                    faults_total += 1;
+                    pages_local_alloc += 1;
+                    dest.faulting = r.page;
+                    if let Some(wb) = wb.as_mut() {
+                        // First touches allocate dirty (zero-fill).
+                        wb.note_touch(r.page, true);
                     }
-                }
-                let install_from = now;
-                transport.install_arrived(&mut now, &mut dest).await;
-                install_time += now.since(install_from);
-
-                let util = utilization(cpu_since_fault, fault_at, last_fault_at);
-                last_fault_at = fault_at;
-                cpu_since_fault = SimDuration::ZERO;
-
-                // Prefetch analysis (every fault, per Algorithm 1).
-                let prefetch = match prefetcher.as_deref_mut() {
-                    Some(pf) => {
-                        analyze(
+                    now += MINOR_FAULT_COST;
+                    if dest.table.lookup(r.page).is_none() {
+                        dest.table.create_at_destination(r.page);
+                    }
+                    let evicted = dest.admit(r.page);
+                    if evicted > 0 {
+                        transport.evict_to_home(now, evicted).await;
+                    }
+                    let util = utilization(cpu_since_fault, now, last_fault_at);
+                    last_fault_at = now;
+                    cpu_since_fault = SimDuration::ZERO;
+                    if let Some(pf) = prefetcher.as_deref_mut() {
+                        let prefetch = analyze(
                             pf,
                             r.page,
                             &mut now,
@@ -1154,107 +1121,158 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
                             &mut analysis_time,
                             &mut trace,
                         )
-                        .await
-                    }
-                    None => Vec::new(),
-                };
-
-                if let Some(series) = series.as_mut() {
-                    faults_since_sample += 1;
-                    if faults_since_sample >= sample_every {
-                        faults_since_sample = 0;
-                        series
-                            .in_flight
-                            .push(now, transport.in_flight_count() as f64);
-                        series
-                            .resident
-                            .push(now, dest.space.resident_pages() as f64);
-                        if let Some(pf) = prefetcher.as_deref() {
-                            series
-                                .zone_budget
-                                .push(now, pf.observe().stats.budgets.mean());
+                        .await;
+                        if !prefetch.is_empty() {
+                            prefetch_only_requests += 1;
+                            note_queued(
+                                transport
+                                    .request_pages(now, None, &prefetch, &mut dest.table)
+                                    .await?,
+                                &mut was_prefetched,
+                                &mut pages_prefetched,
+                            );
                         }
-                        series
-                            .link_utilization
-                            .push(now, transport.reply_utilization(now).await);
                     }
                 }
+                TouchOutcome::RemoteFault => {
+                    faults_total += 1;
+                    let fault_at = now;
+                    dest.faulting = r.page;
+                    trace.record(now, TraceKind::PageFault, TraceData::page(r.page.index()));
+                    if let Some(wb) = wb.as_mut() {
+                        if wb.on_fault() {
+                            flush_writeback(wb, now, transport, &mut dest.space, &mut trace)
+                                .await?;
+                        }
+                    }
+                    let install_from = now;
+                    transport.install_arrived(&mut now, &mut dest).await;
+                    install_time += now.since(install_from);
 
-                if dest.space.is_resident(r.page) || transport.is_in_flight(r.page) {
-                    // Arrived with the last batch, or already requested:
-                    // no demand request ("wait for i to arrive"). Any new
-                    // zone pages still go out.
-                    if !prefetch.is_empty() {
-                        prefetch_only_requests += 1;
+                    let util = utilization(cpu_since_fault, fault_at, last_fault_at);
+                    last_fault_at = fault_at;
+                    cpu_since_fault = SimDuration::ZERO;
+
+                    // Prefetch analysis (every fault, per Algorithm 1).
+                    let prefetch = match prefetcher.as_deref_mut() {
+                        Some(pf) => {
+                            analyze(
+                                pf,
+                                r.page,
+                                &mut now,
+                                util,
+                                transport,
+                                page_limit,
+                                &dest.space,
+                                PrefetchFeedback {
+                                    pages_prefetched,
+                                    prefetched_used,
+                                },
+                                &mut analysis_time,
+                                &mut trace,
+                            )
+                            .await
+                        }
+                        None => Vec::new(),
+                    };
+
+                    if let Some(series) = series.as_mut() {
+                        faults_since_sample += 1;
+                        if faults_since_sample >= sample_every {
+                            faults_since_sample = 0;
+                            series
+                                .in_flight
+                                .push(now, transport.in_flight_count() as f64);
+                            series
+                                .resident
+                                .push(now, dest.space.resident_pages() as f64);
+                            if let Some(pf) = prefetcher.as_deref() {
+                                series
+                                    .zone_budget
+                                    .push(now, pf.observe().stats.budgets.mean());
+                            }
+                            series
+                                .link_utilization
+                                .push(now, transport.reply_utilization(now).await);
+                        }
+                    }
+
+                    if dest.space.is_resident(r.page) || transport.is_in_flight(r.page) {
+                        // Arrived with the last batch, or already requested:
+                        // no demand request ("wait for i to arrive"). Any new
+                        // zone pages still go out.
+                        if !prefetch.is_empty() {
+                            prefetch_only_requests += 1;
+                            note_queued(
+                                transport
+                                    .request_pages(now, None, &prefetch, &mut dest.table)
+                                    .await?,
+                                &mut was_prefetched,
+                                &mut pages_prefetched,
+                            );
+                        }
+                        if !dest.space.is_resident(r.page) {
+                            let arrival = transport.wait_for(r.page, now).await?;
+                            if arrival > now {
+                                stall_time += arrival.since(now);
+                                stall_sketch.record(arrival.since(now));
+                                now = arrival;
+                            }
+                            let install_from = now;
+                            transport.install_arrived(&mut now, &mut dest).await;
+                            install_time += now.since(install_from);
+                            trace.record_with(now, TraceKind::FaultResolved, || {
+                                TraceData::page(r.page.index()).with_note("pipelined")
+                            });
+                        }
+                    } else {
+                        // Demand fetch, zone piggy-backed.
+                        fault_requests += 1;
+                        pages_demand += 1;
+                        trace.record(
+                            now,
+                            TraceKind::PagingRequest,
+                            TraceData::page(r.page.index()).with_pages(prefetch.len() as u64),
+                        );
                         note_queued(
                             transport
-                                .request_pages(now, None, &prefetch, &mut dest.table)
+                                .request_pages(now, Some(r.page), &prefetch, &mut dest.table)
                                 .await?,
                             &mut was_prefetched,
                             &mut pages_prefetched,
                         );
+                        let wait_from = now;
+                        let stall = transport
+                            .await_demand(r.page, &mut now, &mut dest, &mut trace)
+                            .await?;
+                        stall_time += stall;
+                        stall_sketch.record(stall);
+                        install_time += now.since(wait_from).saturating_sub(stall);
+                        trace.record(
+                            now,
+                            TraceKind::FaultResolved,
+                            TraceData::page(r.page.index()),
+                        );
                     }
-                    if !dest.space.is_resident(r.page) {
-                        let arrival = transport.wait_for(r.page, now).await?;
-                        if arrival > now {
-                            stall_time += arrival.since(now);
-                            stall_sketch.record(arrival.since(now));
-                            now = arrival;
-                        }
-                        let install_from = now;
-                        transport.install_arrived(&mut now, &mut dest).await;
-                        install_time += now.since(install_from);
-                        trace.record_with(now, TraceKind::FaultResolved, || {
-                            TraceData::page(r.page.index()).with_note("pipelined")
-                        });
-                    }
-                } else {
-                    // Demand fetch, zone piggy-backed.
-                    fault_requests += 1;
-                    pages_demand += 1;
-                    trace.record(
-                        now,
-                        TraceKind::PagingRequest,
-                        TraceData::page(r.page.index()).with_pages(prefetch.len() as u64),
-                    );
-                    note_queued(
-                        transport
-                            .request_pages(now, Some(r.page), &prefetch, &mut dest.table)
-                            .await?,
-                        &mut was_prefetched,
-                        &mut pages_prefetched,
-                    );
-                    let wait_from = now;
-                    let stall = transport
-                        .await_demand(r.page, &mut now, &mut dest, &mut trace)
-                        .await?;
-                    stall_time += stall;
-                    stall_sketch.record(stall);
-                    install_time += now.since(wait_from).saturating_sub(stall);
-                    trace.record(
-                        now,
-                        TraceKind::FaultResolved,
-                        TraceData::page(r.page.index()),
-                    );
-                }
 
-                // The faulted page is resident now; apply the touch.
-                debug_assert!(dest.space.is_resident(r.page));
-                let retouch = dest.touch(r.page, r.write);
-                debug_assert_eq!(retouch, TouchOutcome::Hit);
-                if let Some(wb) = wb.as_mut() {
-                    wb.note_touch(r.page, r.write);
+                    // The faulted page is resident now; apply the touch.
+                    debug_assert!(dest.space.is_resident(r.page));
+                    let retouch = dest.touch(r.page, r.write);
+                    debug_assert_eq!(retouch, TouchOutcome::Hit);
+                    if let Some(wb) = wb.as_mut() {
+                        wb.note_touch(r.page, r.write);
+                    }
                 }
             }
-        }
-        if outcome != TouchOutcome::Hit {
-            pages_in_flight = transport.in_flight_count() > 0;
-        }
-        now += r.cpu;
-        compute_time += r.cpu;
-        cpu_since_fault += r.cpu;
-        if pages_in_flight {
-            prefetch_overlap += r.cpu;
+            if outcome != TouchOutcome::Hit {
+                pages_in_flight = transport.in_flight_count() > 0;
+            }
+            now += r.cpu;
+            compute_time += r.cpu;
+            cpu_since_fault += r.cpu;
+            if pages_in_flight {
+                prefetch_overlap += r.cpu;
+            }
         }
     }
 

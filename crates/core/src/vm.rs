@@ -366,6 +366,36 @@ mod tests {
     }
 
     #[test]
+    fn vm_block_pull_equals_the_iterator() {
+        // Guests of unequal length, so the tail runs one guest alone.
+        let build = || {
+            let procs: Vec<Box<dyn Workload>> = [300, 120, 45]
+                .into_iter()
+                .map(|pages| Box::new(Sequential::new(pages, CPU)) as Box<dyn Workload>)
+                .collect();
+            VmWorkload::new(procs, 7)
+        };
+        let by_next: Vec<MemRef> = build().collect();
+        let mut rng = ampom_sim::rng::SimRng::seed_from_u64(9);
+        let random: Vec<usize> = (0..4).map(|_| 1 + rng.below(600) as usize).collect();
+        for max in [1, 2, 7, 255, 256, 257].into_iter().chain(random) {
+            let mut vm = build();
+            let mut out = Vec::new();
+            loop {
+                let before = out.len();
+                vm.next_block(&mut out, max);
+                assert!(out.len() - before <= max);
+                if out.len() == before {
+                    break;
+                }
+            }
+            assert_eq!(out, by_next, "blocks of {max}");
+            vm.next_block(&mut out, max);
+            assert_eq!(out.len(), by_next.len(), "appended after the end");
+        }
+    }
+
+    #[test]
     fn per_process_analysis_beats_shared_window_with_many_guests() {
         // 6 guests: stride-6 interleaving in the shared window exceeds
         // dmax=4, so the shared analysis goes blind while the per-process

@@ -77,11 +77,13 @@ impl AddressSpace {
     ///
     /// # Panics
     /// Panics if `page` is outside the layout.
+    #[inline]
     pub fn state(&self, page: PageId) -> PageState {
         self.states[self.index(page)]
     }
 
     /// True if an access to `page` would not fault remotely.
+    #[inline]
     pub fn is_resident(&self, page: PageId) -> bool {
         matches!(self.state(page), PageState::Resident { .. })
     }
@@ -128,6 +130,7 @@ impl AddressSpace {
     /// bits, and reports what kind of fault (if any) occurred. On
     /// `RemoteFault` the state is *not* changed — the caller must fetch the
     /// page and then call [`AddressSpace::install`].
+    #[inline]
     pub fn touch(&mut self, page: PageId, write: bool) -> TouchOutcome {
         let i = self.index(page);
         match self.states[i] {
@@ -237,6 +240,7 @@ impl AddressSpace {
         assert_eq!(remote, self.remote, "remote counter drift");
     }
 
+    #[inline]
     fn index(&self, page: PageId) -> usize {
         let i = page.index() as usize;
         assert!(

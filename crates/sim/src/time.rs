@@ -2,9 +2,11 @@
 //!
 //! All simulation timestamps are absolute nanoseconds since the start of the
 //! run ([`SimTime`]); intervals are [`SimDuration`]. Both are thin `u64`
-//! newtypes: cheap to copy, totally ordered, and overflow-checked in debug
-//! builds. A `u64` of nanoseconds covers ~584 years of simulated time, far
-//! beyond any experiment here (the longest paper run is a few minutes).
+//! newtypes: cheap to copy and totally ordered. Their constructors and
+//! operators are overflow-checked in every build: a result past `u64::MAX`
+//! ns panics instead of wrapping. A `u64` of nanoseconds covers ~584 years
+//! of simulated time, far beyond any experiment here (the longest paper
+//! run is a few minutes).
 
 use std::fmt;
 use std::iter::Sum;
@@ -28,12 +30,14 @@ impl SimTime {
     }
 
     /// Raw nanoseconds since t=0.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Seconds since t=0 as a float (for reporting only — never use floats
     /// for scheduling).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
@@ -43,6 +47,7 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`; simulated clocks never run
     /// backwards, so this indicates a scheduling bug.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -52,11 +57,13 @@ impl SimTime {
     }
 
     /// Saturating variant of [`SimTime::since`], clamping to zero.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
@@ -72,18 +79,40 @@ impl SimDuration {
     }
 
     /// Builds a duration from microseconds.
+    ///
+    /// # Panics
+    /// Panics with "SimDuration overflow" past `u64::MAX` ns.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        Self::from_units(us, 1_000)
     }
 
     /// Builds a duration from milliseconds.
+    ///
+    /// # Panics
+    /// Panics with "SimDuration overflow" past `u64::MAX` ns.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        Self::from_units(ms, 1_000_000)
     }
 
     /// Builds a duration from whole seconds.
+    ///
+    /// # Panics
+    /// Panics with "SimDuration overflow" past `u64::MAX` ns.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        Self::from_units(s, 1_000_000_000)
+    }
+
+    /// `count` units of `unit_ns` each, checked in every build (a bare
+    /// `*` would wrap in release).
+    #[inline]
+    const fn from_units(count: u64, unit_ns: u64) -> Self {
+        match count.checked_mul(unit_ns) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration overflow"),
+        }
     }
 
     /// Builds a duration from fractional seconds, rounding to the nearest
@@ -97,11 +126,13 @@ impl SimDuration {
     }
 
     /// Raw nanoseconds.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Seconds as a float (for reporting and rate arithmetic).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
@@ -112,6 +143,7 @@ impl SimDuration {
     }
 
     /// Duration scaled by an integer factor.
+    #[inline]
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
@@ -119,16 +151,19 @@ impl SimDuration {
     /// Difference of two durations, clamping to zero. For subtracting a
     /// component that is nominally a subset of a measured whole but may
     /// exceed it by wall-clock rounding on the live transport.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// The larger of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The smaller of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
@@ -136,12 +171,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -149,6 +186,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
@@ -156,12 +194,14 @@ impl Sub<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -169,12 +209,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration underflow"))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -182,6 +224,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
@@ -189,6 +232,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -244,6 +288,42 @@ mod tests {
         assert_eq!(SimDuration::from_micros(4).as_nanos(), 4_000);
         assert_eq!(SimDuration::from_nanos(5).as_nanos(), 5);
         assert_eq!(SimTime::from_nanos(7).as_nanos(), 7);
+    }
+
+    #[test]
+    fn unit_constructors_are_exact_up_to_the_last_whole_unit() {
+        assert_eq!(
+            SimDuration::from_micros(18_446_744_073_709_551).as_nanos(),
+            18_446_744_073_709_551_000
+        );
+        assert_eq!(
+            SimDuration::from_millis(18_446_744_073_709).as_nanos(),
+            18_446_744_073_709_000_000
+        );
+        assert_eq!(
+            SimDuration::from_secs(18_446_744_073).as_nanos(),
+            18_446_744_073_000_000_000
+        );
+    }
+
+    // The first value past u64::MAX ns, passed through `black_box` so the
+    // call runs as it would in a release binary, not in const evaluation.
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn from_micros_panics_past_u64_max() {
+        let _ = SimDuration::from_micros(std::hint::black_box(18_446_744_073_709_552));
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn from_millis_panics_past_u64_max() {
+        let _ = SimDuration::from_millis(std::hint::black_box(18_446_744_073_710));
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn from_secs_panics_past_u64_max() {
+        let _ = SimDuration::from_secs(std::hint::black_box(18_446_744_074));
     }
 
     #[test]

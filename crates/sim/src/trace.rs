@@ -334,11 +334,13 @@ impl Trace {
     }
 
     /// Whether events are being recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Records an event (no-op when disabled; drops when at capacity).
+    #[inline]
     pub fn record(&mut self, at: SimTime, kind: TraceKind, data: TraceData) {
         if !self.enabled {
             return;
@@ -354,6 +356,7 @@ impl Trace {
     /// when the trace is enabled and below capacity. Use this for payloads
     /// that allocate (notes), so a disabled trace stays strictly one
     /// branch per event.
+    #[inline]
     pub fn record_with(&mut self, at: SimTime, kind: TraceKind, make: impl FnOnce() -> TraceData) {
         if !self.enabled {
             return;

@@ -49,6 +49,12 @@ impl MemRef {
 /// Implementors are deterministic: two instances built with the same
 /// parameters and seed yield identical streams, which is what makes the
 /// three migration schemes comparable on "the same" run.
+///
+/// A workload is open-loop: its stream never depends on how the
+/// simulation went, so an implementor must not read simulation state to
+/// choose its next reference. The migrant loop relies on that: it pulls
+/// a block of references through [`Workload::next_block`] (up to 256 in
+/// `ampom-core`) before it has simulated the first of them.
 pub trait Workload: Iterator<Item = MemRef> {
     /// Kernel name as the paper spells it.
     fn name(&self) -> &'static str;
@@ -71,6 +77,24 @@ pub trait Workload: Iterator<Item = MemRef> {
     /// the deterministic kernels; used for progress accounting and
     /// pre-sizing).
     fn total_refs_hint(&self) -> u64;
+
+    /// Appends the stream's next references to `out`, in order, at most
+    /// `max` of them. With `max > 0` it appends none only once the
+    /// stream is done, and then on every later call, so draining by
+    /// blocks yields exactly what draining by [`Iterator::next`] does.
+    ///
+    /// The default calls `self.next()` in a loop. It is compiled once
+    /// per implementing type, so those calls are static and inline: a
+    /// caller holding a `dyn Workload` pays one virtual call per block
+    /// instead of one per reference.
+    fn next_block(&mut self, out: &mut Vec<MemRef>, max: usize) {
+        for _ in 0..max {
+            match self.next() {
+                Some(r) => out.push(r),
+                None => break,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
