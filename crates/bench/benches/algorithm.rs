@@ -32,6 +32,14 @@
 //! window (the eviction path, over half of all merges in a 300-node run),
 //! `plan_gossip` on a full window, and a whole 60 s run of a 300-node
 //! cluster, whose fingerprint must not change from sample to sample.
+//!
+//! The `rpc_codec` group times the live deputy's and migrant's per-page
+//! codec work, reported per page: synthesizing a page's contents, a
+//! 64-page reply batch and a 26-page writeback batch (`sim-paper`'s mean
+//! batch) encoded into a reused buffer, and a 64-page reply batch
+//! decoded. Every sample checks a digest of its output (a word from
+//! each 64-byte line) against the same digest of the bytes
+//! `page_payload` gives.
 
 use ampom_bench::{black_box, Harness};
 use ampom_cluster::gossip::{plan_gossip, LoadEntry, WindowView};
@@ -48,9 +56,13 @@ use ampom_core::transport::{run_with_transport, SimulatedTransport};
 use ampom_core::window::LookbackWindow;
 use ampom_core::zone::{dependent_zone_size, select_zone, ZoneSizeInputs};
 use ampom_core::{RunReport, Scheme};
-use ampom_mem::page::PageId;
+use ampom_mem::page::{PageId, PAGE_SIZE};
 use ampom_mem::table::{PageLocation, PageTablePair};
 use ampom_mem::writeback::WriteSet;
+use ampom_rpc::frame::{
+    encode_page_batch_reply_into, encode_writeback_batch_into, page_payload, page_payload_into,
+    Frame, FrameBuffer, MAX_BATCH_PAGES,
+};
 use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
 use ampom_workloads::sizes::sizes_for;
@@ -453,6 +465,75 @@ fn bench_gossip(h: &mut Harness) {
     g.finish();
 }
 
+/// XOR of the first 8 bytes of each 64-byte line of `bytes`: a check
+/// on every line of a sample's output that reads one word in eight, so
+/// it adds little to the time of writing the page.
+fn digest(bytes: &[u8]) -> u64 {
+    let lines = bytes.chunks_exact(64);
+    let tail = lines.remainder().len() as u64;
+    lines.fold(tail, |h, line| {
+        h ^ u64::from_le_bytes(line[..8].try_into().expect("an 8-byte word"))
+    })
+}
+
+fn bench_rpc_codec(h: &mut Harness) {
+    const WRITEBACK_PAGES: usize = 26;
+    let page_bytes = PAGE_SIZE as usize;
+    let pages: Vec<PageId> = (0..MAX_BATCH_PAGES as u64)
+        .map(|i| PageId(i * 7 + 3))
+        .collect();
+    let batch: Vec<(u64, PageId)> = pages.iter().map(|&p| (1, p)).collect();
+    let entries: Vec<(PageId, u64)> = pages[..WRITEBACK_PAGES].iter().map(|&p| (p, 2)).collect();
+    let reply = Frame::PageBatchReply {
+        req_id: 1,
+        pages: pages.iter().map(|&p| (p, page_payload(p))).collect(),
+    }
+    .encode();
+    let writeback = Frame::WritebackBatch {
+        seq: 5,
+        pages: entries
+            .iter()
+            .map(|&(p, v)| (p, v, page_payload(p)))
+            .collect(),
+    }
+    .encode();
+    let contents: Vec<u8> = pages.iter().flat_map(|&p| page_payload(p)).collect();
+    let mut g = h.group("rpc_codec");
+
+    let mut data = vec![0u8; contents.len()];
+    g.bench_per("payload_synthesis", MAX_BATCH_PAGES as u32, || {
+        for (&page, out) in pages.iter().zip(data.chunks_exact_mut(page_bytes)) {
+            page_payload_into(black_box(page), out);
+        }
+        assert_eq!(digest(&data), digest(&contents));
+    });
+
+    let mut wire = Vec::with_capacity(reply.len());
+    g.bench_per("reply_batch_encode_64", MAX_BATCH_PAGES as u32, || {
+        wire.clear();
+        encode_page_batch_reply_into(black_box(&batch), &mut wire);
+        assert_eq!(digest(&wire), digest(&reply));
+    });
+
+    g.bench_per("writeback_batch_encode_26", WRITEBACK_PAGES as u32, || {
+        wire.clear();
+        encode_writeback_batch_into(5, black_box(&entries), &mut wire);
+        assert_eq!(digest(&wire), digest(&writeback));
+    });
+
+    let mut fb = FrameBuffer::new();
+    g.bench_per("reply_decode_64", MAX_BATCH_PAGES as u32, || {
+        fb.extend(black_box(&reply));
+        let Some(Frame::PageBatchReply { pages: got, .. }) = fb.pop().expect("a valid frame")
+        else {
+            panic!("the encoder's own batch decodes to a batch reply");
+        };
+        let decoded = got.iter().fold(0, |h, (_, d)| h ^ digest(d));
+        assert_eq!(decoded, digest(&contents));
+    });
+    g.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_window_record(&mut h);
@@ -463,5 +544,6 @@ fn main() {
     bench_multirun(&mut h);
     bench_fault_path(&mut h);
     bench_gossip(&mut h);
+    bench_rpc_codec(&mut h);
     h.finish();
 }

@@ -52,6 +52,8 @@ pub struct Measurement {
     pub name: String,
     /// Timed iterations.
     pub samples: usize,
+    /// Units of work per iteration; the times below are per unit.
+    pub per: u32,
     /// Fastest iteration.
     pub min: Duration,
     /// Mean over all iterations.
@@ -127,8 +129,9 @@ impl Harness {
         }
     }
 
-    /// Times `f` (after one warm-up call) and records/prints the result.
-    fn run_one<R>(&mut self, name: String, samples: usize, mut f: impl FnMut() -> R) {
+    /// Times `f` (after one warm-up call) and records/prints the result,
+    /// per unit of the `per` units each call does.
+    fn run_one<R>(&mut self, name: String, samples: usize, per: u32, mut f: impl FnMut() -> R) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return;
@@ -149,12 +152,18 @@ impl Harness {
         let m = Measurement {
             name,
             samples,
-            min,
-            mean: total / samples as u32,
-            max,
+            per,
+            min: min / per,
+            mean: total / (samples as u32 * per),
+            max: max / per,
+        };
+        let unit = if per > 1 {
+            format!(", per 1/{per} of a call")
+        } else {
+            String::new()
         };
         println!(
-            "{:<44} {:>12} {:>12} {:>12}  ({} samples)",
+            "{:<44} {:>12} {:>12} {:>12}  ({} samples{unit})",
             m.name,
             human(m.min),
             human(m.mean),
@@ -186,9 +195,16 @@ impl Group<'_> {
 
     /// Times one bench, labelled `group/id`.
     pub fn bench<R>(&mut self, id: &str, f: impl FnMut() -> R) {
+        self.bench_per(id, 1, f);
+    }
+
+    /// Times one bench whose every call does `per` units of work (pages,
+    /// say), and reports the times per unit.
+    pub fn bench_per<R>(&mut self, id: &str, per: u32, f: impl FnMut() -> R) {
+        assert!(per > 0, "a bench call does at least one unit of work");
         let samples = self.samples.unwrap_or(self.harness.samples);
         let name = format!("{}/{}", self.name, id);
-        self.harness.run_one(name, samples, f);
+        self.harness.run_one(name, samples, per, f);
     }
 
     /// Ends the group (for call-site symmetry; dropping works too).
@@ -221,5 +237,16 @@ mod tests {
         assert_eq!(h.results[0].samples, 3);
         assert!(h.results[0].min <= h.results[0].mean);
         assert!(h.results[0].mean <= h.results[0].max);
+
+        let mut g = h.group("g");
+        g.bench_per("keep-per-unit", 4, || {
+            std::thread::sleep(Duration::from_millis(4))
+        });
+        assert_eq!(h.results[1].per, 4);
+        assert!(
+            h.results[1].min >= Duration::from_millis(1),
+            "a quarter of each call"
+        );
+        assert!(h.results[1].min < Duration::from_millis(4));
     }
 }

@@ -22,7 +22,7 @@
 //! the conservation property (*every dirtied page applied exactly once per
 //! version*) through arbitrary loss/restart interleavings.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::page::PageId;
 
@@ -213,14 +213,46 @@ pub struct ApplyOutcome {
     pub duplicates: u32,
 }
 
+/// A set of sequence numbers held as disjoint, non-adjacent inclusive
+/// runs `first..=last`, keyed by `first`: an in-order stream of any
+/// length is one run. Inclusive ends let a run reach `u64::MAX`.
+#[derive(Debug, Clone, Default)]
+struct SeqRuns {
+    runs: BTreeMap<u64, u64>,
+}
+
+impl SeqRuns {
+    /// Adds `seq`, merging it into the runs it touches; `false` when it
+    /// was already present.
+    fn insert(&mut self, seq: u64) -> bool {
+        let below = self.runs.range(..=seq).next_back().map(|(&f, &l)| (f, l));
+        let first = match below {
+            Some((_, last)) if last >= seq => return false,
+            // `last < seq`, so `last + 1` cannot overflow.
+            Some((first, last)) if last + 1 == seq => first,
+            _ => seq,
+        };
+        // Runs are non-adjacent, so only a run starting at `seq + 1` can
+        // join from above.
+        let last = seq
+            .checked_add(1)
+            .and_then(|next| self.runs.remove(&next))
+            .unwrap_or(seq);
+        self.runs.insert(first, last);
+        true
+    }
+}
+
 /// The deputy-side sink: applies writeback batches idempotently.
 #[derive(Debug, Clone, Default)]
 pub struct WritebackSink {
     /// Highest version applied per page — the durable store; survives
     /// restarts exactly like the home node's page frames do.
     applied: BTreeMap<PageId, u64>,
-    /// Sequence numbers already applied — volatile; a restart clears it.
-    seen_seqs: BTreeSet<u64>,
+    /// Sequence numbers applied since the last restart — volatile. Held
+    /// as runs, so a session's in-order writer costs one entry however
+    /// long it lives.
+    seen_seqs: SeqRuns,
     /// Accumulated counters.
     pub counters: SinkCounters,
 }
@@ -266,7 +298,7 @@ impl WritebackSink {
     /// A deputy restart: the volatile seen-sequence set is lost, the
     /// applied store (real page frames) survives.
     pub fn restart(&mut self) {
-        self.seen_seqs.clear();
+        self.seen_seqs.runs.clear();
         self.counters.restarts += 1;
     }
 
@@ -289,6 +321,8 @@ impl WritebackSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampom_sim::propcheck::forall;
+    use std::collections::BTreeSet;
 
     #[test]
     fn versions_are_monotone_and_redirty_forces_a_second_flush() {
@@ -359,5 +393,144 @@ mod tests {
         ws.on_ack(seq);
         assert!(ws.take_for_retry(seq).is_none(), "acked batch is gone");
         assert!(ws.is_drained());
+    }
+
+    /// The sink as it was with a `BTreeSet` of every applied sequence
+    /// number: the reference the run-set sink must match.
+    #[derive(Default)]
+    struct ReferenceSink {
+        applied: BTreeMap<PageId, u64>,
+        seen: BTreeSet<u64>,
+        counters: SinkCounters,
+    }
+
+    impl ReferenceSink {
+        fn apply_batch(&mut self, seq: u64, entries: &[(PageId, u64)]) -> ApplyOutcome {
+            if !self.seen.insert(seq) {
+                self.counters.duplicate_batches += 1;
+                return ApplyOutcome {
+                    applied: 0,
+                    duplicates: entries.len() as u32,
+                };
+            }
+            let mut out = ApplyOutcome {
+                applied: 0,
+                duplicates: 0,
+            };
+            for &(page, version) in entries {
+                if self.applied.get(&page).copied().unwrap_or(0) >= version {
+                    self.counters.duplicate_pages += 1;
+                    out.duplicates += 1;
+                } else {
+                    self.applied.insert(page, version);
+                    self.counters.pages_applied += 1;
+                    out.applied += 1;
+                }
+            }
+            if out.applied > 0 {
+                self.counters.batches_applied += 1;
+            }
+            out
+        }
+
+        fn restart(&mut self) {
+            self.seen.clear();
+            self.counters.restarts += 1;
+        }
+    }
+
+    /// The runs are sorted, disjoint and non-adjacent, and hold exactly
+    /// `expected`.
+    fn assert_runs_hold(runs: &SeqRuns, expected: &BTreeSet<u64>) {
+        let pairs: Vec<(u64, u64)> = runs.runs.iter().map(|(&f, &l)| (f, l)).collect();
+        for &(first, last) in &pairs {
+            assert!(first <= last, "empty run {first}..={last}");
+        }
+        for w in pairs.windows(2) {
+            let (last, next_first) = (w[0].1, w[1].0);
+            assert!(
+                last.checked_add(1).is_some_and(|n| n < next_first),
+                "runs {:?} and {:?} touch",
+                w[0],
+                w[1]
+            );
+        }
+        let held: BTreeSet<u64> = pairs.iter().flat_map(|&(f, l)| f..=l).collect();
+        assert_eq!(&held, expected);
+    }
+
+    #[test]
+    fn seen_runs_match_a_set_of_every_sequence_number() {
+        forall("sink-seq-runs", 400, |g| {
+            let mut sink = WritebackSink::new();
+            let mut reference = ReferenceSink::default();
+            let mut next = if g.bool(0.4) {
+                u64::MAX - g.u64(0..40)
+            } else {
+                g.u64(0..1_000)
+            };
+            let mut used: Vec<u64> = Vec::new();
+            for _ in 0..g.usize(1..200) {
+                if g.bool(0.04) {
+                    sink.restart();
+                    reference.restart();
+                    continue;
+                }
+                let seq = match g.u64(0..10) {
+                    // An in-order run.
+                    0..=4 => {
+                        next = next.wrapping_add(1);
+                        next
+                    }
+                    // A retransmit.
+                    5 if !used.is_empty() => *g.choose(&used),
+                    // A gap.
+                    6 => {
+                        next = next.wrapping_add(g.u64(2..10));
+                        next
+                    }
+                    // Reordered around the cursor.
+                    7 => next.wrapping_add(g.u64(1..8)),
+                    8 => next.wrapping_sub(g.u64(0..8)),
+                    _ => u64::MAX - g.u64(0..4),
+                };
+                used.push(seq);
+                let entries = g.vec(0..5, |g| (PageId(g.u64(0..16)), g.u64(1..6)));
+                let got = sink.apply_batch(seq, &entries);
+                assert_eq!(got, reference.apply_batch(seq, &entries), "seq {seq}");
+                assert_eq!(sink.counters, reference.counters, "seq {seq}");
+                assert_runs_hold(&sink.seen_seqs, &reference.seen);
+            }
+            assert_eq!(sink.applied(), &reference.applied);
+        });
+    }
+
+    #[test]
+    fn an_in_order_writer_keeps_one_run() {
+        let mut sink = WritebackSink::new();
+        for seq in 1..=100_000u64 {
+            let outcome = sink.apply_batch(seq, &[(PageId(seq % 64), seq)]);
+            assert_eq!(outcome.applied, 1);
+        }
+        assert_eq!(sink.seen_seqs.runs.len(), 1);
+        assert_eq!(sink.apply_batch(50_000, &[(PageId(0), 1)]).duplicates, 1);
+        assert_eq!(sink.counters.duplicate_batches, 1);
+        sink.restart();
+        assert!(
+            sink.seen_seqs.runs.is_empty(),
+            "a restart forgets every run"
+        );
+    }
+
+    #[test]
+    fn runs_reach_u64_max_without_wrapping() {
+        let mut runs = SeqRuns::default();
+        assert!(runs.insert(u64::MAX));
+        assert!(runs.insert(u64::MAX - 1));
+        assert!(runs.insert(0), "0 does not join a run ending at u64::MAX");
+        assert!(!runs.insert(u64::MAX));
+        let expected = BTreeSet::from([0, u64::MAX - 1, u64::MAX]);
+        assert_runs_hold(&runs, &expected);
+        assert_eq!(runs.runs.len(), 2);
     }
 }

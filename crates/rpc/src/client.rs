@@ -13,7 +13,7 @@
 //! finish a send and return to draining the reply stream, which is what
 //! makes a single-threaded migrant deadlock-free.
 
-use std::io::{Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use ampom_mem::page::{PageId, PAGE_SIZE};
 
-use crate::frame::{Frame, FrameBuffer, WIRE_VERSION};
+use crate::frame::{encode_writeback_batch_into, Frame, FrameBuffer, WIRE_VERSION};
 use crate::RpcError;
 
 /// Where the deputy listens.
@@ -64,8 +64,15 @@ enum Stream {
     Unix(UnixStream),
 }
 
-impl Stream {
-    fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
+/// What the receive loops need of a socket beyond [`Read`]; the tests
+/// script it to inject the errors a real socket returns.
+trait Socket: Read {
+    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()>;
+    fn set_nonblocking(&self, on: bool) -> io::Result<()>;
+}
+
+impl Socket for Stream {
+    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(d),
             #[cfg(unix)]
@@ -73,7 +80,7 @@ impl Stream {
         }
     }
 
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(on),
             #[cfg(unix)]
@@ -114,19 +121,115 @@ impl Write for Stream {
 /// declared dead. Generous: this also covers TCP connection setup.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The receive side of a session: socket bytes, framed.
+struct Inbox {
+    fb: FrameBuffer,
+    read_buf: Vec<u8>,
+    bytes_received: u64,
+}
+
+impl Inbox {
+    fn new() -> Inbox {
+        Inbox {
+            fb: FrameBuffer::new(),
+            read_buf: vec![0u8; 64 * 1024],
+            bytes_received: 0,
+        }
+    }
+
+    /// One read from `sock` into the frame buffer. `Ok(true)` means bytes
+    /// arrived or a signal interrupted the read, and the caller reads
+    /// again; `Ok(false)` means the socket has nothing for now (it would
+    /// block, or its read timeout passed). A signal can interrupt even
+    /// under `SA_RESTART`: a receive with a timeout set is never
+    /// restarted (signal(7)).
+    fn fill(&mut self, sock: &mut impl Socket) -> Result<bool, RpcError> {
+        match sock.read(&mut self.read_buf) {
+            Ok(0) => Err(RpcError::Disconnected),
+            Ok(n) => {
+                self.bytes_received += n as u64;
+                self.fb.extend(&self.read_buf[..n]);
+                Ok(true)
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Ok(false),
+            Err(e) => Err(RpcError::Io(e)),
+        }
+    }
+
+    /// [`MigrantClient::recv`] over `sock`.
+    fn recv(
+        &mut self,
+        sock: &mut impl Socket,
+        timeout: Duration,
+    ) -> Result<Option<Frame>, RpcError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(frame) = self.fb.pop()? {
+                return Ok(Some(frame));
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Ok(None);
+            }
+            // set_read_timeout(0) would mean "block forever"; the
+            // deadline check above guarantees remaining > 0 here.
+            sock.set_read_timeout(Some(remaining))?;
+            if !self.fill(sock)? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// [`MigrantClient::try_recv`] over `sock`.
+    fn try_recv(&mut self, sock: &mut impl Socket) -> Result<Option<Frame>, RpcError> {
+        loop {
+            if let Some(frame) = self.fb.pop()? {
+                return Ok(Some(frame));
+            }
+            if !self.fill(sock)? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// [`MigrantClient::drain`] over `sock`.
+    fn drain(&mut self, sock: &mut impl Socket) -> Result<Vec<Frame>, RpcError> {
+        let mut frames = Vec::new();
+        while let Some(frame) = self.fb.pop()? {
+            frames.push(frame);
+        }
+        sock.set_nonblocking(true)?;
+        let outcome = loop {
+            match self.fill(sock) {
+                Ok(true) => {}
+                Ok(false) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        // Restore blocking mode before surfacing any error.
+        sock.set_nonblocking(false)?;
+        outcome?;
+        while let Some(frame) = self.fb.pop()? {
+            frames.push(frame);
+        }
+        Ok(frames)
+    }
+}
+
 /// One migrant session with the deputy.
 pub struct MigrantClient {
     endpoint: Endpoint,
     stream: Stream,
-    fb: FrameBuffer,
-    read_buf: Vec<u8>,
+    inbox: Inbox,
+    /// Outbound frame bytes, reused by every send.
+    wire: Vec<u8>,
     total_pages: u64,
     scheme_byte: u8,
     next_req_id: u64,
     next_call_id: u64,
     next_token: u64,
     bytes_sent: u64,
-    bytes_received: u64,
 }
 
 impl std::fmt::Debug for MigrantClient {
@@ -135,7 +238,7 @@ impl std::fmt::Debug for MigrantClient {
             .field("endpoint", &self.endpoint)
             .field("total_pages", &self.total_pages)
             .field("bytes_sent", &self.bytes_sent)
-            .field("bytes_received", &self.bytes_received)
+            .field("bytes_received", &self.inbox.bytes_received)
             .finish()
     }
 }
@@ -152,15 +255,14 @@ impl MigrantClient {
         let mut client = MigrantClient {
             endpoint,
             stream,
-            fb: FrameBuffer::new(),
-            read_buf: vec![0u8; 64 * 1024],
+            inbox: Inbox::new(),
+            wire: Vec::new(),
             total_pages,
             scheme_byte,
             next_req_id: 1,
             next_call_id: 1,
             next_token: 1,
             bytes_sent: 0,
-            bytes_received: 0,
         };
         client.handshake()?;
         Ok(client)
@@ -171,7 +273,7 @@ impl MigrantClient {
     /// restarts clean on the new byte stream).
     pub fn reconnect(&mut self) -> Result<(), RpcError> {
         self.stream = dial(&self.endpoint)?;
-        self.fb = FrameBuffer::new();
+        self.inbox.fb = FrameBuffer::new();
         self.handshake()
     }
 
@@ -209,44 +311,25 @@ impl MigrantClient {
     /// Encodes and writes one frame (flushed — requests must not sit in
     /// a userspace buffer while we wait for their replies).
     pub fn send(&mut self, frame: &Frame) -> Result<(), RpcError> {
-        let wire = frame.encode();
-        self.stream.write_all(&wire)?;
+        self.wire.clear();
+        frame.encode_into(&mut self.wire);
+        self.write_wire()
+    }
+
+    /// Writes and flushes the encoded bytes in `self.wire`.
+    fn write_wire(&mut self) -> Result<(), RpcError> {
+        self.stream.write_all(&self.wire)?;
         self.stream.flush()?;
-        self.bytes_sent += wire.len() as u64;
+        self.bytes_sent += self.wire.len() as u64;
         Ok(())
     }
 
     /// Receives the next frame, waiting at most `timeout`. `Ok(None)`
     /// means the deadline passed with no complete frame;
-    /// [`RpcError::Disconnected`] means the deputy closed the stream.
+    /// [`RpcError::Disconnected`] means the deputy closed the stream. A
+    /// read a signal interrupts is retried within the same deadline.
     pub fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, RpcError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.fb.pop()? {
-                return Ok(Some(frame));
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            // set_read_timeout(0) would mean "block forever"; the
-            // deadline check above guarantees remaining > 0 here.
-            self.stream.set_read_timeout(Some(remaining))?;
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => return Err(RpcError::Disconnected),
-                Ok(n) => {
-                    self.bytes_received += n as u64;
-                    self.fb.extend(&self.read_buf[..n]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None);
-                }
-                Err(e) => return Err(RpcError::Io(e)),
-            }
-        }
+        self.inbox.recv(&mut self.stream, timeout)
     }
 
     /// Switches the socket's blocking mode. The `deputybench` driver
@@ -281,48 +364,12 @@ impl MigrantClient {
     /// ([`MigrantClient::set_nonblocking`]) — on a blocking socket this
     /// degenerates to a blocking read.
     pub fn try_recv(&mut self) -> Result<Option<Frame>, RpcError> {
-        loop {
-            if let Some(frame) = self.fb.pop()? {
-                return Ok(Some(frame));
-            }
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => return Err(RpcError::Disconnected),
-                Ok(n) => {
-                    self.bytes_received += n as u64;
-                    self.fb.extend(&self.read_buf[..n]);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(RpcError::Io(e)),
-            }
-        }
+        self.inbox.try_recv(&mut self.stream)
     }
 
     /// Drains every frame already available without blocking.
     pub fn drain(&mut self) -> Result<Vec<Frame>, RpcError> {
-        let mut frames = Vec::new();
-        while let Some(frame) = self.fb.pop()? {
-            frames.push(frame);
-        }
-        self.stream.set_nonblocking(true)?;
-        let outcome = loop {
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => break Err(RpcError::Disconnected),
-                Ok(n) => {
-                    self.bytes_received += n as u64;
-                    self.fb.extend(&self.read_buf[..n]);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
-                Err(e) => break Err(RpcError::Io(e)),
-            }
-        };
-        // Restore blocking mode before surfacing any error.
-        self.stream.set_nonblocking(false)?;
-        outcome?;
-        while let Some(frame) = self.fb.pop()? {
-            frames.push(frame);
-        }
-        Ok(frames)
+        self.inbox.drain(&mut self.stream)
     }
 
     /// Sends a paging request — demand page first, prefetch zone after —
@@ -353,13 +400,12 @@ impl MigrantClient {
 
     /// Sends one writeback delta batch — `(page, version)` pairs with
     /// deterministic page payloads — and returns the batch sequence
-    /// number its [`Frame::WritebackAck`] will echo.
+    /// number its [`Frame::WritebackAck`] will echo. Each page's payload
+    /// is synthesized once, straight into the outbound buffer.
     pub fn send_writeback(&mut self, seq: u64, entries: &[(PageId, u64)]) -> Result<u64, RpcError> {
-        let pages: Vec<(PageId, u64, Vec<u8>)> = entries
-            .iter()
-            .map(|&(p, v)| (p, v, crate::frame::page_payload(p)))
-            .collect();
-        self.send(&Frame::WritebackBatch { seq, pages })?;
+        self.wire.clear();
+        encode_writeback_batch_into(seq, entries, &mut self.wire);
+        self.write_wire()?;
         Ok(seq)
     }
 
@@ -429,7 +475,7 @@ impl MigrantClient {
 
     /// Total wire bytes read from the deputy.
     pub fn bytes_received(&self) -> u64 {
-        self.bytes_received
+        self.inbox.bytes_received
     }
 
     /// The endpoint this client dials.
@@ -448,7 +494,7 @@ impl ampom_obs::MetricSource for MigrantClient {
         reg.export_counter(
             "ampom_migrant_bytes_received_total",
             "Wire bytes read from the deputy",
-            self.bytes_received,
+            self.inbox.bytes_received,
         );
     }
 }
@@ -462,5 +508,83 @@ fn dial(endpoint: &Endpoint) -> Result<Stream, RpcError> {
         }
         #[cfg(unix)]
         Endpoint::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A socket that replays a script of read results, then reports
+    /// `WouldBlock`.
+    struct Script(VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(e)) => Err(e),
+                None => Err(ErrorKind::WouldBlock.into()),
+            }
+        }
+    }
+
+    impl Socket for Script {
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn set_nonblocking(&self, _: bool) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn interrupted() -> io::Result<Vec<u8>> {
+        Err(ErrorKind::Interrupted.into())
+    }
+
+    #[test]
+    fn an_interrupted_read_still_delivers_the_frame() {
+        let wire = Frame::Pong { token: 9 }.encode();
+        let mut sock = Script(VecDeque::from([interrupted(), Ok(wire.clone())]));
+        let got = Inbox::new().recv(&mut sock, Duration::from_secs(5));
+        assert_eq!(
+            got.expect("a signal is not an error"),
+            Some(Frame::Pong { token: 9 })
+        );
+
+        let mut sock = Script(VecDeque::from([interrupted(), Ok(wire.clone())]));
+        let got = Inbox::new().try_recv(&mut sock).expect("try_recv retries");
+        assert_eq!(got, Some(Frame::Pong { token: 9 }));
+
+        // drain: a signal between the two halves of a frame.
+        let (head, rest) = wire.split_at(3);
+        let mut sock = Script(VecDeque::from([
+            Ok(head.to_vec()),
+            interrupted(),
+            Ok(rest.to_vec()),
+        ]));
+        let mut inbox = Inbox::new();
+        let got = inbox.drain(&mut sock).expect("drain retries");
+        assert_eq!(got, vec![Frame::Pong { token: 9 }]);
+        assert_eq!(inbox.bytes_received, wire.len() as u64);
+    }
+
+    #[test]
+    fn recv_surfaces_real_errors_and_timeouts() {
+        let mut sock = Script(VecDeque::from([Err(ErrorKind::ConnectionReset.into())]));
+        let got = Inbox::new().recv(&mut sock, Duration::from_secs(5));
+        assert!(matches!(got, Err(RpcError::Io(e)) if e.kind() == ErrorKind::ConnectionReset));
+        let mut sock = Script(VecDeque::from([Ok(Vec::new())]));
+        let got = Inbox::new().recv(&mut sock, Duration::from_secs(5));
+        assert!(matches!(got, Err(RpcError::Disconnected)));
+        // An exhausted script reads as an expired read timeout.
+        let mut sock = Script(VecDeque::new());
+        let got = Inbox::new().recv(&mut sock, Duration::from_secs(5));
+        assert!(matches!(got, Ok(None)));
     }
 }

@@ -310,10 +310,7 @@ impl Frame {
 
     /// Encodes the frame — length prefix included — appending to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let len_at = out.len();
-        out.extend_from_slice(&[0u8; LENGTH_PREFIX_BYTES]);
-        out.push(self.type_byte());
-        match self {
+        encode_framed(self.type_byte(), out, |out| match self {
             Frame::Hello {
                 version,
                 total_pages,
@@ -402,9 +399,7 @@ impl Frame {
                 out.extend_from_slice(&code.to_be_bytes());
                 out.extend_from_slice(detail.as_bytes());
             }
-        }
-        let body = (out.len() - len_at - LENGTH_PREFIX_BYTES) as u32;
-        out[len_at..len_at + LENGTH_PREFIX_BYTES].copy_from_slice(&body.to_be_bytes());
+        });
     }
 
     /// Encodes into a fresh buffer.
@@ -666,6 +661,17 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// splitmix64's increment, the golden ratio scaled to 64 bits.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// splitmix64's output mix of one counter value.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Synthesizes the deterministic contents of `page` served by the test
 /// deputy: the page id in the first 8 bytes, then a splitmix64 keystream.
 /// Lets the client spot payload corruption without a real memory image.
@@ -679,22 +685,25 @@ pub fn page_payload(page: PageId) -> Vec<u8> {
 /// page) in place. The serving path synthesizes payloads directly into
 /// pooled outbound segments through this, so a busy deputy allocates
 /// nothing per page after warm-up.
+///
+/// These bytes are the deputy's page contents on the wire, pinned by a
+/// golden hash in the tests. splitmix64 is a counter-mode generator:
+/// its state after `k` steps is `x0 + k·γ`, so big-endian word `k` of
+/// the keystream (k = 1..=511) is `mix(x0 + k·γ)` with `x0 = page ^ γ`.
+/// Each word is computed from its index alone, so the words' multiplies
+/// overlap instead of waiting on a running state.
 pub fn page_payload_into(page: PageId, data: &mut [u8]) {
     assert_eq!(
         data.len() as u64,
         PAGE_SIZE,
         "payload buffer is not one page"
     );
-    data[..8].copy_from_slice(&page.0.to_be_bytes());
-    let mut x = page.0 ^ 0x9e37_79b9_7f4a_7c15;
-    for chunk in data[8..].chunks_mut(8) {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let bytes = z.to_be_bytes();
-        chunk.copy_from_slice(&bytes[..chunk.len()]);
+    let (tag, words) = data.split_at_mut(8);
+    tag.copy_from_slice(&page.0.to_be_bytes());
+    let x0 = page.0 ^ GOLDEN_GAMMA;
+    for (k, word) in (1u64..).zip(words.chunks_exact_mut(8)) {
+        let x = x0.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA));
+        word.copy_from_slice(&mix64(x).to_be_bytes());
     }
 }
 
@@ -705,21 +714,40 @@ pub fn payload_matches(page: PageId, data: &[u8]) -> bool {
     data.len() as u64 == PAGE_SIZE && data[..8] == page.0.to_be_bytes()
 }
 
+/// Appends one frame of type `ty` to `out`: a length prefix, the type
+/// byte, then whatever `body` appends, with the prefix patched to the
+/// body's length once it is known.
+fn encode_framed(ty: u8, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0u8; LENGTH_PREFIX_BYTES]);
+    out.push(ty);
+    body(out);
+    let len = (out.len() - len_at - LENGTH_PREFIX_BYTES) as u32;
+    out[len_at..len_at + LENGTH_PREFIX_BYTES].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Appends one page entry of a page-carrying frame to `out`: the page
+/// id, the page's version when the frame carries one, then the page's
+/// synthesized contents, written once, in place.
+fn push_page(page: PageId, version: Option<u64>, out: &mut Vec<u8>) {
+    out.extend_from_slice(&page.0.to_be_bytes());
+    if let Some(v) = version {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+    let data_at = out.len();
+    out.resize(data_at + PAGE_SIZE as usize, 0);
+    page_payload_into(page, &mut out[data_at..]);
+}
+
 /// Appends an encoded [`Frame::PageReply`] for `page` to `out`, with the
 /// payload synthesized in place — byte-identical to
 /// `Frame::PageReply { req_id, page, data: page_payload(page) }.encode_into(out)`
 /// but with no intermediate per-page allocation.
 pub fn encode_page_reply_into(req_id: u64, page: PageId, out: &mut Vec<u8>) {
-    let len_at = out.len();
-    out.extend_from_slice(&[0u8; LENGTH_PREFIX_BYTES]);
-    out.push(0x05);
-    out.extend_from_slice(&req_id.to_be_bytes());
-    out.extend_from_slice(&page.0.to_be_bytes());
-    let data_at = out.len();
-    out.resize(data_at + PAGE_SIZE as usize, 0);
-    page_payload_into(page, &mut out[data_at..]);
-    let body = (out.len() - len_at - LENGTH_PREFIX_BYTES) as u32;
-    out[len_at..len_at + LENGTH_PREFIX_BYTES].copy_from_slice(&body.to_be_bytes());
+    encode_framed(0x05, out, |out| {
+        out.extend_from_slice(&req_id.to_be_bytes());
+        push_page(page, None, out);
+    });
 }
 
 /// Appends an encoded [`Frame::PageBatchReply`] to `out`, payloads
@@ -733,19 +761,28 @@ pub fn encode_page_batch_reply_into(batch: &[(u64, PageId)], out: &mut Vec<u8>) 
         "batch of {} pages (bounds: 1..={MAX_BATCH_PAGES})",
         batch.len()
     );
-    let len_at = out.len();
-    out.extend_from_slice(&[0u8; LENGTH_PREFIX_BYTES]);
-    out.push(0x0e);
-    out.extend_from_slice(&batch[0].0.to_be_bytes());
-    out.extend_from_slice(&(batch.len() as u32).to_be_bytes());
-    for &(_, page) in batch {
-        out.extend_from_slice(&page.0.to_be_bytes());
-        let data_at = out.len();
-        out.resize(data_at + PAGE_SIZE as usize, 0);
-        page_payload_into(page, &mut out[data_at..]);
-    }
-    let body = (out.len() - len_at - LENGTH_PREFIX_BYTES) as u32;
-    out[len_at..len_at + LENGTH_PREFIX_BYTES].copy_from_slice(&body.to_be_bytes());
+    encode_framed(0x0e, out, |out| {
+        out.extend_from_slice(&batch[0].0.to_be_bytes());
+        out.extend_from_slice(&(batch.len() as u32).to_be_bytes());
+        for &(_, page) in batch {
+            push_page(page, None, out);
+        }
+    });
+}
+
+/// Appends an encoded [`Frame::WritebackBatch`] of `entries` — `(page,
+/// version)` pairs — to `out`, each page's payload synthesized in place:
+/// byte-identical to the frame built with [`page_payload`] for every
+/// page, with no per-page allocation. The deputy refuses a batch of more
+/// than [`MAX_BATCH_PAGES`] pages.
+pub fn encode_writeback_batch_into(seq: u64, entries: &[(PageId, u64)], out: &mut Vec<u8>) {
+    encode_framed(0x0f, out, |out| {
+        out.extend_from_slice(&seq.to_be_bytes());
+        out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+        for &(page, version) in entries {
+            push_page(page, Some(version), out);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -830,9 +867,99 @@ mod tests {
         .encode();
         assert_eq!(direct, via_frame, "batch encoder drifted from the codec");
 
+        let entries: Vec<(PageId, u64)> =
+            vec![(PageId(4), 1), (PageId(2), 9), (PageId(u64::MAX), 3)];
+        let via_frame = Frame::WritebackBatch {
+            seq: 17,
+            pages: entries
+                .iter()
+                .map(|&(p, v)| (p, v, page_payload(p)))
+                .collect(),
+        }
+        .encode();
+        let mut direct = Vec::new();
+        encode_writeback_batch_into(17, &entries, &mut direct);
+        assert_eq!(
+            direct, via_frame,
+            "writeback encoder drifted from the codec"
+        );
+        let mut direct = Vec::new();
+        encode_writeback_batch_into(3, &[], &mut direct);
+        assert_eq!(
+            direct,
+            Frame::WritebackBatch {
+                seq: 3,
+                pages: vec![]
+            }
+            .encode()
+        );
+
         // Appending after existing bytes leaves them untouched.
         let mut tail = vec![0xAAu8; 7];
         encode_page_reply_into(1, PageId(1), &mut tail);
         assert_eq!(&tail[..7], &[0xAA; 7]);
+        let mut tail = vec![0xBBu8; 5];
+        encode_writeback_batch_into(17, &entries, &mut tail);
+        assert_eq!(&tail[..5], &[0xBB; 5]);
+        assert_eq!(&tail[5..], &via_frame[..], "appended writeback frame");
+    }
+
+    /// FNV-1a, 64-bit: the payload golden's digest.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn payload_bytes_match_the_golden() {
+        // Captured from the running-state synthesizer before the
+        // counter-mode one replaced it: the page contents must not move.
+        const GOLDEN: [(u64, u64); 7] = [
+            (0, 0x016d_867c_d723_a4d4),
+            (1, 0xa466_24c1_4590_d59a),
+            (42, 0xc622_cb82_29cb_b226),
+            (4095, 0x4cc5_2839_d8a9_2e6d),
+            ((1 << 32) - 1, 0x4ba9_dfe6_d38e_40c4),
+            (1 << 63, 0x10da_98c0_5c9c_29bf),
+            (u64::MAX, 0x4249_4a72_490e_b361),
+        ];
+        for (page, hash) in GOLDEN {
+            let got = fnv1a64(&page_payload(PageId(page)));
+            assert_eq!(got, hash, "page {page:#x}: payload hash {got:#018x}");
+        }
+    }
+
+    /// The running-state splitmix64 loop the counter-mode synthesizer
+    /// replaced: one state advance and one slice copy per word.
+    fn running_state_payload(page: PageId) -> Vec<u8> {
+        let mut data = vec![0u8; PAGE_SIZE as usize];
+        data[..8].copy_from_slice(&page.0.to_be_bytes());
+        let mut x = page.0 ^ 0x9e37_79b9_7f4a_7c15;
+        for chunk in data[8..].chunks_mut(8) {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let bytes = z.to_be_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
+        data
+    }
+
+    #[test]
+    fn counter_mode_payload_equals_the_running_state_loop() {
+        for page in [0, 1, 7, 12345, u64::MAX] {
+            assert_eq!(
+                page_payload(PageId(page)),
+                running_state_payload(PageId(page)),
+                "page {page}"
+            );
+        }
+        ampom_sim::propcheck::forall("payload-counter-mode", 2_000, |g| {
+            let page = PageId(g.rng().next_u64());
+            assert_eq!(page_payload(page), running_state_payload(page), "{page:?}");
+        });
     }
 }
