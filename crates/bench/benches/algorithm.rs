@@ -36,10 +36,10 @@
 //! The `rpc_codec` group times the live deputy's and migrant's per-page
 //! codec work, reported per page: synthesizing a page's contents, a
 //! 64-page reply batch and a 26-page writeback batch (`sim-paper`'s mean
-//! batch) encoded into a reused buffer, and a 64-page reply batch
-//! decoded. Every sample checks a digest of its output (a word from
-//! each 64-byte line) against the same digest of the bytes
-//! `page_payload` gives.
+//! batch) encoded into a reused buffer, and both batches decoded through
+//! a `FrameBuffer` (the writeback's page ids and versions checked too).
+//! Every sample checks a digest of its output (a word from each 64-byte
+//! line) against the same digest of the bytes `page_payload` gives.
 
 use ampom_bench::{black_box, Harness};
 use ampom_cluster::gossip::{plan_gossip, LoadEntry, WindowView};
@@ -486,14 +486,14 @@ fn bench_rpc_codec(h: &mut Harness) {
     let entries: Vec<(PageId, u64)> = pages[..WRITEBACK_PAGES].iter().map(|&p| (p, 2)).collect();
     let reply = Frame::PageBatchReply {
         req_id: 1,
-        pages: pages.iter().map(|&p| (p, page_payload(p))).collect(),
+        pages: pages.iter().map(|&p| (p, page_payload(p).into())).collect(),
     }
     .encode();
     let writeback = Frame::WritebackBatch {
         seq: 5,
         pages: entries
             .iter()
-            .map(|&(p, v)| (p, v, page_payload(p)))
+            .map(|&(p, v)| (p, v, page_payload(p).into()))
             .collect(),
     }
     .encode();
@@ -530,6 +530,21 @@ fn bench_rpc_codec(h: &mut Harness) {
         };
         let decoded = got.iter().fold(0, |h, (_, d)| h ^ digest(d));
         assert_eq!(decoded, digest(&contents));
+    });
+
+    let wb_contents = &contents[..WRITEBACK_PAGES * page_bytes];
+    g.bench_per("writeback_decode_26", WRITEBACK_PAGES as u32, || {
+        fb.extend(black_box(&writeback));
+        let Some(Frame::WritebackBatch { seq: 5, pages: got }) = fb.pop().expect("a valid frame")
+        else {
+            panic!("the encoder's own batch decodes to writeback batch 5");
+        };
+        assert!(got
+            .iter()
+            .zip(&entries)
+            .all(|((p, v, _), &(page, version))| *p == page && *v == version));
+        let decoded = got.iter().fold(0, |h, (_, _, d)| h ^ digest(d));
+        assert_eq!(decoded, digest(wb_contents));
     });
     g.finish();
 }

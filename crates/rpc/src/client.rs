@@ -124,7 +124,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// The receive side of a session: socket bytes, framed.
 struct Inbox {
     fb: FrameBuffer,
-    read_buf: Vec<u8>,
     bytes_received: u64,
 }
 
@@ -132,23 +131,21 @@ impl Inbox {
     fn new() -> Inbox {
         Inbox {
             fb: FrameBuffer::new(),
-            read_buf: vec![0u8; 64 * 1024],
             bytes_received: 0,
         }
     }
 
-    /// One read from `sock` into the frame buffer. `Ok(true)` means bytes
-    /// arrived or a signal interrupted the read, and the caller reads
-    /// again; `Ok(false)` means the socket has nothing for now (it would
-    /// block, or its read timeout passed). A signal can interrupt even
-    /// under `SA_RESTART`: a receive with a timeout set is never
-    /// restarted (signal(7)).
+    /// One read from `sock` straight into the frame buffer. `Ok(true)`
+    /// means bytes arrived or a signal interrupted the read, and the
+    /// caller reads again; `Ok(false)` means the socket has nothing for
+    /// now (it would block, or its read timeout passed). A signal can
+    /// interrupt even under `SA_RESTART`: a receive with a timeout set is
+    /// never restarted (signal(7)).
     fn fill(&mut self, sock: &mut impl Socket) -> Result<bool, RpcError> {
-        match sock.read(&mut self.read_buf) {
+        match self.fb.fill_from(sock) {
             Ok(0) => Err(RpcError::Disconnected),
             Ok(n) => {
                 self.bytes_received += n as u64;
-                self.fb.extend(&self.read_buf[..n]);
                 Ok(true)
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
@@ -193,14 +190,16 @@ impl Inbox {
         }
     }
 
-    /// [`MigrantClient::drain`] over `sock`.
+    /// [`MigrantClient::drain`] over `sock`. Complete frames are taken
+    /// out before each read, so every read is sized by the frame still
+    /// arriving.
     fn drain(&mut self, sock: &mut impl Socket) -> Result<Vec<Frame>, RpcError> {
         let mut frames = Vec::new();
-        while let Some(frame) = self.fb.pop()? {
-            frames.push(frame);
-        }
         sock.set_nonblocking(true)?;
         let outcome = loop {
+            if let Err(e) = self.pop_all(&mut frames) {
+                break Err(e);
+            }
             match self.fill(sock) {
                 Ok(true) => {}
                 Ok(false) => break Ok(()),
@@ -210,10 +209,15 @@ impl Inbox {
         // Restore blocking mode before surfacing any error.
         sock.set_nonblocking(false)?;
         outcome?;
+        Ok(frames)
+    }
+
+    /// Moves every complete buffered frame to `frames`.
+    fn pop_all(&mut self, frames: &mut Vec<Frame>) -> Result<(), RpcError> {
         while let Some(frame) = self.fb.pop()? {
             frames.push(frame);
         }
-        Ok(frames)
+        Ok(())
     }
 }
 

@@ -46,8 +46,16 @@
 //!
 //! Decoding never panics: every malformed input maps onto a typed
 //! [`CodecError`] (the property tests in `tests/prop.rs` fuzz this).
+//!
+//! Decoding copies no page: the pages of `PageReply`, `PageBatchReply`
+//! and `WritebackBatch` decode as [`PageView`]s, reference-counted views
+//! into the storage the frame was received into
+//! ([`FrameBuffer::fill_from`] reads the socket straight into it).
 
 use std::fmt;
+use std::io::{self, Read};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use ampom_mem::page::{PageId, PAGE_SIZE};
 
@@ -77,6 +85,12 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 20;
 
 /// Bytes of the length prefix.
 pub const LENGTH_PREFIX_BYTES: usize = 4;
+
+/// Smallest read [`FrameBuffer::fill_from`] asks for: a run of small
+/// frames (requests, acks) arrives in one read, and a session's buffer
+/// never holds less room than this. Reads for a large frame ask for
+/// what it still lacks instead.
+const MIN_READ_BYTES: usize = 4096;
 
 /// A malformed frame. Every variant names what the decoder saw so wire
 /// corruption diagnoses itself in logs.
@@ -202,7 +216,7 @@ pub enum Frame {
         /// The page id.
         page: PageId,
         /// Page contents ([`PAGE_SIZE`] bytes).
-        data: Vec<u8>,
+        data: PageView,
     },
     /// Migrant → deputy: execute a system call at the home node.
     SyscallForward {
@@ -246,7 +260,7 @@ pub enum Frame {
         /// other requests ride along under the same id.
         req_id: u64,
         /// `(page id, PAGE_SIZE contents)` pairs.
-        pages: Vec<(PageId, Vec<u8>)>,
+        pages: Vec<(PageId, PageView)>,
     },
     /// Migrant → deputy: one writeback delta batch of dirty pages headed
     /// home (at most [`MAX_BATCH_PAGES`] pages). Versions are per-page
@@ -257,7 +271,7 @@ pub enum Frame {
         /// Batch sequence number (echoed by the ack).
         seq: u64,
         /// `(page id, version, PAGE_SIZE contents)` triples.
-        pages: Vec<(PageId, u64, Vec<u8>)>,
+        pages: Vec<(PageId, u64, PageView)>,
     },
     /// Deputy → migrant: a writeback batch settled.
     WritebackAck {
@@ -410,8 +424,21 @@ impl Frame {
     }
 
     /// Decodes one frame *body* (everything after the length prefix).
+    /// Its pages view one shared copy of `body`; [`FrameBuffer::pop`]
+    /// decodes in place, without the copy.
     pub fn decode(body: &[u8]) -> Result<Frame, CodecError> {
-        let mut r = Reader::new(body);
+        Frame::decode_in(&Arc::new(body.to_vec()), 0, body.len())
+    }
+
+    /// Decodes the frame body `store[start..end]`; its pages become
+    /// views into `store`.
+    fn decode_in(store: &Arc<Vec<u8>>, start: usize, end: usize) -> Result<Frame, CodecError> {
+        let mut r = Reader::new(&store[start..end]);
+        let view = |at: usize| PageView {
+            buf: Arc::clone(store),
+            at: start + at,
+            len: PAGE_SIZE as usize,
+        };
         let ty = r.u8().map_err(|_| CodecError::Empty)?;
         let frame = match ty {
             0x01 => Frame::Hello {
@@ -445,14 +472,13 @@ impl Frame {
             0x05 => {
                 let req_id = r.u64()?;
                 let page = PageId(r.u64()?);
-                let data = r.rest();
-                if data.len() as u64 != PAGE_SIZE {
-                    return Err(CodecError::BadPageSize(data.len()));
+                if r.remaining() as u64 != PAGE_SIZE {
+                    return Err(CodecError::BadPageSize(r.remaining()));
                 }
                 Frame::PageReply {
                     req_id,
                     page,
-                    data: data.to_vec(),
+                    data: view(r.page()?),
                 }
             }
             0x06 => Frame::SyscallForward {
@@ -501,8 +527,7 @@ impl Frame {
                 let mut pages = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     let page = PageId(r.u64()?);
-                    let data = r.take(PAGE_SIZE as usize)?.to_vec();
-                    pages.push((page, data));
+                    pages.push((page, view(r.page()?)));
                 }
                 Frame::PageBatchReply { req_id, pages }
             }
@@ -523,8 +548,7 @@ impl Frame {
                 for _ in 0..count {
                     let page = PageId(r.u64()?);
                     let version = r.u64()?;
-                    let data = r.take(PAGE_SIZE as usize)?.to_vec();
-                    pages.push((page, version, data));
+                    pages.push((page, version, view(r.page()?)));
                 }
                 Frame::WritebackBatch { seq, pages }
             }
@@ -550,16 +574,69 @@ impl Frame {
     }
 }
 
+/// One page's contents in a decoded frame: a reference-counted view into
+/// the storage the frame was received into, so decoding copies no page.
+/// It reads as the page's bytes (`Deref<Target = [u8]>`), is `Send`, and
+/// keeps that storage alive while it lives. Code that builds a
+/// page-carrying frame converts a `Vec<u8>` with `.into()`.
+#[derive(Clone)]
+pub struct PageView {
+    buf: Arc<Vec<u8>>,
+    at: usize,
+    len: usize,
+}
+
+impl Deref for PageView {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.at..self.at + self.len]
+    }
+}
+
+impl From<Vec<u8>> for PageView {
+    fn from(bytes: Vec<u8>) -> Self {
+        PageView {
+            len: bytes.len(),
+            buf: Arc::new(bytes),
+            at: 0,
+        }
+    }
+}
+
+impl PartialEq for PageView {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PageView {}
+
+impl fmt::Debug for PageView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// Incremental frame extraction from a byte stream.
 ///
-/// Socket reads land in [`FrameBuffer::extend`]; [`FrameBuffer::pop`]
-/// yields complete frames as they become available, leaving partial
-/// frames buffered. Used by both ends of the connection.
+/// [`FrameBuffer::fill_from`] reads the socket straight into the
+/// buffer's storage (or [`FrameBuffer::extend`] copies bytes in), and
+/// [`FrameBuffer::pop`] yields complete frames as they become available,
+/// leaving partial frames buffered. Used by both ends of the connection.
+///
+/// Popped frames' pages are [`PageView`]s into the storage, so the
+/// buffer writes to it only while no view is alive: it then reuses it in
+/// place, and otherwise moves its unread bytes to new storage first.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    buf: Vec<u8>,
-    /// Consumed prefix (compacted lazily to amortise the memmove).
+    /// Received bytes. Its length is how much of it has been
+    /// initialised, not how much has been received.
+    buf: Arc<Vec<u8>>,
+    /// Consumed prefix.
     start: usize,
+    /// End of the received bytes.
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -570,39 +647,98 @@ impl FrameBuffer {
 
     /// Appends raw socket bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.room(bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One read from `reader` straight into the buffer; returns what
+    /// `read` returned (0 at the end of the stream). The read asks for
+    /// what the front frame still lacks, and never for less than a small
+    /// floor. A length prefix above [`MAX_FRAME_BYTES`] sizes nothing:
+    /// the read asks for the floor and the next [`FrameBuffer::pop`]
+    /// refuses the frame.
+    pub fn fill_from(&mut self, reader: &mut impl Read) -> io::Result<usize> {
+        let want = self.front_lacks().max(MIN_READ_BYTES);
+        let n = reader.read(self.room(want))?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes currently buffered and not yet consumed.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Extracts the next complete frame, `Ok(None)` if more bytes are
     /// needed. A codec error is fatal for the stream (framing is lost).
     pub fn pop(&mut self) -> Result<Option<Frame>, CodecError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < LENGTH_PREFIX_BYTES {
+        let Some(len) = self.front_len()? else {
+            return Ok(None);
+        };
+        let total = LENGTH_PREFIX_BYTES + len;
+        if self.pending() < total {
             return Ok(None);
         }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if len > MAX_FRAME_BYTES {
-            return Err(CodecError::Oversized(len));
-        }
-        if len == 0 {
-            return Err(CodecError::Empty);
-        }
-        let total = LENGTH_PREFIX_BYTES + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame = Frame::decode(&avail[LENGTH_PREFIX_BYTES..total])?;
+        let body = self.start + LENGTH_PREFIX_BYTES;
+        let frame = Frame::decode_in(&self.buf, body, self.start + total)?;
         self.start += total;
-        if self.start > 64 * 1024 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
         Ok(Some(frame))
+    }
+
+    /// The front frame's body length, once its prefix has arrived.
+    fn front_len(&self) -> Result<Option<usize>, CodecError> {
+        let Some(prefix) = self.buf[self.start..self.end].first_chunk::<LENGTH_PREFIX_BYTES>()
+        else {
+            return Ok(None);
+        };
+        match u32::from_be_bytes(*prefix) {
+            0 => Err(CodecError::Empty),
+            len if len > MAX_FRAME_BYTES => Err(CodecError::Oversized(len)),
+            len => Ok(Some(len as usize)),
+        }
+    }
+
+    /// Bytes the front frame still lacks: 0 while its prefix is
+    /// incomplete or invalid, or once the frame is whole.
+    fn front_lacks(&self) -> usize {
+        match self.front_len() {
+            Ok(Some(len)) => (LENGTH_PREFIX_BYTES + len).saturating_sub(self.pending()),
+            _ => 0,
+        }
+    }
+
+    /// `want` writable bytes after the received ones. Unshared storage
+    /// is reused: rewound when everything has been consumed, or its
+    /// unread bytes moved to the front when the tail is short, then
+    /// grown if still short (zero-filling only what it has never held).
+    /// Storage a [`PageView`] still shares is left to the view: the
+    /// unread bytes move to new storage.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        let unread = self.pending();
+        match Arc::get_mut(&mut self.buf) {
+            Some(buf) => {
+                if self.start == self.end {
+                    self.start = 0;
+                    self.end = 0;
+                } else if buf.len() - self.end < want && self.start > 0 {
+                    buf.copy_within(self.start..self.end, 0);
+                    self.start = 0;
+                    self.end = unread;
+                }
+                if buf.len() < self.end + want {
+                    buf.resize(self.end + want, 0);
+                }
+            }
+            None => {
+                let mut fresh = vec![0; unread + want];
+                fresh[..unread].copy_from_slice(&self.buf[self.start..self.end]);
+                self.buf = Arc::new(fresh);
+                self.start = 0;
+                self.end = unread;
+            }
+        }
+        let buf = Arc::get_mut(&mut self.buf).expect("the storage is unshared");
+        &mut buf[self.end..self.end + want]
     }
 }
 
@@ -631,6 +767,14 @@ impl<'a> Reader<'a> {
         let s = &self.body[self.at..self.at + n];
         self.at += n;
         Ok(s)
+    }
+
+    /// Steps over one page of contents and returns its offset in the
+    /// body.
+    fn page(&mut self) -> Result<usize, CodecError> {
+        let at = self.at;
+        self.take(PAGE_SIZE as usize)?;
+        Ok(at)
     }
 
     fn rest(&mut self) -> &'a [u8] {
@@ -690,14 +834,57 @@ pub fn page_payload(page: PageId) -> Vec<u8> {
 /// golden hash in the tests. splitmix64 is a counter-mode generator:
 /// its state after `k` steps is `x0 + k·γ`, so big-endian word `k` of
 /// the keystream (k = 1..=511) is `mix(x0 + k·γ)` with `x0 = page ^ γ`.
-/// Each word is computed from its index alone, so the words' multiplies
-/// overlap instead of waiting on a running state.
+/// Each word is computed from its index alone, so the loop has no
+/// carried state and vectorizes: on an x86-64 CPU with AVX-512 (F, DQ,
+/// BW, VL) the same loop runs compiled for those features, eight words
+/// a vector, chosen at run time; elsewhere the portable build runs.
 pub fn page_payload_into(page: PageId, data: &mut [u8]) {
     assert_eq!(
         data.len() as u64,
         PAGE_SIZE,
         "payload buffer is not one page"
     );
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        // SAFETY: the CPU has every feature `payload_avx512` enables.
+        unsafe { payload_avx512(page, data) };
+        return;
+    }
+    payload_portable(page, data);
+}
+
+/// Whether this CPU runs the AVX-512 build of the synthesizer.
+#[cfg(target_arch = "x86_64")]
+fn avx512_available() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vl")
+}
+
+/// Which build of the synthesizer [`page_payload_into`] runs here.
+#[cfg(test)]
+fn payload_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        return "avx512";
+    }
+    "portable"
+}
+
+/// [`payload_portable`] compiled with AVX-512, where LLVM vectorizes
+/// the 64-bit multiplies (`vpmullq`) and the byte swaps.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
+fn payload_avx512(page: PageId, data: &mut [u8]) {
+    payload_portable(page, data);
+}
+
+/// The counter-mode loop of [`page_payload_into`]. Always inlined, so
+/// each caller compiles it for its own target features: the baseline
+/// ones in ordinary code, AVX-512 in [`payload_avx512`].
+#[inline(always)]
+fn payload_portable(page: PageId, data: &mut [u8]) {
     let (tag, words) = data.split_at_mut(8);
     tag.copy_from_slice(&page.0.to_be_bytes());
     let x0 = page.0 ^ GOLDEN_GAMMA;
@@ -804,7 +991,7 @@ mod tests {
             Frame::PageReply {
                 req_id: 7,
                 page: PageId(1),
-                data: page_payload(PageId(1)),
+                data: page_payload(PageId(1)).into(),
             },
             Frame::Bye,
         ];
@@ -825,11 +1012,86 @@ mod tests {
         assert_eq!(fb.pending(), 0);
     }
 
+    /// A reader that serves `bytes` and records the largest read it was
+    /// asked for.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_ask: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_ask = self.largest_ask.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
     #[test]
     fn oversized_length_is_rejected_before_allocation() {
         let mut fb = FrameBuffer::new();
         fb.extend(&(MAX_FRAME_BYTES + 1).to_be_bytes());
         assert_eq!(fb.pop(), Err(CodecError::Oversized(MAX_FRAME_BYTES + 1)));
+
+        // Through `fill_from`: the bad prefix sizes neither the next read
+        // nor the buffer's storage, however much the peer has queued.
+        for len in [MAX_FRAME_BYTES + 1, u32::MAX] {
+            let mut stream = len.to_be_bytes().to_vec();
+            stream.resize(4 * MAX_FRAME_BYTES as usize, 0xAB);
+            let mut sock = Recording {
+                bytes: &stream,
+                largest_ask: 0,
+            };
+            let mut fb = FrameBuffer::new();
+            for _ in 0..2 {
+                assert!(fb.fill_from(&mut sock).unwrap() > 0);
+                assert_eq!(fb.pop(), Err(CodecError::Oversized(len)));
+            }
+            assert_eq!(sock.largest_ask, MIN_READ_BYTES, "prefix {len:#x}");
+            assert!(fb.buf.len() <= 2 * MIN_READ_BYTES, "prefix {len:#x}");
+        }
+    }
+
+    #[test]
+    fn reads_are_sized_by_the_front_frame() {
+        let batch: Vec<(u64, PageId)> = (0..MAX_BATCH_PAGES as u64)
+            .map(|p| (1, PageId(p)))
+            .collect();
+        let mut wire = Vec::new();
+        encode_page_batch_reply_into(&batch, &mut wire);
+        Frame::Bye.encode_into(&mut wire);
+        let mut sock = Recording {
+            bytes: &wire,
+            largest_ask: 0,
+        };
+        let mut fb = FrameBuffer::new();
+        // The floor first: the prefix is not there yet.
+        assert_eq!(fb.fill_from(&mut sock).unwrap(), MIN_READ_BYTES);
+        // Then exactly the rest of the batch, in one read.
+        let batch_len = wire.len() - Frame::Bye.encode().len();
+        assert_eq!(fb.fill_from(&mut sock).unwrap(), batch_len - MIN_READ_BYTES);
+        assert_eq!(sock.largest_ask, batch_len - MIN_READ_BYTES);
+        let Ok(Some(Frame::PageBatchReply { pages, .. })) = fb.pop() else {
+            panic!("the batch decodes");
+        };
+        assert_eq!(fb.pop(), Ok(None));
+        // A view keeps the storage: the next read moves the unread bytes
+        // (none) to new storage and the view still reads its page.
+        let storage = Arc::as_ptr(&fb.buf);
+        fb.fill_from(&mut sock).unwrap();
+        assert_ne!(Arc::as_ptr(&fb.buf), storage, "wrote under a live view");
+        assert_eq!(fb.pop(), Ok(Some(Frame::Bye)));
+        assert!(pages.iter().all(|(p, d)| payload_matches(*p, d)));
+        assert_eq!(*pages[5].1, page_payload(PageId(5))[..]);
+        // With every view gone the storage is reused in place.
+        drop(pages);
+        let storage = Arc::as_ptr(&fb.buf);
+        fb.extend(&Frame::Ping { token: 3 }.encode());
+        assert_eq!(
+            Arc::as_ptr(&fb.buf),
+            storage,
+            "unshared storage reallocated"
+        );
+        assert_eq!(fb.pop(), Ok(Some(Frame::Ping { token: 3 })));
     }
 
     #[test]
@@ -852,7 +1114,7 @@ mod tests {
         let via_frame = Frame::PageReply {
             req_id: 11,
             page,
-            data: page_payload(page),
+            data: page_payload(page).into(),
         }
         .encode();
         assert_eq!(direct, via_frame);
@@ -862,7 +1124,10 @@ mod tests {
         encode_page_batch_reply_into(&batch, &mut direct);
         let via_frame = Frame::PageBatchReply {
             req_id: 5,
-            pages: batch.iter().map(|&(_, p)| (p, page_payload(p))).collect(),
+            pages: batch
+                .iter()
+                .map(|&(_, p)| (p, page_payload(p).into()))
+                .collect(),
         }
         .encode();
         assert_eq!(direct, via_frame, "batch encoder drifted from the codec");
@@ -873,7 +1138,7 @@ mod tests {
             seq: 17,
             pages: entries
                 .iter()
-                .map(|&(p, v)| (p, v, page_payload(p)))
+                .map(|&(p, v)| (p, v, page_payload(p).into()))
                 .collect(),
         }
         .encode();
@@ -946,6 +1211,26 @@ mod tests {
             chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
         data
+    }
+
+    #[test]
+    fn every_synthesizer_build_writes_the_same_page() {
+        // `page_payload_into` runs the AVX-512 build where the CPU has
+        // it; the portable loop, called directly, is the reference.
+        println!("page_payload_into runs the {} build", payload_build());
+        let check = |page: PageId| {
+            let mut portable = vec![0u8; PAGE_SIZE as usize];
+            payload_portable(page, &mut portable);
+            let mut chosen = vec![0u8; PAGE_SIZE as usize];
+            page_payload_into(page, &mut chosen);
+            assert_eq!(portable, chosen, "{page:?}");
+        };
+        for page in [0, 1, 42, 4095, (1 << 32) - 1, 1 << 63, u64::MAX] {
+            check(PageId(page));
+        }
+        ampom_sim::propcheck::forall("payload-builds", 2_000, |g| {
+            check(PageId(g.rng().next_u64()));
+        });
     }
 
     #[test]

@@ -39,7 +39,9 @@ use ampom_core::AmpomError;
 
 pub use calibrate::{calibrate_endpoint, CalibrateOptions};
 pub use client::{Endpoint, MigrantClient};
-pub use frame::{CodecError, Frame, FrameBuffer, WireStats, MAX_FRAME_BYTES, WIRE_VERSION};
+pub use frame::{
+    CodecError, Frame, FrameBuffer, PageView, WireStats, MAX_FRAME_BYTES, WIRE_VERSION,
+};
 pub use live::{run_live, LiveOptions, LiveReport, LiveTransport};
 pub use server::{DeputyServer, PendingQueue, ServerConfig, ServerStats};
 

@@ -173,7 +173,9 @@ pub struct ServerStats {
     pub syscalls_served: u64,
     /// Ping probes answered.
     pub pings_served: u64,
-    /// Connections the fault injector dropped.
+    /// Connections the deputy dropped on purpose: the fault injector's
+    /// (`drop_after_pages`), and accepted sockets it could not switch to
+    /// non-blocking mode.
     pub dropped_connections: u64,
     /// Connections accepted by a worker already serving other sessions
     /// (the pool multiplexed rather than dedicating a worker).
@@ -214,6 +216,18 @@ pub struct ServerStats {
     /// or any other error). The connection stays queued and the shard
     /// backs off before accepting again.
     pub accept_errors: u64,
+    /// Sessions dropped because a socket read failed (any error but
+    /// `WouldBlock` or `Interrupted`; a peer's reset lands here or in
+    /// `write_errors`, whichever call meets it first).
+    pub read_errors: u64,
+    /// Sessions dropped because a socket write failed or wrote nothing.
+    pub write_errors: u64,
+    /// Sessions closed because their byte stream stopped parsing as
+    /// frames (answered with a 400 `Error` frame first).
+    pub codec_errors: u64,
+    /// Readiness waits (`poll(2)`) that failed; each pass fell back to
+    /// the sleep-poll scan.
+    pub poll_errors: u64,
 }
 
 impl ampom_obs::MetricSource for ServerStats {
@@ -245,7 +259,7 @@ impl ampom_obs::MetricSource for ServerStats {
         );
         reg.export_counter(
             "ampom_deputy_server_dropped_connections_total",
-            "Connections the fault injector dropped",
+            "Connections dropped on purpose (fault injector, set_nonblocking failure)",
             self.dropped_connections,
         );
         reg.export_counter(
@@ -328,6 +342,26 @@ impl ampom_obs::MetricSource for ServerStats {
             "Failed accept calls (descriptor exhaustion and other errors)",
             self.accept_errors,
         );
+        reg.export_counter(
+            "ampom_deputy_server_read_errors_total",
+            "Sessions dropped by a failed socket read",
+            self.read_errors,
+        );
+        reg.export_counter(
+            "ampom_deputy_server_write_errors_total",
+            "Sessions dropped by a failed socket write",
+            self.write_errors,
+        );
+        reg.export_counter(
+            "ampom_deputy_server_codec_errors_total",
+            "Sessions closed on a byte stream that stopped parsing as frames",
+            self.codec_errors,
+        );
+        reg.export_counter(
+            "ampom_deputy_server_poll_errors_total",
+            "Failed readiness waits (each fell back to a sleep-poll pass)",
+            self.poll_errors,
+        );
     }
 }
 
@@ -358,6 +392,10 @@ struct ShardTally {
     vectored_writes: u64,
     peak_write_backlog: u64,
     accept_errors: u64,
+    read_errors: u64,
+    write_errors: u64,
+    codec_errors: u64,
+    poll_errors: u64,
 }
 
 /// One shard's published tally. Single writer (the owning worker),
@@ -384,6 +422,10 @@ struct ShardCounters {
     vectored_writes: AtomicU64,
     peak_write_backlog: AtomicU64,
     accept_errors: AtomicU64,
+    read_errors: AtomicU64,
+    write_errors: AtomicU64,
+    codec_errors: AtomicU64,
+    poll_errors: AtomicU64,
 }
 
 impl ShardCounters {
@@ -421,6 +463,10 @@ impl ShardCounters {
         self.peak_write_backlog
             .store(t.peak_write_backlog, Ordering::Relaxed);
         self.accept_errors.store(t.accept_errors, Ordering::Relaxed);
+        self.read_errors.store(t.read_errors, Ordering::Relaxed);
+        self.write_errors.store(t.write_errors, Ordering::Relaxed);
+        self.codec_errors.store(t.codec_errors, Ordering::Relaxed);
+        self.poll_errors.store(t.poll_errors, Ordering::Relaxed);
     }
 }
 
@@ -483,6 +529,10 @@ impl StatsHub {
             out.write_stalls += sh.write_stalls.load(Ordering::Relaxed);
             out.vectored_writes += sh.vectored_writes.load(Ordering::Relaxed);
             out.accept_errors += sh.accept_errors.load(Ordering::Relaxed);
+            out.read_errors += sh.read_errors.load(Ordering::Relaxed);
+            out.write_errors += sh.write_errors.load(Ordering::Relaxed);
+            out.codec_errors += sh.codec_errors.load(Ordering::Relaxed);
+            out.poll_errors += sh.poll_errors.load(Ordering::Relaxed);
             out.peak_write_backlog_bytes = out
                 .peak_write_backlog_bytes
                 .max(sh.peak_write_backlog.load(Ordering::Relaxed));
@@ -1051,12 +1101,14 @@ impl WaitMode {
     /// session's `ready_read`. In sleep-poll mode: sleeps when idle and
     /// marks everything ready, i.e. the original scan-everything loop.
     /// Returns whether the listener should be accepted from; a `None`
-    /// listener (accepting is paused) is neither waited on nor ready.
+    /// listener (accepting is paused) is neither waited on nor ready. A
+    /// failed readiness wait is counted in `tally.poll_errors`.
     fn wait(
         &mut self,
         listener: Option<&Listener>,
         sessions: &mut [SessionConn],
         idle: bool,
+        tally: &mut ShardTally,
     ) -> bool {
         #[cfg(unix)]
         if let Some(poller) = &mut self.poller {
@@ -1083,6 +1135,7 @@ impl WaitMode {
                 Err(_) => {
                     // Readiness unavailable this pass: degrade to the
                     // sleep-poll scan rather than spin or stall.
+                    tally.poll_errors += 1;
                     for s in sessions.iter_mut() {
                         s.ready_read = true;
                     }
@@ -1115,7 +1168,6 @@ fn worker_loop(
     let mut tally = ShardTally::default();
     let mut sessions: Vec<SessionConn> = Vec::new();
     let mut cursor = 0usize;
-    let mut read_buf = vec![0u8; 64 * 1024];
     let mut pool = BufferPool::default();
     let mut wait_mode = WaitMode::new(cfg);
     // Hysteresis hello gate, per worker: closes at `gate_high` total
@@ -1137,7 +1189,12 @@ fn worker_loop(
             return;
         }
         let accepting = !matches!(accept_paused_until, Some(t) if Instant::now() < t);
-        let accept_ready = wait_mode.wait(accepting.then_some(listener), &mut sessions, idle);
+        let accept_ready = wait_mode.wait(
+            accepting.then_some(listener),
+            &mut sessions,
+            idle,
+            &mut tally,
+        );
         let mut progress = false;
 
         // Accept whatever is pending. Every shard polls the listener
@@ -1188,7 +1245,7 @@ fn worker_loop(
         gated = hello_gate(gated, total_pending, cfg);
         for s in &mut sessions {
             if s.ready_read {
-                progress |= pump_reads(s, cfg, &mut tally, gauges, &mut pool, &mut read_buf, gated);
+                progress |= pump_reads(s, cfg, &mut tally, gauges, &mut pool, gated);
             }
         }
         progress |= drr_serve(&mut sessions, &mut cursor, cfg, &mut tally, &mut pool);
@@ -1235,61 +1292,54 @@ fn hello_gate(gated: bool, total_pending: usize, cfg: &ServerConfig) -> bool {
 
 /// Reads available bytes and handles every complete frame. Control
 /// frames are answered inline; page requests land in the pending queue
-/// for the DRR pass.
+/// for the DRR pass. Each read lands straight in the session's frame
+/// buffer, and the frames it completes are handled (their pages
+/// released) before the next read, so the buffer reuses its storage.
 fn pump_reads(
     s: &mut SessionConn,
     cfg: &ServerConfig,
     tally: &mut ShardTally,
     gauges: &SharedGauges,
     pool: &mut BufferPool,
-    read_buf: &mut [u8],
     gated: bool,
 ) -> bool {
-    if s.state != ConnState::Open {
-        return false;
-    }
     let mut progress = false;
-    loop {
-        match s.conn.read(read_buf) {
+    while s.state == ConnState::Open {
+        match s.fb.fill_from(&mut s.conn) {
             Ok(0) => {
                 s.state = ConnState::Dropped;
                 break;
             }
-            Ok(n) => {
-                progress = true;
-                s.fb.extend(&read_buf[..n]);
-            }
+            Ok(_) => progress = true,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
+                tally.read_errors += 1;
                 s.state = ConnState::Dropped;
                 break;
             }
         }
-    }
-    loop {
-        if s.state != ConnState::Open {
-            break;
+        while s.state == ConnState::Open {
+            let frame = match s.fb.pop() {
+                Ok(Some(f)) => f,
+                Ok(None) => break,
+                Err(e) => {
+                    tally.codec_errors += 1;
+                    s.out.frame(
+                        &Frame::Error {
+                            code: 400,
+                            detail: format!("codec: {e}"),
+                        },
+                        pool,
+                    );
+                    s.state = ConnState::Closing;
+                    break;
+                }
+            };
+            let served_at = Instant::now();
+            handle_frame(s, frame, cfg, tally, gauges, pool, gated);
+            s.local.busy_time_ns += served_at.elapsed().as_nanos() as u64;
         }
-        let frame = match s.fb.pop() {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(e) => {
-                s.out.frame(
-                    &Frame::Error {
-                        code: 400,
-                        detail: format!("codec: {e}"),
-                    },
-                    pool,
-                );
-                s.state = ConnState::Closing;
-                break;
-            }
-        };
-        progress = true;
-        let served_at = Instant::now();
-        handle_frame(s, frame, cfg, tally, gauges, pool, gated);
-        s.local.busy_time_ns += served_at.elapsed().as_nanos() as u64;
     }
     progress
 }
@@ -1704,6 +1754,7 @@ fn pump_writes(s: &mut SessionConn, pool: &mut BufferPool, tally: &mut ShardTall
         let n = s.out.fill_slices(&mut bufs);
         match s.conn.write_vectored(&bufs[..n]) {
             Ok(0) => {
+                tally.write_errors += 1;
                 s.state = ConnState::Dropped;
                 return progress;
             }
@@ -1717,6 +1768,7 @@ fn pump_writes(s: &mut SessionConn, pool: &mut BufferPool, tally: &mut ShardTall
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
+                tally.write_errors += 1;
                 s.state = ConnState::Dropped;
                 return progress;
             }
@@ -2003,6 +2055,83 @@ mod tests {
         assert_eq!(server.stats().shed_events, 1);
 
         drop(client);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_session_reset_with_replies_unread_is_counted_once() {
+        use crate::client::{Endpoint, MigrantClient};
+
+        let cfg = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = DeputyServer::bind_tcp("127.0.0.1:0", cfg).expect("bind");
+        let dropped = |st: ServerStats| st.read_errors + st.write_errors;
+
+        // An orderly close is not an error.
+        let mut clean =
+            MigrantClient::connect(Endpoint::tcp(server.local_addr()), 64, 2).expect("connect");
+        clean.ping(Duration::from_secs(5)).expect("ping");
+        drop(clean);
+
+        // A client that closes with replies unread: Linux answers the
+        // close with a reset, which the deputy meets on its next read or
+        // write of that session.
+        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut wire = Vec::new();
+        Frame::Hello {
+            version: WIRE_VERSION,
+            total_pages: 64,
+            scheme: 2,
+        }
+        .encode_into(&mut wire);
+        Frame::PageRequest {
+            req_id: 1,
+            pages: (0..64).map(PageId).collect(),
+        }
+        .encode_into(&mut wire);
+        sock.write_all(&wire).expect("send");
+        sock.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        assert_eq!(sock.peek(&mut [0u8; 1]).expect("a reply arrives"), 1);
+        drop(sock);
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while dropped(server.stats()) == 0 {
+            assert!(Instant::now() < deadline, "the reset went uncounted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The session is gone after its first failed call: nothing counts
+        // it a second time.
+        std::thread::sleep(Duration::from_millis(100));
+        let st = server.stats();
+        assert_eq!(dropped(st), 1, "{st:?}");
+        assert_eq!((st.codec_errors, st.poll_errors), (0, 0), "{st:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_stream_that_stops_parsing_is_counted_and_answered() {
+        let cfg = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = DeputyServer::bind_tcp("127.0.0.1:0", cfg).expect("bind");
+        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+        // A zero length prefix: framing is lost.
+        sock.write_all(&[0, 0, 0, 0, 9]).expect("send");
+        sock.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut fb = FrameBuffer::new();
+        let reply = loop {
+            if let Some(f) = fb.pop().expect("the deputy frames its answer") {
+                break f;
+            }
+            assert!(fb.fill_from(&mut sock).expect("an answer, then a close") > 0);
+        };
+        assert!(matches!(reply, Frame::Error { code: 400, .. }), "{reply:?}");
+        assert_eq!(server.stats().codec_errors, 1);
         server.shutdown();
     }
 

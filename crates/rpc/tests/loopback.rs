@@ -380,7 +380,7 @@ fn writeback_and_return_round_trip_over_loopback() {
 fn collect_pages(
     client: &mut ampom_rpc::MigrantClient,
     want: usize,
-) -> Vec<(ampom_mem::page::PageId, Vec<u8>)> {
+) -> Vec<(ampom_mem::page::PageId, ampom_rpc::PageView)> {
     use ampom_rpc::Frame;
     use std::time::{Duration, Instant};
     let mut got = Vec::new();
@@ -529,7 +529,7 @@ fn reactor_and_sleep_poll_serve_identical_bytes() {
 
     // FNV-1a over the sorted (page, payload) stream: any lost page,
     // duplicate, or corrupt byte changes the fingerprint.
-    fn fingerprint(mut pages: Vec<(PageId, Vec<u8>)>) -> u64 {
+    fn fingerprint(mut pages: Vec<(PageId, ampom_rpc::PageView)>) -> u64 {
         pages.sort_by_key(|(p, _)| p.0);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |b: u8| {
@@ -540,7 +540,7 @@ fn reactor_and_sleep_poll_serve_identical_bytes() {
             for b in page.0.to_be_bytes() {
                 eat(b);
             }
-            for &b in data {
+            for &b in data.iter() {
                 eat(b);
             }
         }

@@ -8,11 +8,12 @@
 //! unrequested duplicate.
 
 use std::collections::HashSet;
+use std::io::Read;
 
 use ampom_mem::page::{PageId, PAGE_SIZE};
 use ampom_rpc::frame::{
-    page_payload, CodecError, Frame, FrameBuffer, WireStats, LENGTH_PREFIX_BYTES, MAX_BATCH_PAGES,
-    MAX_FRAME_BYTES, WIRE_VERSION,
+    page_payload, CodecError, Frame, FrameBuffer, PageView, WireStats, LENGTH_PREFIX_BYTES,
+    MAX_BATCH_PAGES, MAX_FRAME_BYTES, WIRE_VERSION,
 };
 use ampom_rpc::PendingQueue;
 use ampom_sim::propcheck::{forall, Gen};
@@ -48,7 +49,7 @@ fn arbitrary_frame(g: &mut Gen) -> Frame {
         4 => Frame::PageReply {
             req_id: g.u64(0..u64::MAX),
             page: PageId(g.u64(0..u64::MAX)),
-            data: page_payload(PageId(g.u64(0..1 << 32))),
+            data: page_payload(PageId(g.u64(0..1 << 32))).into(),
         },
         5 => Frame::SyscallForward {
             call_id: g.u64(0..u64::MAX),
@@ -95,7 +96,7 @@ fn arbitrary_frame(g: &mut Gen) -> Frame {
                 (0..n)
                     .map(|_| {
                         let page = PageId(g.u64(0..1 << 32));
-                        (page, page_payload(page))
+                        (page, page_payload(page).into())
                     })
                     .collect()
             },
@@ -107,7 +108,7 @@ fn arbitrary_frame(g: &mut Gen) -> Frame {
                 (0..n)
                     .map(|_| {
                         let page = PageId(g.u64(0..1 << 32));
-                        (page, g.u64(1..1 << 20), page_payload(page))
+                        (page, g.u64(1..1 << 20), page_payload(page).into())
                     })
                     .collect()
             },
@@ -139,6 +140,25 @@ fn every_frame_type_round_trips() {
     });
 }
 
+/// A socket that hands `bytes` out in short reads: each read returns at
+/// most the next of `steps` (cycled), and never more than was asked for.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    steps: Vec<usize>,
+    next: usize,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = self.steps[self.next % self.steps.len()];
+        self.next += 1;
+        let n = step.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
 #[test]
 fn frame_stream_survives_arbitrary_chunking() {
     forall("chunked stream", 200, |g| {
@@ -154,6 +174,25 @@ fn frame_stream_survives_arbitrary_chunking() {
             let step = g.usize(1..64.min(wire.len() - at) + 1);
             fb.extend(&wire[at..at + step]);
             at += step;
+            while let Some(f) = fb.pop().expect("valid stream") {
+                got.push(f);
+            }
+        }
+        assert_eq!(got, frames);
+        assert_eq!(fb.pending(), 0);
+
+        // The same stream read from a socket in random short reads. Every
+        // decoded frame stays alive in `got`, so the pages already
+        // decoded must survive the buffer compacting and regrowing under
+        // them.
+        let mut sock = ShortReads {
+            bytes: &wire,
+            steps: (0..g.usize(1..8)).map(|_| g.usize(1..10_000)).collect(),
+            next: 0,
+        };
+        let mut fb = FrameBuffer::new();
+        let mut got = Vec::new();
+        while fb.fill_from(&mut sock).expect("a slice reads") > 0 {
             while let Some(f) = fb.pop().expect("valid stream") {
                 got.push(f);
             }
@@ -248,7 +287,7 @@ fn count_and_page_size_mismatches_are_typed() {
     let mut short = Frame::PageReply {
         req_id: 1,
         page: PageId(7),
-        data: page_payload(PageId(7)),
+        data: page_payload(PageId(7)).into(),
     }
     .encode();
     short.truncate(short.len() - 1);
@@ -267,7 +306,7 @@ fn batch_count_cap_is_a_typed_error() {
     let page = PageId(9);
     let mut wire = Frame::PageBatchReply {
         req_id: 3,
-        pages: vec![(page, page_payload(page))],
+        pages: vec![(page, page_payload(page).into())],
     }
     .encode();
     // count lives right after [len:4][type:1][req_id:8]
@@ -281,7 +320,7 @@ fn batch_count_cap_is_a_typed_error() {
     // A count that disagrees with the payload length is equally typed.
     let mut wire = Frame::PageBatchReply {
         req_id: 3,
-        pages: vec![(page, page_payload(page))],
+        pages: vec![(page, page_payload(page).into())],
     }
     .encode();
     wire[13..17].copy_from_slice(&2u32.to_be_bytes());
@@ -295,10 +334,10 @@ fn batch_count_cap_is_a_typed_error() {
 fn truncated_batches_error_without_panicking() {
     forall("batch truncation", 200, |g| {
         let n = g.usize(1..9);
-        let pages: Vec<(PageId, Vec<u8>)> = (0..n)
+        let pages: Vec<(PageId, PageView)> = (0..n)
             .map(|_| {
                 let page = PageId(g.u64(0..1 << 20));
-                (page, page_payload(page))
+                (page, page_payload(page).into())
             })
             .collect();
         let wire = Frame::PageBatchReply { req_id: 1, pages }.encode();
@@ -362,7 +401,7 @@ fn writeback_batch_count_cap_is_a_typed_error() {
     let page = PageId(4);
     let mut wire = Frame::WritebackBatch {
         seq: 6,
-        pages: vec![(page, 1, page_payload(page))],
+        pages: vec![(page, 1, page_payload(page).into())],
     }
     .encode();
     // count lives right after [len:4][type:1][seq:8]
@@ -375,7 +414,7 @@ fn writeback_batch_count_cap_is_a_typed_error() {
 
     let mut wire = Frame::WritebackBatch {
         seq: 6,
-        pages: vec![(page, 1, page_payload(page))],
+        pages: vec![(page, 1, page_payload(page).into())],
     }
     .encode();
     wire[13..17].copy_from_slice(&2u32.to_be_bytes());
@@ -389,10 +428,10 @@ fn writeback_batch_count_cap_is_a_typed_error() {
 fn truncated_writeback_batches_error_without_panicking() {
     forall("writeback truncation", 200, |g| {
         let n = g.usize(1..9);
-        let pages: Vec<(PageId, u64, Vec<u8>)> = (0..n)
+        let pages: Vec<(PageId, u64, PageView)> = (0..n)
             .map(|_| {
                 let page = PageId(g.u64(0..1 << 20));
-                (page, g.u64(1..100), page_payload(page))
+                (page, g.u64(1..100), page_payload(page).into())
             })
             .collect();
         let wire = Frame::WritebackBatch { seq: 1, pages }.encode();
