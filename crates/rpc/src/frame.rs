@@ -1052,6 +1052,13 @@ mod tests {
     }
 
     #[test]
+    fn frames_holding_views_stay_send() {
+        fn send_and_sync<T: Send + Sync>() {}
+        send_and_sync::<Frame>();
+        send_and_sync::<PageView>();
+    }
+
+    #[test]
     fn reads_are_sized_by_the_front_frame() {
         let batch: Vec<(u64, PageId)> = (0..MAX_BATCH_PAGES as u64)
             .map(|p| (1, PageId(p)))
