@@ -4,8 +4,8 @@
 use ampom_bench::Harness;
 use ampom_cluster::{simulate, BalancePolicy, ClusterConfig};
 use ampom_core::experiment::Experiment;
+use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig};
 use ampom_core::migration::Scheme;
-use ampom_core::remigration::run_round_trip;
 use ampom_core::vm::{run_vm, VmAnalysis, VmWorkload};
 use ampom_sim::time::SimDuration;
 use ampom_workloads::synthetic::Sequential;
@@ -50,11 +50,12 @@ fn cluster_bench(h: &mut Harness) {
 fn roundtrip_bench(h: &mut Harness) {
     let mut g = h.group("ext_roundtrip");
     g.sample_size(10);
+    let lifecycle = LifecycleConfig::new(0.5).without_writeback();
     for scheme in [Scheme::OpenMosix, Scheme::Ampom] {
         let cfg = Experiment::new(scheme).config().clone();
         g.bench(scheme.name(), || {
             let mut w = Sequential::new(1024, SimDuration::from_micros(15));
-            run_round_trip(&mut w, &cfg, 0.5).total_time
+            run_lifecycle(&mut w, &cfg, &lifecycle).total_time
         });
     }
     g.finish();

@@ -449,9 +449,12 @@ mod tests {
         // Same schedule, same decisions — only the deputy-sharing model
         // differs. A saturating deputy (every solo migrant uses its full
         // service capacity) must make away-jobs strictly slower than an
-        // idle one (contention factor pinned at 1).
+        // idle one (contention factor pinned at 1). Forty jobs, as in the
+        // fabric test above, keep the run short: the standard 120 saturate
+        // the cluster for ~137k simulated seconds.
         let run = |solo_saturation| {
             let mut cfg = ClusterConfig::standard(BalancePolicy::Aggressive, Scheme::Ampom);
+            cfg.jobs = 40;
             cfg.deputy_solo_saturation = solo_saturation;
             simulate(&cfg)
         };

@@ -102,7 +102,6 @@ pub mod multirun;
 pub mod policy;
 pub mod prefetcher;
 pub mod reliability;
-pub mod remigration;
 pub mod runner;
 pub mod scheduler;
 pub mod score;

@@ -19,9 +19,12 @@
 //!   during the drain, and the remote node keeps a deputy stub for the
 //!   pages it still exclusively holds.
 //!
-//! [`run_lifecycle`] is the engine; [`crate::remigration::run_round_trip`]
-//! is now a thin wrapper over it with writeback disabled, preserving the
-//! analytic round-trip report the extension experiments consume. The
+//! [`run_lifecycle`] is the engine. With writeback disabled
+//! ([`LifecycleConfig::without_writeback`]) nothing flows home until the
+//! return: the analytic round trip of the paper's "migrated again" case
+//! (§1), which the `ext-roundtrip` experiment reports. Eager openMosix
+//! then hauls the whole footprint back during the return freeze, while
+//! AMPoM moves three pages and the MPT and demand-pages the rest. The
 //! forward run loops reuse [`ForwardWriteback`], the reliable in-run
 //! variant of the same write-set (its reliable carrier needs no sink),
 //! gated behind [`crate::runner::RunConfig::writeback`] so default runs
@@ -1133,29 +1136,107 @@ mod tests {
 
     #[test]
     fn workload_completes_exactly_once() {
-        let mut w = Sequential::new(256, CPU);
-        let r = run_lifecycle(
-            &mut w,
-            &RunConfig::new(Scheme::Ampom),
-            &LifecycleConfig::new(0.5),
-        );
-        assert!(w.next().is_none(), "stream fully consumed");
-        assert!(r.total_time > SimDuration::ZERO);
-        assert_eq!(
-            r.total_time,
-            r.outbound_freeze + r.away_time + r.return_freeze + r.home_time,
-            "phases partition the run"
-        );
+        for lifecycle in [
+            LifecycleConfig::new(0.5),
+            LifecycleConfig::new(0.5).without_writeback(),
+        ] {
+            let mut w = Sequential::new(256, CPU);
+            let r = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
+            assert!(w.next().is_none(), "stream fully consumed");
+            assert!(r.total_time > SimDuration::ZERO);
+            assert_eq!(
+                r.total_time,
+                r.outbound_freeze + r.away_time + r.return_freeze + r.home_time,
+                "phases partition the run"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "away_fraction")]
     fn fraction_must_be_in_unit_interval() {
-        let mut w = Sequential::new(64, CPU);
-        let _ = run_lifecycle(
-            &mut w,
-            &RunConfig::new(Scheme::Ampom),
-            &LifecycleConfig::new(1.5),
+        let run = |lifecycle: LifecycleConfig| {
+            let mut w = Sequential::new(64, CPU);
+            run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle)
+        };
+        assert!(std::panic::catch_unwind(|| run(LifecycleConfig::new(1.5))).is_err());
+        let _ = run(LifecycleConfig::new(1.5).without_writeback());
+    }
+
+    // The analytic round trip: writeback off, a read-only sweep of 2048
+    // pages, called home after `frac` of it.
+    fn round_trip(scheme: Scheme, frac: f64) -> LifecycleReport {
+        let mut w = Sequential::new(2048, CPU);
+        let lifecycle = LifecycleConfig::new(frac).without_writeback();
+        run_lifecycle(&mut w, &RunConfig::new(scheme), &lifecycle)
+    }
+
+    #[test]
+    fn early_return_moves_few_pages_under_ampom() {
+        let r = round_trip(Scheme::Ampom, 0.2);
+        // ~20% of the sweep was fetched remotely; only that much can come
+        // back.
+        assert!(
+            r.pages_fetched_remotely < 1000,
+            "{}",
+            r.pages_fetched_remotely
+        );
+        assert!(r.return_freeze < SimDuration::from_millis(200));
+    }
+
+    #[test]
+    fn eager_always_hauls_the_full_footprint_back() {
+        // openMosix moved everything out at the first freeze, so the
+        // return moves everything back — regardless of how briefly the
+        // process stayed away.
+        let early = round_trip(Scheme::OpenMosix, 0.2);
+        let late = round_trip(Scheme::OpenMosix, 0.8);
+        assert_eq!(early.pages_returned, late.pages_returned);
+        assert!(early.pages_returned > 2000);
+        assert!(early.return_freeze > SimDuration::from_millis(500));
+    }
+
+    #[test]
+    fn ampom_remote_footprint_scales_with_time_away() {
+        let early = round_trip(Scheme::Ampom, 0.2);
+        let late = round_trip(Scheme::Ampom, 0.8);
+        assert!(
+            late.pages_fetched_remotely > early.pages_fetched_remotely,
+            "late {} vs early {}",
+            late.pages_fetched_remotely,
+            early.pages_fetched_remotely
+        );
+    }
+
+    #[test]
+    fn ampom_round_trip_beats_eager_round_trip() {
+        for frac in [0.2, 0.5, 0.8] {
+            let ampom = round_trip(Scheme::Ampom, frac);
+            let eager = round_trip(Scheme::OpenMosix, frac);
+            assert!(
+                ampom.total_time < eager.total_time,
+                "frac {frac}: AMPoM {} vs eager {}",
+                ampom.total_time,
+                eager.total_time
+            );
+            // Both freezes stay tiny under AMPoM.
+            assert!(ampom.outbound_freeze < SimDuration::from_millis(200));
+            assert!(ampom.return_freeze < SimDuration::from_millis(200));
+        }
+    }
+
+    #[test]
+    fn never_fetched_pages_are_free_on_return() {
+        // With a tiny away fraction, the untouched tail of the sweep stays
+        // at the origin the whole time; after the return the workload
+        // faults only on pages the remote node held.
+        let r = round_trip(Scheme::Ampom, 0.1);
+        // Fault requests in phase 2 relate to the ~10% remote footprint,
+        // not the remaining 90% of the sweep.
+        assert!(
+            r.fault_requests < 400,
+            "requests {} should not re-fetch home pages",
+            r.fault_requests
         );
     }
 

@@ -7,9 +7,9 @@
 //!
 //! * a table row — headline verdict, worst per-migrant p99 stall and
 //!   slowdown, the shed/admission counters,
-//! * JSONL run facts — one schema-versioned `scenario` line per cell
-//!   plus one `slo` line per migrant, append-friendly and self-verified
-//!   by [`verify_facts`] before the command exits,
+//! * JSONL run facts in the [`crate::facts`] format — one `scenario`
+//!   line per cell plus one `slo` line per migrant, self-verified by
+//!   [`verify_facts`] before anything is written,
 //! * Prometheus gauges/counters — `ampom_slo_<cell>_m<i>_*` per migrant
 //!   and `ampom_shed_<cell>_*_total` per cell.
 //!
@@ -22,30 +22,28 @@
 //! convention the CI fault matrix uses, so a smoke run is reproducible
 //! bit-for-bit across jobs.
 
-use std::path::Path;
-
 use ampom_core::chaos::{scenario, scenarios, ScenarioOutcome};
 use ampom_core::slo::{SloOutcome, SloReport};
 use ampom_core::AmpomError;
-use ampom_obs::{parse, JsonWriter, MetricsRegistry};
+use ampom_obs::{JsonValue, JsonWriter, MetricsRegistry};
 
+use crate::facts::{self, env_seed, Facts};
 use crate::report::{secs, AsciiTable};
 
-/// Version stamped on every JSONL fact line; bump on breaking shape
-/// changes so downstream collectors can dispatch.
-pub const FACTS_SCHEMA: u64 = 1;
+/// The shape of the `chaos` facts: a `chaos-run` header, one `scenario`
+/// line per cell and one `slo` line per migrant. No baseline gate.
+pub const FACTS: facts::Spec = facts::Spec {
+    command: "chaos",
+    header: "chaos-run",
+    cell: "scenario",
+    others: &["slo"],
+    bench: "chaos",
+    verify: verify_facts,
+    gate: None,
+};
 
 /// The migrant-count panel every scenario runs at.
 pub const MIGRANT_PANEL: [u32; 3] = [1, 4, 8];
-
-/// The chaos seed: `AMPOM_FAULT_SEED` if set and parseable, else 42 —
-/// the seed the scenario downtime windows were calibrated against.
-pub fn env_seed() -> u64 {
-    std::env::var("AMPOM_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// What to run.
 #[derive(Debug, Clone)]
@@ -74,13 +72,10 @@ pub struct ChaosRun {
     /// One outcome per (scenario, migrants) cell, scenario-major in the
     /// canonical [`scenarios`] order.
     pub outcomes: Vec<ScenarioOutcome>,
-    /// Schema-versioned JSONL run facts (header + scenario + slo lines).
-    pub jsonl: String,
-    /// The `ampom_slo_*` / `ampom_shed_*` Prometheus-style dump.
-    pub prometheus: String,
-    /// `BENCH_chaos.json` contents — present when the run covered both
-    /// `null` and `flaky-link-storm` at four migrants.
-    pub bench_json: Option<String>,
+    /// The JSONL facts, the `ampom_slo_*` / `ampom_shed_*` dump, and
+    /// `BENCH_chaos.json` when the run covered both `null` and
+    /// `flaky-link-storm` at four migrants.
+    pub facts: Facts,
 }
 
 /// Pages delivered per second of makespan across all migrants of a cell.
@@ -136,15 +131,12 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosRun, AmpomError> {
         }
     }
 
-    let jsonl = render_facts(&outcomes, opts.seed);
-    let prometheus = render_metrics(&outcomes);
-    let bench_json = render_bench(&outcomes, opts.seed);
-    Ok(ChaosRun {
-        outcomes,
-        jsonl,
-        prometheus,
-        bench_json,
-    })
+    let facts = Facts {
+        jsonl: render_facts(&outcomes, opts.seed),
+        prometheus: render_metrics(&outcomes),
+        bench: render_bench(&outcomes, opts.seed),
+    };
+    Ok(ChaosRun { outcomes, facts })
 }
 
 /// A stable per-cell key for metric names: `flaky_link_storm_n4`.
@@ -156,18 +148,9 @@ fn cell_key(out: &ScenarioOutcome) -> String {
 /// a `chaos-run` header — every line schema-stamped so the stream stays
 /// append-only across runs.
 fn render_facts(outcomes: &[ScenarioOutcome], seed: u64) -> String {
-    let mut lines = Vec::new();
-    let mut header = JsonWriter::object();
-    header.field_str("type", "chaos-run");
-    header.field_u64("schema", FACTS_SCHEMA);
-    header.field_u64("seed", seed);
-    header.field_u64("cells", outcomes.len() as u64);
-    lines.push(header.close());
-
+    let mut lines = vec![facts::header(&FACTS, seed, outcomes.len()).close()];
     for out in outcomes {
-        let mut w = JsonWriter::object();
-        w.field_str("type", "scenario");
-        w.field_u64("schema", FACTS_SCHEMA);
+        let mut w = facts::fact(FACTS.cell);
         w.field_str("scenario", out.name);
         w.field_u64("migrants", u64::from(out.migrants));
         w.field_u64("seed", out.seed);
@@ -182,9 +165,7 @@ fn render_facts(outcomes: &[ScenarioOutcome], seed: u64) -> String {
         lines.push(w.close());
 
         for (i, slo) in out.slo.iter().enumerate() {
-            let mut w = JsonWriter::object();
-            w.field_str("type", "slo");
-            w.field_u64("schema", FACTS_SCHEMA);
+            let mut w = facts::fact("slo");
             w.field_str("scenario", out.name);
             w.field_u64("migrants", u64::from(out.migrants));
             w.field_u64("migrant", i as u64);
@@ -259,96 +240,47 @@ fn render_bench(outcomes: &[ScenarioOutcome], seed: u64) -> Option<String> {
     };
     let null = at4("null")?;
     let storm = at4("flaky-link-storm")?;
-    let mut w = JsonWriter::object();
-    w.field_str("bench", "chaos");
-    w.field_u64("schema", FACTS_SCHEMA);
-    w.field_u64("seed", seed);
+    let mut w = facts::bench(&FACTS, seed);
     w.field_u64("migrants", 4);
     w.field_raw("baseline", &cell_json(null));
     w.field_raw("storm", &cell_json(storm));
     Some(w.close() + "\n")
 }
 
-/// Appends to the facts file instead of truncating it — the JSONL
-/// stream is append-only across runs, each run contributing its own
-/// header + fact block.
-pub fn append_artifact(path: &Path, contents: &str) -> Result<(), String> {
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("could not open {}: {e}", path.display()))?;
-    f.write_all(contents.as_bytes())
-        .map_err(|e| format!("could not append to {}: {e}", path.display()))
-}
-
-/// Self-verification of the JSONL facts: every line parses, carries the
-/// schema stamp, and the header's cell count matches the stream — the
-/// same parse-it-back discipline `hpcc-repro profile` applies.
+/// Self-verification of the JSONL facts: the shared envelope, every
+/// `scenario` line carrying its verdict and shed counters, every `slo`
+/// line its verdict, and one `slo` line per migrant the scenario lines
+/// promise.
 pub fn verify_facts(jsonl: &str) -> Result<(), String> {
-    let mut declared_cells: Option<u64> = None;
-    let mut scenario_lines = 0u64;
-    let mut expected_slo = 0u64;
-    let mut slo_lines = 0u64;
-    for (i, line) in jsonl.lines().enumerate() {
-        let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_u64())
-            .ok_or_else(|| format!("line {}: missing \"schema\"", i + 1))?;
-        if schema != FACTS_SCHEMA {
-            return Err(format!("line {}: schema {schema} != {FACTS_SCHEMA}", i + 1));
-        }
-        let kind = v
-            .get("type")
-            .and_then(|t| t.as_str())
-            .ok_or_else(|| format!("line {}: missing \"type\"", i + 1))?;
-        match kind {
-            "chaos-run" => {
-                declared_cells = Some(
-                    v.get("cells")
-                        .and_then(|c| c.as_u64())
-                        .ok_or_else(|| format!("line {}: header lacks cells", i + 1))?,
-                );
-            }
+    let (mut promised, mut slo_lines) = (0u64, 0u64);
+    facts::verify(&FACTS, jsonl, |f| {
+        match f.kind {
             "scenario" => {
-                scenario_lines += 1;
-                for key in [
+                f.require(&[
                     "verdict",
                     "prefetch_pages_shed",
                     "demand_pages_shed",
                     "shed_events",
                     "hellos_deferred",
-                ] {
-                    if v.get(key).is_none() {
-                        return Err(format!("line {}: scenario fact lacks {key}", i + 1));
-                    }
-                }
-                expected_slo += v
-                    .get("migrants")
-                    .and_then(|m| m.as_u64())
-                    .ok_or_else(|| format!("line {}: scenario fact lacks migrants", i + 1))?;
+                ])?;
+                promised += f.u64("migrants")?;
             }
             "slo" => {
                 slo_lines += 1;
-                if v.get("verdict").and_then(|x| x.as_str()).is_none() {
-                    return Err(format!("line {}: slo fact lacks verdict", i + 1));
+                if f.get("verdict").and_then(JsonValue::as_str).is_none() {
+                    return Err(f.error("slo fact lacks verdict"));
                 }
             }
-            other => return Err(format!("line {}: unknown fact type {other:?}", i + 1)),
+            _ => {}
         }
+        Ok(())
+    })?;
+    if slo_lines != promised {
+        return Err(format!(
+            "scenario facts promise {promised} slo lines but the stream has {slo_lines}"
+        ));
     }
-    match declared_cells {
-        None => Err("no chaos-run header line".into()),
-        Some(c) if c != scenario_lines => Err(format!(
-            "header declares {c} cells but the stream has {scenario_lines}"
-        )),
-        Some(_) if slo_lines != expected_slo => Err(format!(
-            "scenario facts promise {expected_slo} slo lines but the stream has {slo_lines}"
-        )),
-        Some(_) => Ok(()),
-    }
+    Ok(())
 }
 
 /// The chaos table: one row per (scenario, migrants) cell.
@@ -389,6 +321,7 @@ pub fn chaos_table(run: &ChaosRun) -> AsciiTable {
 mod tests {
     use super::*;
     use ampom_core::slo::SloVerdict;
+    use ampom_obs::parse;
 
     fn small(names: &[&str], migrants: &[u32]) -> ChaosRun {
         run_chaos(&ChaosOptions {
@@ -402,10 +335,48 @@ mod tests {
     #[test]
     fn facts_round_trip_and_account_for_every_migrant() {
         let run = small(&["null", "slow-link-degrade"], &[1, 2]);
-        verify_facts(&run.jsonl).expect("self-verification");
+        verify_facts(&run.facts.jsonl).expect("self-verification");
         assert_eq!(run.outcomes.len(), 4);
         // 1 header + 4 scenario lines + (1+2)*2 slo lines.
-        assert_eq!(run.jsonl.lines().count(), 1 + 4 + 6);
+        assert_eq!(run.facts.jsonl.lines().count(), 1 + 4 + 6);
+    }
+
+    #[test]
+    fn doctored_facts_are_rejected() {
+        let jsonl = small(&["null"], &[2]).facts.jsonl;
+        let slo_line = jsonl.lines().last().unwrap();
+        let cases = [
+            (
+                "an slo line too many",
+                format!("{jsonl}{slo_line}\n"),
+                "scenario facts promise 2 slo lines but the stream has 3",
+            ),
+            (
+                "an slo line too few",
+                jsonl.replacen(&format!("{slo_line}\n"), "", 1),
+                "scenario facts promise 2 slo lines but the stream has 1",
+            ),
+            (
+                "a scenario line that promises another migrant count",
+                jsonl.replacen("\"migrants\":2", "\"migrants\":3", 1),
+                "promise 3 slo lines but the stream has 2",
+            ),
+            (
+                "a scenario line without demand_pages_shed",
+                jsonl.replacen("\"demand_pages_shed\":0,", "", 1),
+                "line 2: scenario fact lacks demand_pages_shed",
+            ),
+            (
+                "an slo line without a verdict",
+                jsonl.replacen("\"verdict\":\"met\",\"p99", "\"p99", 1),
+                "line 3: slo fact lacks verdict",
+            ),
+        ];
+        for (name, doctored, want) in cases {
+            assert_ne!(doctored, jsonl, "{name}: the doctoring must hit");
+            let err = verify_facts(&doctored).expect_err(name);
+            assert!(err.contains(want), "{name}: {err:?} lacks {want:?}");
+        }
     }
 
     #[test]
@@ -416,20 +387,25 @@ mod tests {
             assert_eq!(out.prefetch_pages_shed(), 0);
             assert_eq!(out.demand_pages_shed(), 0);
         }
-        assert!(run.jsonl.contains("\"verdict\":\"met\""));
+        assert!(run.facts.jsonl.contains("\"verdict\":\"met\""));
     }
 
     #[test]
     fn metrics_follow_the_naming_convention() {
         let run = small(&["null"], &[1]);
-        assert!(run.prometheus.contains("ampom_slo_null_n1_m0_verdict"));
         assert!(run
+            .facts
+            .prometheus
+            .contains("ampom_slo_null_n1_m0_verdict"));
+        assert!(run
+            .facts
             .prometheus
             .contains("ampom_shed_null_n1_prefetch_pages_total"));
         assert!(run
+            .facts
             .prometheus
             .contains("ampom_shed_null_n1_hellos_deferred_total"));
-        for line in run.prometheus.lines() {
+        for line in run.facts.prometheus.lines() {
             if !line.starts_with('#') && !line.is_empty() {
                 assert!(line.starts_with("ampom_"), "bad metric line: {line}");
             }
@@ -439,10 +415,10 @@ mod tests {
     #[test]
     fn bench_fact_needs_both_cells_at_four_migrants() {
         let run = small(&["null"], &[4]);
-        assert!(run.bench_json.is_none(), "storm cell missing");
+        assert!(run.facts.bench.is_none(), "storm cell missing");
 
         let run = small(&["null", "flaky-link-storm"], &[4]);
-        let bench = run.bench_json.expect("both cells present");
+        let bench = run.facts.bench.expect("both cells present");
         let v = parse(bench.trim()).expect("bench json parses");
         assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some("chaos"));
         let base = v.get("baseline").expect("baseline cell");

@@ -3,9 +3,9 @@
 //! Drives [`ampom_cluster::run_cluster_life`] over a panel of cluster
 //! sizes and migration schemes, re-running every cell at several thread
 //! counts plus one repeat and refusing to report anything unless every
-//! run produced the same fingerprint. The output is the same
-//! self-verified shape as the other commands: an append-only JSONL fact
-//! stream, a Prometheus-style metrics dump, and a compact
+//! run produced the same fingerprint. The output is the
+//! [`crate::facts`] format the other commands share: an append-only
+//! JSONL fact stream, a Prometheus-style metrics dump, and a compact
 //! `BENCH_cluster.json` perf fact gated by `--baseline` at 80 % of the
 //! committed per-cell throughput. The table and the JSONL cells also give
 //! the host's wall-clock µs per tick in the engine's compute and apply
@@ -17,14 +17,27 @@ use std::time::{Duration, Instant};
 use ampom_cluster::{run_cluster_life, LifeConfig, LifeOutcome};
 use ampom_core::migration::Scheme;
 use ampom_core::AmpomError;
-use ampom_obs::{parse, JsonValue, JsonWriter, MetricsRegistry};
+use ampom_obs::{JsonValue, JsonWriter, MetricsRegistry};
 use ampom_sim::time::SimDuration;
 
-use crate::chaos_cmd::env_seed;
+use crate::facts::{self, env_seed, Facts};
 use crate::report::AsciiTable;
 
-/// Version stamp carried by every JSONL fact line.
-pub const FACTS_SCHEMA: u64 = 1;
+/// The shape of the `clusterlife` facts: one `cluster-cell` line per
+/// (nodes, scheme) cell under a `clusterlife-run` header, gated on each
+/// cell's simulated throughput.
+pub const FACTS: facts::Spec = facts::Spec {
+    command: "clusterlife",
+    header: "clusterlife-run",
+    cell: "cluster-cell",
+    others: &[],
+    bench: "cluster",
+    verify: verify_facts,
+    gate: Some(facts::Gate {
+        keys: &["nodes", "scheme"],
+        metric: "throughput_jobs_per_hour",
+    }),
+};
 
 /// Thread counts every cell must agree across. The determinism contract
 /// of the engine is that the count is invisible; this is where we hold
@@ -90,9 +103,7 @@ pub struct ClusterCell {
 #[derive(Debug)]
 pub struct ClusterLifeRun {
     pub cells: Vec<ClusterCell>,
-    pub jsonl: String,
-    pub prometheus: String,
-    pub bench_json: String,
+    pub facts: Facts,
 }
 
 fn run_cell(
@@ -167,15 +178,12 @@ pub fn run_clusterlife(opts: &ClusterLifeOptions) -> Result<ClusterLifeRun, Ampo
         );
         cells.push(run_cell(nodes, scheme, horizon, opts.seed)?);
     }
-    let jsonl = render_facts(&cells, opts.seed);
-    let prometheus = render_metrics(&cells);
-    let bench_json = render_bench(&cells, opts.seed);
-    Ok(ClusterLifeRun {
-        cells,
-        jsonl,
-        prometheus,
-        bench_json,
-    })
+    let facts = Facts {
+        jsonl: render_facts(&cells, opts.seed),
+        prometheus: render_metrics(&cells),
+        bench: Some(render_bench(&cells, opts.seed)),
+    };
+    Ok(ClusterLifeRun { cells, facts })
 }
 
 fn hex_fp(fp: u64) -> String {
@@ -185,18 +193,10 @@ fn hex_fp(fp: u64) -> String {
 /// One `cluster-cell` JSONL line per cell under a `clusterlife-run`
 /// header, every line schema-stamped.
 fn render_facts(cells: &[ClusterCell], seed: u64) -> String {
-    let mut lines = Vec::new();
-    let mut header = JsonWriter::object();
-    header.field_str("type", "clusterlife-run");
-    header.field_u64("schema", FACTS_SCHEMA);
-    header.field_u64("seed", seed);
-    header.field_u64("cells", cells.len() as u64);
-    lines.push(header.close());
+    let mut lines = vec![facts::header(&FACTS, seed, cells.len()).close()];
     for c in cells {
         let o = &c.outcome;
-        let mut w = JsonWriter::object();
-        w.field_str("type", "cluster-cell");
-        w.field_u64("schema", FACTS_SCHEMA);
+        let mut w = facts::fact(FACTS.cell);
         w.field_u64("nodes", c.nodes as u64);
         w.field_str("scheme", c.scheme.name());
         w.field_f64("horizon_s", c.horizon.as_secs_f64());
@@ -284,148 +284,45 @@ fn render_bench(cells: &[ClusterCell], seed: u64) -> String {
             w.close()
         })
         .collect();
-    let mut w = JsonWriter::object();
-    w.field_str("bench", "cluster");
-    w.field_u64("schema", FACTS_SCHEMA);
-    w.field_u64("seed", seed);
+    let mut w = facts::bench(&FACTS, seed);
     w.field_raw("cells", &format!("[{}]", entries.join(",")));
     w.close() + "\n"
 }
 
-/// Self-verification: every fact line parses, carries the schema stamp,
-/// the header accounts for every cell, and every cell's counters are
-/// internally consistent — jobs conserve, the migration kinds sum to the
-/// total, and no job ever held two live deputy stubs.
+/// Self-verification: the shared envelope, and every cell's counters
+/// internally consistent — jobs conserve, the migration kinds sum to
+/// the total, and no job ever held two live deputy stubs.
 pub fn verify_facts(jsonl: &str) -> Result<(), String> {
-    let mut declared: Option<u64> = None;
-    let mut cell_lines = 0u64;
-    for (i, line) in jsonl.lines().enumerate() {
-        let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_u64())
-            .ok_or_else(|| format!("line {}: missing \"schema\"", i + 1))?;
-        if schema != FACTS_SCHEMA {
-            return Err(format!("line {}: schema {schema} != {FACTS_SCHEMA}", i + 1));
+    facts::verify(&FACTS, jsonl, |f| {
+        if f.kind != FACTS.cell {
+            return Ok(());
         }
-        match v.get("type").and_then(|t| t.as_str()) {
-            Some("clusterlife-run") => {
-                declared = Some(
-                    v.get("cells")
-                        .and_then(|c| c.as_u64())
-                        .ok_or_else(|| format!("line {}: header lacks cells", i + 1))?,
-                );
-            }
-            Some("cluster-cell") => {
-                cell_lines += 1;
-                let u64_field = |key: &str| {
-                    v.get(key)
-                        .and_then(|x| x.as_u64())
-                        .ok_or_else(|| format!("line {}: cell lacks {key}", i + 1))
-                };
-                let arrived = u64_field("arrived")?;
-                let settled = u64_field("completed")?
-                    + u64_field("failed")?
-                    + u64_field("running_at_horizon")?;
-                if arrived != settled {
-                    return Err(format!(
-                        "line {}: job conservation violated ({arrived} arrived, \
-                         {settled} accounted)",
-                        i + 1
-                    ));
-                }
-                let kinds = u64_field("out_migrations")?
-                    + u64_field("remigrations")?
-                    + u64_field("returns_home")?;
-                if u64_field("migrations")? != kinds {
-                    return Err(format!(
-                        "line {}: migration kinds do not sum to the total",
-                        i + 1
-                    ));
-                }
-                if u64_field("max_live_stubs")? > 1 {
-                    return Err(format!(
-                        "line {}: deputy-chain avoidance violated (>1 live stub)",
-                        i + 1
-                    ));
-                }
-                if u64_field("completed")? == 0 {
-                    return Err(format!("line {}: cell completed no jobs", i + 1));
-                }
-                let fp = v
-                    .get("fingerprint")
-                    .and_then(|f| f.as_str())
-                    .ok_or_else(|| format!("line {}: cell lacks fingerprint", i + 1))?;
-                if !fp.starts_with("0x") || fp.len() != 18 {
-                    return Err(format!("line {}: malformed fingerprint {fp:?}", i + 1));
-                }
-            }
-            other => return Err(format!("line {}: unknown fact type {other:?}", i + 1)),
+        let arrived = f.u64("arrived")?;
+        let settled = f.u64("completed")? + f.u64("failed")? + f.u64("running_at_horizon")?;
+        if arrived != settled {
+            return Err(f.error(format_args!(
+                "job conservation violated ({arrived} arrived, {settled} accounted)"
+            )));
         }
-    }
-    match declared {
-        None => Err("no clusterlife-run header line".into()),
-        Some(c) if c != cell_lines => Err(format!(
-            "header declares {c} cells but the stream has {cell_lines}"
-        )),
-        Some(_) => Ok(()),
-    }
-}
-
-/// Pulls `(nodes, scheme) -> throughput` out of a `BENCH_cluster.json`
-/// document.
-fn bench_cells(doc: &JsonValue) -> Result<Vec<(u64, String, f64)>, String> {
-    let cells = match doc.get("cells") {
-        Some(JsonValue::Arr(items)) => items,
-        _ => return Err("bench fact lacks a cells array".into()),
-    };
-    cells
-        .iter()
-        .map(|c| {
-            let nodes = c
-                .get("nodes")
-                .and_then(|n| n.as_u64())
-                .ok_or("cell lacks nodes")?;
-            let scheme = c
-                .get("scheme")
-                .and_then(|s| s.as_str())
-                .ok_or("cell lacks scheme")?
-                .to_string();
-            let thr = c
-                .get("throughput_jobs_per_hour")
-                .and_then(|t| t.as_f64())
-                .ok_or("cell lacks throughput_jobs_per_hour")?;
-            Ok((nodes, scheme, thr))
-        })
-        .collect()
-}
-
-/// Regression gate: every baseline (nodes, scheme) cell present in the
-/// fresh run must hold at least 80 % of its committed throughput.
-/// Returns a human summary on success.
-pub fn check_baseline(current_json: &str, baseline_json: &str) -> Result<String, String> {
-    let current = parse(current_json.trim()).map_err(|e| format!("current fact: {e}"))?;
-    let baseline = parse(baseline_json.trim()).map_err(|e| format!("baseline fact: {e}"))?;
-    let cur = bench_cells(&current)?;
-    let base = bench_cells(&baseline)?;
-    let mut compared = 0usize;
-    for (nodes, scheme, was) in &base {
-        let Some((_, _, now)) = cur.iter().find(|(n, s, _)| n == nodes && s == scheme) else {
-            continue;
-        };
-        compared += 1;
-        if *now < was * 0.8 {
-            return Err(format!(
-                "{scheme}/{nodes} nodes regressed: {now:.1} jobs/h vs \
-                 baseline {was:.1} (floor {:.1})",
-                was * 0.8
-            ));
+        let kinds = f.u64("out_migrations")? + f.u64("remigrations")? + f.u64("returns_home")?;
+        if f.u64("migrations")? != kinds {
+            return Err(f.error("migration kinds do not sum to the total"));
         }
-    }
-    if compared == 0 {
-        return Err("no (nodes, scheme) cell overlaps the baseline".into());
-    }
-    Ok(format!("{compared} cell(s) within 20 % of baseline"))
+        if f.u64("max_live_stubs")? > 1 {
+            return Err(f.error("deputy-chain avoidance violated (>1 live stub)"));
+        }
+        if f.u64("completed")? == 0 {
+            return Err(f.error("cell completed no jobs"));
+        }
+        let fp = f
+            .get("fingerprint")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| f.error("cell lacks fingerprint"))?;
+        if !fp.starts_with("0x") || fp.len() != 18 {
+            return Err(f.error(format_args!("malformed fingerprint {fp:?}")));
+        }
+        Ok(())
+    })
 }
 
 /// The clusterlife table: one row per cell.
@@ -494,6 +391,20 @@ mod tests {
         let cells = tiny_cells();
         let jsonl = render_facts(&cells, 7);
         verify_facts(&jsonl).expect("facts verify");
+
+        let bench = render_bench(&cells, 7);
+        let gate = FACTS.gate.as_ref().unwrap();
+        let msg = facts::check_baseline(gate, &bench, &bench).expect("self-baseline holds");
+        assert!(msg.contains("1 cell(s)"));
+        // A baseline twice as fast as the run puts it below the floor.
+        let thr = cells[0].outcome.throughput_jobs_per_hour;
+        let inflated = bench.replacen(
+            &format!("\"throughput_jobs_per_hour\":{thr}"),
+            &format!("\"throughput_jobs_per_hour\":{}", thr * 2.0),
+            1,
+        );
+        let err = facts::check_baseline(gate, &bench, &inflated).unwrap_err();
+        assert!(err.contains("nodes/scheme 8/AMPoM regressed"), "{err}");
     }
 
     #[test]
@@ -517,48 +428,24 @@ mod tests {
     }
 
     #[test]
-    fn bench_fact_passes_its_own_baseline() {
-        let cells = tiny_cells();
-        let bench = render_bench(&cells, 7);
-        let msg = check_baseline(&bench, &bench).expect("self-baseline holds");
-        assert!(msg.contains("1 cell(s)"));
-    }
-
-    #[test]
-    fn baseline_gate_catches_regression() {
-        let cells = tiny_cells();
-        let bench = render_bench(&cells, 7);
-        let thr = cells[0].outcome.throughput_jobs_per_hour;
-        let inflated = bench.replacen(
-            &format!("\"throughput_jobs_per_hour\":{thr}"),
-            &format!("\"throughput_jobs_per_hour\":{}", thr * 2.0),
-            1,
-        );
-        assert_ne!(inflated, bench, "replacement must hit");
-        // Baseline twice as fast as current -> current is below the floor.
-        assert!(check_baseline(&bench, &inflated).is_err());
-        // Disjoint panels are an error, not a silent pass.
-        let other = bench.replace("\"nodes\":8", "\"nodes\":9");
-        assert!(check_baseline(&bench, &other).is_err());
-    }
-
-    #[test]
     fn metrics_and_table_render() {
         let cells = tiny_cells();
         let prom = render_metrics(&cells);
         assert!(prom.contains("ampom_cluster_ampom_n8_throughput_jobs_per_hour"));
         assert!(prom.contains("ampom_cluster_ampom_n8_storm_ticks_total"));
         let run = ClusterLifeRun {
-            jsonl: render_facts(&cells, 7),
-            prometheus: prom,
-            bench_json: render_bench(&cells, 7),
+            facts: Facts {
+                jsonl: render_facts(&cells, 7),
+                prometheus: prom,
+                bench: Some(render_bench(&cells, 7)),
+            },
             cells,
         };
         let text = clusterlife_table(&run).render();
         assert!(text.contains("AMPoM"));
         assert!(text.contains("0x"));
         assert!(text.contains("apply us/tick") && text.contains("2.5"));
-        assert!(run.jsonl.contains("\"apply_us_per_tick\":2.5"));
-        assert!(!run.bench_json.contains("us_per_tick"));
+        assert!(run.facts.jsonl.contains("\"apply_us_per_tick\":2.5"));
+        assert!(!render_bench(&run.cells, 7).contains("us_per_tick"));
     }
 }

@@ -23,12 +23,13 @@
 //! the sweep doubles as an exactly-once audit: a duplicate, lost or
 //! corrupt page fails the run's self-verification.
 //!
-//! A cell produces a table row, a schema-stamped `deputy-cell` JSONL fact
-//! (append-friendly, parsed back by [`verify_facts`] before the command
-//! exits), and an entry in `BENCH_deputy.json` — the repo's committed
-//! perf-trajectory fact for the deputy serving path. `--baseline PATH`
-//! compares the fresh run against a committed fact and fails the command
-//! on a >20 % pages/s regression in any matching (mode, sessions) cell.
+//! A cell produces a table row, a `deputy-cell` JSONL fact in the
+//! [`crate::facts`] format (parsed back by [`verify_facts`] before
+//! anything is written), and an entry in `BENCH_deputy.json` — the
+//! repo's committed perf-trajectory fact for the deputy serving path.
+//! `--baseline PATH` compares the fresh run against a committed fact and
+//! fails the command on a >20 % pages/s regression in any matching
+//! (mode, sessions) cell.
 //!
 //! Session counts past the file-descriptor limit are truncated loudly
 //! (each session costs two descriptors on loopback), never silently.
@@ -38,15 +39,28 @@ use std::time::{Duration, Instant};
 use ampom_core::slo::QuantileSketch;
 use ampom_core::AmpomError;
 use ampom_mem::page::PageId;
-use ampom_obs::{parse, JsonValue, JsonWriter, MetricsRegistry};
+use ampom_obs::{JsonValue, JsonWriter, MetricsRegistry};
 use ampom_rpc::{DeputyServer, Endpoint, Frame, MigrantClient, ServerConfig};
 use ampom_sim::time::SimDuration;
 
-use crate::chaos_cmd::env_seed;
+use crate::facts::{self, env_seed, Facts};
 use crate::report::AsciiTable;
 
-/// Version stamped on every JSONL fact line; bump on breaking changes.
-pub const FACTS_SCHEMA: u64 = 1;
+/// The shape of the `deputybench` facts: one `deputy-cell` line per
+/// (mode, sessions) cell under a `deputybench-run` header, gated on each
+/// cell's pages/s.
+pub const FACTS: facts::Spec = facts::Spec {
+    command: "deputybench",
+    header: "deputybench-run",
+    cell: "deputy-cell",
+    others: &[],
+    bench: "deputy",
+    verify: verify_facts,
+    gate: Some(facts::Gate {
+        keys: &["mode", "sessions"],
+        metric: "pages_per_sec",
+    }),
+};
 
 /// Pages per in-flight request: one demand page plus a 15-page prefetch
 /// zone, the shape the AMPoM window analysis emits on a striding kernel.
@@ -150,12 +164,9 @@ pub struct DeputyCell {
 #[derive(Debug)]
 pub struct DeputyBenchRun {
     pub cells: Vec<DeputyCell>,
-    /// Schema-versioned JSONL run facts.
-    pub jsonl: String,
-    /// `ampom_deputybench_*` Prometheus-style dump.
-    pub prometheus: String,
-    /// `BENCH_deputy.json` contents.
-    pub bench_json: String,
+    /// The JSONL facts, the `ampom_deputybench_*` dump and
+    /// `BENCH_deputy.json`.
+    pub facts: Facts,
 }
 
 /// Cumulative process CPU in clock ticks (utime + stime), Linux only.
@@ -491,15 +502,12 @@ pub fn run_deputybench(opts: &DeputyBenchOptions) -> Result<DeputyBenchRun, Ampo
         );
     }
 
-    let jsonl = render_facts(&cells, opts.seed);
-    let prometheus = render_metrics(&cells);
-    let bench_json = render_bench(&cells, opts.seed, pages);
-    Ok(DeputyBenchRun {
-        cells,
-        jsonl,
-        prometheus,
-        bench_json,
-    })
+    let facts = Facts {
+        jsonl: render_facts(&cells, opts.seed),
+        prometheus: render_metrics(&cells),
+        bench: Some(render_bench(&cells, opts.seed, pages)),
+    };
+    Ok(DeputyBenchRun { cells, facts })
 }
 
 fn ms(d: Duration) -> f64 {
@@ -509,17 +517,9 @@ fn ms(d: Duration) -> f64 {
 /// One `deputy-cell` JSONL line per cell under a `deputybench-run`
 /// header, every line schema-stamped.
 fn render_facts(cells: &[DeputyCell], seed: u64) -> String {
-    let mut lines = Vec::new();
-    let mut header = JsonWriter::object();
-    header.field_str("type", "deputybench-run");
-    header.field_u64("schema", FACTS_SCHEMA);
-    header.field_u64("seed", seed);
-    header.field_u64("cells", cells.len() as u64);
-    lines.push(header.close());
+    let mut lines = vec![facts::header(&FACTS, seed, cells.len()).close()];
     for c in cells {
-        let mut w = JsonWriter::object();
-        w.field_str("type", "deputy-cell");
-        w.field_u64("schema", FACTS_SCHEMA);
+        let mut w = facts::fact(FACTS.cell);
         w.field_str("mode", c.mode);
         w.field_u64("sessions", c.sessions as u64);
         w.field_u64("sessions_requested", c.sessions_requested as u64);
@@ -581,133 +581,37 @@ fn render_bench(cells: &[DeputyCell], seed: u64, pages: u64) -> String {
             w.close()
         })
         .collect();
-    let mut w = JsonWriter::object();
-    w.field_str("bench", "deputy");
-    w.field_u64("schema", FACTS_SCHEMA);
-    w.field_u64("seed", seed);
+    let mut w = facts::bench(&FACTS, seed);
     w.field_u64("pages_per_session", pages);
     w.field_raw("cells", &format!("[{}]", entries.join(",")));
     w.close() + "\n"
 }
 
-/// Self-verification: every fact line parses, carries the schema stamp,
-/// the header accounts for every cell, and — the exactly-once audit —
+/// Self-verification: the shared envelope, and the exactly-once audit —
 /// no cell saw a duplicate or corrupt page or finished empty.
 pub fn verify_facts(jsonl: &str) -> Result<(), String> {
-    let mut declared: Option<u64> = None;
-    let mut cell_lines = 0u64;
-    for (i, line) in jsonl.lines().enumerate() {
-        let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_u64())
-            .ok_or_else(|| format!("line {}: missing \"schema\"", i + 1))?;
-        if schema != FACTS_SCHEMA {
-            return Err(format!("line {}: schema {schema} != {FACTS_SCHEMA}", i + 1));
+    facts::verify(&FACTS, jsonl, |f| {
+        if f.kind != FACTS.cell {
+            return Ok(());
         }
-        match v.get("type").and_then(|t| t.as_str()) {
-            Some("deputybench-run") => {
-                declared = Some(
-                    v.get("cells")
-                        .and_then(|c| c.as_u64())
-                        .ok_or_else(|| format!("line {}: header lacks cells", i + 1))?,
-                );
-            }
-            Some("deputy-cell") => {
-                cell_lines += 1;
-                let u64_field = |key: &str| {
-                    v.get(key)
-                        .and_then(|x| x.as_u64())
-                        .ok_or_else(|| format!("line {}: cell lacks {key}", i + 1))
-                };
-                if u64_field("duplicate_pages")? != 0 {
-                    return Err(format!("line {}: duplicate pages delivered", i + 1));
-                }
-                if u64_field("corrupt_pages")? != 0 {
-                    return Err(format!("line {}: corrupt pages delivered", i + 1));
-                }
-                let sessions = u64_field("sessions")?;
-                let expected = sessions * u64_field("pages_per_session")?;
-                if u64_field("pages_total")? != expected {
-                    return Err(format!(
-                        "line {}: pages_total != sessions x pages_per_session",
-                        i + 1
-                    ));
-                }
-                if v.get("pages_per_sec")
-                    .and_then(|p| p.as_f64())
-                    .unwrap_or(0.0)
-                    <= 0.0
-                {
-                    return Err(format!("line {}: non-positive pages_per_sec", i + 1));
-                }
-            }
-            other => return Err(format!("line {}: unknown fact type {other:?}", i + 1)),
+        if f.u64("duplicate_pages")? != 0 {
+            return Err(f.error("duplicate pages delivered"));
         }
-    }
-    match declared {
-        None => Err("no deputybench-run header line".into()),
-        Some(c) if c != cell_lines => Err(format!(
-            "header declares {c} cells but the stream has {cell_lines}"
-        )),
-        Some(_) => Ok(()),
-    }
-}
-
-/// Pulls `(mode, sessions) -> pages_per_sec` out of a `BENCH_deputy.json`
-/// document.
-fn bench_cells(doc: &JsonValue) -> Result<Vec<(String, u64, f64)>, String> {
-    let cells = match doc.get("cells") {
-        Some(JsonValue::Arr(items)) => items,
-        _ => return Err("bench fact lacks a cells array".into()),
-    };
-    cells
-        .iter()
-        .map(|c| {
-            let mode = c
-                .get("mode")
-                .and_then(|m| m.as_str())
-                .ok_or("cell lacks mode")?
-                .to_string();
-            let sessions = c
-                .get("sessions")
-                .and_then(|s| s.as_u64())
-                .ok_or("cell lacks sessions")?;
-            let pps = c
-                .get("pages_per_sec")
-                .and_then(|p| p.as_f64())
-                .ok_or("cell lacks pages_per_sec")?;
-            Ok((mode, sessions, pps))
-        })
-        .collect()
-}
-
-/// Regression gate: every baseline (mode, sessions) cell present in the
-/// fresh run must hold at least 80 % of its committed pages/s. Returns a
-/// human summary on success.
-pub fn check_baseline(current_json: &str, baseline_json: &str) -> Result<String, String> {
-    let current = parse(current_json.trim()).map_err(|e| format!("current fact: {e}"))?;
-    let baseline = parse(baseline_json.trim()).map_err(|e| format!("baseline fact: {e}"))?;
-    let cur = bench_cells(&current)?;
-    let base = bench_cells(&baseline)?;
-    let mut compared = 0usize;
-    for (mode, sessions, was) in &base {
-        let Some((_, _, now)) = cur.iter().find(|(m, s, _)| m == mode && s == sessions) else {
-            continue;
-        };
-        compared += 1;
-        if *now < was * 0.8 {
-            return Err(format!(
-                "{mode}/{sessions} sessions regressed: {now:.0} pages/s vs \
-                 baseline {was:.0} (floor {:.0})",
-                was * 0.8
-            ));
+        if f.u64("corrupt_pages")? != 0 {
+            return Err(f.error("corrupt pages delivered"));
         }
-    }
-    if compared == 0 {
-        return Err("no (mode, sessions) cell overlaps the baseline".into());
-    }
-    Ok(format!("{compared} cell(s) within 20 % of baseline"))
+        if f.u64("pages_total")? != f.u64("sessions")? * f.u64("pages_per_session")? {
+            return Err(f.error("pages_total != sessions x pages_per_session"));
+        }
+        if f.get("pages_per_sec")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(0.0)
+            <= 0.0
+        {
+            return Err(f.error("non-positive pages_per_sec"));
+        }
+        Ok(())
+    })
 }
 
 /// The deputybench table: one row per cell.
@@ -769,38 +673,30 @@ mod tests {
             assert!(c.pages_per_sec > 0.0);
             assert!(c.p99 >= c.p50);
         }
-        verify_facts(&run.jsonl).expect("facts self-verify");
-        assert_eq!(run.jsonl.lines().count(), 3, "header + two cells");
+        verify_facts(&run.facts.jsonl).expect("facts self-verify");
+        assert_eq!(run.facts.jsonl.lines().count(), 3, "header + two cells");
         assert!(run
+            .facts
             .prometheus
             .contains("ampom_deputybench_reactor_s8_pages_per_sec"));
-    }
-
-    #[test]
-    fn bench_fact_parses_and_baselines_against_itself() {
-        let run = tiny();
-        let doc = parse(run.bench_json.trim()).expect("bench json parses");
-        assert_eq!(doc.get("bench").and_then(|b| b.as_str()), Some("deputy"));
-        let cells = bench_cells(&doc).expect("cells extract");
-        assert_eq!(cells.len(), 2);
-        // A run is never a regression against itself...
-        check_baseline(&run.bench_json, &run.bench_json).expect("self-baseline");
-        // ...but a 10x-inflated baseline trips the 20 % gate.
-        let inflated = run
-            .bench_json
-            .replace("\"pages_per_sec\":", "\"pages_per_sec\":1e10,\"was\":");
-        let err = check_baseline(&run.bench_json, &inflated).unwrap_err();
-        assert!(err.contains("regressed"), "unexpected error: {err}");
+        // The BENCH document is gated by its own (mode, sessions) cells.
+        let bench = run.facts.bench.as_deref().expect("bench fact");
+        assert!(bench.starts_with("{\"bench\":\"deputy\",\"schema\":1,\"seed\":42,"));
+        let gate = FACTS.gate.as_ref().unwrap();
+        let summary = facts::check_baseline(gate, bench, bench).expect("self-baseline");
+        assert!(summary.starts_with("2 cell(s)"), "{summary}");
     }
 
     #[test]
     fn verify_facts_rejects_duplicates_and_miscounts() {
         let run = tiny();
         let doctored = run
+            .facts
             .jsonl
             .replace("\"duplicate_pages\":0", "\"duplicate_pages\":3");
         assert!(verify_facts(&doctored).unwrap_err().contains("duplicate"));
         let doctored = run
+            .facts
             .jsonl
             .replace("\"pages_total\":512", "\"pages_total\":511");
         assert!(verify_facts(&doctored).unwrap_err().contains("pages_total"));

@@ -12,9 +12,9 @@
 
 use ampom_cluster::{simulate, BalancePolicy, ClusterConfig};
 use ampom_core::experiment::Experiment;
+use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig};
 use ampom_core::migration::Scheme;
 use ampom_core::prefetcher::AmpomConfig;
-use ampom_core::remigration::run_round_trip;
 use ampom_core::runner::SyscallProfile;
 use ampom_core::vm::{run_vm, VmAnalysis, VmWorkload};
 use ampom_sim::rng::SimRng;
@@ -271,7 +271,9 @@ pub fn ext_roundtrip(quick: bool) -> AsciiTable {
     let results = par_map(specs, move |(frac, scheme)| {
         let mut w = Sequential::new(pages, SimDuration::from_micros(15));
         let cfg = Experiment::new(scheme).config().clone();
-        (frac, scheme, run_round_trip(&mut w, &cfg, frac))
+        // Writeback off: nothing flows home before the return.
+        let lifecycle = LifecycleConfig::new(frac).without_writeback();
+        (frac, scheme, run_lifecycle(&mut w, &cfg, &lifecycle))
     });
     let mut t = AsciiTable::new(
         format!("Extension: round-trip migration ({pages}-page sequential migrant)"),

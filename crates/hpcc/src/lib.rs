@@ -59,6 +59,12 @@
 //! determinism gate — JSONL facts and the committed `BENCH_cluster.json`
 //! fact with a `--baseline` regression gate.
 //!
+//! The [`facts`] module holds what those four commands share, once: the
+//! facts format (a JSONL stream under a run header, and a BENCH
+//! document), the envelope verifier each command's `verify_facts`
+//! builds on, the one `--baseline` gate, and the publish step that
+//! verifies, writes and gates each run's artifacts (DESIGN.md §11.4).
+//!
 //! The `hpcc-repro` binary drives these; see `hpcc-repro --help`.
 
 pub mod bakeoff;
@@ -68,6 +74,7 @@ pub mod clusterlife;
 pub mod deputybench;
 pub mod experiments;
 pub mod extensions;
+pub mod facts;
 pub mod lifecycle_cmd;
 pub mod live;
 pub mod matrix;

@@ -11,10 +11,10 @@
 //! writeback + home-return protocol over real loopback sockets against
 //! an in-process deputy.
 //!
-//! Artifacts follow the `chaos` command's discipline:
+//! Artifacts follow the [`crate::facts`] format:
 //!
-//! * JSONL run facts — schema-stamped `cell` and `live` lines under a
-//!   `lifecycle-run` header, self-verified before the command exits,
+//! * JSONL run facts — `cell` and `live` lines under a `lifecycle-run`
+//!   header, self-verified before anything is written,
 //! * Prometheus gauges — `ampom_lifecycle_<cell>_*` per cell,
 //! * `BENCH_lifecycle.json` — writeback throughput and return-freeze
 //!   time at both sizes on the clean link, the repo's perf-trajectory
@@ -30,16 +30,26 @@ use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport};
 use ampom_core::runner::RunConfig;
 use ampom_core::{AmpomError, Scheme};
 use ampom_mem::page::PageId;
-use ampom_obs::{parse, JsonWriter, MetricsRegistry};
+use ampom_obs::{JsonWriter, MetricsRegistry};
 use ampom_rpc::{DeputyServer, Endpoint, Frame, MigrantClient, ServerConfig};
 use ampom_sim::time::SimDuration;
 use ampom_workloads::synthetic::SequentialWrite;
 
-use crate::chaos_cmd::env_seed;
+use crate::facts::{self, env_seed, Facts};
 use crate::report::{secs, AsciiTable};
 
-/// Version stamped on every JSONL fact line.
-pub const FACTS_SCHEMA: u64 = 1;
+/// The shape of the `lifecycle` facts: a `lifecycle-run` header whose
+/// `live` flag says whether the one `live` line follows the `cell`
+/// lines. No baseline gate.
+pub const FACTS: facts::Spec = facts::Spec {
+    command: "lifecycle",
+    header: "lifecycle-run",
+    cell: "cell",
+    others: &["live"],
+    bench: "lifecycle",
+    verify: verify_facts,
+    gate: None,
+};
 
 /// Pages per megabyte at the 4 KiB page size.
 const PAGES_PER_MB: u64 = 256;
@@ -115,13 +125,10 @@ pub struct LifecycleRun {
     pub cells: Vec<LifecycleCell>,
     /// The live loopback leg, when requested.
     pub live: Option<LiveLeg>,
-    /// Schema-versioned JSONL run facts.
-    pub jsonl: String,
-    /// The `ampom_lifecycle_*` Prometheus-style dump.
-    pub prometheus: String,
-    /// `BENCH_lifecycle.json` contents — present when the clean-link
-    /// cells at every panel size all ran.
-    pub bench_json: Option<String>,
+    /// The JSONL facts, the `ampom_lifecycle_*` dump, and
+    /// `BENCH_lifecycle.json` when the clean-link cells at every panel
+    /// size all ran.
+    pub facts: Facts,
 }
 
 /// Writeback throughput of a cell: pages landed per second away.
@@ -173,16 +180,12 @@ pub fn run_lifecycle_cmd(opts: &LifecycleOptions) -> Result<LifecycleRun, AmpomE
         None
     };
 
-    let jsonl = render_facts(&cells, live.as_ref(), opts.seed);
-    let prometheus = render_metrics(&cells);
-    let bench_json = render_bench(&cells, opts.seed);
-    Ok(LifecycleRun {
-        cells,
-        live,
-        jsonl,
-        prometheus,
-        bench_json,
-    })
+    let facts = Facts {
+        jsonl: render_facts(&cells, live.as_ref(), opts.seed),
+        prometheus: render_metrics(&cells),
+        bench: render_bench(&cells, opts.seed),
+    };
+    Ok(LifecycleRun { cells, live, facts })
 }
 
 /// The live leg: a migrant on loopback sockets fetches half its pages,
@@ -281,20 +284,13 @@ fn cell_key(cell: &LifecycleCell) -> String {
 }
 
 fn render_facts(cells: &[LifecycleCell], live: Option<&LiveLeg>, seed: u64) -> String {
-    let mut lines = Vec::new();
-    let mut header = JsonWriter::object();
-    header.field_str("type", "lifecycle-run");
-    header.field_u64("schema", FACTS_SCHEMA);
-    header.field_u64("seed", seed);
-    header.field_u64("cells", cells.len() as u64);
+    let mut header = facts::header(&FACTS, seed, cells.len());
     header.field_bool("live", live.is_some());
-    lines.push(header.close());
+    let mut lines = vec![header.close()];
 
     for cell in cells {
         let r = &cell.report;
-        let mut w = JsonWriter::object();
-        w.field_str("type", "cell");
-        w.field_u64("schema", FACTS_SCHEMA);
+        let mut w = facts::fact(FACTS.cell);
         w.field_str("storm", cell.storm);
         w.field_u64("mb", cell.mb);
         w.field_f64("outbound_freeze_s", r.outbound_freeze.as_secs_f64());
@@ -313,9 +309,7 @@ fn render_facts(cells: &[LifecycleCell], live: Option<&LiveLeg>, seed: u64) -> S
     }
 
     if let Some(leg) = live {
-        let mut w = JsonWriter::object();
-        w.field_str("type", "live");
-        w.field_u64("schema", FACTS_SCHEMA);
+        let mut w = facts::fact("live");
         w.field_u64("pages_written_back", leg.pages_written_back);
         w.field_u64("duplicates_refused", leg.duplicates);
         w.field_f64("writeback_wall_s", leg.writeback_wall.as_secs_f64());
@@ -368,10 +362,7 @@ fn render_bench(cells: &[LifecycleCell], seed: u64) -> Option<String> {
     if clean.is_empty() || clean.len() < SIZE_PANEL.len() {
         return None;
     }
-    let mut w = JsonWriter::object();
-    w.field_str("bench", "lifecycle");
-    w.field_u64("schema", FACTS_SCHEMA);
-    w.field_u64("seed", seed);
+    let mut w = facts::bench(&FACTS, seed);
     let cell_json = |c: &LifecycleCell| {
         let mut w = JsonWriter::object();
         w.field_u64("mb", c.mb);
@@ -386,65 +377,36 @@ fn render_bench(cells: &[LifecycleCell], seed: u64) -> Option<String> {
     Some(w.close() + "\n")
 }
 
-/// Self-verification of the JSONL facts: every line parses, carries the
-/// schema stamp, and the header's counts match the stream.
+/// Self-verification of the JSONL facts: the shared envelope, every
+/// `cell` line complete and conserving its dirty pages, and exactly one
+/// `live` line when the header's `live` flag says so.
 pub fn verify_facts(jsonl: &str) -> Result<(), String> {
-    let mut declared_cells: Option<u64> = None;
-    let mut declared_live = false;
-    let mut cell_lines = 0u64;
-    let mut live_lines = 0u64;
-    for (i, line) in jsonl.lines().enumerate() {
-        let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_u64())
-            .ok_or_else(|| format!("line {}: missing \"schema\"", i + 1))?;
-        if schema != FACTS_SCHEMA {
-            return Err(format!("line {}: schema {schema} != {FACTS_SCHEMA}", i + 1));
-        }
-        match v.get("type").and_then(|t| t.as_str()) {
-            Some("lifecycle-run") => {
-                declared_cells = Some(
-                    v.get("cells")
-                        .and_then(|c| c.as_u64())
-                        .ok_or_else(|| format!("line {}: header lacks cells", i + 1))?,
-                );
-                declared_live = matches!(v.get("live"), Some(ampom_obs::JsonValue::Bool(true)));
-            }
-            Some("cell") => {
-                cell_lines += 1;
-                for key in [
+    let (mut declared_live, mut live_lines) = (false, 0u64);
+    facts::verify(&FACTS, jsonl, |f| {
+        match f.kind {
+            "lifecycle-run" => declared_live = f.is_true("live"),
+            "cell" => {
+                f.require(&[
                     "storm",
                     "return_freeze_s",
                     "pages_dirtied",
                     "pages_written_back",
                     "conservation_ok",
-                ] {
-                    if v.get(key).is_none() {
-                        return Err(format!("line {}: cell fact lacks {key}", i + 1));
-                    }
-                }
-                if !matches!(
-                    v.get("conservation_ok"),
-                    Some(ampom_obs::JsonValue::Bool(true))
-                ) {
-                    return Err(format!("line {}: conservation violated", i + 1));
+                ])?;
+                if !f.is_true("conservation_ok") {
+                    return Err(f.error("conservation violated"));
                 }
             }
-            Some("live") => live_lines += 1,
-            other => return Err(format!("line {}: unknown fact type {other:?}", i + 1)),
+            _ => live_lines += 1, // the only other type: `live`
         }
-    }
-    match declared_cells {
-        None => Err("no lifecycle-run header line".into()),
-        Some(c) if c != cell_lines => Err(format!(
-            "header declares {c} cells but the stream has {cell_lines}"
-        )),
-        Some(_) if declared_live != (live_lines == 1) => Err(format!(
+        Ok(())
+    })?;
+    if declared_live != (live_lines == 1) {
+        return Err(format!(
             "header live flag {declared_live} but {live_lines} live line(s)"
-        )),
-        Some(_) => Ok(()),
+        ));
     }
+    Ok(())
 }
 
 /// The lifecycle table: one row per simulated cell plus the live leg.
@@ -502,6 +464,7 @@ pub fn lifecycle_table(run: &LifecycleRun) -> AsciiTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampom_obs::parse;
 
     fn small(live: bool) -> LifecycleRun {
         run_lifecycle_cmd(&LifecycleOptions {
@@ -515,12 +478,54 @@ mod tests {
     #[test]
     fn facts_round_trip_and_conservation_holds_everywhere() {
         let run = small(false);
-        verify_facts(&run.jsonl).expect("self-verification");
+        verify_facts(&run.facts.jsonl).expect("self-verification");
         assert_eq!(run.cells.len(), 6);
         // 1 header + 6 cell lines, no live line.
-        assert_eq!(run.jsonl.lines().count(), 7);
+        assert_eq!(run.facts.jsonl.lines().count(), 7);
         for cell in &run.cells {
             assert!(cell.report.conservation_ok, "{}", cell_key(cell));
+        }
+    }
+
+    #[test]
+    fn doctored_facts_are_rejected() {
+        let jsonl = small(false).facts.jsonl;
+        let live_line = "{\"type\":\"live\",\"schema\":1}\n";
+        let cases = [
+            (
+                "a cell that violates conservation",
+                jsonl.replacen("\"conservation_ok\":true", "\"conservation_ok\":false", 1),
+                "line 2: conservation violated",
+            ),
+            (
+                "a header that declares live with no live line",
+                jsonl.replacen("\"live\":false", "\"live\":true", 1),
+                "header live flag true but 0 live line(s)",
+            ),
+            (
+                "a live line the header does not declare",
+                format!("{jsonl}{live_line}"),
+                "header live flag false but 1 live line(s)",
+            ),
+            (
+                "two live lines",
+                format!("{jsonl}{live_line}{live_line}").replacen(
+                    "\"live\":false",
+                    "\"live\":true",
+                    1,
+                ),
+                "header live flag true but 2 live line(s)",
+            ),
+            (
+                "a cell without its conservation verdict",
+                jsonl.replacen(",\"conservation_ok\":true", "", 1),
+                "line 2: cell fact lacks conservation_ok",
+            ),
+        ];
+        for (name, doctored, want) in cases {
+            assert_ne!(doctored, jsonl, "{name}: the doctoring must hit");
+            let err = verify_facts(&doctored).expect_err(name);
+            assert!(err.contains(want), "{name}: {err:?} lacks {want:?}");
         }
     }
 
@@ -546,7 +551,7 @@ mod tests {
     #[test]
     fn bench_fact_covers_every_clean_cell() {
         let run = small(false);
-        let bench = run.bench_json.expect("clean cells present");
+        let bench = run.facts.bench.expect("clean cells present");
         let v = parse(bench.trim()).expect("bench json parses");
         assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some("lifecycle"));
         for mb in SIZE_PANEL {
@@ -566,12 +571,14 @@ mod tests {
     fn metrics_follow_the_naming_convention() {
         let run = small(false);
         assert!(run
+            .facts
             .prometheus
             .contains("ampom_lifecycle_clean_1mb_return_freeze_seconds"));
         assert!(run
+            .facts
             .prometheus
             .contains("ampom_lifecycle_flaky_link_storm_4mb_writeback_pages_per_sec"));
-        for line in run.prometheus.lines() {
+        for line in run.facts.prometheus.lines() {
             if !line.starts_with('#') && !line.is_empty() {
                 assert!(line.starts_with("ampom_"), "bad metric line: {line}");
             }
@@ -587,8 +594,8 @@ mod tests {
         // Pages 64..128 were fetched but never written back.
         assert_eq!(leg.stub_pages, 64);
         assert_eq!(leg.freed_pages, 256 - 64);
-        assert!(run.jsonl.contains("\"type\":\"live\""));
-        verify_facts(&run.jsonl).expect("self-verification");
+        assert!(run.facts.jsonl.contains("\"type\":\"live\""));
+        verify_facts(&run.facts.jsonl).expect("self-verification");
     }
 
     #[test]

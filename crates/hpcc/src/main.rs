@@ -60,8 +60,11 @@
 //!   --kernel NAME    profile: dgemm|stream|randomaccess|fft (default stream)
 //!   --scheme NAME    profile: ampom|noprefetch|openmosix (default ampom)
 //!   --json PATH      profile: write the JSONL event/phase stream to PATH
-//!                    chaos: append the JSONL run facts to PATH
-//!   --prom PATH      profile/chaos: write the Prometheus-style dump to PATH
+//!                    chaos, lifecycle, deputybench, clusterlife: append
+//!                    the JSONL run facts to PATH
+//!   --prom PATH      profile, bakeoff, chaos, lifecycle, deputybench,
+//!                    clusterlife: write the Prometheus-style dump to PATH
+//!                    (printed otherwise)
 //!   --top K          profile: hottest pages to list (default 10)
 //!   --scenario NAME  chaos: run only NAME (repeatable; default all)
 //!   --bench PATH     chaos: write BENCH_chaos.json to PATH
@@ -78,10 +81,13 @@
 //!                    BENCH_deputy.json; >20% pages/s regression fails
 //!                    clusterlife: compare against a committed
 //!                    BENCH_cluster.json; >20% throughput regression fails
+//!                    chaos, lifecycle: refused (exit 2), no gate
 //!
-//! `chaos`, `lifecycle` and `clusterlife` seed their runs from the
-//! `AMPOM_FAULT_SEED` environment variable (default 42), matching the CI
-//! fault matrix.
+//! `chaos`, `lifecycle`, `deputybench` and `clusterlife` seed their runs
+//! from the `AMPOM_FAULT_SEED` environment variable (default 42),
+//! matching the CI fault matrix. They share one facts format and one
+//! publish step (`ampom_hpcc::facts`): self-verify, append `--json`,
+//! write `--prom`, gate `--baseline`, then write `--bench`.
 //! ```
 
 use std::path::PathBuf;
@@ -92,7 +98,8 @@ use ampom_hpcc::matrix::{full_matrix, Cell};
 use ampom_hpcc::profile::{self, ProfileOptions};
 use ampom_hpcc::report::AsciiTable;
 use ampom_hpcc::{
-    chaos_cmd, checks, clusterlife, deputybench, experiments, extensions, lifecycle_cmd, live,
+    chaos_cmd, checks, clusterlife, deputybench, experiments, extensions, facts, lifecycle_cmd,
+    live,
 };
 use ampom_workloads::Kernel;
 
@@ -102,12 +109,9 @@ struct Options {
     csv_dir: Option<PathBuf>,
     endpoint: Option<String>,
     profile: ProfileOptions,
-    json_path: Option<PathBuf>,
-    prom_path: Option<PathBuf>,
+    out: facts::Outputs,
     scenarios: Vec<String>,
-    bench_path: Option<PathBuf>,
     sessions: Option<Vec<usize>>,
-    baseline_path: Option<PathBuf>,
 }
 
 fn parse_kernel(name: &str) -> Kernel {
@@ -142,12 +146,9 @@ fn parse_args() -> Options {
     let mut csv_dir = None;
     let mut endpoint = None;
     let mut prof = ProfileOptions::default();
-    let mut json_path = None;
-    let mut prom_path = None;
+    let mut out = facts::Outputs::default();
     let mut scenarios = Vec::new();
-    let mut bench_path = None;
     let mut sessions = None;
-    let mut baseline_path = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -170,16 +171,16 @@ fn parse_args() -> Options {
                 prof.scheme = parse_scheme(&args.next().expect("--scheme requires a name"));
             }
             "--json" => {
-                json_path = Some(PathBuf::from(args.next().expect("--json requires a path")));
+                out.json = Some(PathBuf::from(args.next().expect("--json requires a path")));
             }
             "--prom" => {
-                prom_path = Some(PathBuf::from(args.next().expect("--prom requires a path")));
+                out.prom = Some(PathBuf::from(args.next().expect("--prom requires a path")));
             }
             "--scenario" => {
                 scenarios.push(args.next().expect("--scenario requires a name"));
             }
             "--bench" => {
-                bench_path = Some(PathBuf::from(args.next().expect("--bench requires a path")));
+                out.bench = Some(PathBuf::from(args.next().expect("--bench requires a path")));
             }
             "--sessions" => {
                 let list = args.next().expect("--sessions requires a comma list");
@@ -194,7 +195,7 @@ fn parse_args() -> Options {
                 );
             }
             "--baseline" => {
-                baseline_path = Some(PathBuf::from(
+                out.baseline = Some(PathBuf::from(
                     args.next().expect("--baseline requires a path"),
                 ));
             }
@@ -229,12 +230,9 @@ fn parse_args() -> Options {
         csv_dir,
         endpoint,
         profile: prof,
-        json_path,
-        prom_path,
+        out,
         scenarios,
-        bench_path,
         sessions,
-        baseline_path,
     }
 }
 
@@ -269,14 +267,14 @@ fn emit_all(tables: &[AsciiTable], opts: &Options, prefix: &str) {
     }
 }
 
+/// Prints what failed and exits 1.
+fn exit_failed(what: impl std::fmt::Display) -> ! {
+    eprintln!("{what}");
+    std::process::exit(1);
+}
+
 fn run_profile_command(opts: &Options) {
-    let p = match profile::run_profile(&opts.profile) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let p = profile::run_profile(&opts.profile).unwrap_or_else(|e| exit_failed(e));
     emit(
         &profile::phase_table(&opts.profile, &p.report),
         opts,
@@ -287,31 +285,10 @@ fn run_profile_command(opts: &Options) {
         opts,
         "profile_pages",
     );
-    if let Some(path) = &opts.json_path {
-        if let Err(e) = profile::write_artifact(path, &p.jsonl) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!(
-            "wrote {} JSONL lines to {}",
-            p.jsonl.lines().count(),
-            path.display()
-        );
-    }
-    if let Some(path) = &opts.prom_path {
-        if let Err(e) = profile::write_artifact(path, &p.prometheus) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("wrote metrics dump to {}", path.display());
-    } else {
-        println!("{}", p.prometheus);
-    }
-    // Self-verification: the artifact this command just produced must
+    // Self-verification before anything is written: the JSONL must
     // parse, and the phase partition must account for the whole run.
     if let Err(e) = profile::verify_jsonl(&p.jsonl) {
-        eprintln!("profile self-verification FAILED: {e}");
-        std::process::exit(1);
+        exit_failed(format_args!("profile self-verification FAILED: {e}"));
     }
     println!(
         "self-verification OK: {} phases sum to the {} total within {:.0}%",
@@ -319,6 +296,24 @@ fn run_profile_command(opts: &Options) {
         p.report.total_time,
         profile::PHASE_SUM_TOLERANCE * 100.0
     );
+    if let Some(path) = &opts.out.json {
+        facts::write_artifact(path, &p.jsonl).unwrap_or_else(|e| exit_failed(e));
+        println!(
+            "wrote {} JSONL lines to {}",
+            p.jsonl.lines().count(),
+            path.display()
+        );
+    }
+    facts::write_prom(opts.out.prom.as_deref(), &p.prometheus).unwrap_or_else(|e| exit_failed(e));
+}
+
+/// The tail every facts command shares; exits as `facts::publish` says
+/// when a step fails.
+fn publish(spec: &facts::Spec, facts: &facts::Facts, opts: &Options) {
+    if let Err(f) = facts::publish(spec, facts, &opts.out) {
+        eprintln!("{}", f.message);
+        std::process::exit(f.code);
+    }
 }
 
 fn run_chaos_command(opts: &Options) {
@@ -336,58 +331,10 @@ fn run_chaos_command(opts: &Options) {
         chaos_opts.migrants,
         chaos_opts.seed
     );
-    let run = match chaos_cmd::run_chaos(&chaos_opts) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("chaos failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let run = chaos_cmd::run_chaos(&chaos_opts)
+        .unwrap_or_else(|e| exit_failed(format_args!("chaos failed: {e}")));
     emit(&chaos_cmd::chaos_table(&run), opts, "chaos");
-
-    // Self-verification before anything is persisted: the facts this run
-    // produced must parse back and account for every cell and migrant.
-    if let Err(e) = chaos_cmd::verify_facts(&run.jsonl) {
-        eprintln!("chaos facts self-verification FAILED: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "facts self-verification OK: {} JSONL lines, schema v{}",
-        run.jsonl.lines().count(),
-        chaos_cmd::FACTS_SCHEMA
-    );
-
-    if let Some(path) = &opts.json_path {
-        if let Err(e) = chaos_cmd::append_artifact(path, &run.jsonl) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!(
-            "appended {} JSONL fact lines to {}",
-            run.jsonl.lines().count(),
-            path.display()
-        );
-    }
-    if let Some(path) = &opts.prom_path {
-        if let Err(e) = profile::write_artifact(path, &run.prometheus) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("wrote metrics dump to {}", path.display());
-    } else {
-        println!("{}", run.prometheus);
-    }
-    if let Some(bench) = &run.bench_json {
-        let path = opts
-            .bench_path
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_chaos.json"));
-        if let Err(e) = profile::write_artifact(&path, bench) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("wrote chaos bench fact to {}", path.display());
-    }
+    publish(&chaos_cmd::FACTS, &run.facts, opts);
 }
 
 fn run_lifecycle_command(opts: &Options) {
@@ -399,56 +346,10 @@ fn run_lifecycle_command(opts: &Options) {
         lifecycle_cmd::STORM_PANEL.len(),
         lc_opts.seed
     );
-    let run = match lifecycle_cmd::run_lifecycle_cmd(&lc_opts) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("lifecycle failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let run = lifecycle_cmd::run_lifecycle_cmd(&lc_opts)
+        .unwrap_or_else(|e| exit_failed(format_args!("lifecycle failed: {e}")));
     emit(&lifecycle_cmd::lifecycle_table(&run), opts, "lifecycle");
-
-    if let Err(e) = lifecycle_cmd::verify_facts(&run.jsonl) {
-        eprintln!("lifecycle facts self-verification FAILED: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "facts self-verification OK: {} JSONL lines, schema v{}",
-        run.jsonl.lines().count(),
-        lifecycle_cmd::FACTS_SCHEMA
-    );
-
-    if let Some(path) = &opts.json_path {
-        if let Err(e) = chaos_cmd::append_artifact(path, &run.jsonl) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!(
-            "appended {} JSONL fact lines to {}",
-            run.jsonl.lines().count(),
-            path.display()
-        );
-    }
-    if let Some(path) = &opts.prom_path {
-        if let Err(e) = profile::write_artifact(path, &run.prometheus) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("wrote metrics dump to {}", path.display());
-    } else {
-        println!("{}", run.prometheus);
-    }
-    if let Some(bench) = &run.bench_json {
-        let path = opts
-            .bench_path
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_lifecycle.json"));
-        if let Err(e) = profile::write_artifact(&path, bench) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("wrote lifecycle bench fact to {}", path.display());
-    }
+    publish(&lifecycle_cmd::FACTS, &run.facts, opts);
 }
 
 fn run_deputybench_command(opts: &Options) {
@@ -462,72 +363,10 @@ fn run_deputybench_command(opts: &Options) {
         if opts.quick { "quick" } else { "full" },
         bench_opts.seed
     );
-    let run = match deputybench::run_deputybench(&bench_opts) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("deputybench failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let run = deputybench::run_deputybench(&bench_opts)
+        .unwrap_or_else(|e| exit_failed(format_args!("deputybench failed: {e}")));
     emit(&deputybench::deputybench_table(&run), opts, "deputybench");
-
-    // Self-verification before anything is persisted: the facts must
-    // parse back and the exactly-once audit must hold for every cell.
-    if let Err(e) = deputybench::verify_facts(&run.jsonl) {
-        eprintln!("deputybench facts self-verification FAILED: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "facts self-verification OK: {} JSONL lines, schema v{}",
-        run.jsonl.lines().count(),
-        deputybench::FACTS_SCHEMA
-    );
-
-    if let Some(path) = &opts.json_path {
-        if let Err(e) = chaos_cmd::append_artifact(path, &run.jsonl) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!(
-            "appended {} JSONL fact lines to {}",
-            run.jsonl.lines().count(),
-            path.display()
-        );
-    }
-    if let Some(path) = &opts.prom_path {
-        if let Err(e) = profile::write_artifact(path, &run.prometheus) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("wrote metrics dump to {}", path.display());
-    } else {
-        println!("{}", run.prometheus);
-    }
-    if let Some(path) = &opts.baseline_path {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("could not read baseline {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        match deputybench::check_baseline(&run.bench_json, &committed) {
-            Ok(summary) => println!("baseline check OK: {summary}"),
-            Err(e) => {
-                eprintln!("baseline check FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let path = opts
-        .bench_path
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_deputy.json"));
-    if let Err(e) = profile::write_artifact(&path, &run.bench_json) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    println!("wrote deputy bench fact to {}", path.display());
+    publish(&deputybench::FACTS, &run.facts, opts);
 }
 
 fn run_clusterlife_command(opts: &Options) {
@@ -540,72 +379,10 @@ fn run_clusterlife_command(opts: &Options) {
         if opts.quick { "quick" } else { "full" },
         cl_opts.seed
     );
-    let run = match clusterlife::run_clusterlife(&cl_opts) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("clusterlife failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let run = clusterlife::run_clusterlife(&cl_opts)
+        .unwrap_or_else(|e| exit_failed(format_args!("clusterlife failed: {e}")));
     emit(&clusterlife::clusterlife_table(&run), opts, "clusterlife");
-
-    // Self-verification before anything is persisted: the facts must
-    // parse back, conserve jobs, and respect deputy-chain avoidance.
-    if let Err(e) = clusterlife::verify_facts(&run.jsonl) {
-        eprintln!("clusterlife facts self-verification FAILED: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "facts self-verification OK: {} JSONL lines, schema v{}",
-        run.jsonl.lines().count(),
-        clusterlife::FACTS_SCHEMA
-    );
-
-    if let Some(path) = &opts.json_path {
-        if let Err(e) = chaos_cmd::append_artifact(path, &run.jsonl) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!(
-            "appended {} JSONL fact lines to {}",
-            run.jsonl.lines().count(),
-            path.display()
-        );
-    }
-    if let Some(path) = &opts.prom_path {
-        if let Err(e) = profile::write_artifact(path, &run.prometheus) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        println!("wrote metrics dump to {}", path.display());
-    } else {
-        println!("{}", run.prometheus);
-    }
-    if let Some(path) = &opts.baseline_path {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("could not read baseline {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        match clusterlife::check_baseline(&run.bench_json, &committed) {
-            Ok(summary) => println!("baseline check OK: {summary}"),
-            Err(e) => {
-                eprintln!("baseline check FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let path = opts
-        .bench_path
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_cluster.json"));
-    if let Err(e) = profile::write_artifact(&path, &run.bench_json) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    println!("wrote cluster bench fact to {}", path.display());
+    publish(&clusterlife::FACTS, &run.facts, opts);
 }
 
 fn main() {
@@ -788,24 +565,11 @@ fn main() {
         ran = true;
     }
     if opts.command == "bakeoff" {
-        match ampom_hpcc::bakeoff::run_bakeoff(opts.quick) {
-            Ok(b) => {
-                emit(&ampom_hpcc::bakeoff::bakeoff_table(&b), &opts, "bakeoff");
-                if let Some(path) = &opts.prom_path {
-                    if let Err(e) = profile::write_artifact(path, &b.prometheus) {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote metrics dump to {}", path.display());
-                } else {
-                    println!("{}", b.prometheus);
-                }
-            }
-            Err(e) => {
-                eprintln!("bakeoff failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let b = ampom_hpcc::bakeoff::run_bakeoff(opts.quick)
+            .unwrap_or_else(|e| exit_failed(format_args!("bakeoff failed: {e}")));
+        emit(&ampom_hpcc::bakeoff::bakeoff_table(&b), &opts, "bakeoff");
+        facts::write_prom(opts.out.prom.as_deref(), &b.prometheus)
+            .unwrap_or_else(|e| exit_failed(e));
         ran = true;
     }
     if opts.command == "chaos" {

@@ -20,7 +20,6 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::Path;
 
 use ampom_core::experiment::Experiment;
 use ampom_core::migration::Scheme;
@@ -219,11 +218,6 @@ pub fn hottest_pages(report: &RunReport, k: usize) -> AsciiTable {
         t.row(vec![page.to_string(), n.to_string()]);
     }
     t
-}
-
-/// Writes `contents` to `path`, mapping errors to a message.
-pub fn write_artifact(path: &Path, contents: &str) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("could not write {}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -4,10 +4,9 @@
 
 use ampom::cluster::{simulate, BalancePolicy, ClusterConfig};
 use ampom::core::prefetcher::AmpomConfig;
-use ampom::core::remigration::run_round_trip;
 use ampom::core::runner::{run_workload, RunConfig, SyscallProfile};
 use ampom::core::vm::{run_vm, VmAnalysis, VmWorkload};
-use ampom::core::Scheme;
+use ampom::core::{run_lifecycle, LifecycleConfig, Scheme};
 use ampom::sim::time::SimDuration;
 use ampom::workloads::hpl::Hpl;
 use ampom::workloads::ptrans::Ptrans;
@@ -59,10 +58,12 @@ fn cluster_ampom_beats_eager_on_tail_latency() {
 
 #[test]
 fn round_trip_is_cheap_when_the_stay_is_short() {
-    let mut w = Sequential::new(1024, CPU);
-    let ampom = run_round_trip(&mut w, &RunConfig::new(Scheme::Ampom), 0.25);
-    let mut w = Sequential::new(1024, CPU);
-    let eager = run_round_trip(&mut w, &RunConfig::new(Scheme::OpenMosix), 0.25);
+    let round_trip = |scheme| {
+        let mut w = Sequential::new(1024, CPU);
+        let lifecycle = LifecycleConfig::new(0.25).without_writeback();
+        run_lifecycle(&mut w, &RunConfig::new(scheme), &lifecycle)
+    };
+    let (ampom, eager) = (round_trip(Scheme::Ampom), round_trip(Scheme::OpenMosix));
     assert!(ampom.total_time.as_secs_f64() * 2.0 < eager.total_time.as_secs_f64());
     assert!(ampom.pages_returned < eager.pages_returned / 2);
 }
