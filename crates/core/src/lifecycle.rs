@@ -1136,31 +1136,40 @@ mod tests {
 
     #[test]
     fn workload_completes_exactly_once() {
-        for lifecycle in [
-            LifecycleConfig::new(0.5),
-            LifecycleConfig::new(0.5).without_writeback(),
-        ] {
-            let mut w = Sequential::new(256, CPU);
-            let r = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
-            assert!(w.next().is_none(), "stream fully consumed");
-            assert!(r.total_time > SimDuration::ZERO);
-            assert_eq!(
-                r.total_time,
-                r.outbound_freeze + r.away_time + r.return_freeze + r.home_time,
-                "phases partition the run"
-            );
-        }
+        completes_exactly_once(LifecycleConfig::new(0.5));
+    }
+
+    #[test]
+    fn workload_completes_exactly_once_without_writeback() {
+        completes_exactly_once(LifecycleConfig::new(0.5).without_writeback());
+    }
+
+    fn completes_exactly_once(lifecycle: LifecycleConfig) {
+        let mut w = Sequential::new(256, CPU);
+        let r = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
+        assert!(w.next().is_none(), "stream fully consumed");
+        assert!(r.total_time > SimDuration::ZERO);
+        assert_eq!(
+            r.total_time,
+            r.outbound_freeze + r.away_time + r.return_freeze + r.home_time,
+            "phases partition the run"
+        );
     }
 
     #[test]
     #[should_panic(expected = "away_fraction")]
     fn fraction_must_be_in_unit_interval() {
-        let run = |lifecycle: LifecycleConfig| {
-            let mut w = Sequential::new(64, CPU);
-            run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle)
-        };
-        assert!(std::panic::catch_unwind(|| run(LifecycleConfig::new(1.5))).is_err());
-        let _ = run(LifecycleConfig::new(1.5).without_writeback());
+        let mut w = Sequential::new(64, CPU);
+        let lifecycle = LifecycleConfig::new(1.5);
+        let _ = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
+    }
+
+    #[test]
+    #[should_panic(expected = "away_fraction")]
+    fn fraction_must_be_in_unit_interval_without_writeback() {
+        let mut w = Sequential::new(64, CPU);
+        let lifecycle = LifecycleConfig::new(1.5).without_writeback();
+        let _ = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
     }
 
     // The analytic round trip: writeback off, a read-only sweep of 2048

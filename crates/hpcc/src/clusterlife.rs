@@ -391,20 +391,37 @@ mod tests {
         let cells = tiny_cells();
         let jsonl = render_facts(&cells, 7);
         verify_facts(&jsonl).expect("facts verify");
+    }
 
+    #[test]
+    fn bench_fact_passes_its_own_baseline() {
+        let cells = tiny_cells();
         let bench = render_bench(&cells, 7);
+        assert!(bench.starts_with("{\"bench\":\"cluster\",\"schema\":1,\"seed\":7,"));
         let gate = FACTS.gate.as_ref().unwrap();
         let msg = facts::check_baseline(gate, &bench, &bench).expect("self-baseline holds");
         assert!(msg.contains("1 cell(s)"));
-        // A baseline twice as fast as the run puts it below the floor.
+    }
+
+    #[test]
+    fn baseline_gate_catches_regression() {
+        let cells = tiny_cells();
+        let bench = render_bench(&cells, 7);
+        let gate = FACTS.gate.as_ref().unwrap();
         let thr = cells[0].outcome.throughput_jobs_per_hour;
         let inflated = bench.replacen(
             &format!("\"throughput_jobs_per_hour\":{thr}"),
             &format!("\"throughput_jobs_per_hour\":{}", thr * 2.0),
             1,
         );
+        assert_ne!(inflated, bench, "replacement must hit");
+        // Baseline twice as fast as current -> current is below the floor.
         let err = facts::check_baseline(gate, &bench, &inflated).unwrap_err();
         assert!(err.contains("nodes/scheme 8/AMPoM regressed"), "{err}");
+        // Disjoint panels are an error, not a silent pass.
+        let other = bench.replace("\"nodes\":8", "\"nodes\":9");
+        let err = facts::check_baseline(gate, &bench, &other).unwrap_err();
+        assert!(err.contains("overlaps the baseline"), "{err}");
     }
 
     #[test]

@@ -679,12 +679,22 @@ mod tests {
             .facts
             .prometheus
             .contains("ampom_deputybench_reactor_s8_pages_per_sec"));
-        // The BENCH document is gated by its own (mode, sessions) cells.
+    }
+
+    #[test]
+    fn bench_fact_parses_and_baselines_against_itself() {
+        let run = tiny();
         let bench = run.facts.bench.as_deref().expect("bench fact");
         assert!(bench.starts_with("{\"bench\":\"deputy\",\"schema\":1,\"seed\":42,"));
+        // The BENCH document is gated by its own (mode, sessions) cells.
         let gate = FACTS.gate.as_ref().unwrap();
+        // A run is never a regression against itself...
         let summary = facts::check_baseline(gate, bench, bench).expect("self-baseline");
         assert!(summary.starts_with("2 cell(s)"), "{summary}");
+        // ...but a 10x-inflated baseline trips the 20 % gate.
+        let inflated = bench.replace("\"pages_per_sec\":", "\"pages_per_sec\":1e10,\"was\":");
+        let err = facts::check_baseline(gate, bench, &inflated).unwrap_err();
+        assert!(err.contains("mode/sessions reactor/8 regressed"), "{err}");
     }
 
     #[test]
