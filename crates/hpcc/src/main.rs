@@ -53,10 +53,13 @@
 //!             gate, JSONL facts, BENCH_cluster.json
 //!
 //! Options:
-//!   --quick   tiny problem sizes (seconds instead of minutes)
-//!   --csv DIR also write each series as CSV under DIR
-//!   --loopback       live/calibrate: in-process deputy on 127.0.0.1 (default)
-//!   --endpoint ADDR  live/calibrate: connect to a deputy at ADDR instead
+//!   --csv DIR also write each series as CSV under DIR (every command)
+//!   --quick   tiny problem sizes (seconds instead of minutes): every
+//!             command but table1, fig2, calibrate, chaos and lifecycle
+//!   --loopback       live, calibrate, multisweep: in-process deputy on
+//!                    127.0.0.1 (default)
+//!   --endpoint ADDR  live, calibrate, multisweep: connect to a deputy at
+//!                    ADDR instead
 //!   --kernel NAME    profile: dgemm|stream|randomaccess|fft (default stream)
 //!   --scheme NAME    profile: ampom|noprefetch|openmosix (default ampom)
 //!   --json PATH      profile: write the JSONL event/phase stream to PATH
@@ -81,7 +84,10 @@
 //!                    BENCH_deputy.json; >20% pages/s regression fails
 //!                    clusterlife: compare against a committed
 //!                    BENCH_cluster.json; >20% throughput regression fails
-//!                    chaos, lifecycle: refused (exit 2), no gate
+//!
+//! A flag the command does not take (see [`COMMANDS`]) exits 2 before
+//! anything runs, naming the flag and the command. A CSV or gnuplot file
+//! that cannot be written exits 1.
 //!
 //! `chaos`, `lifecycle`, `deputybench` and `clusterlife` seed their runs
 //! from the `AMPOM_FAULT_SEED` environment variable (default 42),
@@ -102,6 +108,86 @@ use ampom_hpcc::{
     live,
 };
 use ampom_workloads::Kernel;
+
+/// The quick-size flag alone.
+const QUICK: &[&str] = &["--quick"];
+
+/// Every command and the flags it takes besides `--csv`, which every
+/// command takes (each emits its tables through `emit`). This is what
+/// the usage text above says, flag by flag; `check_flags` holds every
+/// invocation to it right after parsing.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("all", QUICK),
+    ("table1", &[]),
+    ("fig2", &[]),
+    ("fig4", QUICK),
+    ("fig5", QUICK),
+    ("fig6", QUICK),
+    ("fig7", QUICK),
+    ("fig8", QUICK),
+    ("fig9", QUICK),
+    ("fig10", QUICK),
+    ("fig11", QUICK),
+    ("ext-vm", QUICK),
+    ("ext-cluster", QUICK),
+    ("ext-ptrans", QUICK),
+    ("ext-interactive", QUICK),
+    ("ext-roundtrip", QUICK),
+    ("ext-syscall", QUICK),
+    ("ext-pressure", QUICK),
+    ("ext-hpl", QUICK),
+    ("ext-locality", QUICK),
+    ("ext-timing", QUICK),
+    ("ext-gossip", QUICK),
+    ("ext-accuracy", QUICK),
+    ("parsweep", QUICK),
+    ("faultsweep", QUICK),
+    ("timeline", QUICK),
+    ("check", QUICK),
+    ("sweep", QUICK),
+    ("live", &["--quick", "--loopback", "--endpoint"]),
+    ("calibrate", &["--loopback", "--endpoint"]),
+    (
+        "profile",
+        &[
+            "--quick", "--kernel", "--scheme", "--json", "--prom", "--top",
+        ],
+    ),
+    ("multisweep", &["--quick", "--loopback", "--endpoint"]),
+    ("bakeoff", &["--quick", "--prom"]),
+    ("chaos", &["--json", "--prom", "--scenario", "--bench"]),
+    ("lifecycle", &["--json", "--prom", "--bench"]),
+    (
+        "deputybench",
+        &[
+            "--quick",
+            "--json",
+            "--prom",
+            "--bench",
+            "--sessions",
+            "--baseline",
+        ],
+    ),
+    (
+        "clusterlife",
+        &["--quick", "--json", "--prom", "--bench", "--baseline"],
+    ),
+];
+
+/// Exits 2 unless `command` is in [`COMMANDS`] and takes every flag in
+/// `given`.
+fn check_flags(command: &str, given: &[String]) {
+    let Some((_, takes)) = COMMANDS.iter().find(|(name, _)| *name == command) else {
+        eprintln!("unknown command '{command}'; see --help");
+        std::process::exit(2);
+    };
+    for flag in given {
+        if flag != "--csv" && !takes.contains(&flag.as_str()) {
+            eprintln!("{flag}: {command} does not take this flag; see --help");
+            std::process::exit(2);
+        }
+    }
+}
 
 struct Options {
     command: String,
@@ -149,8 +235,12 @@ fn parse_args() -> Options {
     let mut out = facts::Outputs::default();
     let mut scenarios = Vec::new();
     let mut sessions = None;
+    let mut given = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if a.starts_with("--") {
+            given.push(a.clone());
+        }
         match a.as_str() {
             "--quick" => quick = true,
             "--csv" => {
@@ -208,12 +298,12 @@ fn parse_args() -> Options {
             }
             "--help" | "-h" => {
                 println!(
-                    "hpcc-repro [all|table1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|\
-                     ext-vm|ext-cluster|ext-ptrans|ext-interactive|ext-roundtrip|ext-syscall|ext-pressure|ext-hpl|ext-locality|ext-timing|ext-gossip|ext-accuracy|parsweep|faultsweep|timeline|check|sweep|live|calibrate|profile|multisweep|bakeoff|chaos|lifecycle|deputybench|clusterlife] \
-                     [--quick] [--csv DIR] [--loopback|--endpoint ADDR] \
-                     [--kernel K] [--scheme S] [--json PATH] [--prom PATH] [--top K] \
-                     [--scenario NAME] [--bench PATH] [--sessions LIST] [--baseline PATH]"
+                    "hpcc-repro [COMMAND] [FLAGS]; every command takes --csv DIR, \
+                     and these its other flags (see the crate docs):"
                 );
+                for (name, takes) in COMMANDS {
+                    println!("  {name:<16} {}", takes.join(" "));
+                }
                 std::process::exit(0);
             }
             cmd if !cmd.starts_with('-') => command = cmd.to_string(),
@@ -223,6 +313,7 @@ fn parse_args() -> Options {
             }
         }
     }
+    check_flags(&command, &given);
     prof.quick = quick;
     Options {
         command,
@@ -236,11 +327,13 @@ fn parse_args() -> Options {
     }
 }
 
+/// Prints `table` and writes its `--csv` files; exits 1 if one of them
+/// cannot be written.
 fn emit(table: &AsciiTable, opts: &Options, name: &str) {
     println!("{}", table.render());
     if let Some(dir) = &opts.csv_dir {
         if let Err(e) = table.write_csv(dir, name) {
-            eprintln!("warning: could not write {name}.csv: {e}");
+            exit_failed(format_args!("could not write {name}.csv: {e}"));
         }
         // Figures with a size-like x axis also get a gnuplot script, with
         // the paper's log-scale presentation for freeze times and fault
@@ -255,7 +348,7 @@ fn emit(table: &AsciiTable, opts: &Options, name: &str) {
         };
         if let Some((ylabel, log_y)) = plot {
             if let Err(e) = table.write_gnuplot(dir, name, ylabel, log_y) {
-                eprintln!("warning: could not write {name}.gp: {e}");
+                exit_failed(format_args!("could not write {name}.gp: {e}"));
             }
         }
     }
@@ -404,10 +497,8 @@ fn main() {
         None
     };
 
-    let mut ran = false;
     if wants("table1") {
         emit(&experiments::table1(), &opts, "table1");
-        ran = true;
     }
     if wants("fig2") {
         let (summary, timelines) = experiments::fig2();
@@ -416,53 +507,41 @@ fn main() {
             println!("--- {scheme} timeline (first events) ---");
             println!("{timeline}");
         }
-        ran = true;
     }
     if wants("fig4") {
         emit(&experiments::fig4(opts.quick), &opts, "fig4");
-        ran = true;
     }
     if let Some(cells) = &cells {
         if wants("fig5") {
             emit_all(&experiments::fig5(cells), &opts, "fig5");
-            ran = true;
         }
         if wants("fig6") {
             emit_all(&experiments::fig6(cells), &opts, "fig6");
-            ran = true;
         }
         if wants("fig7") {
             emit_all(&experiments::fig7(cells), &opts, "fig7");
-            ran = true;
         }
         if wants("fig8") {
             emit(&experiments::fig8(cells), &opts, "fig8");
-            ran = true;
         }
         if wants("fig11") {
             emit(&experiments::fig11(cells), &opts, "fig11");
-            ran = true;
         }
     }
     if wants("fig9") {
         emit(&experiments::fig9(opts.quick), &opts, "fig9");
-        ran = true;
     }
     if wants("fig10") {
         emit(&experiments::fig10(opts.quick), &opts, "fig10");
-        ran = true;
     }
     if wants("ext-vm") {
         emit(&extensions::ext_vm(opts.quick), &opts, "ext_vm");
-        ran = true;
     }
     if wants("ext-cluster") {
         emit(&extensions::ext_cluster(opts.quick), &opts, "ext_cluster");
-        ran = true;
     }
     if wants("ext-ptrans") {
         emit(&extensions::ext_ptrans(opts.quick), &opts, "ext_ptrans");
-        ran = true;
     }
     if wants("ext-interactive") {
         emit(
@@ -470,7 +549,6 @@ fn main() {
             &opts,
             "ext_interactive",
         );
-        ran = true;
     }
     if wants("ext-roundtrip") {
         emit(
@@ -478,51 +556,40 @@ fn main() {
             &opts,
             "ext_roundtrip",
         );
-        ran = true;
     }
     if wants("ext-syscall") {
         emit(&extensions::ext_syscall(opts.quick), &opts, "ext_syscall");
-        ran = true;
     }
     if wants("ext-pressure") {
         emit(&extensions::ext_pressure(opts.quick), &opts, "ext_pressure");
-        ran = true;
     }
     if wants("ext-accuracy") {
         emit(&extensions::ext_accuracy(opts.quick), &opts, "ext_accuracy");
-        ran = true;
     }
     if wants("ext-gossip") {
         emit(&extensions::ext_gossip(opts.quick), &opts, "ext_gossip");
-        ran = true;
     }
     if wants("ext-timing") {
         emit(&extensions::ext_timing(opts.quick), &opts, "ext_timing");
-        ran = true;
     }
     if wants("ext-locality") {
         emit(&extensions::ext_locality(opts.quick), &opts, "ext_locality");
-        ran = true;
     }
     if wants("ext-hpl") {
         emit(&extensions::ext_hpl(opts.quick), &opts, "ext_hpl");
-        ran = true;
     }
     if wants("parsweep") {
         let (grid, engine) = experiments::parsweep(opts.quick);
         emit(&grid, &opts, "parsweep_grid");
         emit(&engine, &opts, "parsweep_engine");
-        ran = true;
     }
     if wants("faultsweep") {
         let (grid, demo) = experiments::faultsweep(opts.quick);
         emit(&grid, &opts, "faultsweep_grid");
         emit(&demo, &opts, "faultsweep_policies");
-        ran = true;
     }
     if wants("timeline") {
         emit(&extensions::timeline(opts.quick), &opts, "timeline");
-        ran = true;
     }
     if wants("check") {
         let claims = checks::run_checklist(opts.quick);
@@ -532,11 +599,9 @@ fn main() {
             eprintln!("{failed} claim(s) FAILED");
             std::process::exit(1);
         }
-        ran = true;
     }
     if wants("sweep") {
         emit_all(&extensions::sweep(opts.quick), &opts, "sweep");
-        ran = true;
     }
     // The socket-backed commands are explicit-only: `all` regenerates the
     // paper's simulated artifacts and must not depend on live sockets.
@@ -546,15 +611,12 @@ fn main() {
     };
     if opts.command == "live" {
         emit(&live::live(opts.quick, &target), &opts, "live");
-        ran = true;
     }
     if opts.command == "calibrate" {
         emit(&live::calibrate(&target), &opts, "calibrate");
-        ran = true;
     }
     if opts.command == "profile" {
         run_profile_command(&opts);
-        ran = true;
     }
     if opts.command == "multisweep" {
         emit_all(
@@ -562,7 +624,6 @@ fn main() {
             &opts,
             "multisweep",
         );
-        ran = true;
     }
     if opts.command == "bakeoff" {
         let b = ampom_hpcc::bakeoff::run_bakeoff(opts.quick)
@@ -570,26 +631,17 @@ fn main() {
         emit(&ampom_hpcc::bakeoff::bakeoff_table(&b), &opts, "bakeoff");
         facts::write_prom(opts.out.prom.as_deref(), &b.prometheus)
             .unwrap_or_else(|e| exit_failed(e));
-        ran = true;
     }
     if opts.command == "chaos" {
         run_chaos_command(&opts);
-        ran = true;
     }
     if opts.command == "lifecycle" {
         run_lifecycle_command(&opts);
-        ran = true;
     }
     if opts.command == "deputybench" {
         run_deputybench_command(&opts);
-        ran = true;
     }
     if opts.command == "clusterlife" {
         run_clusterlife_command(&opts);
-        ran = true;
-    }
-    if !ran {
-        eprintln!("unknown command '{}'; see --help", opts.command);
-        std::process::exit(2);
     }
 }
