@@ -1,8 +1,8 @@
-//! Benchmarks of the extension subsystems: VM migration, the cluster
-//! balancer, round-trip migration and memory pressure.
+//! Benchmarks of the extension subsystems: VM migration, round-trip
+//! migration and memory pressure. The `algorithm` bench's `gossip` group
+//! times the cluster engine.
 
 use ampom_bench::Harness;
-use ampom_cluster::{simulate, BalancePolicy, ClusterConfig};
 use ampom_core::experiment::Experiment;
 use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig};
 use ampom_core::migration::Scheme;
@@ -29,20 +29,6 @@ fn vm_bench(h: &mut Harness) {
                 run_vm(vm, &cfg, mode).report.total_time
             });
         }
-    }
-    g.finish();
-}
-
-fn cluster_bench(h: &mut Harness) {
-    let mut g = h.group("ext_cluster");
-    g.sample_size(10);
-    for scheme in [Scheme::OpenMosix, Scheme::Ampom] {
-        g.bench(scheme.name(), || {
-            let mut cfg = ClusterConfig::standard(BalancePolicy::Aggressive, scheme);
-            cfg.nodes = 8;
-            cfg.jobs = 20;
-            simulate(&cfg).makespan
-        });
     }
     g.finish();
 }
@@ -82,7 +68,6 @@ fn pressure_bench(h: &mut Harness) {
 fn main() {
     let mut h = Harness::from_args();
     vm_bench(&mut h);
-    cluster_bench(&mut h);
     roundtrip_bench(&mut h);
     pressure_bench(&mut h);
     h.finish();

@@ -1,37 +1,8 @@
-//! Migration decision policies and the migration cost model.
+//! Migration decision policies and the deputy-contention model.
 
-use ampom_core::migration::Scheme;
-use ampom_core::scheduler::{freeze_time, post_migration_slowdown};
 use ampom_sim::time::{SimDuration, SimTime};
 
-use crate::job::Job;
-
-/// Which migration mechanism the cluster uses, with its cost model taken
-/// from the single-migration experiments (Figures 5–6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationModel {
-    /// The mechanism.
-    pub scheme: Scheme,
-}
-
-impl MigrationModel {
-    /// Freeze time for migrating `job`.
-    pub fn freeze(&self, job: &Job) -> SimDuration {
-        freeze_time(self.scheme, job.memory_mb)
-    }
-
-    /// Remote-paging tax applied to the job's remaining work.
-    pub fn slowdown(&self) -> f64 {
-        post_migration_slowdown(self.scheme)
-    }
-
-    /// Remote-paging tax when the job's home deputy concurrently serves
-    /// `migrants` away-jobs: the flat tax scaled by
-    /// [`contention_factor`].
-    pub fn slowdown_shared(&self, migrants: u64, solo_saturation: f64) -> f64 {
-        self.slowdown() * contention_factor(solo_saturation, migrants)
-    }
-}
+use crate::life::LifeJob;
 
 /// How much deputy sharing stretches remote paging.
 ///
@@ -44,36 +15,6 @@ impl MigrationModel {
 /// overload ratio.
 pub fn contention_factor(solo_saturation: f64, migrants: u64) -> f64 {
     (migrants as f64 * solo_saturation.clamp(0.0, 1.0)).max(1.0)
-}
-
-/// What a balancing policy needs to know about a runnable job. Both the
-/// tick-simulator's [`Job`] and the cluster-life engine's `LifeJob`
-/// implement this, so [`BalancePolicy::pick_migrant`] is the single
-/// decision rule for both.
-pub trait Migratable {
-    /// CPU work still outstanding.
-    fn remaining(&self) -> SimDuration;
-    /// Age at `now`.
-    fn age(&self, now: SimTime) -> SimDuration;
-    /// When the job last completed a migration, if ever.
-    fn last_migrated(&self) -> Option<SimTime>;
-    /// True when all work is done.
-    fn is_done(&self) -> bool;
-}
-
-impl Migratable for Job {
-    fn remaining(&self) -> SimDuration {
-        self.remaining
-    }
-    fn age(&self, now: SimTime) -> SimDuration {
-        Job::age(self, now)
-    }
-    fn last_migrated(&self) -> Option<SimTime> {
-        self.last_migrated
-    }
-    fn is_done(&self) -> bool {
-        Job::is_done(self)
-    }
 }
 
 /// Minimum believed load gap before any policy considers migrating: with
@@ -111,30 +52,27 @@ impl BalancePolicy {
     /// Both policies move the job with the most remaining work among the
     /// eligible ones (it amortises the freeze best); they differ in
     /// eligibility.
-    pub fn pick_migrant<J: Migratable>(
-        &self,
-        jobs: &[J],
-        now: SimTime,
-        load_gap: f64,
-    ) -> Option<usize> {
+    pub fn pick_migrant(&self, jobs: &[LifeJob], now: SimTime, load_gap: f64) -> Option<usize> {
         if load_gap < MIN_GAP {
             return None;
         }
-        let rested = |j: &J| match j.last_migrated() {
+        let rested = |j: &LifeJob| match j.last_migrated {
             Some(at) => now.saturating_since(at) >= RESIDENCY,
             None => true,
         };
-        let eligible = |j: &J| {
+        let eligible = |j: &LifeJob| {
             rested(j)
                 && match self {
-                    BalancePolicy::LifetimeThreshold(min_age) => j.age(now) >= *min_age,
+                    BalancePolicy::LifetimeThreshold(min_age) => {
+                        now.saturating_since(j.arrived) >= *min_age
+                    }
                     BalancePolicy::Aggressive => true,
                 }
         };
         jobs.iter()
             .enumerate()
-            .filter(|(_, j)| eligible(j) && !j.is_done())
-            .max_by_key(|(_, j)| j.remaining())
+            .filter(|(_, j)| eligible(j) && !j.remaining.is_zero())
+            .max_by_key(|(_, j)| j.remaining)
             .map(|(i, _)| i)
     }
 }
@@ -143,16 +81,22 @@ impl BalancePolicy {
 mod tests {
     use super::*;
     use crate::job::JobId;
+    use ampom_workloads::sizes::Kernel;
 
-    fn job(id: u64, arrived_s: u64, remaining_s: u64) -> Job {
-        let mut j = Job::new(
-            JobId(id),
-            SimTime::ZERO + SimDuration::from_secs(arrived_s),
-            SimDuration::from_secs(remaining_s),
-            115,
-        );
-        j.remaining = SimDuration::from_secs(remaining_s);
-        j
+    fn job(id: u64, arrived_s: u64, remaining_s: u64) -> LifeJob {
+        LifeJob {
+            id: JobId(id),
+            kernel: Kernel::Dgemm,
+            arrived: SimTime::ZERO + SimDuration::from_secs(arrived_s),
+            demand: SimDuration::from_secs(remaining_s),
+            remaining: SimDuration::from_secs(remaining_s),
+            memory_mb: 115,
+            dirty_fraction: 0.35,
+            migrations: 0,
+            last_migrated: None,
+            home: 0,
+            stubs: 0,
+        }
     }
 
     #[test]
@@ -218,12 +162,6 @@ mod tests {
         // Degenerate inputs stay sane.
         assert_eq!(contention_factor(-1.0, 50), 1.0);
         assert_eq!(contention_factor(2.0, 3), 3.0);
-
-        let ampom = MigrationModel {
-            scheme: Scheme::Ampom,
-        };
-        assert_eq!(ampom.slowdown_shared(1, 0.1), ampom.slowdown());
-        assert!((ampom.slowdown_shared(30, 0.1) - ampom.slowdown() * 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -238,19 +176,5 @@ mod tests {
             "factor {factor} must track {beyond}, not wrap"
         );
         assert!(contention_factor(1.0, beyond) > contention_factor(1.0, u64::from(u32::MAX)));
-    }
-
-    #[test]
-    fn migration_model_costs_track_scheme() {
-        let eager = MigrationModel {
-            scheme: Scheme::OpenMosix,
-        };
-        let ampom = MigrationModel {
-            scheme: Scheme::Ampom,
-        };
-        let j = job(1, 0, 100);
-        assert!(eager.freeze(&j) > ampom.freeze(&j) * 10);
-        assert_eq!(eager.slowdown(), 0.0);
-        assert!(ampom.slowdown() > 0.0 && ampom.slowdown() < 0.1);
     }
 }

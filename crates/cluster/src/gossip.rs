@@ -24,93 +24,6 @@ pub struct LoadEntry {
     pub measured_at: SimTime,
 }
 
-/// A node's (stale, partial) view of cluster load.
-#[derive(Debug, Clone)]
-pub struct LoadView {
-    entries: Vec<Option<LoadEntry>>,
-    me: usize,
-}
-
-impl LoadView {
-    /// A fresh view for node `me` of an `n`-node cluster: it knows only
-    /// itself.
-    pub fn new(n: usize, me: usize) -> Self {
-        assert!(me < n);
-        let mut entries = vec![None; n];
-        entries[me] = Some(LoadEntry {
-            load: 0.0,
-            measured_at: SimTime::ZERO,
-        });
-        LoadView { entries, me }
-    }
-
-    /// Updates this node's own entry.
-    pub fn set_own(&mut self, load: f64, now: SimTime) {
-        self.entries[self.me] = Some(LoadEntry {
-            load,
-            measured_at: now,
-        });
-    }
-
-    /// Merges a received entry under the pinned freshness rule of
-    /// [`merge_wins`]: strictly fresher wins; at equal timestamps the
-    /// higher load wins.
-    pub fn merge(&mut self, node: usize, entry: LoadEntry) {
-        match self.entries[node] {
-            Some(existing) if !merge_wins(existing, entry) => {}
-            _ => self.entries[node] = Some(entry),
-        }
-    }
-
-    /// The entry for `node`, if known.
-    pub fn entry(&self, node: usize) -> Option<LoadEntry> {
-        self.entries[node]
-    }
-
-    /// How many peers this node knows about (excluding itself).
-    pub fn known_peers(&self) -> usize {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|&(i, e)| i != self.me && e.is_some())
-            .count()
-    }
-
-    /// The least-loaded node this view knows of (other than `me`),
-    /// ignoring entries older than `max_age` relative to `now`.
-    pub fn least_loaded_peer(
-        &self,
-        now: SimTime,
-        max_age: ampom_sim::time::SimDuration,
-    ) -> Option<(usize, f64)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != self.me)
-            .filter_map(|(i, e)| e.map(|e| (i, e)))
-            .filter(|(_, e)| now.saturating_since(e.measured_at) <= max_age)
-            .map(|(i, e)| (i, e.load))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// A random half of the known entries (the MOSIX gossip payload),
-    /// always including this node's own entry first.
-    pub fn gossip_payload(&self, rng: &mut SimRng) -> Vec<(usize, LoadEntry)> {
-        let mut known: Vec<(usize, LoadEntry)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != self.me)
-            .filter_map(|(i, e)| e.map(|e| (i, e)))
-            .collect();
-        rng.shuffle(&mut known);
-        known.truncate(known.len() / 2);
-        let mut payload = vec![(self.me, self.entries[self.me].expect("own entry"))];
-        payload.extend(known);
-        payload
-    }
-}
-
 /// The pinned merge rule: does `incoming` replace `existing`?
 ///
 /// * A strictly fresher measurement always wins.
@@ -140,16 +53,18 @@ fn eviction_key(node: usize, entry: LoadEntry) -> EvictionKey {
     Reverse((entry.measured_at, Reverse(node)))
 }
 
-/// A bounded, age-stamped load window — the 1000-node form of
-/// [`LoadView`].
+/// A node's stale, partial view of cluster load: a bounded, age-stamped
+/// window of peer entries.
 ///
-/// A full `LoadView` holds one slot per cluster node, which is fine at 16
-/// nodes and pure waste at 1000+: MOSIX's dissemination deliberately keeps
-/// only a *window* of the freshest vector entries per node, because stale
-/// entries are worse than no entries. `WindowView` keeps at most
+/// A full load vector holds one slot per cluster node, which is fine at
+/// 16 nodes and pure waste at 1000+: MOSIX's dissemination deliberately
+/// keeps only a *window* of the freshest vector entries per node, because
+/// stale entries are worse than no entries. `WindowView` keeps at most
 /// `capacity` peer entries, rejects entries already older than the
 /// staleness bound at merge time, and evicts the stalest entry when full
-/// (ties broken by the higher node id, so eviction is deterministic).
+/// (ties broken by the higher node id, so eviction is deterministic). A
+/// window whose capacity covers every peer never evicts: it is the full
+/// vector.
 ///
 /// The window's order is observable: [`WindowView::payload`] shuffles it,
 /// so an insert always pushes and an eviction always `swap_remove`s. A
@@ -399,47 +314,6 @@ pub fn plan_gossip(
     Some((target, view.payload(rng)))
 }
 
-/// Gossip parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GossipConfig {
-    /// Entries older than this are not trusted for decisions.
-    pub max_age: ampom_sim::time::SimDuration,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            max_age: ampom_sim::time::SimDuration::from_secs(8),
-        }
-    }
-}
-
-/// One gossip round: every node sends its payload to one random peer.
-pub fn gossip_round(views: &mut [LoadView], now: SimTime, rng: &mut SimRng) {
-    let n = views.len();
-    if n < 2 {
-        return;
-    }
-    // Collect sends first so a round is "simultaneous" (no intra-round
-    // relaying), then deliver.
-    let mut deliveries: Vec<(usize, Vec<(usize, LoadEntry)>)> = Vec::with_capacity(n);
-    for (i, view) in views.iter().enumerate() {
-        let mut target = rng.below(n as u64 - 1) as usize;
-        if target >= i {
-            target += 1;
-        }
-        let mut forked = rng.fork(now.as_nanos() ^ i as u64);
-        deliveries.push((target, view.gossip_payload(&mut forked)));
-    }
-    for (target, payload) in deliveries {
-        for (node, entry) in payload {
-            if node != target {
-                views[target].merge(node, entry);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,9 +323,39 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(s)
     }
 
+    /// Long enough that no entry in these tests is refused as stale.
+    const TRUST_ALL: SimDuration = SimDuration::from_secs(3600);
+
+    /// A window that holds every peer of an `n`-node cluster.
+    fn full(n: usize, me: usize) -> WindowView {
+        WindowView::new(me, n)
+    }
+
+    fn entry(load: f64, at: u64) -> LoadEntry {
+        LoadEntry {
+            load,
+            measured_at: t(at),
+        }
+    }
+
+    /// One simultaneous push round: every node plans its send from the
+    /// pre-round views, then the payloads are delivered in node order.
+    fn round(views: &mut [WindowView], now: SimTime, rng: &mut SimRng) {
+        let n = views.len();
+        let plans: Vec<_> = views
+            .iter()
+            .filter_map(|v| plan_gossip(v, n, rng))
+            .collect();
+        for (target, payload) in plans {
+            for (node, e) in payload {
+                views[target].merge(node, e, now, TRUST_ALL);
+            }
+        }
+    }
+
     #[test]
     fn fresh_view_knows_only_itself() {
-        let v = LoadView::new(8, 3);
+        let v = full(8, 3);
         assert_eq!(v.known_peers(), 0);
         assert!(v.entry(3).is_some());
         assert!(v.entry(0).is_none());
@@ -459,49 +363,19 @@ mod tests {
 
     #[test]
     fn merge_keeps_fresher_entry() {
-        let mut v = LoadView::new(4, 0);
-        v.merge(
-            1,
-            LoadEntry {
-                load: 5.0,
-                measured_at: t(10),
-            },
-        );
-        v.merge(
-            1,
-            LoadEntry {
-                load: 9.0,
-                measured_at: t(5),
-            },
-        ); // staler
+        let mut v = full(4, 0);
+        v.merge(1, entry(5.0, 10), t(10), TRUST_ALL);
+        v.merge(1, entry(9.0, 5), t(10), TRUST_ALL); // staler
         assert_eq!(v.entry(1).unwrap().load, 5.0);
-        v.merge(
-            1,
-            LoadEntry {
-                load: 2.0,
-                measured_at: t(20),
-            },
-        ); // fresher
+        v.merge(1, entry(2.0, 20), t(20), TRUST_ALL); // fresher
         assert_eq!(v.entry(1).unwrap().load, 2.0);
     }
 
     #[test]
     fn least_loaded_respects_staleness() {
-        let mut v = LoadView::new(4, 0);
-        v.merge(
-            1,
-            LoadEntry {
-                load: 1.0,
-                measured_at: t(0),
-            },
-        );
-        v.merge(
-            2,
-            LoadEntry {
-                load: 3.0,
-                measured_at: t(9),
-            },
-        );
+        let mut v = full(4, 0);
+        v.merge(1, entry(1.0, 0), t(0), TRUST_ALL);
+        v.merge(2, entry(3.0, 9), t(9), TRUST_ALL);
         let now = t(10);
         // Node 1 is cheaper but its entry is 10 s old; with max_age 8 s it
         // is distrusted.
@@ -515,13 +389,13 @@ mod tests {
     #[test]
     fn gossip_spreads_information() {
         let n = 16;
-        let mut views: Vec<LoadView> = (0..n).map(|i| LoadView::new(n, i)).collect();
+        let mut views: Vec<WindowView> = (0..n).map(|i| full(n, i)).collect();
         let mut rng = SimRng::seed_from_u64(11);
         for (i, v) in views.iter_mut().enumerate() {
             v.set_own(i as f64, t(0));
         }
-        for round in 0..20 {
-            gossip_round(&mut views, t(round), &mut rng);
+        for r in 0..20 {
+            round(&mut views, t(r), &mut rng);
         }
         // After 20 rounds of push gossip every node should know most of
         // the cluster.
@@ -531,24 +405,12 @@ mod tests {
 
     #[test]
     fn gossip_payload_contains_self_first() {
-        let mut v = LoadView::new(8, 2);
+        let mut v = full(8, 2);
         v.set_own(4.0, t(1));
-        v.merge(
-            0,
-            LoadEntry {
-                load: 1.0,
-                measured_at: t(1),
-            },
-        );
-        v.merge(
-            5,
-            LoadEntry {
-                load: 2.0,
-                measured_at: t(1),
-            },
-        );
+        v.merge(0, entry(1.0, 1), t(1), TRUST_ALL);
+        v.merge(5, entry(2.0, 1), t(1), TRUST_ALL);
         let mut rng = SimRng::seed_from_u64(3);
-        let payload = v.gossip_payload(&mut rng);
+        let payload = v.payload(&mut rng);
         assert_eq!(payload[0].0, 2);
         assert_eq!(payload[0].1.load, 4.0);
         // Half of the two known peers = 1 extra entry.
@@ -561,29 +423,13 @@ mod tests {
         // (`existing.measured_at >= entry.measured_at` keeps existing)
         // silently dropped the balancer's pessimistic bump whenever it
         // carried the same tick timestamp as the owner's measurement.
-        let mut v = LoadView::new(4, 0);
-        v.merge(
-            1,
-            LoadEntry {
-                load: 2.0,
-                measured_at: t(7),
-            },
-        );
-        v.merge(
-            1,
-            LoadEntry {
-                load: 3.0,
-                measured_at: t(7),
-            },
-        ); // same timestamp, higher load: wins
+        let mut v = full(4, 0);
+        v.merge(1, entry(2.0, 7), t(7), TRUST_ALL);
+        // Same timestamp, higher load: wins.
+        v.merge(1, entry(3.0, 7), t(7), TRUST_ALL);
         assert_eq!(v.entry(1).unwrap().load, 3.0);
-        v.merge(
-            1,
-            LoadEntry {
-                load: 1.0,
-                measured_at: t(7),
-            },
-        ); // same timestamp, lower load: loses
+        // Same timestamp, lower load: loses.
+        v.merge(1, entry(1.0, 7), t(7), TRUST_ALL);
         assert_eq!(v.entry(1).unwrap().load, 3.0);
     }
 
@@ -592,26 +438,8 @@ mod tests {
         // Any delivery order of the same entry set converges to the same
         // view — the property the parallel engine's sequential-apply
         // phase relies on.
-        let entries = [
-            LoadEntry {
-                load: 2.0,
-                measured_at: t(7),
-            },
-            LoadEntry {
-                load: 5.0,
-                measured_at: t(7),
-            },
-            LoadEntry {
-                load: 9.0,
-                measured_at: t(3),
-            },
-            LoadEntry {
-                load: 1.0,
-                measured_at: t(7),
-            },
-        ];
-        // All 4! orders, generated by repeated rotation/swap: simplest is
-        // to test a handful of distinct permutations.
+        let entries = [entry(2.0, 7), entry(5.0, 7), entry(9.0, 3), entry(1.0, 7)];
+        // A handful of distinct permutations of the 4! orders.
         let orders: [[usize; 4]; 6] = [
             [0, 1, 2, 3],
             [3, 2, 1, 0],
@@ -621,9 +449,9 @@ mod tests {
             [2, 0, 3, 1],
         ];
         for order in orders {
-            let mut v = LoadView::new(2, 0);
+            let mut v = full(2, 0);
             for &k in &order {
-                v.merge(1, entries[k]);
+                v.merge(1, entries[k], t(7), TRUST_ALL);
             }
             let got = v.entry(1).unwrap();
             assert_eq!((got.load, got.measured_at), (5.0, t(7)), "order {order:?}");
@@ -773,9 +601,9 @@ mod tests {
 
     #[test]
     fn single_node_cluster_gossips_harmlessly() {
-        let mut views = vec![LoadView::new(1, 0)];
+        let mut views = vec![full(1, 0)];
         let mut rng = SimRng::seed_from_u64(1);
-        gossip_round(&mut views, t(0), &mut rng);
+        round(&mut views, t(0), &mut rng);
         assert_eq!(views[0].known_peers(), 0);
     }
 }

@@ -1,125 +1,5 @@
-//! Batch jobs.
-
-use ampom_sim::time::{SimDuration, SimTime};
+//! Job identity.
 
 /// Unique job identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
-
-/// A CPU-bound batch job with a memory footprint.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// Identifier.
-    pub id: JobId,
-    /// When the job arrived.
-    pub arrived: SimTime,
-    /// Total CPU demand.
-    pub demand: SimDuration,
-    /// CPU work still outstanding.
-    pub remaining: SimDuration,
-    /// Resident-set size in MB (drives migration cost).
-    pub memory_mb: u64,
-    /// Number of times the job has been migrated. u64: cluster-life runs
-    /// accumulate migrations over the whole horizon, and a capped counter
-    /// would truncate silently (the PR 9 `pages.len() as u32` lesson).
-    pub migrations: u64,
-    /// When the job last completed a migration (residency cooldowns key
-    /// off this; openMosix likewise requires a minimum residency before a
-    /// process is eligible to move again).
-    pub last_migrated: Option<SimTime>,
-    /// The node the job first migrated away from. In the openMosix home
-    /// model a migrated process keeps paging through its home node's
-    /// deputy, so every away-job loads that node's shared page service.
-    pub home: Option<usize>,
-}
-
-impl Job {
-    /// Creates a job arriving at `arrived`.
-    pub fn new(id: JobId, arrived: SimTime, demand: SimDuration, memory_mb: u64) -> Self {
-        Job {
-            id,
-            arrived,
-            demand,
-            remaining: demand,
-            memory_mb,
-            migrations: 0,
-            last_migrated: None,
-            home: None,
-        }
-    }
-
-    /// The job's age at `now`.
-    pub fn age(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.arrived)
-    }
-
-    /// True when all work is done.
-    pub fn is_done(&self) -> bool {
-        self.remaining.is_zero()
-    }
-}
-
-/// A completed job's accounting record.
-#[derive(Debug, Clone, Copy)]
-pub struct Completion {
-    /// The job.
-    pub id: JobId,
-    /// Turnaround: arrival to completion.
-    pub turnaround: SimDuration,
-    /// Pure CPU demand (ideal single-node, idle-machine runtime).
-    pub demand: SimDuration,
-    /// Times migrated.
-    pub migrations: u64,
-}
-
-impl Completion {
-    /// Slowdown factor: turnaround / demand (≥ 1 in an idle cluster).
-    pub fn slowdown(&self) -> f64 {
-        let d = self.demand.as_secs_f64();
-        if d <= 0.0 {
-            1.0
-        } else {
-            self.turnaround.as_secs_f64() / d
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn job_lifecycle() {
-        let t0 = SimTime::ZERO;
-        let mut j = Job::new(JobId(1), t0, SimDuration::from_secs(10), 115);
-        assert!(!j.is_done());
-        assert_eq!(
-            j.age(t0 + SimDuration::from_secs(3)),
-            SimDuration::from_secs(3)
-        );
-        j.remaining = SimDuration::ZERO;
-        assert!(j.is_done());
-    }
-
-    #[test]
-    fn slowdown_is_turnaround_over_demand() {
-        let c = Completion {
-            id: JobId(1),
-            turnaround: SimDuration::from_secs(30),
-            demand: SimDuration::from_secs(10),
-            migrations: 1,
-        };
-        assert!((c.slowdown() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_demand_slowdown_is_one() {
-        let c = Completion {
-            id: JobId(1),
-            turnaround: SimDuration::from_secs(30),
-            demand: SimDuration::ZERO,
-            migrations: 0,
-        };
-        assert_eq!(c.slowdown(), 1.0);
-    }
-}

@@ -6,38 +6,33 @@
 //! openMosix to perform more aggressive migrations since the performance
 //! penalty of suboptimal decisions has been dramatically decreased."
 //!
-//! This crate builds the cluster-level substrate needed to measure that
-//! claim at scale:
+//! This crate measures that claim with one cluster engine:
 //!
 //! * [`gossip`] — MOSIX/openMosix's probabilistic load dissemination:
 //!   each node periodically sends its load vector to a randomly chosen
 //!   peer, so every node has a *stale, partial* view of cluster load —
 //!   exactly the information a real openMosix balancer works from,
-//! * [`job`] — batch jobs with CPU demand and memory footprints,
 //! * [`balancer`] — the migration decision rule (greedy: move work toward
-//!   the least-loaded *known* node when the imbalance justifies it),
-//! * [`simulation`] — the tick-driven cluster simulator combining
-//!   arrivals, gossip, decisions, processor-sharing execution and the
-//!   migration cost model calibrated from the paper's Figure 5/6 results,
-//! * [`life`] — the cluster-life engine: Poisson arrivals over a Table 1
-//!   kernel mix, bounded [`gossip::WindowView`] dissemination at
-//!   300–1000+ nodes, lifecycle placement with remigration and
-//!   home-return chains, and a compute/apply tick split that is
-//!   bit-identical across thread counts.
+//!   the least-loaded *known* node when the imbalance justifies it) and
+//!   the deputy-contention model,
+//! * [`life`] — the engine: Poisson arrivals over a Table 1 kernel mix,
+//!   bounded [`gossip::WindowView`] dissemination from 2 to 1000+ nodes,
+//!   lifecycle placement with remigration and home-return chains priced
+//!   by the calibrated freeze model, and a compute/apply tick split that
+//!   is bit-identical across thread counts,
+//! * [`job`] — job identity.
 //!
 //! The headline experiment (`hpcc-repro ext-cluster`, and
-//! `examples/cluster_balance.rs`) compares eager-openMosix migration
-//! against AMPoM migration under both conservative and aggressive
-//! policies on a skewed-arrival cluster.
+//! `examples/cluster_balance.rs`) runs [`LifeConfig::batch`] to compare
+//! eager-openMosix migration against AMPoM migration under both
+//! conservative and aggressive policies on a skewed-arrival cluster.
 
 pub mod balancer;
 pub mod gossip;
 pub mod job;
 pub mod life;
-pub mod simulation;
 
-pub use balancer::{BalancePolicy, Migratable, MigrationModel};
-pub use gossip::{GossipConfig, LoadView, WindowView};
-pub use job::{Job, JobId};
+pub use balancer::BalancePolicy;
+pub use gossip::WindowView;
+pub use job::JobId;
 pub use life::{run_cluster_life, CrashEvent, JobMix, JobSpec, LifeConfig, LifeJob, LifeOutcome};
-pub use simulation::{simulate, ClusterConfig, ClusterOutcome};

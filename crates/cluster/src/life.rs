@@ -1,17 +1,22 @@
-//! The cluster-life engine: job arrivals, windowed gossip, lifecycle
-//! placement and home-return chains at 300–1000+ nodes.
+//! The cluster engine: job arrivals, windowed gossip, lifecycle
+//! placement and home-return chains, from 2 nodes to 1000+.
 //!
-//! The tick simulator in [`crate::simulation`] answers one question —
-//! *does aggressive balancing pay off under a given migration scheme?* —
-//! on a 16-node cluster it can afford to model with full per-node load
-//! vectors. This module is the ROADMAP item 1 engine: a cluster *lives*
-//! for a simulated horizon under Poisson arrivals over a kernel mix
-//! ([`JobMix`]), disseminates load through bounded
+//! A cluster *lives* for a simulated horizon under Poisson arrivals over
+//! a kernel mix ([`JobMix`]), disseminates load through bounded
 //! [`crate::gossip::WindowView`]s (openMosix's oM_infoD at a scale where
-//! full vectors are unaffordable), and composes the PR 8 lifecycle cost
-//! model: out-migrations pay the calibrated freeze, remigrations move the
-//! stub-less body again, and home-returns ship only the dirty footprint
+//! full vectors are unaffordable; a window that covers every peer is the
+//! full vector), and composes the lifecycle cost model: out-migrations
+//! pay the calibrated freeze, remigrations move the stub-less body
+//! again, and home-returns ship only the dirty footprint
 //! ([`ampom_core::lifecycle::LifecycleCostModel`]).
+//!
+//! Two presets cover the experiments: [`LifeConfig::standard`] runs the
+//! paper mix at ~70% offered load for an hour (`hpcc-repro
+//! clusterlife`), and [`LifeConfig::batch`] submits a fixed batch of
+//! DGEMM-sized jobs to a small cluster — the §7 question *does
+//! aggressive balancing pay off under a given migration scheme?*
+//! (`hpcc-repro ext-cluster`, `ext-gossip`, and
+//! `examples/cluster_balance.rs`).
 //!
 //! ## Deputy-chain avoidance
 //!
@@ -37,7 +42,7 @@
 use std::time::{Duration, Instant};
 
 use ampom_core::lifecycle::LifecycleCostModel;
-use ampom_core::migration::Scheme;
+use ampom_core::migration::{freeze_bytes, Scheme};
 use ampom_net::calibration::fast_ethernet;
 use ampom_net::link::{Link, LinkConfig};
 use ampom_obs::Series;
@@ -46,10 +51,9 @@ use ampom_sim::stats::OnlineStats;
 use ampom_sim::time::{SimDuration, SimTime};
 use ampom_workloads::sizes::{sizes_for, Kernel};
 
-use crate::balancer::{contention_factor, BalancePolicy, Migratable, MigrationModel};
+use crate::balancer::{contention_factor, BalancePolicy};
 use crate::gossip::{plan_gossip, LoadEntry, WindowView, MAX_WINDOW};
 use crate::job::JobId;
-use crate::simulation::freeze_bytes;
 
 /// Fork label for the arrival-schedule stream.
 const ARRIVAL_SALT: u64 = 0x4152_5256; // "ARRV"
@@ -174,8 +178,10 @@ pub struct LifeConfig {
     pub network: LinkConfig,
     /// Switch-fabric capacity as a multiple of one link.
     pub fabric_capacity_links: u64,
-    /// Deputy solo saturation (contention model, as in
-    /// [`crate::simulation::ClusterConfig`]).
+    /// Fraction of a home deputy one solo migrant keeps busy (the
+    /// multi-migrant sweep's saturation at N=1). An away job's paging tax
+    /// scales by [`contention_factor`] once its home's away jobs
+    /// together exceed the deputy's capacity.
     pub deputy_solo_saturation: f64,
     /// Node crash schedule.
     pub crashes: Vec<CrashEvent>,
@@ -211,6 +217,29 @@ impl LifeConfig {
             crashes: Vec::new(),
             seed: 0xC1FE,
             threads: 1,
+        }
+    }
+
+    /// A batch of `jobs` DGEMM jobs at Table 1's second size (230 MB,
+    /// mean demand 90 s, 0.35 of the footprint dirtied away) arriving 2 s
+    /// apart on average on a quarter of `nodes`, from seed `0xC1`; the
+    /// rest is [`LifeConfig::standard`]. Its 64-entry window holds every
+    /// peer of a cluster of up to 65 nodes, so it never evicts, and its
+    /// hour-long horizon outlasts the batches the experiments run.
+    pub fn batch(nodes: usize, jobs: u64, scheme: Scheme) -> Self {
+        let dgemm = JobSpec {
+            kernel: Kernel::Dgemm,
+            memory_mb: sizes_for(Kernel::Dgemm)[1].memory_mb,
+            mean_demand: SimDuration::from_secs(90),
+            dirty_fraction: 0.35,
+            weight: 1,
+        };
+        LifeConfig {
+            mean_interarrival: SimDuration::from_secs(2),
+            max_jobs: Some(jobs),
+            mix: JobMix { specs: vec![dgemm] },
+            seed: 0xC1,
+            ..LifeConfig::standard(nodes, scheme)
         }
     }
 
@@ -282,21 +311,6 @@ pub struct LifeJob {
     pub home: usize,
     /// Live deputy stubs; chain avoidance keeps this ≤ 1 always.
     pub stubs: u8,
-}
-
-impl Migratable for LifeJob {
-    fn remaining(&self) -> SimDuration {
-        self.remaining
-    }
-    fn age(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.arrived)
-    }
-    fn last_migrated(&self) -> Option<SimTime> {
-        self.last_migrated
-    }
-    fn is_done(&self) -> bool {
-        self.remaining.is_zero()
-    }
 }
 
 /// Aggregate outcome of a cluster-life run. Every counter is u64.
@@ -423,6 +437,19 @@ enum PlannedMove {
     Return { job: JobId },
 }
 
+/// Remote-paging tax of a lazy scheme: it resumes at once but pays for
+/// remote faults afterwards, modelled as a fractional slowdown of the
+/// remaining work (calibrated from Figure 6: AMPoM ≈ 3%, NoPrefetch
+/// ≈ 35%).
+fn post_migration_slowdown(scheme: Scheme) -> f64 {
+    match scheme {
+        Scheme::OpenMosix => 0.0,
+        Scheme::Ampom => 0.03,
+        Scheme::NoPrefetch => 0.35,
+        Scheme::Ffa => 0.30,
+    }
+}
+
 /// Runs `f(i)` for every `i in 0..n`, slicing across `threads` workers in
 /// contiguous chunks and concatenating in index order. `f` must depend
 /// only on `i` and captured immutable state, which is exactly why the
@@ -464,7 +491,7 @@ where
 pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
     cfg.validate().expect("invalid LifeConfig");
     let tick = SimDuration::from_secs(1);
-    let model = MigrationModel { scheme: cfg.scheme };
+    let paging_tax = post_migration_slowdown(cfg.scheme);
     let costs = LifecycleCostModel::new(cfg.scheme);
     let base_rng = SimRng::seed_from_u64(cfg.seed);
 
@@ -679,7 +706,7 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
                 let returner = nodes[i]
                     .queue
                     .iter()
-                    .filter(|j| j.home != i && rested(j) && !j.is_done())
+                    .filter(|j| j.home != i && rested(j) && !j.remaining.is_zero())
                     .filter(|j| {
                         views[i].entry(j.home).is_some_and(|e| {
                             now.saturating_since(e.measured_at) <= cfg.max_age
@@ -836,7 +863,7 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
             let share = tick / node.queue.len() as u64;
             for job in node.queue.iter_mut() {
                 let tax = if job.home != at {
-                    model.slowdown()
+                    paging_tax
                         * contention_factor(
                             cfg.deputy_solo_saturation,
                             away_snapshot[job.home].max(1),
@@ -850,7 +877,7 @@ pub fn run_cluster_life(cfg: &LifeConfig) -> LifeOutcome {
             }
             let mut k = 0;
             while k < node.queue.len() {
-                if node.queue[k].is_done() {
+                if node.queue[k].remaining.is_zero() {
                     let j = node.queue.swap_remove(k);
                     if j.home != at {
                         freed_homes.push(j.home);
@@ -972,6 +999,16 @@ mod tests {
             "node 0 takes arrivals; its crash kills jobs"
         );
         assert!(out.conserves_jobs(), "{out:?}");
+    }
+
+    #[test]
+    fn paging_tax_tracks_scheme() {
+        // Eager migration pages nothing remotely; AMPoM's prefetching
+        // keeps its tax a small fraction of NoPrefetch's.
+        assert_eq!(post_migration_slowdown(Scheme::OpenMosix), 0.0);
+        let ampom = post_migration_slowdown(Scheme::Ampom);
+        assert!(ampom > 0.0 && ampom < 0.1);
+        assert!(post_migration_slowdown(Scheme::NoPrefetch) > 10.0 * ampom);
     }
 
     #[test]

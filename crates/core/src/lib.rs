@@ -40,9 +40,12 @@
 //!   the simulated deputy transport behind it,
 //! * [`runner`] — the run configuration and the simulated runner (the
 //!   loop over a [`transport::SimulatedTransport`]) producing
-//!   [`metrics::RunReport`]s,
-//! * [`scheduler`] — the §7 future-work sketch: load-balancing policies
-//!   that exploit cheap migrations.
+//!   [`metrics::RunReport`]s.
+//!
+//! The §7 future-work claim — cheap freezes let a scheduler migrate
+//! aggressively — is measured at cluster scale by `ampom-cluster`, which
+//! prices each move with [`migration::freeze_time`] and
+//! [`lifecycle::LifecycleCostModel`].
 //!
 //! ## Quick start
 //!
@@ -103,7 +106,6 @@ pub mod policy;
 pub mod prefetcher;
 pub mod reliability;
 pub mod runner;
-pub mod scheduler;
 pub mod score;
 pub mod slo;
 pub mod sweep;

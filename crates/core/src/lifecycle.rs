@@ -116,7 +116,7 @@ impl WritebackSpec {
 /// return chain page by page. A 1000-node cluster-life engine cannot
 /// afford that per job, so it charges this analytic model built from the
 /// *same* constants: outbound freezes from
-/// [`crate::scheduler::freeze_time`], return traffic from the dirty
+/// [`crate::migration::freeze_time`], return traffic from the dirty
 /// footprint via [`writeback_batch_bytes`] (the home-return merge only
 /// ships pages the away phase dirtied — clean pages are free at home,
 /// §2.2), and the return freeze as the scheme's freeze over that dirty
@@ -143,7 +143,7 @@ impl LifecycleCostModel {
     /// Freeze paid when the job leaves home (or remigrates): the Figure 5
     /// calibration for the scheme.
     pub fn outbound_freeze(&self, memory_mb: u64) -> SimDuration {
-        crate::scheduler::freeze_time(self.scheme, memory_mb)
+        crate::migration::freeze_time(self.scheme, memory_mb)
     }
 
     /// Pages the away phase dirtied and the return must reconcile.
@@ -174,7 +174,7 @@ impl LifecycleCostModel {
     pub fn return_freeze(&self, memory_mb: u64, dirty_fraction: f64) -> SimDuration {
         let dirty_mb =
             (self.dirty_pages(memory_mb, dirty_fraction) * PAGE_SIZE).div_ceil(1024 * 1024);
-        crate::scheduler::freeze_time(self.scheme, dirty_mb.max(1))
+        crate::migration::freeze_time(self.scheme, dirty_mb.max(1))
     }
 }
 
@@ -1011,7 +1011,7 @@ mod tests {
         // Outbound freeze is exactly the Figure 5 calibration.
         assert_eq!(
             m.outbound_freeze(230),
-            crate::scheduler::freeze_time(Scheme::Ampom, 230)
+            crate::migration::freeze_time(Scheme::Ampom, 230)
         );
         // Return bytes are the dirty pages in capped writeback batches
         // with the v4 frame overheads — the same constants the simulated
@@ -1038,7 +1038,7 @@ mod tests {
         assert!(clean < dirty, "{clean:?} vs {dirty:?}");
         // The dirtiest return costs exactly the freeze of the full
         // footprint.
-        assert_eq!(dirty, crate::scheduler::freeze_time(Scheme::Ampom, 460));
+        assert_eq!(dirty, crate::migration::freeze_time(Scheme::Ampom, 460));
         // Degenerate dirty fractions clamp instead of exploding.
         assert_eq!(m.dirty_pages(230, -1.0), 0);
         assert_eq!(m.dirty_pages(230, 2.0), m.dirty_pages(230, 1.0));

@@ -23,7 +23,7 @@ use ampom_mem::page::{PageId, PAGE_SIZE};
 use ampom_mem::region::{MemoryLayout, RegionKind};
 use ampom_mem::space::AddressSpace;
 use ampom_mem::table::PageTablePair;
-use ampom_net::calibration::{EAGER_PAGE_COST, MIGRATION_BASE_COST, MPT_ENTRY_COST};
+use ampom_net::calibration::{fast_ethernet, EAGER_PAGE_COST, MIGRATION_BASE_COST, MPT_ENTRY_COST};
 use ampom_sim::time::{SimDuration, SimTime};
 use ampom_sim::trace::{Trace, TraceData, TraceKind};
 
@@ -62,6 +62,30 @@ impl fmt::Display for Scheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// Bytes a migration of a `memory_mb` footprint moves during its freeze:
+/// eager openMosix copies the footprint, AMPoM three pages plus 6 B of
+/// MPT per page, NoPrefetch and FFA three pages.
+pub fn freeze_bytes(scheme: Scheme, memory_mb: u64) -> u64 {
+    let bytes = memory_mb * 1024 * 1024;
+    match scheme {
+        Scheme::OpenMosix => bytes,
+        Scheme::Ampom => 3 * PAGE_SIZE + bytes / PAGE_SIZE * 6,
+        Scheme::NoPrefetch | Scheme::Ffa => 3 * PAGE_SIZE,
+    }
+}
+
+/// Freeze time of a `memory_mb` migration in closed form (the Figure 5
+/// calibration): the base cost, AMPoM's per-entry MPT cost, and the
+/// [`freeze_bytes`] payload over Fast Ethernet. Cluster-scale models
+/// price a move with this instead of running [`perform_freeze`].
+pub fn freeze_time(scheme: Scheme, memory_mb: u64) -> SimDuration {
+    let mpt = match scheme {
+        Scheme::Ampom => MPT_ENTRY_COST.saturating_mul(memory_mb * 1024 * 1024 / PAGE_SIZE),
+        Scheme::OpenMosix | Scheme::NoPrefetch | Scheme::Ffa => SimDuration::ZERO,
+    };
+    MIGRATION_BASE_COST + mpt + fast_ethernet().serialization_time(freeze_bytes(scheme, memory_mb))
 }
 
 /// What the freeze phase produced.
@@ -228,7 +252,6 @@ pub fn perform_freeze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampom_net::calibration::fast_ethernet;
 
     fn pre(mb: u64) -> PreMigrationState {
         let layout = MemoryLayout::with_data_bytes(mb * 1024 * 1024);
@@ -331,6 +354,26 @@ mod tests {
         }
         assert_ne!(c, d);
         assert_ne!(d, s);
+    }
+
+    #[test]
+    fn freeze_model_matches_calibration() {
+        let eager = freeze_time(Scheme::OpenMosix, 575);
+        let ampom = freeze_time(Scheme::Ampom, 575);
+        let nopf = freeze_time(Scheme::NoPrefetch, 575);
+        assert!((50.0..60.0).contains(&eager.as_secs_f64()));
+        assert!((0.4..0.9).contains(&ampom.as_secs_f64()));
+        assert!(nopf < SimDuration::from_millis(100));
+    }
+
+    #[test]
+    fn freeze_bytes_per_scheme() {
+        // Eager moves the footprint; AMPoM moves 3 pages + 6 B/page of
+        // MPT; NoPrefetch moves 3 pages.
+        assert_eq!(freeze_bytes(Scheme::OpenMosix, 230), 230 * 1024 * 1024);
+        let pages = 230u64 * 1024 * 1024 / 4096;
+        assert_eq!(freeze_bytes(Scheme::Ampom, 230), 3 * 4096 + pages * 6);
+        assert_eq!(freeze_bytes(Scheme::NoPrefetch, 230), 3 * 4096);
     }
 
     #[test]

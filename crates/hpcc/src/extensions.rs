@@ -10,7 +10,7 @@
 //! * [`ext_accuracy`] — prefetch accuracy (wasted-prefetch check),
 //! * [`sweep`] — sensitivity of AMPoM's knobs on STREAM and RandomAccess.
 
-use ampom_cluster::{simulate, BalancePolicy, ClusterConfig};
+use ampom_cluster::{run_cluster_life, BalancePolicy, LifeConfig, LifeOutcome};
 use ampom_core::experiment::Experiment;
 use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig};
 use ampom_core::migration::Scheme;
@@ -90,8 +90,49 @@ pub fn ext_vm(quick: bool) -> AsciiTable {
     t
 }
 
+/// The batch size of the cluster tables: `(nodes, jobs)`.
+fn cluster_batch(quick: bool) -> (usize, u64) {
+    if quick {
+        (8, 30)
+    } else {
+        (16, 120)
+    }
+}
+
+/// Runs a [`LifeConfig::batch`] to the end of its batch.
+///
+/// # Panics
+/// Panics if a job is still running at the horizon or failed: the tables
+/// report completed batches.
+fn run_batch(cfg: &LifeConfig) -> LifeOutcome {
+    let out = run_cluster_life(cfg);
+    assert_eq!(out.running_at_horizon, 0, "the batch outlasted the horizon");
+    assert_eq!(out.failed, 0, "a batch job failed");
+    out
+}
+
+/// The outcome columns both cluster tables share.
+const BATCH_COLUMNS: [&str; 5] = [
+    "mean slowdown",
+    "max slowdown",
+    "migrations",
+    "home-returns",
+    "freeze paid (s)",
+];
+
+fn batch_cells(out: &LifeOutcome) -> [String; 5] {
+    [
+        format!("{:.2}", out.slowdown.mean()),
+        format!("{:.1}", out.slowdown.max().unwrap_or(0.0)),
+        out.migrations.to_string(),
+        out.returns_home.to_string(),
+        secs(out.freeze_paid.as_secs_f64()),
+    ]
+}
+
 /// Extension 2: cluster-wide load balancing (§1 motivation + §7 claim).
 pub fn ext_cluster(quick: bool) -> AsciiTable {
+    let (nodes, jobs) = cluster_batch(quick);
     let threshold = BalancePolicy::LifetimeThreshold(SimDuration::from_secs(30));
     let mut specs = Vec::new();
     for policy in [threshold, BalancePolicy::Aggressive] {
@@ -100,35 +141,17 @@ pub fn ext_cluster(quick: bool) -> AsciiTable {
         }
     }
     let results = par_map(specs, move |(policy, scheme)| {
-        let mut cfg = ClusterConfig::standard(policy, scheme);
-        if quick {
-            cfg.jobs = 30;
-            cfg.nodes = 8;
-        }
-        (policy, scheme, simulate(&cfg))
+        let mut cfg = LifeConfig::batch(nodes, jobs, scheme);
+        cfg.policy = policy;
+        (policy, scheme, run_batch(&cfg))
     });
-    let mut t = AsciiTable::new(
-        "Extension: gossip-based cluster load balancing",
-        &[
-            "policy",
-            "migration",
-            "makespan (s)",
-            "mean slowdown",
-            "max slowdown",
-            "migrations",
-            "freeze paid (s)",
-        ],
-    );
+    let mut headers = vec!["policy", "migration"];
+    headers.extend(BATCH_COLUMNS);
+    let mut t = AsciiTable::new("Extension: gossip-based cluster load balancing", &headers);
     for (policy, scheme, out) in &results {
-        t.row(vec![
-            policy.name().into(),
-            scheme.name().into(),
-            secs(out.makespan.as_secs_f64()),
-            format!("{:.2}", out.slowdown.mean()),
-            format!("{:.1}", out.slowdown.max().unwrap_or(0.0)),
-            out.migrations.to_string(),
-            secs(out.freeze_paid.as_secs_f64()),
-        ]);
+        let mut row = vec![policy.name().to_string(), scheme.name().to_string()];
+        row.extend(batch_cells(out));
+        t.row(row);
     }
     t
 }
@@ -415,35 +438,23 @@ pub fn ext_pressure(quick: bool) -> AsciiTable {
 /// options, trusting them too long causes migrations toward nodes that
 /// are no longer idle.
 pub fn ext_gossip(quick: bool) -> AsciiTable {
-    use ampom_cluster::gossip::GossipConfig;
+    let (nodes, jobs) = cluster_batch(quick);
     let ages: Vec<u64> = vec![1, 4, 8, 32, 3600];
     let results = par_map(ages, move |age| {
-        let mut cfg = ClusterConfig::standard(BalancePolicy::Aggressive, Scheme::Ampom);
-        if quick {
-            cfg.nodes = 8;
-            cfg.jobs = 30;
-        }
-        cfg.gossip = GossipConfig {
-            max_age: SimDuration::from_secs(age),
-        };
-        (age, simulate(&cfg))
+        let mut cfg = LifeConfig::batch(nodes, jobs, Scheme::Ampom);
+        cfg.max_age = SimDuration::from_secs(age);
+        (age, run_batch(&cfg))
     });
+    let mut headers = vec!["max entry age (s)"];
+    headers.extend(BATCH_COLUMNS);
     let mut t = AsciiTable::new(
         "Extension: gossip staleness (AMPoM migration, aggressive policy)",
-        &[
-            "max entry age (s)",
-            "mean slowdown",
-            "migrations",
-            "load stddev",
-        ],
+        &headers,
     );
     for (age, out) in &results {
-        t.row(vec![
-            age.to_string(),
-            format!("{:.2}", out.slowdown.mean()),
-            out.migrations.to_string(),
-            format!("{:.2}", out.mean_load_stddev),
-        ]);
+        let mut row = vec![age.to_string()];
+        row.extend(batch_cells(out));
+        t.row(row);
     }
     t
 }
@@ -800,6 +811,28 @@ mod tests {
     fn ext_gossip_quick_renders() {
         let t = ext_gossip(true);
         assert_eq!(t.len(), 5);
+    }
+
+    /// The committed cluster tables regenerate byte for byte from the
+    /// engine, through the CSV writer `hpcc-repro --csv` uses.
+    #[test]
+    fn cluster_csvs_reproduce() {
+        let dir = std::env::temp_dir().join(format!("ampom-cluster-csvs-{}", std::process::id()));
+        for (table, name) in [
+            (ext_cluster(false), "ext_cluster"),
+            (ext_gossip(false), "ext_gossip"),
+        ] {
+            table.write_csv(&dir, name).unwrap();
+            let fresh = std::fs::read_to_string(dir.join(format!("{name}.csv"))).unwrap();
+            let path = format!("{}/../../results/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+            let committed = std::fs::read_to_string(&path).expect("committed results CSV");
+            assert_eq!(
+                committed, fresh,
+                "results/{name}.csv no longer reproduces; regenerate it with \
+                 `hpcc-repro all --csv results`"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

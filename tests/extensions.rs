@@ -2,7 +2,7 @@
 //! facade: VM migration, cluster balancing, round trips, memory pressure
 //! and syscall forwarding — composed end to end.
 
-use ampom::cluster::{simulate, BalancePolicy, ClusterConfig};
+use ampom::cluster::{run_cluster_life, LifeConfig};
 use ampom::core::prefetcher::AmpomConfig;
 use ampom::core::runner::{run_workload, RunConfig, SyscallProfile};
 use ampom::core::vm::{run_vm, VmAnalysis, VmWorkload};
@@ -43,12 +43,7 @@ fn vm_per_process_windows_survive_many_guests() {
 
 #[test]
 fn cluster_ampom_beats_eager_on_tail_latency() {
-    let run = |scheme| {
-        let mut cfg = ClusterConfig::standard(BalancePolicy::Aggressive, scheme);
-        cfg.nodes = 8;
-        cfg.jobs = 40;
-        simulate(&cfg)
-    };
+    let run = |scheme| run_cluster_life(&LifeConfig::batch(8, 40, scheme));
     let ampom = run(Scheme::Ampom);
     let eager = run(Scheme::OpenMosix);
     assert!(ampom.slowdown.mean() <= eager.slowdown.mean());
