@@ -1,5 +1,6 @@
 //! Property tests for the cluster substrate: gossip over windows that
-//! hold every peer (a full load vector), and freeze cost on batches.
+//! hold every peer (a full load vector), and job conservation and freeze
+//! cost on batches.
 
 use ampom_cluster::gossip::{plan_gossip, LoadEntry, WindowView};
 use ampom_cluster::{run_cluster_life, LifeConfig};
@@ -114,6 +115,23 @@ fn merge_never_regresses_freshness() {
             assert_eq!(entry.measured_at, best_at);
             assert_eq!(entry.load, best_load);
         }
+    });
+}
+
+#[test]
+fn cluster_conserves_jobs() {
+    forall("cluster-conserves-jobs", 8, |g| {
+        let jobs = g.u64(5..40);
+        let mut cfg = LifeConfig::batch(6, jobs, Scheme::Ampom);
+        cfg.seed = g.u64(0..20);
+        let out = run_cluster_life(&cfg);
+        assert_eq!(out.arrived, jobs);
+        assert_eq!(out.completed, jobs);
+        assert_eq!(out.slowdown.count(), jobs);
+        // Every job's slowdown is at least ~1 (it cannot finish faster
+        // than its demand).
+        let fastest = out.slowdown.min().expect("a completed batch");
+        assert!(fastest > 0.99, "slowdown {fastest}");
     });
 }
 
