@@ -185,12 +185,13 @@ fn bench_full_analysis(h: &mut Harness) {
         .map(|_| pipelined())
         .last()
         .expect("20 warm-up faults");
-    assert_eq!((warm.budget, warm.prefetch.len()), (512, 4));
+    assert_eq!((warm.analysis.budget, warm.prefetch.len()), (512, 4));
     g.bench("on_fault_pipelined_512", pipelined);
 
     // The same fault through the `Prefetcher` trait, as the runner makes
     // it: the zone's runs go to a query over two page bitsets, which
-    // answers 64 pages per word.
+    // answers 64 pages per word, and the zone to a list every fault
+    // reuses.
     let mut pf = PolicySpec::Ampom.build(&AmpomConfig::default());
     let limit = PageId(10_000_000);
     let mut bits = PageBits::new(limit);
@@ -198,23 +199,26 @@ fn bench_full_analysis(h: &mut Harness) {
         bits.set_in_flight(PageId(p));
     }
     let mut i = 0u64;
+    let mut prefetch = Vec::new();
     let mut pipelined_words = move || {
         i += 1;
         bits.set_in_flight(PageId(i + 508));
-        pf.on_fault(
+        let analysis = pf.on_fault(
             PageId(black_box(i)),
             SimTime::from_nanos(i * 1_000),
             0.9,
             net,
             limit,
             &mut bits,
-        )
+            &mut prefetch,
+        );
+        (analysis.budget, prefetch.len())
     };
     let warm = (0..20)
         .map(|_| pipelined_words())
         .last()
         .expect("20 warm-up faults");
-    assert_eq!((warm.budget, warm.prefetch.len()), (512, 4));
+    assert_eq!(warm, (512, 4));
     g.bench("on_fault_pipelined_512_words", pipelined_words);
     g.finish();
 }

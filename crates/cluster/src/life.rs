@@ -170,7 +170,12 @@ pub struct LifeConfig {
     /// Entries older than this are refused at merge time and distrusted
     /// for decisions.
     pub max_age: SimDuration,
-    /// Believed load advantage required before an away job returns home.
+    /// Believed load advantage an away job's node must have over the
+    /// job's home before the job plans its own return home. It gates only
+    /// that return: a balancing move that picks the home as the
+    /// least-loaded peer still takes the job home, and counts as a return.
+    /// On two nodes every balancing move of an away job does, so there
+    /// the margin changes nothing, even at infinity.
     pub return_margin: f64,
     /// A tick with at least this many migrations counts as a storm tick.
     pub storm_threshold: u64,
@@ -978,10 +983,32 @@ mod tests {
     }
 
     #[test]
+    fn return_margin_gates_only_a_jobs_own_return_home() {
+        // With two nodes an away job's only peer is its home, so every
+        // balancing move of an away job takes it home: an infinite margin,
+        // which rules out every planned return, leaves the returns as they
+        // were.
+        for margin in [2.0, 1000.0, f64::INFINITY] {
+            let mut cfg = LifeConfig::batch(2, 20, Scheme::Ampom);
+            cfg.return_margin = margin;
+            let out = run_cluster_life(&cfg);
+            assert_eq!(
+                (out.migrations, out.returns_home),
+                (14, 4),
+                "margin {margin}"
+            );
+        }
+    }
+
+    #[test]
     fn chain_avoidance_holds() {
         let mut cfg = small(Scheme::Ampom);
-        cfg.return_margin = 1000.0; // never return: remigration chains only
+        // No planned return home: an away job goes home only when a
+        // balancing move picks its home as the least-loaded peer, so
+        // remigration chains form and must keep one stub each.
+        cfg.return_margin = 1000.0;
         let out = run_cluster_life(&cfg);
+        assert!(out.remigrations > 0, "no chain formed");
         assert!(out.max_live_stubs <= 1);
     }
 

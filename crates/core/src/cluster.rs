@@ -168,6 +168,25 @@ impl NetPath {
         tx.arrives
     }
 
+    /// `n` control messages of `bytes` each, destination → home, all sent
+    /// at `now`: exactly what `n` calls to [`Self::send_control_to_home`]
+    /// at the same `now` do, with the link and the NICs updated once.
+    /// Returns the last message's arrival (`None` when `n` is 0, which
+    /// sends nothing and injects no cross traffic).
+    pub fn send_controls_to_home(&mut self, now: SimTime, bytes: u64, n: u64) -> Option<SimTime> {
+        if n == 0 {
+            return None;
+        }
+        self.advance(now);
+        let tx = self
+            .dest_to_home
+            .transmit_n(now + PER_MESSAGE_OVERHEAD, bytes, n)?;
+        self.dest_nic.on_transmit_n(bytes, n);
+        self.home_nic.on_receive_n(bytes, n);
+        self.own_bytes += bytes * n;
+        Some(tx.arrives)
+    }
+
     /// A small control message home → destination (acks, syscall results).
     pub fn send_control_to_dest(&mut self, now: SimTime, bytes: u64) -> SimTime {
         self.advance(now);
@@ -284,6 +303,64 @@ mod tests {
         assert!(busy.dest_nic_snapshot().rx_bytes > quiet.dest_nic_snapshot().rx_bytes);
         // Cross traffic is not "own" traffic.
         assert_eq!(busy.own_bytes(), NetPath::page_reply_bytes());
+    }
+
+    #[test]
+    fn n_controls_at_once_match_n_control_messages() {
+        use ampom_sim::propcheck::forall;
+        // Whether a batch injected cross traffic, and whether one was
+        // empty.
+        let mut seen = [0u32; 2];
+        forall("net-path-controls-n", 128, |g| {
+            let seed = g.u64(0..1 << 32);
+            let with_cross = |seed| {
+                NetPath::new(fast_ethernet()).with_cross_traffic(CrossTraffic::new(
+                    8_000_000,
+                    16 * 1024,
+                    SimRng::seed_from_u64(seed),
+                ))
+            };
+            let (mut one_by_one, mut batched) = (with_cross(seed), with_cross(seed));
+            let mut now = SimTime::ZERO;
+            for _ in 0..g.usize(1..40) {
+                now += SimDuration::from_micros(g.u64(0..3_000));
+                match g.usize(0..3) {
+                    0 => {
+                        one_by_one.send_page(now);
+                        batched.send_page(now);
+                    }
+                    1 => {
+                        let pages = g.usize(1..20);
+                        one_by_one.send_request(now, pages);
+                        batched.send_request(now, pages);
+                    }
+                    _ => {
+                        let n = g.u64(0..24);
+                        let bytes = *g.choose(&[NetPath::page_reply_bytes(), 64]);
+                        let rx_before = batched.dest_nic_snapshot().rx_bytes;
+                        let last = (0..n)
+                            .map(|_| one_by_one.send_control_to_home(now, bytes))
+                            .last();
+                        assert_eq!(batched.send_controls_to_home(now, bytes, n), last);
+                        seen[0] += u32::from(batched.dest_nic_snapshot().rx_bytes > rx_before);
+                        seen[1] += u32::from(n == 0);
+                    }
+                }
+                let nics = |p: &NetPath| {
+                    (
+                        p.home_nic.snapshot(),
+                        p.dest_nic.snapshot(),
+                        (p.home_nic.rx_packets(), p.home_nic.tx_packets()),
+                        (p.dest_nic.rx_packets(), p.dest_nic.tx_packets()),
+                        p.own_bytes(),
+                    )
+                };
+                assert_eq!(nics(&batched), nics(&one_by_one));
+                // The links, the cross-traffic source and its generator.
+                assert_eq!(format!("{batched:?}"), format!("{one_by_one:?}"));
+            }
+        });
+        assert!(seen.iter().all(|&n| n >= 10), "cases reached: {seen:?}");
     }
 
     #[test]

@@ -559,8 +559,10 @@ impl WritebackChannel {
 /// batch is completed exactly once, and the write-set gives a page a new
 /// version each time it batches it again, so a sink would apply every
 /// entry and refuse none. The engine counts the applied pages itself and
-/// reports no duplicates. The lifecycle channel keeps its sink, because
-/// its batches can be lost, resent and replayed across restarts.
+/// reports no duplicates. For the same reason it keeps no pending copy
+/// of a batch: each is completed before the next store, and none is ever
+/// resent. The lifecycle channel keeps its sink and its pending copies,
+/// because its batches can be lost, resent and replayed across restarts.
 #[derive(Debug)]
 pub struct ForwardWriteback {
     spec: WritebackSpec,
@@ -570,6 +572,8 @@ pub struct ForwardWriteback {
     flush_time: SimDuration,
     /// Page entries of every completed batch: each one applied.
     pages_applied: u64,
+    /// The batch being carried, reused by every flush.
+    batch: Vec<(PageId, u64)>,
 }
 
 impl ForwardWriteback {
@@ -582,6 +586,7 @@ impl ForwardWriteback {
             bytes: 0,
             flush_time: SimDuration::ZERO,
             pages_applied: 0,
+            batch: Vec::new(),
         }
     }
 
@@ -603,25 +608,23 @@ impl ForwardWriteback {
         }
     }
 
-    /// Builds the next delta batch, if anything is dirty.
-    pub fn take_batch(&mut self) -> Option<(u64, Vec<(PageId, u64)>)> {
-        self.wset.build_batch(self.spec.max_batch_pages)
+    /// Builds the next delta batch, if anything is dirty: its sequence
+    /// number and entries. The carrier must deliver it, and the caller
+    /// [`Self::complete`] it, before the next store.
+    pub fn take_batch(&mut self) -> Option<(u64, &[(PageId, u64)])> {
+        let seq = self
+            .wset
+            .build_acked_batch(self.spec.max_batch_pages, &mut self.batch)?;
+        Some((seq, &self.batch))
     }
 
-    /// Completes a batch the carrier delivered: counts its entries
-    /// applied, acknowledges the write-set and accounts the wire cost.
-    pub fn complete(
-        &mut self,
-        seq: u64,
-        entries: &[(PageId, u64)],
-        bytes: u64,
-        sent_at: SimTime,
-        acked_at: SimTime,
-    ) {
+    /// Completes the batch [`Self::take_batch`] returned last, which the
+    /// carrier delivered: counts its entries applied and accounts the
+    /// wire cost.
+    pub fn complete(&mut self, bytes: u64, sent_at: SimTime, acked_at: SimTime) {
         self.bytes += bytes;
         self.flush_time += acked_at.since(sent_at);
-        self.pages_applied += entries.len() as u64;
-        self.wset.on_ack(seq);
+        self.pages_applied += self.batch.len() as u64;
     }
 
     /// True while dirty pages await a final drain.
@@ -699,6 +702,8 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
     let mut in_flight: HashMap<PageId, SimTime> = HashMap::new();
     let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
     let mut served = Vec::new();
+    // The zone of the latest analysis, reused by both legs.
+    let mut prefetch = Vec::new();
     let page_limit = PageId(layout.total_pages());
 
     let mut channel = lc.writeback.map(|spec| WritebackChannel::new(spec, cfg));
@@ -738,19 +743,19 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
                     c.on_remote_fault(now, &mut path, &mut trace);
                 }
                 install(&mut staged, &mut in_flight, &mut space, &mut now);
-                let prefetch = match prefetcher.as_mut() {
+                match prefetcher.as_mut() {
                     Some(pf) => {
                         monitor.advance(now, &mut path);
                         let est = monitor.estimates();
-                        let d = pf.on_fault(r.page, now, 1.0, est, page_limit, &mut |p| {
+                        let fetchable = &mut |p| {
                             space.state(p) == PageState::Remote && !in_flight.contains_key(&p)
-                        });
+                        };
+                        pf.on_fault(r.page, now, 1.0, est, page_limit, fetchable, &mut prefetch);
                         now += AMPOM_ANALYSIS_COST;
                         monitor.on_window_wrap(now, pf.observe().window_wraps, &path);
-                        d.prefetch
                     }
-                    None => Vec::new(),
-                };
+                    None => prefetch.clear(),
+                }
                 if space.is_resident(r.page) {
                     // Resolved by the install above.
                 } else if let Some(&arrival) = in_flight.get(&r.page) {
@@ -891,20 +896,20 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
             TouchOutcome::LocalAllocate => now += MINOR_FAULT_COST + r.cpu,
             TouchOutcome::RemoteFault => {
                 install(&mut staged, &mut in_flight, &mut space, &mut now);
-                let prefetch = match return_prefetcher.as_mut() {
+                match return_prefetcher.as_mut() {
                     Some(pf) => {
                         monitor.advance(now, &mut path);
                         let est = monitor.estimates();
-                        let d = pf.on_fault(r.page, now, 1.0, est, page_limit, &mut |p| {
+                        let fetchable = &mut |p| {
                             space.state(p) == PageState::Remote
                                 && !in_flight.contains_key(&p)
                                 && return_replica.lookup(p, &return_table).is_some()
-                        });
+                        };
+                        pf.on_fault(r.page, now, 1.0, est, page_limit, fetchable, &mut prefetch);
                         now += AMPOM_ANALYSIS_COST;
-                        d.prefetch
                     }
-                    None => Vec::new(),
-                };
+                    None => prefetch.clear(),
+                }
                 if space.is_resident(r.page) {
                     // Arrived with the last batch.
                 } else if let Some(&arrival) = in_flight.get(&r.page) {
@@ -1264,9 +1269,9 @@ mod tests {
             let mut sink = WritebackSink::new();
             fn flush(wb: &mut ForwardWriteback, sink: &mut WritebackSink, now: SimTime) {
                 while let Some((seq, entries)) = wb.take_batch() {
-                    sink.apply_batch(seq, &entries);
+                    sink.apply_batch(seq, entries);
                     let bytes = writeback_batch_bytes(entries.len());
-                    wb.complete(seq, &entries, bytes, now, now);
+                    wb.complete(bytes, now, now);
                 }
             }
             let pages = g.u64(1..40);

@@ -682,7 +682,8 @@ impl Transport for Member<'_> {
         demand: Option<PageId>,
         prefetch: &[PageId],
         table: &mut PageTablePair,
-    ) -> Result<Vec<PageId>, AmpomError> {
+        queued: &mut Vec<PageId>,
+    ) -> Result<(), AmpomError> {
         // Sizes the request message on the wire exactly like the
         // single-migrant path: every page asked for, demand first.
         let total_pages = prefetch.len() + usize::from(demand.is_some());
@@ -724,7 +725,6 @@ impl Transport for Member<'_> {
         for &p in &admitted.shed {
             table.return_to_origin(p);
         }
-        let mut queued = Vec::new();
         for &p in &admitted.accepted {
             self.in_flight.insert(p, None);
             self.in_flight_bits.insert(p);
@@ -734,7 +734,7 @@ impl Transport for Member<'_> {
             }
         }
         self.absorb();
-        Ok(queued)
+        Ok(())
     }
 
     async fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError> {

@@ -26,7 +26,7 @@ use ampom_mem::page::PageId;
 use ampom_sim::time::SimTime;
 
 use crate::error::AmpomError;
-use crate::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates, PrefetchStats, ZoneDecision};
+use crate::prefetcher::{AmpomConfig, AmpomPrefetcher, NetEstimates, PrefetchStats, ZoneAnalysis};
 use crate::window::LookbackWindow;
 
 /// Cumulative prefetch-outcome counters a run loop feeds back into a
@@ -117,13 +117,18 @@ pub fn extend_by_word(
 
 /// One prefetch policy driving the run loops' per-fault analysis.
 ///
-/// Implementations must be conservative: every page in the returned
-/// [`ZoneDecision::prefetch`] list must have come back from the
-/// `fetchable` query and differ from the faulted page (property-tested
-/// for all in-tree policies).
+/// Implementations must be conservative: every page written to the
+/// prefetch list must have come back from the `fetchable` query and
+/// differ from the faulted page (property-tested for all in-tree
+/// policies).
 pub trait Prefetcher {
-    /// Runs one fault analysis; see
-    /// [`AmpomPrefetcher::on_fault`] for the argument contract.
+    /// Runs one fault analysis and writes the pages to prefetch, in
+    /// selection order, into `prefetch`, replacing what it held. The list
+    /// is the caller's, reused from fault to fault, so an analysis
+    /// allocates nothing once it has grown. See
+    /// [`AmpomPrefetcher::on_fault`] for the other arguments.
+    // Five inputs of the fault, the query and the output list.
+    #[allow(clippy::too_many_arguments)]
     fn on_fault(
         &mut self,
         page: PageId,
@@ -132,7 +137,8 @@ pub trait Prefetcher {
         net: NetEstimates,
         page_limit: PageId,
         fetchable: &mut dyn Fetchable,
-    ) -> ZoneDecision;
+        prefetch: &mut Vec<PageId>,
+    ) -> ZoneAnalysis;
 
     /// Feeds the loop's cumulative hit/waste counters back into the
     /// policy (called once per fault, before [`Self::on_fault`]).
@@ -152,8 +158,9 @@ impl Prefetcher for AmpomPrefetcher {
         net: NetEstimates,
         page_limit: PageId,
         fetchable: &mut dyn Fetchable,
-    ) -> ZoneDecision {
-        self.analyse(page, now, cpu_util, net, page_limit, fetchable)
+        prefetch: &mut Vec<PageId>,
+    ) -> ZoneAnalysis {
+        self.analyse(page, now, cpu_util, net, page_limit, fetchable, prefetch)
     }
 
     fn observe(&self) -> PrefetchObservation {
@@ -300,6 +307,9 @@ pub struct LeapPrefetcher {
     cur_window: u64,
     stats: PrefetchStats,
     trend: Option<i64>,
+    /// The window's pages and their deltas, refilled at every fault.
+    pages: Vec<u64>,
+    deltas: Vec<i64>,
 }
 
 impl LeapPrefetcher {
@@ -315,6 +325,8 @@ impl LeapPrefetcher {
             config,
             stats: PrefetchStats::default(),
             trend: None,
+            pages: Vec::new(),
+            deltas: Vec::new(),
         }
     }
 
@@ -358,19 +370,20 @@ impl Prefetcher for LeapPrefetcher {
         _net: NetEstimates,
         page_limit: PageId,
         fetchable: &mut dyn Fetchable,
-    ) -> ZoneDecision {
+        prefetch: &mut Vec<PageId>,
+    ) -> ZoneAnalysis {
         self.window.record(page, now, cpu_util);
         self.stats.analyses += 1;
 
-        let pages = self.window.page_indices();
-        let deltas: Vec<i64> = pages
-            .windows(2)
-            .map(|w| w[1] as i64 - w[0] as i64)
-            .collect();
+        self.window.page_indices_into(&mut self.pages);
+        self.deltas.clear();
+        self.deltas
+            .extend(self.pages.windows(2).map(|w| w[1] as i64 - w[0] as i64));
+        let deltas = &self.deltas;
         // Leap tries the most recent sub-window first, then widens.
         let half = (deltas.len() / 2).max(2);
-        let found = Self::majority_trend(&deltas, half)
-            .or_else(|| Self::majority_trend(&deltas, deltas.len()));
+        let found = Self::majority_trend(deltas, half)
+            .or_else(|| Self::majority_trend(deltas, deltas.len()));
 
         let (budget, score) = match found {
             Some((stride, share)) => {
@@ -391,7 +404,7 @@ impl Prefetcher for LeapPrefetcher {
         self.stats.n_values.record(budget as f64);
         self.stats.budgets.record(budget as f64);
 
-        let mut prefetch = Vec::new();
+        prefetch.clear();
         if let Some(stride) = self.trend {
             let base = page.index() as i64;
             for k in 1..=budget as i64 {
@@ -401,14 +414,13 @@ impl Prefetcher for LeapPrefetcher {
                 }
                 let p = PageId(idx as u64);
                 if p != page {
-                    fetchable.extend_fetchable(p, p.succ(), &mut prefetch);
+                    fetchable.extend_fetchable(p, p.succ(), prefetch);
                 }
             }
         }
         self.stats.pages_selected += prefetch.len() as u64;
 
-        ZoneDecision {
-            prefetch,
+        ZoneAnalysis {
             n_raw: budget as f64,
             budget,
             score,
@@ -559,7 +571,8 @@ impl Prefetcher for IndigoPrefetcher {
         _net: NetEstimates,
         page_limit: PageId,
         fetchable: &mut dyn Fetchable,
-    ) -> ZoneDecision {
+        prefetch: &mut Vec<PageId>,
+    ) -> ZoneAnalysis {
         self.window.record(page, now, cpu_util);
         self.stats.analyses += 1;
 
@@ -589,7 +602,7 @@ impl Prefetcher for IndigoPrefetcher {
         self.stats.n_values.record(budget as f64);
         self.stats.budgets.record(budget as f64);
 
-        let mut prefetch = Vec::new();
+        prefetch.clear();
         let base = page.index() as i64;
         for k in 1..=budget as i64 {
             let idx = base + self.direction * k;
@@ -598,13 +611,12 @@ impl Prefetcher for IndigoPrefetcher {
             }
             let p = PageId(idx as u64);
             if p != page {
-                fetchable.extend_fetchable(p, p.succ(), &mut prefetch);
+                fetchable.extend_fetchable(p, p.succ(), prefetch);
             }
         }
         self.stats.pages_selected += prefetch.len() as u64;
 
-        ZoneDecision {
-            prefetch,
+        ZoneAnalysis {
             n_raw: budget as f64,
             budget,
             score,
@@ -653,6 +665,7 @@ impl Prefetcher for IndigoPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prefetcher::ZoneDecision;
     use ampom_sim::time::SimDuration;
 
     fn net() -> NetEstimates {
@@ -664,6 +677,29 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// One analysis through the trait, into a fresh list.
+    fn decide(
+        p: &mut dyn Prefetcher,
+        page: PageId,
+        now: SimTime,
+        cpu_util: f64,
+        net: NetEstimates,
+        page_limit: PageId,
+        fetchable: &mut dyn Fetchable,
+    ) -> ZoneDecision {
+        let mut prefetch = Vec::new();
+        let analysis = p.on_fault(
+            page,
+            now,
+            cpu_util,
+            net,
+            page_limit,
+            fetchable,
+            &mut prefetch,
+        );
+        ZoneDecision { prefetch, analysis }
     }
 
     #[test]
@@ -707,7 +743,7 @@ mod tests {
         let limit = PageId(1_000_000);
         let mut last = None;
         for i in 0..40u64 {
-            last = Some(Prefetcher::on_fault(
+            last = Some(decide(
                 &mut p,
                 PageId(100 + i),
                 t(i * 100),
@@ -718,8 +754,8 @@ mod tests {
             ));
         }
         let d = last.unwrap();
-        assert!(d.score > 0.9, "vote share = {}", d.score);
-        assert!(d.budget > LeapConfig::default().init_window);
+        assert!(d.analysis.score > 0.9, "vote share = {}", d.analysis.score);
+        assert!(d.analysis.budget > LeapConfig::default().init_window);
         assert_eq!(d.prefetch.first(), Some(&PageId(140)));
         let obs = p.observe();
         assert_eq!(obs.policy, "leap");
@@ -733,7 +769,7 @@ mod tests {
         let limit = PageId(10_000);
         let mut last = None;
         for i in 0..30u64 {
-            last = Some(Prefetcher::on_fault(
+            last = Some(decide(
                 &mut p,
                 PageId(5_000 - i * 2),
                 t(i * 100),
@@ -756,7 +792,7 @@ mod tests {
         let mut rng = ampom_sim::rng::SimRng::seed_from_u64(0xBADC0FFE);
         let mut last = None;
         for i in 0..30u64 {
-            last = Some(Prefetcher::on_fault(
+            last = Some(decide(
                 &mut p,
                 PageId(rng.below(9_000_000)),
                 t(i * 400),
@@ -768,7 +804,7 @@ mod tests {
         }
         let d = last.unwrap();
         assert!(d.prefetch.is_empty(), "no trend, no prefetch");
-        assert_eq!(d.budget, 0);
+        assert_eq!(d.analysis.budget, 0);
         assert!(p.observe().stats.fallbacks > 0);
     }
 
@@ -784,7 +820,7 @@ mod tests {
                 pages_prefetched: issued,
                 prefetched_used: 0,
             });
-            let d = Prefetcher::on_fault(
+            let d = decide(
                 &mut p,
                 PageId((i * 104_729 + 7) % 9_000_000),
                 t(i * 400),
@@ -794,7 +830,7 @@ mod tests {
                 &mut |_| true,
             );
             issued += d.prefetch.len() as u64;
-            budgets.push(d.budget);
+            budgets.push(d.analysis.budget);
         }
         // The window collapsed to the floor and the issue rate halved.
         assert_eq!(*budgets.last().unwrap(), 0, "rate-limited fault skipped");
@@ -819,7 +855,7 @@ mod tests {
                 pages_prefetched: issued,
                 prefetched_used: issued,
             });
-            let d = Prefetcher::on_fault(
+            let d = decide(
                 &mut p,
                 PageId(100 + i * 3),
                 t(i * 100),
@@ -829,7 +865,7 @@ mod tests {
                 &mut |_| true,
             );
             issued += d.prefetch.len() as u64;
-            max_budget = max_budget.max(d.budget);
+            max_budget = max_budget.max(d.analysis.budget);
         }
         assert!(
             max_budget > IndigoConfig::default().init_window,
@@ -843,7 +879,8 @@ mod tests {
             let mut p = spec.build(&AmpomConfig::default());
             let limit = PageId(100_000);
             for i in 0..40u64 {
-                let d = p.on_fault(
+                let d = decide(
+                    p.as_mut(),
                     PageId(i * 2),
                     t(i * 100),
                     1.0,
@@ -862,11 +899,51 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_list_is_replaced_not_extended() {
+        // Two engines of each policy on one fault stream: one writes into
+        // a list it keeps, which starts out holding stale pages; the
+        // other gets a fresh list per fault.
+        for spec in PolicySpec::all() {
+            let mut reused_pf = spec.build(&AmpomConfig::default());
+            let mut fresh_pf = spec.build(&AmpomConfig::default());
+            let limit = PageId(100_000);
+            let mut reused = vec![PageId(99_999); 7];
+            for i in 0..60u64 {
+                let page = PageId(if i % 10 < 7 {
+                    500 + i
+                } else {
+                    i * 977 % 90_000
+                });
+                let fetchable = &mut |pg: PageId| !pg.index().is_multiple_of(3);
+                let got =
+                    reused_pf.on_fault(page, t(i * 100), 1.0, net(), limit, fetchable, &mut reused);
+                let want = decide(
+                    fresh_pf.as_mut(),
+                    page,
+                    t(i * 100),
+                    1.0,
+                    net(),
+                    limit,
+                    fetchable,
+                );
+                assert_eq!(reused, want.prefetch, "{}: fault {i}", spec.label());
+                assert_eq!(got.budget, want.analysis.budget);
+            }
+            assert!(
+                fresh_pf.observe().stats.pages_selected > 0,
+                "{}: nothing selected",
+                spec.label()
+            );
+        }
+    }
+
+    #[test]
     fn observation_carries_stats_for_every_policy() {
         for spec in PolicySpec::all() {
             let mut p = spec.build(&AmpomConfig::default());
             for i in 0..30u64 {
-                p.on_fault(
+                decide(
+                    p.as_mut(),
                     PageId(i),
                     t(i * 100),
                     1.0,

@@ -101,14 +101,13 @@ pub struct NetEstimates {
     pub td: SimDuration,
 }
 
-/// The outcome of one fault analysis.
-#[derive(Debug, Clone)]
-pub struct ZoneDecision {
-    /// Pages to include in the remote paging request (already filtered to
-    /// fetchable ones), in selection order. Does **not** include the
-    /// faulted page itself; the runner prepends it when it too must be
-    /// fetched.
-    pub prefetch: Vec<PageId>,
+/// The outcome of one fault analysis: the zone's size and what set it.
+/// The pages the analysis selected go to a list beside it (see
+/// [`ZoneDecision`] and [`Prefetcher::on_fault`]).
+///
+/// [`Prefetcher::on_fault`]: crate::policy::Prefetcher::on_fault
+#[derive(Debug, Clone, Copy)]
+pub struct ZoneAnalysis {
     /// The computed (unrounded) `N` of Eq. 3.
     pub n_raw: f64,
     /// The applied budget after rounding, flooring and capping.
@@ -123,6 +122,19 @@ pub struct ZoneDecision {
     /// The paging rate `r` fed into Eq. 3, in faults/second (0 while the
     /// window has not wrapped yet).
     pub rate: f64,
+}
+
+/// One fault analysis with a prefetch list of its own: what
+/// [`AmpomPrefetcher::on_fault`] returns.
+#[derive(Debug, Clone)]
+pub struct ZoneDecision {
+    /// Pages to include in the remote paging request (already filtered to
+    /// fetchable ones), in selection order. Does **not** include the
+    /// faulted page itself; the runner prepends it when it too must be
+    /// fetched.
+    pub prefetch: Vec<PageId>,
+    /// The zone's size and what set it.
+    pub analysis: ZoneAnalysis,
 }
 
 /// Running statistics of the prefetcher, reported in Figures 8 and 11.
@@ -175,8 +187,9 @@ impl PrefetchStats {
 /// The AMPoM analysis engine. One instance per migrant.
 ///
 /// The per-fault analysis reuses the engine's own storage — the window's
-/// pages, the census and the zone selection's runs — so a fault allocates
-/// only the decision's prefetch list.
+/// pages, the census and the zone selection's runs — and writes the
+/// prefetch list into the caller's buffer, so a fault allocates nothing
+/// once those have grown to the run's largest zone.
 #[derive(Debug)]
 pub struct AmpomPrefetcher {
     config: AmpomConfig,
@@ -239,10 +252,10 @@ impl AmpomPrefetcher {
     /// * `fetchable` — predicate: true iff the page is stored remotely and
     ///   not already in flight ("if j is not stored locally").
     ///
-    /// This is the per-page form of [`Prefetcher::on_fault`]: the
-    /// predicate answers the same range queries through
-    /// [`Fetchable`]'s blanket impl, once per zone page in selection
-    /// order, never for `page` itself.
+    /// This is the per-page form of [`Prefetcher::on_fault`], with a
+    /// fresh prefetch list per call: the predicate answers the same range
+    /// queries through [`Fetchable`]'s blanket impl, once per zone page in
+    /// selection order, never for `page` itself.
     ///
     /// [`Prefetcher::on_fault`]: crate::policy::Prefetcher::on_fault
     pub fn on_fault(
@@ -254,12 +267,23 @@ impl AmpomPrefetcher {
         page_limit: PageId,
         mut fetchable: impl FnMut(PageId) -> bool,
     ) -> ZoneDecision {
-        self.analyse(page, now, cpu_util, net, page_limit, &mut fetchable)
+        let mut prefetch = Vec::new();
+        let analysis = self.analyse(
+            page,
+            now,
+            cpu_util,
+            net,
+            page_limit,
+            &mut fetchable,
+            &mut prefetch,
+        );
+        ZoneDecision { prefetch, analysis }
     }
 
-    /// [`Self::on_fault`] over a range query: the zone's runs go to
-    /// `fetchable` whole, except that a run holding `page` is split
-    /// around it.
+    /// [`Self::on_fault`] over a range query, into the caller's
+    /// `prefetch` list (cleared first): the zone's runs go to `fetchable`
+    /// whole, except that a run holding `page` is split around it.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn analyse<F: Fetchable + ?Sized>(
         &mut self,
         page: PageId,
@@ -268,7 +292,8 @@ impl AmpomPrefetcher {
         net: NetEstimates,
         page_limit: PageId,
         fetchable: &mut F,
-    ) -> ZoneDecision {
+        prefetch: &mut Vec<PageId>,
+    ) -> ZoneAnalysis {
         self.window.record(page, now, cpu_util);
         self.stats.analyses += 1;
 
@@ -308,19 +333,19 @@ impl AmpomPrefetcher {
         // Room for every page the runs hold, reserved once: at most the
         // budget, and never past the address space.
         let room: u64 = self.zone.runs.iter().map(|run| run.len()).sum();
-        let mut prefetch = Vec::with_capacity(room as usize);
+        prefetch.clear();
+        prefetch.reserve(room as usize);
         for run in &self.zone.runs {
             if run.contains(page) {
-                fetchable.extend_fetchable(run.start, page, &mut prefetch);
-                fetchable.extend_fetchable(page.succ(), run.end, &mut prefetch);
+                fetchable.extend_fetchable(run.start, page, prefetch);
+                fetchable.extend_fetchable(page.succ(), run.end, prefetch);
             } else {
-                fetchable.extend_fetchable(run.start, run.end, &mut prefetch);
+                fetchable.extend_fetchable(run.start, run.end, prefetch);
             }
         }
         self.stats.pages_selected += prefetch.len() as u64;
 
-        ZoneDecision {
-            prefetch,
+        ZoneAnalysis {
             n_raw,
             budget,
             score,
@@ -354,23 +379,17 @@ mod tests {
     fn sequential_faults_grow_an_aggressive_zone() {
         let mut p = prefetcher();
         let limit = PageId(1_000_000);
-        let mut last = ZoneDecision {
-            prefetch: vec![],
-            n_raw: 0.0,
-            budget: 0,
-            score: 0.0,
-            raw_score: 0.0,
-            score_clamped: false,
-            rate: 0.0,
-        };
+        let mut last = None;
         for i in 0..40u64 {
-            last = p.on_fault(PageId(100 + i), t(i * 100), 1.0, net(), limit, |_| true);
+            last = Some(p.on_fault(PageId(100 + i), t(i * 100), 1.0, net(), limit, |_| true));
         }
-        assert!(last.score > 0.99, "sequential S = {}", last.score);
-        assert!(last.rate > 0.0, "a wrapped window must expose r");
-        assert!(!last.score_clamped, "sequential access must not clamp");
+        let last = last.unwrap();
+        let a = last.analysis;
+        assert!(a.score > 0.99, "sequential S = {}", a.score);
+        assert!(a.rate > 0.0, "a wrapped window must expose r");
+        assert!(!a.score_clamped, "sequential access must not clamp");
         // r = 20 faults / 1.9 ms ≈ 10526/s; N = S·(r·(2t0+td)+1) ≈ 8.
-        assert!(last.n_raw > 5.0, "N = {}", last.n_raw);
+        assert!(a.n_raw > 5.0, "N = {}", a.n_raw);
         assert!(!last.prefetch.is_empty());
         // Zone pages follow the live stream's pivot.
         assert_eq!(last.prefetch[0], PageId(140));
@@ -390,8 +409,8 @@ mod tests {
                 Some(p.on_fault(PageId(pg), t(i as u64 * 500), 1.0, net(), limit, |_| true));
         }
         let d = last_decision.unwrap();
-        assert_eq!(d.score, 0.0);
-        assert_eq!(d.budget, 16, "baseline read-ahead applies");
+        assert_eq!(d.analysis.score, 0.0);
+        assert_eq!(d.analysis.budget, 16, "baseline read-ahead applies");
         // Fallback zone: pages right after the last fault.
         assert_eq!(d.prefetch.first(), Some(&PageId(399_376)));
         assert_eq!(d.prefetch.len(), 16);
@@ -424,21 +443,15 @@ mod tests {
     fn fetchable_filter_is_respected() {
         let mut p = prefetcher();
         let limit = PageId(1_000);
-        let mut d = ZoneDecision {
-            prefetch: vec![],
-            n_raw: 0.0,
-            budget: 0,
-            score: 0.0,
-            raw_score: 0.0,
-            score_clamped: false,
-            rate: 0.0,
-        };
+        let mut selected = 0;
         for i in 0..30u64 {
-            d = p.on_fault(PageId(i), t(i * 100), 1.0, net(), limit, |pg| {
+            let d = p.on_fault(PageId(i), t(i * 100), 1.0, net(), limit, |pg| {
                 pg.index() % 2 == 0
             });
+            assert!(d.prefetch.iter().all(|pg| pg.index() % 2 == 0));
+            selected += d.prefetch.len();
         }
-        assert!(d.prefetch.iter().all(|pg| pg.index() % 2 == 0));
+        assert!(selected > 0);
     }
 
     #[test]
@@ -472,7 +485,7 @@ mod tests {
                 assert!(!asked.contains(&page), "asked about {page}: {asked:?}");
                 assert!(!d.prefetch.contains(&page));
                 let outstanding = &p.last_census.outstanding;
-                let runs = select_zone(outstanding, d.budget, page, limit);
+                let runs = select_zone(outstanding, d.analysis.budget, page, limit);
                 runs_holding_it += u32::from(runs.iter().any(|r| r.contains(page)));
             }
         });
@@ -500,8 +513,8 @@ mod tests {
             d = Some(p.on_fault(PageId(i), t(i * 50), 1.0, slow, limit, |_| true));
         }
         let d = d.unwrap();
-        assert!(d.n_raw > 16.0);
-        assert_eq!(d.budget, 16);
+        assert!(d.analysis.n_raw > 16.0);
+        assert_eq!(d.analysis.budget, 16);
         assert!(d.prefetch.len() <= 16);
     }
 
@@ -510,8 +523,8 @@ mod tests {
         let mut p = prefetcher();
         let d = p.on_fault(PageId(5), t(0), 1.0, net(), PageId(1_000), |_| true);
         // Window not full → N = 0 → budget = baseline.
-        assert_eq!(d.n_raw, 0.0);
-        assert_eq!(d.budget, 16);
+        assert_eq!(d.analysis.n_raw, 0.0);
+        assert_eq!(d.analysis.budget, 16);
     }
 
     #[test]
@@ -561,10 +574,11 @@ mod tests {
         let mut clamped_seen = false;
         for (i, &pg) in pattern.iter().enumerate() {
             let d = p.on_fault(PageId(pg), t(i as u64 * 100), 1.0, net(), limit, |_| true);
-            if d.score_clamped {
+            let a = d.analysis;
+            if a.score_clamped {
                 clamped_seen = true;
-                assert!(d.raw_score > 1.0, "raw = {}", d.raw_score);
-                assert_eq!(d.score, 1.0);
+                assert!(a.raw_score > 1.0, "raw = {}", a.raw_score);
+                assert_eq!(a.score, 1.0);
             }
         }
         assert!(clamped_seen, "repeated-page pattern must trip the clamp");

@@ -92,16 +92,18 @@ pub trait Transport {
     ) -> Result<FreezeOutcome, AmpomError>;
 
     /// Sends one paging request — `demand` first if present, then the
-    /// prefetch zone — and returns the *prefetch* pages actually queued
-    /// (the deputy may drop duplicates; a live client may trim to its
-    /// in-flight quota). The demand page is never in the returned list.
+    /// prefetch zone — and appends to `queued` the *prefetch* pages
+    /// actually queued (the deputy may drop duplicates; a live client may
+    /// trim to its in-flight quota). The demand page is never appended.
+    /// `queued` is the caller's, reused from request to request.
     async fn request_pages(
         &mut self,
         now: SimTime,
         demand: Option<PageId>,
         prefetch: &[PageId],
         table: &mut PageTablePair,
-    ) -> Result<Vec<PageId>, AmpomError>;
+        queued: &mut Vec<PageId>,
+    ) -> Result<(), AmpomError>;
 
     /// Blocks until `page` (which must be in flight) is available and
     /// returns its arrival time. May be in the past when the page was
@@ -394,16 +396,17 @@ impl SimulatedTransport {
     }
 
     /// Sends one request to the deputy and registers the delivered
-    /// replies; returns the delivered prefetch pages. Under faults the
-    /// request may be dropped or jittered, the deputy may be down, and
-    /// each reply gets its own fate.
+    /// replies; appends the delivered prefetch pages to `queued`. Under
+    /// faults the request may be dropped or jittered, the deputy may be
+    /// down, and each reply gets its own fate.
     fn send(
         &mut self,
         now: SimTime,
         demand: Option<PageId>,
         prefetch: &[PageId],
         table: &mut PageTablePair,
-    ) -> Vec<PageId> {
+        queued: &mut Vec<PageId>,
+    ) {
         let n_pages = usize::from(demand.is_some()) + prefetch.len();
         let pages = demand.into_iter().chain(prefetch.iter().copied());
         self.served.clear();
@@ -418,7 +421,7 @@ impl SimulatedTransport {
                     Fate::Dropped => {
                         self.path.send_request_lost(now, n_pages);
                         f.stats.messages_dropped += 1;
-                        return Vec::new();
+                        return;
                     }
                     Fate::Delivered { extra_delay } => {
                         self.path.send_request(now, n_pages) + extra_delay
@@ -427,7 +430,7 @@ impl SimulatedTransport {
                 if f.profile.downtime.is_down(at_home) {
                     // The request reached a dead host; nothing answers.
                     f.stats.deputy_unavailable += 1;
-                    return Vec::new();
+                    return;
                 }
                 let plan = &mut f.reply_plan;
                 let dropped_before = plan.dropped();
@@ -442,10 +445,7 @@ impl SimulatedTransport {
                 f.stats.messages_dropped += plan.dropped() - dropped_before;
             }
         }
-        // The demand page's reply, when delivered, comes first; the zone
-        // never holds the demand page.
-        let demand_served = demand.is_some() && self.served.first().map(|s| s.page) == demand;
-        let mut queued = Vec::with_capacity(self.served.len() - usize::from(demand_served));
+        // The zone never holds the demand page.
         for s in &self.served {
             self.in_flight.insert(s.page, s.arrives);
             stage_sorted(&mut self.staged, s.arrives, s.page);
@@ -453,49 +453,55 @@ impl SimulatedTransport {
                 queued.push(s.page);
             }
         }
-        queued
     }
 
     /// [`Transport::install_arrived`]: installs every staged page that
-    /// has arrived by `now`.
+    /// has arrived by `now`. The pages the installs evict all leave at
+    /// `now`, so they go home in one call once the pass is done.
     fn install_staged(&mut self, now: &mut SimTime, dest: &mut Destination) {
         let mut installed = 0u64;
+        let mut evicted = 0u64;
         while let Some(&(arrival, page)) = self.staged.front() {
             if arrival > *now {
                 break;
             }
             self.staged.pop_front();
             self.in_flight.remove(page);
-            if dest.space.is_resident(page) {
-                // Jitter reorders and retries duplicate replies: a copy
-                // of a page the migrant already has is counted, never
-                // installed twice.
-                if let Some(f) = self.faults.as_mut() {
-                    f.stats.duplicate_replies += 1;
+            match dest.space.state(page) {
+                PageState::Remote => {}
+                PageState::Resident { .. } => {
+                    // Jitter reorders and retries duplicate replies: a
+                    // copy of a page the migrant already has is counted,
+                    // never installed twice.
+                    if let Some(f) = self.faults.as_mut() {
+                        f.stats.duplicate_replies += 1;
+                    }
+                    continue;
                 }
-                continue;
-            }
-            if dest.space.state(page) != PageState::Remote {
                 // Evicted while in flight and re-created locally; drop
                 // the stale copy.
-                continue;
+                PageState::Untouched => continue,
             }
-            let evicted = dest.install(page);
-            self.evict(*now, evicted);
+            evicted += dest.install(page);
             installed += 1;
         }
+        self.evict(*now, evicted);
         if installed > 0 {
             *now += PAGE_INSTALL_COST.saturating_mul(installed);
         }
     }
 
     /// [`Transport::evict_to_home`]: one page-sized message home per
-    /// evicted page.
+    /// evicted page, all sent at `now`.
     fn evict(&mut self, now: SimTime, pages: u64) {
-        for _ in 0..pages {
-            self.path
-                .send_control_to_home(now, NetPath::page_reply_bytes());
-        }
+        self.path
+            .send_controls_to_home(now, NetPath::page_reply_bytes(), pages);
+    }
+
+    /// Requests `demand` alone again. It queues no prefetch page, so the
+    /// list it passes stays empty and never allocates.
+    fn resend_demand(&mut self, now: SimTime, demand: PageId, dest: &mut Destination) {
+        self.send(now, Some(demand), &[], &mut dest.table, &mut Vec::new());
     }
 
     fn injector(&mut self) -> &mut FaultInjector {
@@ -543,7 +549,7 @@ impl SimulatedTransport {
             let policy = match f.schedule.on_timeout() {
                 RetryStep::Retry => {
                     f.stats.retries += 1;
-                    self.send(*now, Some(demand), &[], &mut dest.table);
+                    self.resend_demand(*now, demand, dest);
                     continue;
                 }
                 // Retry budget exhausted: graceful degradation (the
@@ -565,7 +571,7 @@ impl SimulatedTransport {
                         Some(arrival) => *now = up.max(arrival),
                         None => {
                             *now = up;
-                            self.send(*now, Some(demand), &[], &mut dest.table);
+                            self.resend_demand(*now, demand, dest);
                         }
                     }
                 }
@@ -595,10 +601,8 @@ impl SimulatedTransport {
         }
         let n = remote.len() as u64;
         *now = self.path.bulk_transfer(up, n * PAGE_SIZE);
-        for &p in &remote {
-            let evicted = dest.install(p);
-            self.evict(*now, evicted);
-        }
+        let evicted = remote.iter().map(|&p| dest.install(p)).sum();
+        self.evict(*now, evicted);
         *now += PAGE_INSTALL_COST.saturating_mul(n);
         self.injector().stats.fallback_pages += n;
     }
@@ -654,12 +658,13 @@ impl Transport for SimulatedTransport {
         demand: Option<PageId>,
         prefetch: &[PageId],
         table: &mut PageTablePair,
-    ) -> Result<Vec<PageId>, AmpomError> {
-        if self.file_server.is_some() {
-            // FFA faults are served by the file server at the wait.
-            return Ok(Vec::new());
+        queued: &mut Vec<PageId>,
+    ) -> Result<(), AmpomError> {
+        // FFA faults are served by the file server at the wait.
+        if self.file_server.is_none() {
+            self.send(now, demand, prefetch, table, queued);
         }
-        Ok(self.send(now, demand, prefetch, table))
+        Ok(())
     }
 
     async fn wait_for(&mut self, page: PageId, _now: SimTime) -> Result<SimTime, AmpomError> {
@@ -802,8 +807,7 @@ impl InFlight {
     }
 
     fn remove(&mut self, page: PageId) {
-        if self.bits.contains(page) {
-            self.bits.remove(page);
+        if self.bits.remove(page) {
             self.len -= 1;
         }
     }
@@ -831,39 +835,50 @@ impl InFlight {
     }
 }
 
-/// A page-indexed bitset, 1 bit per page, grown on demand: the in-flight
-/// set the zone filter reads 64 pages per word.
+/// A page-indexed bitset, 1 bit per page, grown on demand: an in-flight
+/// set the zone filter reads 64 pages per word (see
+/// [`Transport::in_flight_word`]).
 #[derive(Debug, Default)]
-pub(crate) struct PageBits(Vec<u64>);
+pub struct PageBits(Vec<u64>);
 
 impl PageBits {
-    pub(crate) fn insert(&mut self, page: PageId) {
+    /// Adds `page`; true when it was not in the set.
+    pub fn insert(&mut self, page: PageId) -> bool {
         let (word, bit) = Self::slot(page);
         if word >= self.0.len() {
             self.0.resize(word + 1, 0);
         }
+        let added = self.0[word] & bit == 0;
         self.0[word] |= bit;
+        added
     }
 
-    pub(crate) fn remove(&mut self, page: PageId) {
+    /// Removes `page`; true when it was in the set.
+    pub fn remove(&mut self, page: PageId) -> bool {
         let (word, bit) = Self::slot(page);
-        if let Some(w) = self.0.get_mut(word) {
-            *w &= !bit;
+        match self.0.get_mut(word) {
+            Some(w) if *w & bit != 0 => {
+                *w &= !bit;
+                true
+            }
+            _ => false,
         }
     }
 
-    pub(crate) fn clear(&mut self) {
+    /// Empties the set.
+    pub fn clear(&mut self) {
         self.0.clear();
     }
 
-    pub(crate) fn contains(&self, page: PageId) -> bool {
+    /// Whether `page` is in the set.
+    pub fn contains(&self, page: PageId) -> bool {
         let (word, bit) = Self::slot(page);
         self.0.get(word).is_some_and(|w| w & bit != 0)
     }
 
     /// Membership of pages `64·word … 64·word + 63`; words past the end
     /// of the bitset hold no page.
-    pub(crate) fn word(&self, word: u64) -> u64 {
+    pub fn word(&self, word: u64) -> u64 {
         usize::try_from(word)
             .ok()
             .and_then(|w| self.0.get(w))
@@ -876,10 +891,15 @@ impl PageBits {
     }
 }
 
-/// Inserts `(arrives, page)` keeping `staged` sorted by arrival time.
-/// Jitter makes arrivals slightly out of order; scanning from the back is
-/// O(displacement), which is tiny in practice (zero on a FIFO link).
+/// Inserts `(arrives, page)` keeping `staged` sorted by arrival time, after
+/// every equal arrival. On a FIFO link each arrival is the latest yet, and
+/// is appended; jitter makes arrivals slightly out of order, and scanning
+/// from the back is O(displacement), which is tiny in practice.
 fn stage_sorted(staged: &mut VecDeque<(SimTime, PageId)>, arrives: SimTime, page: PageId) {
+    if staged.back().is_none_or(|&(last, _)| last <= arrives) {
+        staged.push_back((arrives, page));
+        return;
+    }
     let mut idx = staged.len();
     while idx > 0 && staged[idx - 1].0 > arrives {
         idx -= 1;
@@ -1047,6 +1067,10 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
     // Whether a requested page is still in flight. Only a transport call
     // can change it, so it is re-read after each one, not on every hit.
     let mut pages_in_flight = false;
+    // The analysis's zone and the prefetch pages a request queued, reused
+    // by every fault.
+    let mut prefetch = Vec::new();
+    let mut queued = Vec::new();
 
     let mut block = Vec::with_capacity(REF_BLOCK);
     loop {
@@ -1106,7 +1130,7 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
                     last_fault_at = now;
                     cpu_since_fault = SimDuration::ZERO;
                     if let Some(pf) = prefetcher.as_deref_mut() {
-                        let prefetch = analyze(
+                        analyze(
                             pf,
                             r.page,
                             &mut now,
@@ -1120,17 +1144,15 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
                             },
                             &mut analysis_time,
                             &mut trace,
+                            &mut prefetch,
                         )
                         .await;
                         if !prefetch.is_empty() {
                             prefetch_only_requests += 1;
-                            note_queued(
-                                transport
-                                    .request_pages(now, None, &prefetch, &mut dest.table)
-                                    .await?,
-                                &mut was_prefetched,
-                                &mut pages_prefetched,
-                            );
+                            transport
+                                .request_pages(now, None, &prefetch, &mut dest.table, &mut queued)
+                                .await?;
+                            note_queued(&mut queued, &mut was_prefetched, &mut pages_prefetched);
                         }
                     }
                 }
@@ -1154,7 +1176,7 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
                     cpu_since_fault = SimDuration::ZERO;
 
                     // Prefetch analysis (every fault, per Algorithm 1).
-                    let prefetch = match prefetcher.as_deref_mut() {
+                    match prefetcher.as_deref_mut() {
                         Some(pf) => {
                             analyze(
                                 pf,
@@ -1170,11 +1192,12 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
                                 },
                                 &mut analysis_time,
                                 &mut trace,
+                                &mut prefetch,
                             )
                             .await
                         }
-                        None => Vec::new(),
-                    };
+                        None => prefetch.clear(),
+                    }
 
                     if let Some(series) = series.as_mut() {
                         faults_since_sample += 1;
@@ -1203,13 +1226,10 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
                         // zone pages still go out.
                         if !prefetch.is_empty() {
                             prefetch_only_requests += 1;
-                            note_queued(
-                                transport
-                                    .request_pages(now, None, &prefetch, &mut dest.table)
-                                    .await?,
-                                &mut was_prefetched,
-                                &mut pages_prefetched,
-                            );
+                            transport
+                                .request_pages(now, None, &prefetch, &mut dest.table, &mut queued)
+                                .await?;
+                            note_queued(&mut queued, &mut was_prefetched, &mut pages_prefetched);
                         }
                         if !dest.space.is_resident(r.page) {
                             let arrival = transport.wait_for(r.page, now).await?;
@@ -1234,13 +1254,16 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
                             TraceKind::PagingRequest,
                             TraceData::page(r.page.index()).with_pages(prefetch.len() as u64),
                         );
-                        note_queued(
-                            transport
-                                .request_pages(now, Some(r.page), &prefetch, &mut dest.table)
-                                .await?,
-                            &mut was_prefetched,
-                            &mut pages_prefetched,
-                        );
+                        transport
+                            .request_pages(
+                                now,
+                                Some(r.page),
+                                &prefetch,
+                                &mut dest.table,
+                                &mut queued,
+                            )
+                            .await?;
+                        note_queued(&mut queued, &mut was_prefetched, &mut pages_prefetched);
                         let wait_from = now;
                         let stall = transport
                             .await_demand(r.page, &mut now, &mut dest, &mut trace)
@@ -1347,23 +1370,24 @@ async fn flush_writeback<T: Transport>(
     trace: &mut Trace,
 ) -> Result<(), AmpomError> {
     while let Some((seq, entries)) = wb.take_batch() {
-        let (bytes, acked_at) = transport.writeback_batch(now, seq, &entries).await?;
+        let (bytes, acked_at) = transport.writeback_batch(now, seq, entries).await?;
         trace.record_with(now, TraceKind::WritebackFlush, || TraceData {
             pages: Some(entries.len() as u64),
             bytes: Some(bytes),
             ..TraceData::default()
         });
-        for &(p, _) in &entries {
+        for &(p, _) in entries {
             space.clean(p);
         }
-        wb.complete(seq, &entries, bytes, now, acked_at);
+        wb.complete(bytes, now, acked_at);
     }
     Ok(())
 }
 
-/// Marks the prefetch pages a request actually queued.
-fn note_queued(queued: Vec<PageId>, was_prefetched: &mut [bool], pages_prefetched: &mut u64) {
-    for page in queued {
+/// Marks the prefetch pages a request actually queued, leaving the list
+/// empty for the next request.
+fn note_queued(queued: &mut Vec<PageId>, was_prefetched: &mut [bool], pages_prefetched: &mut u64) {
+    for page in queued.drain(..) {
         *pages_prefetched += 1;
         was_prefetched[page.index() as usize] = true;
     }
@@ -1404,8 +1428,8 @@ impl<T: Transport> Fetchable for ZoneFilter<'_, T> {
 }
 
 /// One prefetch analysis against the transport's monitor estimates:
-/// outcome feedback, the policy's window/zone decision, and the
-/// analysis-time charge.
+/// outcome feedback, the policy's window/zone decision into `prefetch`,
+/// and the analysis-time charge.
 #[allow(clippy::too_many_arguments)]
 async fn analyze<T: Transport>(
     pf: &mut dyn Prefetcher,
@@ -1418,14 +1442,15 @@ async fn analyze<T: Transport>(
     feedback: PrefetchFeedback,
     analysis_time: &mut SimDuration,
     trace: &mut Trace,
-) -> Vec<PageId> {
+    prefetch: &mut Vec<PageId>,
+) {
     let est = transport.estimates(*now).await;
     pf.note_outcome(feedback);
     let mut filter = ZoneFilter {
         space,
         transport: &*transport,
     };
-    let decision = pf.on_fault(page, *now, util, est, page_limit, &mut filter);
+    let decision = pf.on_fault(page, *now, util, est, page_limit, &mut filter, prefetch);
     if decision.score_clamped {
         trace.record(
             *now,
@@ -1450,7 +1475,6 @@ async fn analyze<T: Transport>(
     transport
         .on_window_wrap(*now, pf.observe().window_wraps)
         .await;
-    decision.prefetch
 }
 
 #[cfg(test)]
@@ -1775,6 +1799,44 @@ mod tests {
             seen.iter().all(|&n| n >= 10),
             "edge cases reached: {seen:?}"
         );
+    }
+
+    #[test]
+    fn stage_sorted_matches_the_backward_scan() {
+        use ampom_sim::propcheck::forall;
+        /// Staging by the backward scan alone.
+        fn scan(staged: &mut VecDeque<(SimTime, PageId)>, arrives: SimTime, page: PageId) {
+            let mut idx = staged.len();
+            while idx > 0 && staged[idx - 1].0 > arrives {
+                idx -= 1;
+            }
+            staged.insert(idx, (arrives, page));
+        }
+        // Which cases the generator reached: an arrival appended after
+        // the last, one equal to the last, one placed before it, and a
+        // pop from the front between stagings.
+        let mut seen = [0u32; 4];
+        forall("stage-sorted-scan", 256, |g| {
+            let (mut got, mut want) = (VecDeque::new(), VecDeque::new());
+            let mut fifo = 0u64;
+            let jitter = *g.choose(&[0, 5, 50, 500]);
+            for page in 0..g.u64(1..150) {
+                if g.bool(0.1) {
+                    seen[3] += u32::from(!want.is_empty());
+                    assert_eq!(got.pop_front(), want.pop_front());
+                }
+                fifo += g.u64(0..20);
+                let at = SimTime::from_nanos(fifo + g.u64(0..jitter + 1));
+                let last = want.back().map(|&(t, _)| t);
+                seen[0] += u32::from(last.is_some_and(|t| t < at));
+                seen[1] += u32::from(last == Some(at));
+                seen[2] += u32::from(last.is_some_and(|t| t > at));
+                stage_sorted(&mut got, at, PageId(page));
+                scan(&mut want, at, PageId(page));
+                assert_eq!(got, want);
+            }
+        });
+        assert!(seen.iter().all(|&n| n >= 10), "cases reached: {seen:?}");
     }
 
     #[test]

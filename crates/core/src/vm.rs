@@ -37,7 +37,7 @@ use ampom_workloads::memref::{MemRef, Workload};
 use crate::metrics::RunReport;
 use crate::migration::Scheme;
 use crate::policy::{Fetchable, PrefetchFeedback, PrefetchObservation, Prefetcher};
-use crate::prefetcher::{NetEstimates, PrefetchStats, ZoneDecision};
+use crate::prefetcher::{NetEstimates, PrefetchStats, ZoneAnalysis};
 use crate::runner::RunConfig;
 use crate::transport::{drive, run_solo, SimulatedTransport};
 
@@ -243,9 +243,10 @@ impl Prefetcher for GuestWindows {
         net: NetEstimates,
         page_limit: PageId,
         fetchable: &mut dyn Fetchable,
-    ) -> ZoneDecision {
+        prefetch: &mut Vec<PageId>,
+    ) -> ZoneAnalysis {
         self.last = guest_of(&self.starts, page);
-        self.windows[self.last].on_fault(page, now, cpu_util, net, page_limit, fetchable)
+        self.windows[self.last].on_fault(page, now, cpu_util, net, page_limit, fetchable, prefetch)
     }
 
     fn note_outcome(&mut self, feedback: PrefetchFeedback) {

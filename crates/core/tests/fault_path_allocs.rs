@@ -1,13 +1,16 @@
 //! An allocation budget for the simulated fault path.
 //!
 //! The forward loop's per-fault work — the zone analysis, the request,
-//! the deputy's replies, the in-flight set, installs and evictions —
-//! reuses storage the transport and the prefetcher own. What a fault
-//! still allocates is the decision's prefetch list and the list of pages
-//! a request queued, plus the batches of a writeback flush. This binary
-//! counts every heap allocation (and reallocation) a run makes, set-up
-//! included, with its own global allocator, and holds each cell to at
-//! most three per simulated fault.
+//! the deputy's replies, the in-flight set, installs, evictions and
+//! writeback batches — reuses storage the loop, the transport, the
+//! prefetcher and the writeback engine own, so a fault allocates nothing
+//! once that storage has grown. What a run allocates is its set-up and
+//! that growth: 48–72 allocations a cell. This binary counts every heap
+//! allocation (and reallocation) a run makes, set-up included, with its
+//! own global allocator, and holds each cell to at most half of one per
+//! simulated fault (0.01–0.36 measured; 1.4–2.3 while the prefetch list,
+//! the queued pages and each writeback batch's pending copy were fresh
+//! `Vec`s).
 //!
 //! The cells are perfbench's: the `sim-paper` mix (the smallest Table 1
 //! size of each HPCC kernel under AMPoM) and two `sim-scatter` specs (a
@@ -69,8 +72,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The most heap allocations a simulated fault may cost.
-const BUDGET_PER_FAULT: f64 = 3.0;
+/// The most heap allocations a simulated fault may cost, set-up included.
+const BUDGET_PER_FAULT: f64 = 0.5;
 
 /// Size divisor: perfbench's self-test scale.
 const DIV: u64 = 16;

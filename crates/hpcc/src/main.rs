@@ -478,7 +478,33 @@ fn run_clusterlife_command(opts: &Options) {
     publish(&clusterlife::FACTS, &run.facts, opts);
 }
 
+/// Gives SIGPIPE back its default action, so that a reader going away
+/// (`hpcc-repro all | head -2`) ends the run quietly, as it ends any Unix
+/// filter. The Rust runtime ignores SIGPIPE before `main`, which turns
+/// the next write into an `EPIPE` error and `println!` into a panic.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    use std::os::raw::c_int;
+    extern "C" {
+        /// `signal(2)`; the handler argument is a `sighandler_t`.
+        fn signal(signum: c_int, handler: usize) -> usize;
+    }
+    /// SIGPIPE's number on Linux, the BSDs and macOS.
+    const SIGPIPE: c_int = 13;
+    /// `SIG_DFL`.
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` only installs a disposition; SIG_DFL for SIGPIPE
+    // runs no Rust code in the handler, and no other thread exists yet.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe() {}
+
 fn main() {
+    restore_default_sigpipe();
     let opts = parse_args();
     let wants = |name: &str| opts.command == "all" || opts.command == name;
     let needs_matrix = ["fig5", "fig6", "fig7", "fig8", "fig11"]

@@ -104,3 +104,43 @@ fn a_csv_that_cannot_be_written_exits_1() {
         stderr(&out)
     );
 }
+
+/// A reader that goes away ends the run quietly: no panic, no backtrace,
+/// as `hpcc-repro all --quick | head -2` should.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_the_run_without_a_panic() {
+    use std::io::{BufRead, BufReader};
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::Stdio;
+
+    let dir = fresh_dir("sigpipe");
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_hpcc-repro"))
+            .args(["all", "--quick"])
+            .current_dir(&dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hpcc-repro starts")
+    };
+
+    // Closed after the first line, the way `head` closes it.
+    let mut child = spawn();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("a first line");
+    assert!(!first.is_empty(), "no output at all");
+    let out = child.wait_with_output().expect("hpcc-repro ends");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_ne!(out.status.code(), Some(101), "{}", stderr(&out));
+
+    // Closed before the first line: every write finds no reader, so the
+    // run must end by SIGPIPE, whatever the timing.
+    let mut child = spawn();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("hpcc-repro ends");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_eq!(out.status.signal(), Some(13), "{:?}", out.status);
+}

@@ -115,11 +115,37 @@ impl WriteSet {
     /// is dirty; otherwise the batch is recorded as pending under the
     /// returned sequence number until [`WriteSet::on_ack`].
     pub fn build_batch(&mut self, max_pages: usize) -> Option<(u64, Vec<(PageId, u64)>)> {
+        let mut entries = Vec::new();
+        let seq = self.fill_batch(max_pages, &mut entries)?;
+        self.pending.push((seq, entries.clone()));
+        Some((seq, entries))
+    }
+
+    /// [`Self::build_batch`] into `entries` (cleared first), for a carrier
+    /// that acknowledges each batch before the next store: the batch
+    /// counts as built and acknowledged at once, and no pending copy is
+    /// kept, so [`Self::on_ack`] and [`Self::take_for_retry`] never see
+    /// it. Returns the batch's sequence number, or `None` when nothing is
+    /// dirty.
+    pub fn build_acked_batch(
+        &mut self,
+        max_pages: usize,
+        entries: &mut Vec<(PageId, u64)>,
+    ) -> Option<u64> {
+        let seq = self.fill_batch(max_pages, entries)?;
+        self.counters.acks += 1;
+        Some(seq)
+    }
+
+    /// Moves up to `max_pages` dirty pages, lowest first, with their
+    /// versions into `entries` (cleared first) and numbers the batch.
+    fn fill_batch(&mut self, max_pages: usize, entries: &mut Vec<(PageId, u64)>) -> Option<u64> {
+        entries.clear();
         if self.dirty_count == 0 || max_pages == 0 {
             return None;
         }
         let take = max_pages.min(self.dirty_count);
-        let mut entries = Vec::with_capacity(take);
+        entries.reserve(take);
         let mut word = 0;
         while entries.len() < take {
             let bits = self.dirty[word];
@@ -135,9 +161,8 @@ impl WriteSet {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.counters.batches_built += 1;
-        self.counters.pages_flushed += entries.len() as u64;
-        self.pending.push((seq, entries.clone()));
-        Some((seq, entries))
+        self.counters.pages_flushed += take as u64;
+        Some(seq)
     }
 
     /// Acknowledges batch `seq`; unknown sequence numbers (a duplicate

@@ -377,13 +377,16 @@ fn write_set_matches_reference() {
     // Cases reached: a redirty while a batch is pending, a cap of 0, a
     // batch cut short by its cap, a batch past the first 64 pages, an
     // out-of-order ack, an ack of a batch already acked, a retry of a
-    // pending batch, a retry of one not pending.
-    let mut seen = [0u32; 8];
+    // pending batch, a retry of one not pending, a batch built
+    // acknowledged while another is pending.
+    let mut seen = [0u32; 9];
     forall("write-set-reference", 512, |g: &mut Gen| {
         let span = g.u64(1..200);
         let mut got = WriteSet::new();
         let mut want = ReferenceWriteSet::default();
-        let mut reached = [false; 8];
+        let mut reached = [false; 9];
+        // Stale entries the next acknowledged batch must replace.
+        let mut acked = vec![(PageId(u64::MAX), 0)];
         for _ in 0..g.usize(0..300) {
             match g.usize(0..8) {
                 0..=3 => {
@@ -396,8 +399,25 @@ fn write_set_matches_reference() {
                 4 => {
                     let cap = if g.bool(0.1) { 0 } else { g.usize(1..65) };
                     let dirty = want.dirty_len();
-                    let batch = got.build_batch(cap);
-                    assert_eq!(batch, want.build_batch(cap), "cap {cap}");
+                    let batch = if g.bool(0.5) {
+                        let batch = got.build_batch(cap);
+                        assert_eq!(batch, want.build_batch(cap), "cap {cap}");
+                        batch
+                    } else {
+                        // Built and acknowledged at once: the reference
+                        // builds, then acks.
+                        let others_pending = !want.pending.is_empty();
+                        let batch = got
+                            .build_acked_batch(cap, &mut acked)
+                            .map(|seq| (seq, acked.clone()));
+                        let reference = want.build_batch(cap);
+                        if let Some((seq, _)) = reference {
+                            want.on_ack(seq);
+                        }
+                        assert_eq!(batch, reference, "acknowledged, cap {cap}");
+                        reached[8] |= batch.is_some() && others_pending;
+                        batch
+                    };
                     reached[1] |= cap == 0 && dirty > 0;
                     reached[2] |= cap > 0 && dirty > cap;
                     reached[3] |= batch.is_some_and(|(_, e)| e.iter().any(|&(p, _)| p.0 >= 64));

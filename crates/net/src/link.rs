@@ -106,6 +106,10 @@ pub struct Link {
     bytes_carried: u64,
     /// Cumulative time the link spent busy (for utilization reporting).
     busy_time: SimDuration,
+    /// The last message size and its serialization time under `config`:
+    /// a run sends a handful of sizes, mostly the same one back to back,
+    /// so the quotient is worked out once per change of size.
+    last_ser: Option<(u64, SimDuration)>,
 }
 
 impl Link {
@@ -116,6 +120,7 @@ impl Link {
             free_at: SimTime::ZERO,
             bytes_carried: 0,
             busy_time: SimDuration::ZERO,
+            last_ser: None,
         }
     }
 
@@ -129,6 +134,23 @@ impl Link {
     /// subsequent transmissions see the new rate.
     pub fn reconfigure(&mut self, config: LinkConfig) {
         self.config = config;
+        self.last_ser = None;
+    }
+
+    /// [`LinkConfig::serialization_time`] of a `size`-byte message,
+    /// remembered for the next message of the same size.
+    ///
+    /// # Panics
+    /// Panics on a zero-capacity config, at the first message.
+    fn serialization_time(&mut self, size: u64) -> SimDuration {
+        match self.last_ser {
+            Some((last, ser)) if last == size => ser,
+            _ => {
+                let ser = self.config.serialization_time(size);
+                self.last_ser = Some((size, ser));
+                ser
+            }
+        }
     }
 
     /// Enqueues a `size`-byte message at time `now`, returning its
@@ -141,7 +163,7 @@ impl Link {
     /// guarantees).
     pub fn transmit(&mut self, now: SimTime, size: u64) -> Transmission {
         let start = now.max(self.free_at);
-        let ser = self.config.serialization_time(size);
+        let ser = self.serialization_time(size);
         let departs = start + ser;
         self.free_at = departs;
         self.bytes_carried += size;
@@ -151,6 +173,34 @@ impl Link {
             arrives: departs + self.config.latency,
             queued_for: start.since(now),
         }
+    }
+
+    /// Enqueues `n` messages of `size` bytes, all at time `now`: the link
+    /// ends in exactly the state `n` calls to [`Self::transmit`] leave,
+    /// and the result is the schedule the last of them returns (`None`
+    /// when `n` is 0, which changes nothing). The messages serialize back
+    /// to back, so the last departs `n` serialization times after the
+    /// first starts.
+    ///
+    /// # Panics
+    /// Panics where `n` calls would: a clock or busy time past `u64::MAX`
+    /// ns. The products are checked, never wrapped.
+    pub fn transmit_n(&mut self, now: SimTime, size: u64, n: u64) -> Option<Transmission> {
+        if n == 0 {
+            return None;
+        }
+        let start = now.max(self.free_at);
+        let ser = self.serialization_time(size);
+        let busy = ser * n;
+        let departs = start + busy;
+        self.free_at = departs;
+        self.bytes_carried += size.checked_mul(n).expect("bytes carried overflow");
+        self.busy_time += busy;
+        Some(Transmission {
+            departs,
+            arrives: departs + self.config.latency,
+            queued_for: (departs - ser).since(now),
+        })
     }
 
     /// When the transmitter next becomes idle.
@@ -318,6 +368,95 @@ mod tests {
             at(2).serialization_time(burst).as_nanos(),
             17_179_869_184_000_000_000
         );
+    }
+
+    /// Every observable of a link's state.
+    fn state(l: &Link) -> (SimTime, u64, SimDuration) {
+        (l.free_at(), l.bytes_carried(), l.busy_time())
+    }
+
+    #[test]
+    fn n_messages_at_once_match_n_transmits() {
+        use ampom_sim::propcheck::forall;
+        // Which cases the generator reached: an empty batch, a batch on
+        // an idle link, one queued behind earlier traffic, a reconfigure
+        // between batches.
+        let mut seen = [0u32; 4];
+        forall("link-transmit-n", 256, |g| {
+            let config = |g: &mut ampom_sim::propcheck::Gen| LinkConfig {
+                capacity_bytes_per_sec: g.u64(1..200_000_000),
+                latency: SimDuration::from_nanos(g.u64(0..1_000_000)),
+            };
+            let first = config(g);
+            let (mut one_by_one, mut batched) = (Link::new(first), Link::new(first));
+            let mut now = SimTime::ZERO;
+            for _ in 0..g.usize(1..12) {
+                if g.bool(0.2) {
+                    let next = config(g);
+                    one_by_one.reconfigure(next);
+                    batched.reconfigure(next);
+                    seen[3] += 1;
+                }
+                now += SimDuration::from_nanos(g.u64(0..2_000_000));
+                let any = g.u64(0..1 << 20);
+                let size = *g.choose(&[0, 1, 48, 4_128, any]);
+                let n = g.u64(0..64);
+                seen[0] += u32::from(n == 0);
+                seen[1] += u32::from(n > 0 && batched.free_at() <= now);
+                seen[2] += u32::from(n > 0 && batched.free_at() > now);
+                let last = (0..n).map(|_| one_by_one.transmit(now, size)).last();
+                assert_eq!(batched.transmit_n(now, size, n), last, "{n} x {size} B");
+                assert_eq!(state(&batched), state(&one_by_one), "{n} x {size} B");
+            }
+        });
+        assert!(seen.iter().all(|&n| n >= 10), "cases reached: {seen:?}");
+    }
+
+    #[test]
+    fn the_remembered_serialization_time_is_the_configs() {
+        let mut l = test_link();
+        let cfg = *l.config();
+        // Alternating sizes, a repeat, and a size of 0.
+        for size in [4_128, 48, 4_128, 4_128, 0, 48, 1 << 30] {
+            let before = l.busy_time();
+            l.transmit(SimTime::ZERO, size);
+            assert_eq!(l.busy_time() - before, cfg.serialization_time(size));
+        }
+        // A reconfigure forgets the remembered size's time.
+        let faster = LinkConfig {
+            capacity_bytes_per_sec: 3_000_000,
+            latency: SimDuration::ZERO,
+        };
+        l.reconfigure(faster);
+        let before = l.busy_time();
+        l.transmit(SimTime::ZERO, 1 << 30);
+        assert_eq!(l.busy_time() - before, faster.serialization_time(1 << 30));
+        assert_ne!(
+            faster.serialization_time(1 << 30),
+            cfg.serialization_time(1 << 30)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "zero capacity")]
+    fn a_zero_capacity_link_panics_at_its_first_message() {
+        let mut l = Link::new(LinkConfig {
+            capacity_bytes_per_sec: 0,
+            latency: SimDuration::ZERO,
+        });
+        l.transmit_n(SimTime::ZERO, 4_128, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn a_batch_past_u64_nanoseconds_panics_instead_of_wrapping() {
+        // 1 s per message at 1 B/s; 2^35 of them is past u64 ns, where a
+        // wrapping product would read a few seconds.
+        let mut l = Link::new(LinkConfig {
+            capacity_bytes_per_sec: 1,
+            latency: SimDuration::ZERO,
+        });
+        l.transmit_n(SimTime::ZERO, 1, 1 << 35);
     }
 
     #[test]

@@ -62,6 +62,20 @@ impl Nic {
         self.rx_packets += 1;
     }
 
+    /// Accounts `n` transmitted messages of `bytes` each, as `n` calls to
+    /// [`Self::on_transmit`] would.
+    pub fn on_transmit_n(&mut self, bytes: u64, n: u64) {
+        self.tx_bytes += bytes * n;
+        self.tx_packets += n;
+    }
+
+    /// Accounts `n` received messages of `bytes` each, as `n` calls to
+    /// [`Self::on_receive`] would.
+    pub fn on_receive_n(&mut self, bytes: u64, n: u64) {
+        self.rx_bytes += bytes * n;
+        self.rx_packets += n;
+    }
+
     /// Current counter values (what `ifconfig` would print).
     pub fn snapshot(&self) -> NicSnapshot {
         NicSnapshot {
@@ -96,6 +110,22 @@ mod tests {
         assert_eq!(s.rx_bytes, 4096);
         assert_eq!(n.tx_packets(), 2);
         assert_eq!(n.rx_packets(), 1);
+    }
+
+    #[test]
+    fn n_messages_count_as_n_calls() {
+        let (mut one_by_one, mut batched) = (Nic::new(), Nic::new());
+        for (bytes, n) in [(4_128, 3), (0, 2), (48, 0), (7, 1)] {
+            for _ in 0..n {
+                one_by_one.on_transmit(bytes);
+                one_by_one.on_receive(bytes + 1);
+            }
+            batched.on_transmit_n(bytes, n);
+            batched.on_receive_n(bytes + 1, n);
+        }
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+        assert_eq!(batched.tx_packets(), one_by_one.tx_packets());
+        assert_eq!(batched.rx_packets(), one_by_one.rx_packets());
     }
 
     #[test]

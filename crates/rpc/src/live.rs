@@ -42,7 +42,9 @@ use ampom_core::migration::{FreezeOutcome, PreMigrationState, Scheme};
 use ampom_core::prefetcher::NetEstimates;
 use ampom_core::reliability::{FailurePolicy, RetryPolicy, RetrySchedule, RetryStep};
 use ampom_core::runner::RunConfig;
-use ampom_core::transport::{refuse_simulated_only, run_with_transport, Destination, Transport};
+use ampom_core::transport::{
+    refuse_simulated_only, run_with_transport, Destination, PageBits, Transport,
+};
 use ampom_mem::page::{PageId, PAGE_SIZE};
 use ampom_mem::space::AddressSpace;
 use ampom_mem::table::{PageLocation, PageTablePair};
@@ -121,7 +123,7 @@ pub struct LiveTransport {
     client: Option<MigrantClient>,
     dead: bool,
     /// Requested and not yet installed.
-    in_flight: HashSet<PageId>,
+    in_flight: InFlightPages,
     /// Received and not yet installed (subset of `in_flight`).
     staged: HashSet<PageId>,
     /// Mapped pages whose contents the origin still holds.
@@ -165,7 +167,7 @@ impl LiveTransport {
             measured,
             client: None,
             dead: false,
-            in_flight: HashSet::new(),
+            in_flight: InFlightPages::default(),
             staged: HashSet::new(),
             origin: HashSet::new(),
             stats: FaultStats::default(),
@@ -201,7 +203,7 @@ impl LiveTransport {
                 "payload for page {page} is corrupt"
             )));
         }
-        if self.in_flight.contains(&page) && !self.staged.contains(&page) {
+        if self.in_flight.contains(page) && !self.staged.contains(&page) {
             self.staged.insert(page);
             self.origin.remove(&page);
         } else {
@@ -234,7 +236,7 @@ impl LiveTransport {
             Frame::Error { code, detail } if code == CODE_OVERLOADED => {
                 let mut reverted = 0u64;
                 for page in shed_pages_from_detail(&detail) {
-                    if !self.staged.contains(&page) && self.in_flight.remove(&page) {
+                    if !self.staged.contains(&page) && self.in_flight.remove(page) {
                         reverted += 1;
                     }
                 }
@@ -267,7 +269,10 @@ impl LiveTransport {
             return false;
         }
         self.dead = false;
-        self.in_flight = self.staged.clone();
+        self.in_flight.clear();
+        for &p in &self.staged {
+            self.in_flight.insert(p);
+        }
         if let Some(d) = demand {
             if self
                 .client
@@ -463,48 +468,49 @@ impl Transport for LiveTransport {
         demand: Option<PageId>,
         prefetch: &[PageId],
         table: &mut PageTablePair,
-    ) -> Result<Vec<PageId>, AmpomError> {
+        queued: &mut Vec<PageId>,
+    ) -> Result<(), AmpomError> {
         let allowed = IN_FLIGHT_QUOTA
             .saturating_sub(self.in_flight.len())
             .saturating_sub(usize::from(demand.is_some()));
-        let mut queued = Vec::new();
+        let first = queued.len();
         for &p in prefetch {
-            if queued.len() >= allowed {
+            if queued.len() - first >= allowed {
                 break;
             }
-            if self.in_flight.contains(&p) || !self.origin.contains(&p) {
+            if self.in_flight.contains(p) || !self.origin.contains(&p) {
                 continue;
             }
             queued.push(p);
         }
-        if demand.is_none() && queued.is_empty() {
-            return Ok(queued);
+        if demand.is_none() && queued.len() == first {
+            return Ok(());
         }
         let sent = {
             let client = self.client_mut()?;
-            client.send_request(demand, &queued).is_ok()
+            client.send_request(demand, &queued[first..]).is_ok()
         };
         if !sent {
             // The wait path absorbs the dead connection for the demand
             // page (it will be resent); unsent prefetches are simply
             // not committed and stay eligible at the origin.
             self.dead = true;
-            queued.clear();
+            queued.truncate(first);
         }
-        for p in demand.into_iter().chain(queued.iter().copied()) {
+        for &p in demand.iter().chain(&queued[first..]) {
             self.in_flight.insert(p);
             if table.lookup(p) == Some(PageLocation::Origin) {
                 table.transfer_to_destination(p);
             }
         }
-        Ok(queued)
+        Ok(())
     }
 
     async fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError> {
         if self.staged.contains(&page) {
             return Ok(now);
         }
-        if !self.in_flight.contains(&page) {
+        if !self.in_flight.contains(page) {
             return Err(AmpomError::Transport(format!(
                 "page {page} awaited but never requested"
             )));
@@ -621,7 +627,7 @@ impl Transport for LiveTransport {
         }
         let mut installed = 0u64;
         for page in std::mem::take(&mut self.staged) {
-            self.in_flight.remove(&page);
+            self.in_flight.remove(page);
             dest.space.install(page);
             installed += 1;
         }
@@ -631,7 +637,11 @@ impl Transport for LiveTransport {
     }
 
     fn is_in_flight(&self, page: PageId) -> bool {
-        self.in_flight.contains(&page)
+        self.in_flight.contains(page)
+    }
+
+    fn in_flight_word(&self, word: u64) -> u64 {
+        self.in_flight.bits.word(word)
     }
 
     fn in_flight_count(&self) -> usize {
@@ -902,6 +912,44 @@ fn shed_pages_from_detail(detail: &str) -> Vec<PageId> {
         .collect()
 }
 
+/// The requested-but-uninstalled pages of [`LiveTransport`]: a page
+/// bitset, which answers the zone filter 64 pages per word, and its
+/// count.
+#[derive(Debug, Default)]
+struct InFlightPages {
+    bits: PageBits,
+    len: usize,
+}
+
+impl InFlightPages {
+    /// Adds `page`; true when it was not in flight.
+    fn insert(&mut self, page: PageId) -> bool {
+        let added = self.bits.insert(page);
+        self.len += usize::from(added);
+        added
+    }
+
+    /// Removes `page`; true when it was in flight.
+    fn remove(&mut self, page: PageId) -> bool {
+        let removed = self.bits.remove(page);
+        self.len -= usize::from(removed);
+        removed
+    }
+
+    fn clear(&mut self) {
+        self.bits.clear();
+        self.len = 0;
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        self.bits.contains(page)
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 fn scheme_byte(scheme: Scheme) -> u8 {
     match scheme {
         Scheme::OpenMosix => 0,
@@ -945,7 +993,7 @@ mod tests {
             measured,
             client: None,
             dead: false,
-            in_flight: HashSet::new(),
+            in_flight: InFlightPages::default(),
             staged: HashSet::new(),
             origin: HashSet::new(),
             stats: FaultStats::default(),
@@ -1015,12 +1063,12 @@ mod tests {
         )
         .expect("a 503 is non-fatal");
         assert!(
-            !t.in_flight.contains(&shed),
+            !t.in_flight.contains(shed),
             "the shed page keeps its in-flight mark"
         );
         assert!(t.origin.contains(&shed), "the shed page left the origin");
         assert!(
-            t.in_flight.contains(&staged),
+            t.in_flight.contains(staged),
             "an already-delivered page was reverted"
         );
         // Every other error code stays fatal.
@@ -1032,6 +1080,62 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(fatal.is_err());
+    }
+
+    #[test]
+    fn in_flight_pages_match_a_set_model() {
+        use ampom_sim::propcheck::forall;
+        use std::ops::Range;
+        /// Every in-flight observable of `t` against the model, on the
+        /// pages of `words`.
+        fn agree(t: &LiveTransport, model: &HashSet<PageId>, words: Range<u64>) {
+            assert_eq!(t.in_flight_count(), model.len());
+            for word in words {
+                let mut want = 0;
+                for bit in 0..64 {
+                    let p = PageId(word * 64 + bit);
+                    assert_eq!(t.is_in_flight(p), model.contains(&p), "membership of {p}");
+                    want |= u64::from(model.contains(&p)) << bit;
+                }
+                assert_eq!(t.in_flight_word(word), want, "word {word}");
+            }
+        }
+        // Which operations the generator reached: an insert of a page in
+        // flight, a remove of a page in flight, a remove of one not in
+        // flight, a clear of a non-empty set.
+        let mut seen = [0u32; 4];
+        forall("live-in-flight-model", 256, |g| {
+            let mut t = offline_transport();
+            let mut model = HashSet::new();
+            let span = g.u64(1..300);
+            for _ in 0..g.usize(1..200) {
+                let page = PageId(g.u64(0..span));
+                match g.usize(0..8) {
+                    0..=3 => {
+                        seen[0] += u32::from(model.contains(&page));
+                        assert_eq!(t.in_flight.insert(page), model.insert(page));
+                    }
+                    4..=6 => {
+                        seen[1] += u32::from(model.contains(&page));
+                        seen[2] += u32::from(!model.contains(&page));
+                        assert_eq!(t.in_flight.remove(page), model.remove(&page));
+                    }
+                    _ => {
+                        seen[3] += u32::from(!model.is_empty());
+                        t.in_flight.clear();
+                        model.clear();
+                        agree(&t, &model, 0..span / 64 + 2);
+                    }
+                }
+                assert_eq!(t.in_flight_count(), model.len());
+            }
+            // Every word the pages reach, and one past them.
+            agree(&t, &model, 0..span / 64 + 2);
+        });
+        assert!(
+            seen.iter().all(|&n| n >= 10),
+            "operations reached: {seen:?}"
+        );
     }
 
     #[test]

@@ -293,8 +293,9 @@ impl Fetchable for PageBits {
 
 /// Drives one boxed policy through a generated fault stream while
 /// mirroring the runner's bookkeeping: the fetchable query rejects
-/// resident and in-flight pages, and every page a decision requests
-/// immediately becomes in-flight.
+/// resident and in-flight pages, every page a decision requests
+/// immediately becomes in-flight, and one prefetch list serves every
+/// fault.
 fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec, query: Query) {
     let mut pf = spec.build(&AmpomConfig::default());
     let page_limit = PageId(g.u64(64..4096));
@@ -307,6 +308,7 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec, query: Query) {
     let mut cursor = g.u64(0..page_limit.0);
     let mut prefetched: u64 = 0;
     let mut used: u64 = 0;
+    let mut prefetch = Vec::new();
 
     for _ in 0..faults {
         // Mostly strided so trend detectors engage, with random jumps
@@ -337,9 +339,8 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec, query: Query) {
             Query::Closure => {
                 // The faulted page is being demand-fetched: not fetchable.
                 resident.insert(page.0);
-                pf.on_fault(page, now, cpu, net, page_limit, &mut |p: PageId| {
-                    !resident.contains(&p.0)
-                })
+                let fetchable = &mut |p: PageId| !resident.contains(&p.0);
+                pf.on_fault(page, now, cpu, net, page_limit, fetchable, &mut prefetch)
             }
             Query::Bitsets => {
                 // Some earlier requests arrive; then the fault is
@@ -348,7 +349,7 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec, query: Query) {
                 for p in flying.drain(..arrived) {
                     bits.install(p);
                 }
-                let d = pf.on_fault(page, now, cpu, net, page_limit, &mut bits);
+                let d = pf.on_fault(page, now, cpu, net, page_limit, &mut bits, &mut prefetch);
                 if resident.insert(page.0) {
                     bits.request(page);
                     flying.push(page);
@@ -358,7 +359,7 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec, query: Query) {
         };
 
         let mut this_decision: HashSet<u64> = HashSet::new();
-        for p in &d.prefetch {
+        for p in &prefetch {
             assert!(p.0 < page_limit.0, "{}: out-of-space page", spec.label());
             assert_ne!(*p, page, "{}: requested the faulted page", spec.label());
             assert!(
@@ -377,8 +378,8 @@ fn check_policy_conservation(g: &mut Gen, spec: &PolicySpec, query: Query) {
             bits.request(*p);
             flying.push(*p);
         }
-        prefetched += d.prefetch.len() as u64;
-        assert!(d.prefetch.len() as u64 <= d.budget.max(1));
+        prefetched += prefetch.len() as u64;
+        assert!(prefetch.len() as u64 <= d.budget.max(1));
     }
     // The observation snapshot agrees with what the stream drove.
     let obs = pf.observe();
