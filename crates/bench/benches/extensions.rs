@@ -4,7 +4,7 @@
 
 use ampom_bench::Harness;
 use ampom_core::experiment::Experiment;
-use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig};
+use ampom_core::lifecycle::run_lifecycle;
 use ampom_core::migration::Scheme;
 use ampom_core::vm::{run_vm, VmAnalysis, VmWorkload};
 use ampom_sim::time::SimDuration;
@@ -36,12 +36,14 @@ fn vm_bench(h: &mut Harness) {
 fn roundtrip_bench(h: &mut Harness) {
     let mut g = h.group("ext_roundtrip");
     g.sample_size(10);
-    let lifecycle = LifecycleConfig::new(0.5).without_writeback();
     for scheme in [Scheme::OpenMosix, Scheme::Ampom] {
+        // Writeback off: the analytic round trip.
         let cfg = Experiment::new(scheme).config().clone();
         g.bench(scheme.name(), || {
             let mut w = Sequential::new(1024, SimDuration::from_micros(15));
-            run_lifecycle(&mut w, &cfg, &lifecycle).total_time
+            run_lifecycle(&mut w, &cfg, 0.5)
+                .expect("round-trip lifecycle is valid")
+                .total_time
         });
     }
     g.finish();

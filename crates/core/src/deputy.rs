@@ -311,8 +311,10 @@ impl AdmissionConfig {
     }
 }
 
-/// The outcome of one admission-controlled request submission.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The outcome of one admission-controlled request submission, filled
+/// by [`MultiDeputy::submit_request_admitted`] into lists the caller
+/// reuses from request to request.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Admitted {
     /// Pages accepted for service, in request order (as
     /// [`MultiDeputy::submit_request`] returns them). Coalesced pages
@@ -485,8 +487,16 @@ impl MultiDeputy {
         arrival: SimTime,
         pages: &[PageId],
     ) -> Vec<PageId> {
-        self.submit_request_admitted(m, arrival, pages, None, &AdmissionConfig::default())
-            .accepted
+        let mut admitted = Admitted::default();
+        self.submit_request_admitted(
+            m,
+            arrival,
+            pages,
+            None,
+            &AdmissionConfig::default(),
+            &mut admitted,
+        );
+        admitted.accepted
     }
 
     /// Admission-controlled variant of [`MultiDeputy::submit_request`]:
@@ -494,7 +504,7 @@ impl MultiDeputy {
     /// than queued — except `demand`, which is always admitted (only
     /// speculative work is shed). With the default (unbounded) config
     /// this is exactly `submit_request`: same acceptance, same
-    /// accounting, nothing shed.
+    /// accounting, nothing shed. Fills `admitted`, clearing it first.
     pub fn submit_request_admitted(
         &mut self,
         m: MigrantId,
@@ -502,11 +512,13 @@ impl MultiDeputy {
         pages: &[PageId],
         demand: Option<PageId>,
         adm: &AdmissionConfig,
-    ) -> Admitted {
+        admitted: &mut Admitted,
+    ) {
         let bound = adm.max_pending_pages.unwrap_or(usize::MAX);
         let shard = &mut self.shards[m.idx()];
-        let mut accepted = Vec::with_capacity(pages.len());
-        let mut shed = Vec::new();
+        let Admitted { accepted, shed } = admitted;
+        accepted.clear();
+        shed.clear();
         for &page in pages {
             if shard.pending.contains(&page) {
                 shard.pages_coalesced += 1;
@@ -532,14 +544,13 @@ impl MultiDeputy {
             cost: REQUEST_PARSE_COST,
             kind: WorkKind::Parse,
         });
-        for &page in &accepted {
+        for &page in accepted.iter() {
             shard.queue.push_back(WorkItem {
                 arrival,
                 cost: PAGE_SERVICE_COST,
                 kind: WorkKind::Page(page),
             });
         }
-        Admitted { accepted, shed }
     }
 
     /// The hysteresis `Hello` gate: returns true when a new migrant may
@@ -1251,19 +1262,29 @@ mod tests {
         let mut md = MultiDeputy::new(1);
         let adm = AdmissionConfig::bounded(2);
         // Fill the shard to the bound with prefetch.
-        let a = md.submit_request_admitted(M0, SimTime::ZERO, &[PageId(0), PageId(1)], None, &adm);
+        let mut a = Admitted::default();
+        md.submit_request_admitted(
+            M0,
+            SimTime::ZERO,
+            &[PageId(0), PageId(1)],
+            None,
+            &adm,
+            &mut a,
+        );
         assert_eq!(a.accepted.len(), 2);
         assert!(a.shed.is_empty());
-        // At the bound: prefetch sheds, the demand page still gets in.
-        let b = md.submit_request_admitted(
+        // At the bound: prefetch sheds, the demand page still gets in;
+        // the lists are refilled, not appended to.
+        md.submit_request_admitted(
             M0,
             SimTime::ZERO,
             &[PageId(2), PageId(3), PageId(4)],
             Some(PageId(2)),
             &adm,
+            &mut a,
         );
-        assert_eq!(b.accepted, vec![PageId(2)]);
-        assert_eq!(b.shed, vec![PageId(3), PageId(4)]);
+        assert_eq!(a.accepted, vec![PageId(2)]);
+        assert_eq!(a.shed, vec![PageId(3), PageId(4)]);
         let stats = md.shard_stats(M0);
         assert_eq!(stats.prefetch_pages_shed, 2);
         assert_eq!(stats.demand_pages_shed, 0);
@@ -1292,12 +1313,14 @@ mod tests {
             (M0, 40, vec![PageId(1), PageId(2)]), // one coalesces
         ] {
             let legacy = a.submit_request(m, at(t), &pages);
-            let admitted = b.submit_request_admitted(
+            let mut admitted = Admitted::default();
+            b.submit_request_admitted(
                 m,
                 at(t),
                 &pages,
                 pages.first().copied(),
                 &AdmissionConfig::default(),
+                &mut admitted,
             );
             assert_eq!(legacy, admitted.accepted);
             assert!(admitted.shed.is_empty());

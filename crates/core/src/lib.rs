@@ -118,7 +118,7 @@ pub mod zone;
 pub use chaos::{scenario, scenarios, ChaosScenario, ScenarioOutcome};
 pub use error::AmpomError;
 pub use experiment::{Experiment, WorkloadSpec};
-pub use lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport, WritebackSpec};
+pub use lifecycle::{run_lifecycle, LifecycleReport, WritebackSpec};
 pub use metrics::RunReport;
 pub use migration::Scheme;
 pub use multirun::{run_multi, MigrantSpec, MultiRunReport, MultiRunSpec};

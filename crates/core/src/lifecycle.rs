@@ -1,64 +1,55 @@
-//! The bidirectional page lifecycle: writeback, MPT replication, and the
-//! home-return migration path.
+//! The bidirectional page lifecycle: writeback and the home-return
+//! migration path.
 //!
 //! Forward migration (the rest of this crate) only ever moves pages
 //! *toward* the migrant. This module closes the loop:
 //!
-//! * a **writeback engine** promotes the dirty bit to a versioned
-//!   write-set ([`ampom_mem::writeback`]); dirty pages flow home in delta
-//!   batches budgeted against the reply link, with exactly-once
-//!   accounting that survives the PR 2 fault model (message loss, jitter,
-//!   deputy outages — see [`crate::reliability`]);
-//! * a **Mitosis-style MPT replica** ([`ampom_mem::replica`]) keeps hot
-//!   page-table lookups node-local, invalidated by transfer and writeback
-//!   events and refreshed lazily;
+//! * a **writeback engine** ([`ForwardWriteback`]) promotes the dirty bit
+//!   to a versioned write-set ([`ampom_mem::writeback`]); dirty pages flow
+//!   home in delta batches budgeted against the reply link. The
+//!   transport carries each batch; [`SimulatedTransport`] resends it
+//!   through message loss, jitter and deputy outages (see
+//!   [`crate::reliability`]) until its sink has applied it and acked;
 //! * a **home-return path** runs the 3-page + MPT freeze in reverse:
 //!   pages the migrant never fetched are free at home (§2.2 — the origin
 //!   only deletes a page when it is transferred), pages whose contents
 //!   were written back are flipped home ([`PageTablePair::return_to_origin`])
-//!   during the drain, and the remote node keeps a deputy stub for the
-//!   pages it still exclusively holds.
+//!   before the return freeze, and the remote node keeps a deputy stub for
+//!   the pages it still exclusively holds.
 //!
-//! [`run_lifecycle`] is the engine. With writeback disabled
-//! ([`LifecycleConfig::without_writeback`]) nothing flows home until the
+//! [`run_lifecycle`] is the engine. Its away and home legs are the one
+//! migrant loop every forward run uses, over one [`SimulatedTransport`].
+//! With [`RunConfig::writeback`] off nothing flows home until the
 //! return: the analytic round trip of the paper's "migrated again" case
 //! (§1), which the `ext-roundtrip` experiment reports. Eager openMosix
 //! then hauls the whole footprint back during the return freeze, while
-//! AMPoM moves three pages and the MPT and demand-pages the rest. The
-//! forward run loops reuse [`ForwardWriteback`], the reliable in-run
-//! variant of the same write-set (its reliable carrier needs no sink),
-//! gated behind [`crate::runner::RunConfig::writeback`] so default runs
-//! stay bit-identical to the golden fingerprints.
-
-use std::collections::{BTreeMap, HashMap, VecDeque};
+//! AMPoM moves three pages and the MPT and demand-pages the rest.
+//! Forward runs use the same engine when [`RunConfig::writeback`] asks
+//! for it; default runs leave it off and stay bit-identical to the
+//! golden fingerprints.
 
 use ampom_mem::page::{PageId, PAGE_SIZE};
-use ampom_mem::replica::MptReplica;
-use ampom_mem::space::{AddressSpace, PageState, TouchOutcome};
+use ampom_mem::space::PageState;
 use ampom_mem::table::{PageLocation, PageTablePair};
 use ampom_mem::writeback::{WriteSet, WritebackSink};
-use ampom_net::calibration::{AMPOM_ANALYSIS_COST, MIGRATION_BASE_COST, MPT_ENTRY_COST};
-use ampom_net::fault::{Fate, FaultPlan};
+use ampom_net::calibration::{MIGRATION_BASE_COST, MPT_ENTRY_COST};
 use ampom_obs::{MetricSource, MetricsRegistry};
-use ampom_sim::event::DowntimeSchedule;
-use ampom_sim::rng::SimRng;
 use ampom_sim::time::{SimDuration, SimTime};
 use ampom_sim::trace::{Trace, TraceData, TraceKind};
+use ampom_workloads::compose::Prefix;
 use ampom_workloads::memref::Workload;
 
 use crate::cluster::NetPath;
-use crate::deputy::Deputy;
 use crate::error::AmpomError;
-use crate::metrics::WritebackStats;
-use crate::migration::{perform_freeze, PreMigrationState, Scheme};
-use crate::monitor::MonitorDaemon;
+use crate::metrics::{RunReport, WritebackStats};
+use crate::migration::Scheme;
 use crate::policy::Prefetcher;
-use crate::reliability::{RetryPolicy, RetrySchedule};
-use crate::runner::{RunConfig, MINOR_FAULT_COST, PAGE_INSTALL_COST};
-
-/// Seed salt separating the writeback channel's fate streams from the
-/// forward path's fault injector.
-const WRITEBACK_CHAOS_SALT: u64 = 0x7762_5eed; // "wb" seed
+use crate::reliability::FailurePolicy;
+use crate::runner::RunConfig;
+use crate::transport::{
+    drive, drive_from, new_policy, new_trace, run_solo, Destination, Leg, LegStart,
+    SimulatedTransport,
+};
 
 /// Wire overhead of one writeback batch: length, type, sequence number
 /// and entry count (mirrors the v4 `WritebackBatch` frame header).
@@ -178,34 +169,6 @@ impl LifecycleCostModel {
     }
 }
 
-/// Configuration of one lifecycle run (out → dirty → writeback → return).
-#[derive(Debug, Clone)]
-pub struct LifecycleConfig {
-    /// Fraction of the reference stream executed away before the forced
-    /// return home; must lie in (0, 1).
-    pub away_fraction: f64,
-    /// Background writeback while away; `None` reproduces the analytic
-    /// round-trip model exactly (nothing flows home until the return).
-    pub writeback: Option<WritebackSpec>,
-}
-
-impl LifecycleConfig {
-    /// A lifecycle run returning after `away_fraction` of the stream,
-    /// with default background writeback.
-    pub fn new(away_fraction: f64) -> Self {
-        LifecycleConfig {
-            away_fraction,
-            writeback: Some(WritebackSpec::default()),
-        }
-    }
-
-    /// Disables background writeback (the analytic round-trip model).
-    pub fn without_writeback(mut self) -> Self {
-        self.writeback = None;
-        self
-    }
-}
-
 /// Measurements of one lifecycle run.
 #[derive(Debug)]
 pub struct LifecycleReport {
@@ -217,7 +180,8 @@ pub struct LifecycleReport {
     pub return_freeze: SimDuration,
     /// Wall time of the whole run.
     pub total_time: SimDuration,
-    /// Time executing on the remote node (incl. the writeback drain).
+    /// Time executing on the remote node, including the wait for the
+    /// last replies and the last writeback ack before the return.
     pub away_time: SimDuration,
     /// Time executing back home after the return freeze.
     pub home_time: SimDuration,
@@ -230,10 +194,6 @@ pub struct LifecycleReport {
     pub pages_freed_at_home: u64,
     /// Pages the remote node's deputy stub still exclusively holds.
     pub stub_pages: u64,
-    /// Remote fault requests over both phases.
-    pub fault_requests: u64,
-    /// Remote fault requests in the away phase alone.
-    pub away_fault_requests: u64,
     /// Distinct pages dirtied while away.
     pub pages_dirtied: u64,
     /// Distinct pages the home sink holds after the drain.
@@ -241,15 +201,32 @@ pub struct LifecycleReport {
     /// Deputy-sink restarts survived by the writeback protocol.
     pub sink_restarts: u64,
     /// True iff every dirtied page's final version was applied at the
-    /// sink exactly once and nothing is left in flight.
+    /// sink exactly once and nothing is left dirty.
     pub conservation_ok: bool,
-    /// Writeback and replica counters.
-    pub writeback: WritebackStats,
-    /// Event trace (enabled by `cfg.trace`).
+    /// The away leg: the outbound freeze and the first `away_fraction`
+    /// of the stream on the remote node, with its writeback counters.
+    pub away: RunReport,
+    /// The home leg: the return freeze and the rest of the stream, paged
+    /// from the remote node's stub. The link and its byte counters are
+    /// the run's, so `home.bytes_*` count both legs.
+    pub home: RunReport,
+    /// Events between the legs (enabled by `cfg.trace`): the return
+    /// freeze and the pages freed at home. Each leg's own events are in
+    /// its report's trace.
     pub trace: Trace,
 }
 
 impl LifecycleReport {
+    /// Remote fault requests over both legs.
+    pub fn fault_requests(&self) -> u64 {
+        self.away.fault_requests + self.home.fault_requests
+    }
+
+    /// Remote fault requests in the away leg alone.
+    pub fn away_fault_requests(&self) -> u64 {
+        self.away.fault_requests
+    }
+
     /// Panics unless the dirty-page conservation property held: the
     /// write-set drained and the sink holds exactly the final version of
     /// every dirtied page.
@@ -265,7 +242,7 @@ impl LifecycleReport {
 
 impl MetricSource for LifecycleReport {
     fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        self.writeback.export_metrics(reg);
+        self.away.writeback.export_metrics(reg);
         reg.export_gauge(
             "ampom_lifecycle_outbound_freeze_seconds",
             "freeze time of the outbound migration",
@@ -300,269 +277,18 @@ impl MetricSource for LifecycleReport {
 }
 
 // ---------------------------------------------------------------------
-// The migrant→deputy writeback channel under the PR 2 fault model.
+// The writeback engine.
 // ---------------------------------------------------------------------
 
-/// One sent-but-unsettled batch.
-#[derive(Debug, Clone, Copy)]
-struct InFlightBatch {
-    /// When the ack lands (None: batch or ack was lost).
-    ack_at: Option<SimTime>,
-    /// When the sender presumes loss and retransmits.
-    resend_at: SimTime,
-    /// Retransmission attempts so far (drives the backoff).
-    attempt: u32,
-}
-
-/// Fault-model state for the channel (absent on a reliable link).
-#[derive(Debug)]
-struct ChannelChaos {
-    batch_plan: FaultPlan,
-    ack_plan: FaultPlan,
-    downtime: DowntimeSchedule,
-    /// A deputy outage was observed; the sink restarts (losing its
-    /// volatile seen-sequence set) when sim time passes this instant.
-    pending_restart: Option<SimTime>,
-    retry: RetryPolicy,
-    base_timeout: SimDuration,
-}
-
-/// The away-phase writeback channel: write-set, sink, and the in-flight
-/// batch ledger, with loss/jitter/outage drawn from the run's profile.
-#[derive(Debug)]
-struct WritebackChannel {
-    spec: WritebackSpec,
-    wset: WriteSet,
-    sink: WritebackSink,
-    chaos: Option<ChannelChaos>,
-    sent: BTreeMap<u64, InFlightBatch>,
-    faults_since_flush: u64,
-    bytes: u64,
-    flush_time: SimDuration,
-    sink_restarts: u64,
-}
-
-impl WritebackChannel {
-    fn new(spec: WritebackSpec, cfg: &RunConfig) -> Self {
-        let chaos = cfg.faults.as_ref().filter(|p| !p.is_null()).map(|p| {
-            let rng = SimRng::seed_from_u64(cfg.seed ^ WRITEBACK_CHAOS_SALT);
-            ChannelChaos {
-                batch_plan: FaultPlan::new(p.faults, rng.fork(0x7762_6174)),
-                ack_plan: FaultPlan::new(p.faults, rng.fork(0x7761_636b)),
-                downtime: p.downtime.clone(),
-                pending_restart: None,
-                retry: p.retry,
-                base_timeout: RetrySchedule::for_link(p.retry, p.policy, cfg.link).base_timeout(),
-            }
-        });
-        WritebackChannel {
-            spec,
-            wset: WriteSet::new(),
-            sink: WritebackSink::new(),
-            chaos,
-            sent: BTreeMap::new(),
-            faults_since_flush: 0,
-            bytes: 0,
-            flush_time: SimDuration::ZERO,
-            sink_restarts: 0,
-        }
-    }
-
-    fn note_write(&mut self, page: PageId) {
-        self.wset.note_write(page);
-    }
-
-    /// The fault-handler hook: every `flush_every_faults` remote faults,
-    /// settle acks, retransmit the overdue and flush fresh batches.
-    fn on_remote_fault(&mut self, now: SimTime, path: &mut NetPath, trace: &mut Trace) {
-        self.faults_since_flush += 1;
-        if self.faults_since_flush >= self.spec.flush_every_faults {
-            self.faults_since_flush = 0;
-            self.pump(now, path, trace);
-        }
-    }
-
-    /// Settles acks due by `now`, retransmits overdue batches and sends
-    /// every batch the dirty set can fill. Never advances `now`: the
-    /// flush is background traffic, charged to the link but not to the
-    /// migrant's clock.
-    fn pump(&mut self, now: SimTime, path: &mut NetPath, trace: &mut Trace) {
-        self.settle(now);
-        let overdue: Vec<u64> = self
-            .sent
-            .iter()
-            .filter(|(_, b)| b.ack_at.is_none() && b.resend_at <= now)
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in overdue {
-            let entries = self
-                .wset
-                .take_for_retry(seq)
-                .expect("overdue batch is pending");
-            let attempt = self.sent[&seq].attempt + 1;
-            trace.record_with(now, TraceKind::WritebackRetransmit, || TraceData {
-                pages: Some(entries.len() as u64),
-                retry: Some(attempt as u64),
-                ..TraceData::default()
-            });
-            self.transmit(seq, &entries, attempt, now, path);
-        }
-        while let Some((seq, entries)) = self.wset.build_batch(self.spec.max_batch_pages) {
-            trace.record_with(now, TraceKind::WritebackFlush, || TraceData {
-                pages: Some(entries.len() as u64),
-                bytes: Some(writeback_batch_bytes(entries.len())),
-                ..TraceData::default()
-            });
-            self.transmit(seq, &entries, 0, now, path);
-        }
-    }
-
-    fn settle(&mut self, now: SimTime) {
-        let acked: Vec<u64> = self
-            .sent
-            .iter()
-            .filter(|(_, b)| matches!(b.ack_at, Some(t) if t <= now))
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in acked {
-            self.sent.remove(&seq);
-            self.wset.on_ack(seq);
-        }
-    }
-
-    /// Clocks one batch out on the dest→home direction and resolves its
-    /// fate (the simulator knows it immediately): applied + acked,
-    /// batch lost, ack lost, or deputy down.
-    fn transmit(
-        &mut self,
-        seq: u64,
-        entries: &[(PageId, u64)],
-        attempt: u32,
-        now: SimTime,
-        path: &mut NetPath,
-    ) {
-        let bytes = writeback_batch_bytes(entries.len());
-        let arrival = path.send_control_to_home(now, bytes);
-        self.bytes += bytes;
-        self.flush_time += arrival.since(now);
-        let latency = path.latency();
-        let (ack_at, resend_at) = match self.chaos.as_mut() {
-            None => {
-                let _ = self.sink.apply_batch(seq, entries);
-                (Some(arrival), arrival)
-            }
-            Some(c) => {
-                if let Some(up) = c.pending_restart {
-                    if up <= arrival {
-                        self.sink.restart();
-                        self.sink_restarts += 1;
-                        c.pending_restart = None;
-                    }
-                }
-                let timeout = c.retry.timeout(c.base_timeout, attempt);
-                match c.batch_plan.fate() {
-                    Fate::Dropped => (None, now + timeout),
-                    Fate::Delivered { extra_delay } => {
-                        let at = arrival + extra_delay;
-                        if c.downtime.is_down(at) {
-                            // The deputy is down: the batch is lost and
-                            // the sink will come back with its volatile
-                            // state gone.
-                            let up = c.downtime.next_up(at);
-                            c.pending_restart = Some(up);
-                            (None, (now + timeout).max(up))
-                        } else {
-                            let _ = self.sink.apply_batch(seq, entries);
-                            match c.ack_plan.fate() {
-                                Fate::Dropped => (None, now + timeout),
-                                Fate::Delivered { extra_delay: d } => {
-                                    (Some(at + latency + d), now + timeout)
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        self.sent.insert(
-            seq,
-            InFlightBatch {
-                ack_at,
-                resend_at,
-                attempt,
-            },
-        );
-    }
-
-    /// Drives the channel until every dirtied page is flushed *and*
-    /// acknowledged, advancing time across retransmission rounds. The
-    /// kernel completes outstanding writeback before freezing for the
-    /// return, exactly like outstanding page I/O.
-    fn drain(&mut self, mut now: SimTime, path: &mut NetPath, trace: &mut Trace) -> SimTime {
-        let mut guard = 0u32;
-        loop {
-            self.pump(now, path, trace);
-            if self.wset.is_drained() && self.sent.is_empty() {
-                return now;
-            }
-            guard += 1;
-            assert!(guard < 1_000_000, "writeback drain failed to converge");
-            let next = self
-                .sent
-                .values()
-                .map(|b| b.ack_at.unwrap_or(b.resend_at))
-                .min()
-                .expect("undrained channel has batches in flight");
-            now = now.max(next);
-        }
-    }
-
-    fn stats(&self) -> WritebackStats {
-        WritebackStats {
-            writes_noted: self.wset.counters.writes_noted,
-            redirties: self.wset.counters.redirties,
-            batches_sent: self.wset.counters.batches_built,
-            pages_written_back: self.sink.counters.pages_applied,
-            retransmits: self.wset.counters.retransmits,
-            duplicate_batches: self.sink.counters.duplicate_batches,
-            duplicate_pages: self.sink.counters.duplicate_pages,
-            writeback_bytes: self.bytes,
-            flush_time: self.flush_time,
-            ..WritebackStats::default()
-        }
-    }
-
-    /// Conservation: drained, and the sink holds exactly the final
-    /// version of every page ever dirtied.
-    fn conservation_ok(&self) -> bool {
-        self.wset.is_drained()
-            && self.sink.pages_written_back() == self.wset.pages_dirtied()
-            && self
-                .wset
-                .versions()
-                .all(|(p, v)| self.sink.applied_version(p) == v)
-    }
-}
-
-// ---------------------------------------------------------------------
-// The reliable in-run engine the forward loops share.
-// ---------------------------------------------------------------------
-
-/// The write-set of the forward run loops, where the in-run paging
-/// protocol is reliable (the reliability layer wraps the *request* path;
-/// writeback rides the same recovered stream). Each loop supplies its own
-/// carrier — [`NetPath::send_control_to_home`] or
-/// [`crate::transport::Transport::writeback_batch`] — and completes
-/// batches through [`ForwardWriteback::complete`].
-///
-/// No [`WritebackSink`] sits at the far end: on a reliable carrier every
-/// batch is completed exactly once, and the write-set gives a page a new
-/// version each time it batches it again, so a sink would apply every
-/// entry and refuse none. The engine counts the applied pages itself and
-/// reports no duplicates. For the same reason it keeps no pending copy
-/// of a batch: each is completed before the next store, and none is ever
-/// resent. The lifecycle channel keeps its sink and its pending copies,
-/// because its batches can be lost, resent and replayed across restarts.
+/// The migrant's writeback engine: the write-set and its flush cadence.
+/// The migrant loop feeds it stores and faults, and ships each batch it
+/// builds through [`crate::transport::Transport::writeback_batch`],
+/// which settles the batch before the next store: the simulated
+/// transport resolves the batch's whole fate chain when it sends it, and
+/// its [`WritebackSink`] refuses what a resend repeats. So the engine
+/// keeps no pending copy of a batch, counts every entry of a completed
+/// batch as applied, and takes the resend and duplicate counts from the
+/// transport.
 #[derive(Debug)]
 pub struct ForwardWriteback {
     spec: WritebackSpec,
@@ -572,6 +298,8 @@ pub struct ForwardWriteback {
     flush_time: SimDuration,
     /// Page entries of every completed batch: each one applied.
     pages_applied: u64,
+    /// When the last completed batch's ack reached the migrant.
+    settled: SimTime,
     /// The batch being carried, reused by every flush.
     batch: Vec<(PageId, u64)>,
 }
@@ -586,6 +314,7 @@ impl ForwardWriteback {
             bytes: 0,
             flush_time: SimDuration::ZERO,
             pages_applied: 0,
+            settled: SimTime::ZERO,
             batch: Vec::new(),
         }
     }
@@ -609,7 +338,7 @@ impl ForwardWriteback {
     }
 
     /// Builds the next delta batch, if anything is dirty: its sequence
-    /// number and entries. The carrier must deliver it, and the caller
+    /// number and entries. The carrier must settle it, and the caller
     /// [`Self::complete`] it, before the next store.
     pub fn take_batch(&mut self) -> Option<(u64, &[(PageId, u64)])> {
         let seq = self
@@ -619,12 +348,13 @@ impl ForwardWriteback {
     }
 
     /// Completes the batch [`Self::take_batch`] returned last, which the
-    /// carrier delivered: counts its entries applied and accounts the
-    /// wire cost.
+    /// carrier settled: counts its entries applied and accounts the wire
+    /// cost.
     pub fn complete(&mut self, bytes: u64, sent_at: SimTime, acked_at: SimTime) {
         self.bytes += bytes;
         self.flush_time += acked_at.since(sent_at);
         self.pages_applied += self.batch.len() as u64;
+        self.settled = self.settled.max(acked_at);
     }
 
     /// True while dirty pages await a final drain.
@@ -632,19 +362,36 @@ impl ForwardWriteback {
         self.wset.dirty_len() > 0
     }
 
-    /// The run-report counters (replica fields are the caller's). The
-    /// duplicate counters are 0: see the type's docs.
-    pub fn stats(&self) -> WritebackStats {
+    /// When the last completed batch settled.
+    pub fn settled(&self) -> SimTime {
+        self.settled
+    }
+
+    /// The run-report counters, with the resend and duplicate counts
+    /// the carrier reported in `far` (see
+    /// [`crate::transport::Transport::writeback_recovery`]).
+    pub fn stats(&self, far: &WritebackStats) -> WritebackStats {
         WritebackStats {
             writes_noted: self.wset.counters.writes_noted,
-            redirties: self.wset.counters.redirties,
             batches_sent: self.wset.counters.batches_built,
             pages_written_back: self.pages_applied,
-            retransmits: self.wset.counters.retransmits,
+            retransmits: far.retransmits,
+            duplicate_batches: far.duplicate_batches,
+            duplicate_pages: far.duplicate_pages,
             writeback_bytes: self.bytes,
             flush_time: self.flush_time,
-            ..WritebackStats::default()
         }
+    }
+
+    /// Conservation against `sink`: nothing is left dirty, and the sink
+    /// holds exactly the final version of every page ever dirtied.
+    fn conserved_at(&self, sink: &WritebackSink) -> bool {
+        !self.has_dirty()
+            && sink.pages_written_back() == self.wset.pages_dirtied()
+            && self
+                .wset
+                .versions()
+                .all(|(p, v)| sink.applied_version(p) == v)
     }
 }
 
@@ -652,213 +399,131 @@ impl ForwardWriteback {
 // The lifecycle engine.
 // ---------------------------------------------------------------------
 
+/// Refuses at entry what the lifecycle cannot honour: an away fraction
+/// outside (0, 1), an invalid `cfg`, FFA (its legs page from a deputy,
+/// not a file server) and the remigrate failure policy (a leg that
+/// migrates home by itself conflicts with the planned return).
+fn refuse(cfg: &RunConfig, away_fraction: f64) -> Result<(), AmpomError> {
+    if !(away_fraction > 0.0 && away_fraction < 1.0) {
+        return Err(AmpomError::InvalidConfig(format!(
+            "away_fraction must be in (0, 1), got {away_fraction}"
+        )));
+    }
+    cfg.validate()?;
+    if cfg.scheme == Scheme::Ffa {
+        return Err(AmpomError::InvalidConfig(
+            "the page lifecycle cannot run the FFA scheme: both legs page \
+             from a deputy, not a file server"
+                .into(),
+        ));
+    }
+    if cfg
+        .faults
+        .as_ref()
+        .is_some_and(|p| p.policy == FailurePolicy::Remigrate)
+    {
+        return Err(AmpomError::InvalidConfig(
+            "the page lifecycle cannot run the remigrate failure policy: a \
+             leg that migrates home by itself conflicts with the planned return"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Runs `workload` through the full lifecycle: outbound migration at t=0,
-/// execution away (with background writeback when configured), a forced
-/// home-return after `lc.away_fraction` of the reference stream, and
-/// execution back home to completion.
+/// an away leg over the first `away_fraction` of the reference stream
+/// (with background writeback when `cfg.writeback` asks for it), a
+/// forced home-return, and a home leg over the rest of the stream.
 ///
-/// Both hops use `cfg.scheme`; the network is `cfg.link` in both
-/// directions. When `cfg.faults` carries a non-null profile, the
-/// writeback channel draws message fates and deputy outages from it (the
-/// demand-paging path stays exact — the profile's recovery machinery for
-/// that path lives in the forward runner).
+/// Both legs are the one migrant loop over one [`SimulatedTransport`],
+/// so they honour every [`RunConfig`] field: the away leg runs on the
+/// remote node under `cfg.resident_limit_mb`; the home leg runs with
+/// writeback off and no resident limit (the home node held the whole
+/// image before it left), paging from the remote node's stub over the
+/// same link and fault injector. Both keep the run's absolute clock, on
+/// which a fault profile's outage timetable is written.
 ///
-/// # Panics
-/// Panics unless `lc.away_fraction` lies in (0, 1).
+/// # Errors
+/// [`AmpomError::InvalidConfig`] for an `away_fraction` outside (0, 1),
+/// the FFA scheme or the remigrate failure policy; whatever
+/// [`RunConfig::validate`] refuses.
 pub fn run_lifecycle<W: Workload + ?Sized>(
     workload: &mut W,
     cfg: &RunConfig,
-    lc: &LifecycleConfig,
-) -> LifecycleReport {
-    assert!(
-        (0.0..1.0).contains(&lc.away_fraction) && lc.away_fraction > 0.0,
-        "away_fraction must be in (0, 1)"
-    );
-    if let Some(spec) = &lc.writeback {
-        spec.validate().expect("invalid writeback spec");
+    away_fraction: f64,
+) -> Result<LifecycleReport, AmpomError> {
+    refuse(cfg, away_fraction)?;
+    let switch_at = ((workload.total_refs_hint() as f64 * away_fraction) as u64).max(1);
+    let mut transport = SimulatedTransport::new(cfg);
+    // The sink the conservation check compares the write-set against.
+    transport.sink.get_or_insert_with(WritebackSink::new);
+
+    // ---- Away leg: the first `switch_at` references, remotely. Each
+    // leg starts a fresh policy, with an empty lookback window. ----
+    let mut policy = new_policy(cfg);
+    let Leg {
+        report: away,
+        mut dest,
+        writeback,
+    } = run_solo(drive(
+        &mut Prefix::new(workload, switch_at),
+        cfg,
+        &mut transport,
+        policy.as_deref_mut().map(|p| p as &mut dyn Prefetcher),
+    ))?;
+    let away_start = SimTime::ZERO + away.freeze_time;
+    let mut now = SimTime::ZERO + away.total_time;
+
+    // The kernel completes outstanding page I/O and writeback before
+    // freezing: the last replies land, the last ack comes back.
+    transport.install_in_flight(&mut now, &mut dest);
+    if let Some(wb) = &writeback {
+        now = now.max(wb.settled());
     }
-    let layout = workload.layout().clone();
-    let pre = PreMigrationState::new(layout.clone(), workload.allocation_pages());
-    let total_refs = workload.total_refs_hint();
-    let switch_at = ((total_refs as f64 * lc.away_fraction) as u64).max(1);
-
-    let mut path = NetPath::new(cfg.link);
-    let mut trace = if cfg.trace {
-        Trace::enabled()
-    } else {
-        Trace::disabled()
-    };
-    let freeze = perform_freeze(cfg.scheme, &pre, &mut path, &mut trace);
-    let outbound_freeze = freeze.freeze_time;
-    let mut space = freeze.space;
-    let mut table = freeze.table;
-    let mut now = SimTime::ZERO + outbound_freeze;
-    let away_start = now;
-
-    let mut deputy = Deputy::new();
-    let mut monitor = MonitorDaemon::new(&path);
-    let mut prefetcher: Option<Box<dyn Prefetcher>> =
-        (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
-    let mut in_flight: HashMap<PageId, SimTime> = HashMap::new();
-    let mut staged: VecDeque<(SimTime, PageId)> = VecDeque::new();
-    let mut served = Vec::new();
-    // The zone of the latest analysis, reused by both legs.
-    let mut prefetch = Vec::new();
-    let page_limit = PageId(layout.total_pages());
-
-    let mut channel = lc.writeback.map(|spec| WritebackChannel::new(spec, cfg));
-    let mut replica = MptReplica::from_table(&table);
-
-    let mut fault_requests = 0u64;
-    let mut away_fault_requests = 0u64;
-    let mut refs_done = 0u64;
-
-    // ---- Away phase: executing on the remote node. ----
-    while refs_done < switch_at {
-        let Some(r) = workload.next() else { break };
-        refs_done += 1;
-        match space.touch(r.page, r.write) {
-            TouchOutcome::Hit => {
-                if r.write {
-                    if let Some(c) = channel.as_mut() {
-                        c.note_write(r.page);
-                    }
-                }
-                now += r.cpu;
-            }
-            TouchOutcome::LocalAllocate => {
-                // First touches allocate dirty (anonymous zero-fill), so
-                // the page joins the write-set regardless of `r.write`.
-                if let Some(c) = channel.as_mut() {
-                    c.note_write(r.page);
-                }
-                if replica.lookup(r.page, &table).is_none() {
-                    table.create_at_destination(r.page);
-                    replica.invalidate(r.page);
-                }
-                now += MINOR_FAULT_COST + r.cpu;
-            }
-            TouchOutcome::RemoteFault => {
-                if let Some(c) = channel.as_mut() {
-                    c.on_remote_fault(now, &mut path, &mut trace);
-                }
-                install(&mut staged, &mut in_flight, &mut space, &mut now);
-                match prefetcher.as_mut() {
-                    Some(pf) => {
-                        monitor.advance(now, &mut path);
-                        let est = monitor.estimates();
-                        let fetchable = &mut |p| {
-                            space.state(p) == PageState::Remote && !in_flight.contains_key(&p)
-                        };
-                        pf.on_fault(r.page, now, 1.0, est, page_limit, fetchable, &mut prefetch);
-                        now += AMPOM_ANALYSIS_COST;
-                        monitor.on_window_wrap(now, pf.observe().window_wraps, &path);
-                    }
-                    None => prefetch.clear(),
-                }
-                if space.is_resident(r.page) {
-                    // Resolved by the install above.
-                } else if let Some(&arrival) = in_flight.get(&r.page) {
-                    now = now.max(arrival);
-                    install(&mut staged, &mut in_flight, &mut space, &mut now);
-                } else {
-                    fault_requests += 1;
-                    away_fault_requests += 1;
-                    let at_home = path.send_request(now, 1 + prefetch.len());
-                    served.clear();
-                    let pages = std::iter::once(r.page).chain(prefetch.iter().copied());
-                    deputy.serve_request(at_home, pages, &mut table, &mut path, &mut served);
-                    for s in &served {
-                        replica.invalidate(s.page);
-                        in_flight.insert(s.page, s.arrives);
-                        staged.push_back((s.arrives, s.page));
-                    }
-                    now = now.max(in_flight[&r.page]);
-                    install(&mut staged, &mut in_flight, &mut space, &mut now);
-                }
-                let hit = space.touch(r.page, r.write);
-                debug_assert_eq!(hit, TouchOutcome::Hit);
-                if r.write {
-                    if let Some(c) = channel.as_mut() {
-                        c.note_write(r.page);
-                    }
-                }
-                now += r.cpu;
-            }
-        }
-    }
-
-    // Drain the paging pipeline: anything in flight lands at the remote
-    // node before the return (the kernel completes outstanding I/O before
-    // freezing).
-    while let Some(&(arrival, _)) = staged.front() {
-        now = now.max(arrival);
-        install(&mut staged, &mut in_flight, &mut space, &mut now);
-    }
-
-    // ---- Writeback drain + table flips. ----
-    // Every dirtied page must reach the home sink before the return
-    // freeze; the drain rides out loss, jitter and deputy outages. Pages
-    // whose contents came home flip back to origin storage — the same
-    // `Both` transition any origin-departure reports, run in reverse.
-    let remote_resident: Vec<PageId> = space
+    let remote_resident: Vec<PageId> = dest
+        .space
         .pages_where(|s| matches!(s, PageState::Resident { .. }))
         .collect();
     let pages_returned = remote_resident.len() as u64;
-    let pages_fetched_remotely = table.pages_at_destination();
-    let mut sink_restarts = 0u64;
-    let mut pages_dirtied = 0u64;
-    let mut sink_pages = 0u64;
-    let mut conservation_ok = true;
-    if let Some(c) = channel.as_mut() {
-        now = c.drain(now, &mut path, &mut trace);
-        sink_restarts = c.sink_restarts;
-        pages_dirtied = c.wset.pages_dirtied();
-        sink_pages = c.sink.pages_written_back();
-        conservation_ok = c.conservation_ok();
-        for &page in c.sink.applied().keys() {
-            if table.lookup(page) == Some(PageLocation::Destination) {
-                table.return_to_origin(page);
-                replica.invalidate(page);
-            }
+    let pages_fetched_remotely = dest.table.pages_at_destination();
+    let sink = transport.sink.as_ref().expect("the lifecycle keeps a sink");
+    let (pages_dirtied, conservation_ok) = writeback.as_ref().map_or((0, true), |wb| {
+        (wb.wset.pages_dirtied(), wb.conserved_at(sink))
+    });
+    let (sink_pages, sink_restarts) = (sink.pages_written_back(), sink.counters.restarts);
+    // Pages whose contents came home flip back to origin storage — the
+    // same `Both` transition any origin-departure reports, in reverse.
+    for &page in sink.applied().keys() {
+        if dest.table.lookup(page) == Some(PageLocation::Destination) {
+            dest.table.return_to_origin(page);
         }
-        table.check_invariants();
     }
+    dest.table.check_invariants();
     let away_time = now.since(away_start);
 
     // ---- Return freeze. ----
-    let return_freeze = match cfg.scheme {
-        Scheme::OpenMosix => {
-            // Eager: ship every remote-resident page back at once.
-            let bytes = pages_returned * PAGE_SIZE;
-            let done = path.bulk_transfer(now + MIGRATION_BASE_COST, bytes);
-            done.since(now)
-        }
-        Scheme::Ampom => {
-            // Three pages + MPT, as always.
-            let mpt = table.mpt_bytes();
-            let start =
-                now + MIGRATION_BASE_COST + MPT_ENTRY_COST.saturating_mul(table.mapped_pages());
-            let done = path.bulk_transfer(start, 3 * PAGE_SIZE + mpt);
-            done.since(now)
-        }
-        Scheme::NoPrefetch | Scheme::Ffa => {
-            let done = path.bulk_transfer(now + MIGRATION_BASE_COST, 3 * PAGE_SIZE);
-            done.since(now)
-        }
-    };
+    let mut trace = new_trace(cfg);
+    let frozen_at = now;
+    let (return_freeze, mpt_bytes) = price_return(
+        cfg.scheme,
+        pages_returned,
+        &dest.table,
+        &mut transport.path,
+        now,
+    );
     trace.record_with(now, TraceKind::ReturnFreeze, || TraceData {
         pages: Some(pages_returned),
         ..TraceData::default()
     });
     now += return_freeze;
-    let home_start = now;
 
-    // ---- Home phase: executing back home. ----
-    // Role swap: remote-resident pages become remote (stored on the node
-    // we just left, which keeps a deputy stub); origin-stored pages — the
+    // ---- Role swap. ----
+    // Remote-resident pages become remote (stored on the node we just
+    // left, which keeps a deputy stub); origin-stored pages — the
     // never-fetched and the written-back — are local for free. Under
     // eager openMosix everything returned during the freeze.
+    let mut space = dest.space;
     let mut pages_freed_at_home = 0u64;
     if cfg.scheme != Scheme::OpenMosix {
         for &p in &remote_resident {
@@ -866,7 +531,7 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
         }
         let free_at_home: Vec<PageId> = space
             .pages_where(|s| s == PageState::Remote)
-            .filter(|p| replica.lookup(*p, &table) == Some(PageLocation::Origin))
+            .filter(|&p| dest.table.lookup(p) == Some(PageLocation::Origin))
             .collect();
         pages_freed_at_home = free_at_home.len() as u64;
         for p in free_at_home {
@@ -878,127 +543,80 @@ pub fn run_lifecycle<W: Workload + ?Sized>(
         ..TraceData::default()
     });
 
-    // Fresh transfer bookkeeping for the second hop: the remote node's
-    // stub serves what it still exclusively holds.
-    let mut return_table =
-        PageTablePair::at_migration(space.pages_where(|s| s == PageState::Remote));
-    let stub_pages = return_table.mapped_pages();
-    let mut return_replica = MptReplica::from_table(&return_table);
-    let mut return_deputy = Deputy::new();
-    let mut return_prefetcher: Option<Box<dyn Prefetcher>> =
-        (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
-    in_flight.clear();
-    staged.clear();
+    // ---- Home leg: the rest of the stream, paged from the stub. ----
+    let stub = PageTablePair::at_migration(space.pages_where(|s| s == PageState::Remote));
+    let stub_pages = stub.mapped_pages();
+    let (home_dest, _) = Destination::new(space, stub, None);
+    let home_cfg = RunConfig {
+        writeback: None,
+        ..cfg.clone()
+    };
+    let mut transport = transport.into_return_leg();
+    let mut policy = new_policy(cfg);
+    let home = run_solo(drive_from(
+        workload,
+        &home_cfg,
+        &mut transport,
+        policy.as_deref_mut().map(|p| p as &mut dyn Prefetcher),
+        LegStart {
+            dest: home_dest,
+            frozen_at,
+            freeze_time: return_freeze,
+            mpt_bytes,
+            program_mb: away.program_mb,
+            trace: new_trace(cfg),
+        },
+    ))?
+    .report;
 
-    for r in &mut *workload {
-        match space.touch(r.page, r.write) {
-            TouchOutcome::Hit => now += r.cpu,
-            TouchOutcome::LocalAllocate => now += MINOR_FAULT_COST + r.cpu,
-            TouchOutcome::RemoteFault => {
-                install(&mut staged, &mut in_flight, &mut space, &mut now);
-                match return_prefetcher.as_mut() {
-                    Some(pf) => {
-                        monitor.advance(now, &mut path);
-                        let est = monitor.estimates();
-                        let fetchable = &mut |p| {
-                            space.state(p) == PageState::Remote
-                                && !in_flight.contains_key(&p)
-                                && return_replica.lookup(p, &return_table).is_some()
-                        };
-                        pf.on_fault(r.page, now, 1.0, est, page_limit, fetchable, &mut prefetch);
-                        now += AMPOM_ANALYSIS_COST;
-                    }
-                    None => prefetch.clear(),
-                }
-                if space.is_resident(r.page) {
-                    // Arrived with the last batch.
-                } else if let Some(&arrival) = in_flight.get(&r.page) {
-                    now = now.max(arrival);
-                    install(&mut staged, &mut in_flight, &mut space, &mut now);
-                } else {
-                    fault_requests += 1;
-                    let at_remote = path.send_request(now, 1 + prefetch.len());
-                    served.clear();
-                    let pages = std::iter::once(r.page).chain(prefetch.iter().copied());
-                    return_deputy.serve_request(
-                        at_remote,
-                        pages,
-                        &mut return_table,
-                        &mut path,
-                        &mut served,
-                    );
-                    for s in &served {
-                        return_replica.invalidate(s.page);
-                        in_flight.insert(s.page, s.arrives);
-                        staged.push_back((s.arrives, s.page));
-                    }
-                    now = now.max(in_flight[&r.page]);
-                    install(&mut staged, &mut in_flight, &mut space, &mut now);
-                }
-                let hit = space.touch(r.page, r.write);
-                debug_assert_eq!(hit, TouchOutcome::Hit);
-                now += r.cpu;
-            }
-        }
-    }
-
-    replica.check_equivalence(&table);
-    return_replica.check_equivalence(&return_table);
-
-    let mut writeback = channel.as_ref().map(|c| c.stats()).unwrap_or_default();
-    writeback.replica_hits = replica.counters.local_hits + return_replica.counters.local_hits;
-    writeback.replica_refreshes = replica.counters.stale_refreshes
-        + return_replica.counters.stale_refreshes
-        + replica.counters.cold_misses
-        + return_replica.counters.cold_misses;
-    writeback.replica_invalidations =
-        replica.counters.invalidations + return_replica.counters.invalidations;
-
-    LifecycleReport {
+    Ok(LifecycleReport {
         scheme: cfg.scheme,
-        outbound_freeze,
+        outbound_freeze: away.freeze_time,
         return_freeze,
-        total_time: now.since(SimTime::ZERO),
+        total_time: (frozen_at + home.total_time).since(SimTime::ZERO),
         away_time,
-        home_time: now.since(home_start),
+        home_time: home.total_time - return_freeze,
         pages_fetched_remotely,
         pages_returned,
         pages_freed_at_home,
         stub_pages,
-        fault_requests,
-        away_fault_requests,
         pages_dirtied,
         sink_pages,
         sink_restarts,
         conservation_ok,
-        writeback,
+        away,
+        home,
         trace,
-    }
+    })
 }
 
-/// Installs every staged page whose arrival is due, charging
-/// [`PAGE_INSTALL_COST`] per page.
-pub(crate) fn install(
-    staged: &mut VecDeque<(SimTime, PageId)>,
-    in_flight: &mut HashMap<PageId, SimTime>,
-    space: &mut AddressSpace,
-    now: &mut SimTime,
-) {
-    let mut n = 0u64;
-    while let Some(&(arrival, page)) = staged.front() {
-        if arrival > *now {
-            break;
+/// Prices the return freeze from `now` and returns it with the MPT
+/// bytes it ships. Eager openMosix ships every remote-resident page
+/// back at once; AMPoM three pages and the MPT; the others three pages.
+fn price_return(
+    scheme: Scheme,
+    pages_returned: u64,
+    table: &PageTablePair,
+    path: &mut NetPath,
+    now: SimTime,
+) -> (SimDuration, u64) {
+    let (done, mpt_bytes) = match scheme {
+        Scheme::OpenMosix => (
+            path.bulk_transfer(now + MIGRATION_BASE_COST, pages_returned * PAGE_SIZE),
+            0,
+        ),
+        Scheme::Ampom => {
+            let mpt = table.mpt_bytes();
+            let start =
+                now + MIGRATION_BASE_COST + MPT_ENTRY_COST.saturating_mul(table.mapped_pages());
+            (path.bulk_transfer(start, 3 * PAGE_SIZE + mpt), mpt)
         }
-        staged.pop_front();
-        in_flight.remove(&page);
-        if space.state(page) == PageState::Remote {
-            space.install(page);
-        }
-        n += 1;
-    }
-    if n > 0 {
-        *now += PAGE_INSTALL_COST.saturating_mul(n);
-    }
+        Scheme::NoPrefetch | Scheme::Ffa => (
+            path.bulk_transfer(now + MIGRATION_BASE_COST, 3 * PAGE_SIZE),
+            0,
+        ),
+    };
+    (done.since(now), mpt_bytes)
 }
 
 #[cfg(test)]
@@ -1049,11 +667,16 @@ mod tests {
         assert_eq!(m.dirty_pages(230, 2.0), m.dirty_pages(230, 1.0));
     }
 
+    /// A run of `scheme` with default background writeback.
+    fn with_writeback(scheme: Scheme) -> RunConfig {
+        RunConfig::new(scheme).with_writeback(WritebackSpec::default())
+    }
+
     // Stores-only sweeps: every touched page is dirtied, so the writeback
     // engine has real work to conserve (Sequential is read-only).
     fn lifecycle(scheme: Scheme, frac: f64) -> LifecycleReport {
         let mut w = SequentialWrite::new(1024, CPU);
-        run_lifecycle(&mut w, &RunConfig::new(scheme), &LifecycleConfig::new(frac))
+        run_lifecycle(&mut w, &with_writeback(scheme), frac).expect("valid lifecycle")
     }
 
     #[test]
@@ -1062,19 +685,16 @@ mod tests {
         assert!(r.pages_dirtied > 0, "a sequential sweep dirties pages");
         r.check_conservation();
         assert_eq!(r.sink_pages, r.pages_dirtied);
-        assert!(r.writeback.batches_sent > 0);
-        assert!(r.writeback.writeback_bytes > 0);
+        assert!(r.away.writeback.batches_sent > 0);
+        assert!(r.away.writeback.writeback_bytes > 0);
     }
 
     #[test]
     fn written_back_pages_are_free_at_home() {
         let with = lifecycle(Scheme::Ampom, 0.5);
         let mut w = SequentialWrite::new(1024, CPU);
-        let without = run_lifecycle(
-            &mut w,
-            &RunConfig::new(Scheme::Ampom),
-            &LifecycleConfig::new(0.5).without_writeback(),
-        );
+        let without =
+            run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), 0.5).expect("valid lifecycle");
         assert!(
             with.pages_freed_at_home > without.pages_freed_at_home,
             "writeback should free pages at home: {} vs {}",
@@ -1090,19 +710,9 @@ mod tests {
     }
 
     #[test]
-    fn replica_serves_hot_lookups_locally() {
-        let r = lifecycle(Scheme::Ampom, 0.5);
-        assert!(
-            r.writeback.replica_hits > 0,
-            "hot lookups must hit the replica"
-        );
-        assert!(r.writeback.replica_invalidations > 0);
-    }
-
-    #[test]
     fn conservation_survives_a_lossy_link() {
         let mut w = SequentialWrite::new(512, CPU);
-        let cfg = RunConfig::new(Scheme::Ampom).with_faults(FaultProfile {
+        let cfg = with_writeback(Scheme::Ampom).with_faults(FaultProfile {
             faults: FaultSpec {
                 loss_rate: 0.25,
                 burst_len: 2,
@@ -1110,20 +720,43 @@ mod tests {
             },
             ..FaultProfile::default()
         });
-        let r = run_lifecycle(&mut w, &cfg, &LifecycleConfig::new(0.6));
+        let r = run_lifecycle(&mut w, &cfg, 0.6).expect("valid lifecycle");
         r.check_conservation();
+        let wb = r.away.writeback;
         assert!(
-            r.writeback.retransmits > 0,
+            wb.retransmits > 0,
             "a 25% lossy link must force retransmits"
         );
-        assert!(r.writeback.duplicate_batches + r.writeback.duplicate_pages > 0);
+        assert!(wb.duplicate_batches + wb.duplicate_pages > 0);
+    }
+
+    #[test]
+    fn traced_lifecycle_records_every_lifecycle_event_kind() {
+        let mut w = SequentialWrite::new(512, CPU);
+        let cfg = with_writeback(Scheme::Ampom)
+            .with_faults(FaultProfile::lossy(0.25))
+            .with_trace();
+        let r = run_lifecycle(&mut w, &cfg, 0.6).expect("valid lifecycle");
+        let traces = [&r.away.trace, &r.trace, &r.home.trace];
+        for kind in [
+            TraceKind::FreezeBegin,
+            TraceKind::WritebackFlush,
+            TraceKind::WritebackRetransmit,
+            TraceKind::ReturnFreeze,
+            TraceKind::PagesFreedAtHome,
+        ] {
+            assert!(
+                traces.iter().any(|t| t.first_of(kind).is_some()),
+                "no {kind} event"
+            );
+        }
     }
 
     #[test]
     fn conservation_survives_deputy_restarts() {
         use ampom_sim::event::DowntimeSchedule;
         let mut w = SequentialWrite::new(512, CPU);
-        let cfg = RunConfig::new(Scheme::Ampom).with_faults(FaultProfile {
+        let cfg = with_writeback(Scheme::Ampom).with_faults(FaultProfile {
             faults: FaultSpec {
                 loss_rate: 0.10,
                 burst_len: 2,
@@ -1135,23 +768,23 @@ mod tests {
             ),
             ..FaultProfile::default()
         });
-        let r = run_lifecycle(&mut w, &cfg, &LifecycleConfig::new(0.6));
+        let r = run_lifecycle(&mut w, &cfg, 0.6).expect("valid lifecycle");
         r.check_conservation();
     }
 
     #[test]
     fn workload_completes_exactly_once() {
-        completes_exactly_once(LifecycleConfig::new(0.5));
+        completes_exactly_once(&with_writeback(Scheme::Ampom));
     }
 
     #[test]
     fn workload_completes_exactly_once_without_writeback() {
-        completes_exactly_once(LifecycleConfig::new(0.5).without_writeback());
+        completes_exactly_once(&RunConfig::new(Scheme::Ampom));
     }
 
-    fn completes_exactly_once(lifecycle: LifecycleConfig) {
+    fn completes_exactly_once(cfg: &RunConfig) {
         let mut w = Sequential::new(256, CPU);
-        let r = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
+        let r = run_lifecycle(&mut w, cfg, 0.5).expect("valid lifecycle");
         assert!(w.next().is_none(), "stream fully consumed");
         assert!(r.total_time > SimDuration::ZERO);
         assert_eq!(
@@ -1159,30 +792,42 @@ mod tests {
             r.outbound_freeze + r.away_time + r.return_freeze + r.home_time,
             "phases partition the run"
         );
+        for leg in [&r.away, &r.home] {
+            assert_eq!(
+                leg.phases.total(),
+                leg.total_time,
+                "a leg's phases partition it"
+            );
+        }
+        assert_eq!(r.home.freeze_time, r.return_freeze);
+        assert_eq!(r.home_time, r.home.total_time - r.return_freeze);
     }
 
     #[test]
-    #[should_panic(expected = "away_fraction")]
     fn fraction_must_be_in_unit_interval() {
-        let mut w = Sequential::new(64, CPU);
-        let lifecycle = LifecycleConfig::new(1.5);
-        let _ = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
+        fraction_is_refused(&with_writeback(Scheme::Ampom));
     }
 
     #[test]
-    #[should_panic(expected = "away_fraction")]
     fn fraction_must_be_in_unit_interval_without_writeback() {
-        let mut w = Sequential::new(64, CPU);
-        let lifecycle = LifecycleConfig::new(1.5).without_writeback();
-        let _ = run_lifecycle(&mut w, &RunConfig::new(Scheme::Ampom), &lifecycle);
+        fraction_is_refused(&RunConfig::new(Scheme::Ampom));
+    }
+
+    fn fraction_is_refused(cfg: &RunConfig) {
+        for frac in [1.5, 1.0, 0.0, -0.5, f64::NAN] {
+            let mut w = Sequential::new(64, CPU);
+            match run_lifecycle(&mut w, cfg, frac) {
+                Err(AmpomError::InvalidConfig(msg)) => assert!(msg.contains("away_fraction")),
+                other => panic!("fraction {frac}: {other:?}"),
+            }
+        }
     }
 
     // The analytic round trip: writeback off, a read-only sweep of 2048
     // pages, called home after `frac` of it.
     fn round_trip(scheme: Scheme, frac: f64) -> LifecycleReport {
         let mut w = Sequential::new(2048, CPU);
-        let lifecycle = LifecycleConfig::new(frac).without_writeback();
-        run_lifecycle(&mut w, &RunConfig::new(scheme), &lifecycle)
+        run_lifecycle(&mut w, &RunConfig::new(scheme), frac).expect("valid lifecycle")
     }
 
     #[test]
@@ -1248,9 +893,9 @@ mod tests {
         // Fault requests in phase 2 relate to the ~10% remote footprint,
         // not the remaining 90% of the sweep.
         assert!(
-            r.fault_requests < 400,
+            r.fault_requests() < 400,
             "requests {} should not re-fetch home pages",
-            r.fault_requests
+            r.fault_requests()
         );
     }
 
@@ -1283,7 +928,7 @@ mod tests {
                 }
             }
             flush(&mut wb, &mut sink, SimTime::from_nanos(200));
-            let stats = wb.stats();
+            let stats = wb.stats(&WritebackStats::default());
             assert!(!wb.has_dirty());
             assert_eq!(stats.pages_written_back, sink.counters.pages_applied);
             assert_eq!(stats.pages_written_back, wb.wset.counters.pages_flushed);

@@ -49,7 +49,7 @@
 //! suite).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::task::{Context, Poll, Waker};
 
@@ -62,7 +62,7 @@ use ampom_sim::time::{SimDuration, SimTime};
 use ampom_sim::trace::{Trace, TraceData, TraceKind};
 
 use crate::cluster::NetPath;
-use crate::deputy::{AdmissionConfig, Completion, DrrConfig, MigrantId, MultiDeputy};
+use crate::deputy::{AdmissionConfig, Admitted, Completion, DrrConfig, MigrantId, MultiDeputy};
 use crate::error::AmpomError;
 use crate::experiment::WorkloadSpec;
 use crate::lifecycle::writeback_batch_bytes;
@@ -72,7 +72,7 @@ use crate::monitor::MonitorDaemon;
 use crate::prefetcher::NetEstimates;
 use crate::reliability::{FailurePolicy, FaultProfile, RetrySchedule, RetryStep};
 use crate::runner::{RunConfig, PAGE_INSTALL_COST};
-use crate::transport::{migrant_loop, refuse_simulated_only, Destination, PageBits, Transport};
+use crate::transport::{migrant_loop, refuse_simulated_only, Destination, InFlight, Transport};
 
 /// Control-message size for a forwarded syscall (matches
 /// [`Deputy::forward_syscall`](crate::deputy::Deputy::forward_syscall)).
@@ -587,15 +587,17 @@ impl MigrantId {
 struct Member<'a> {
     id: usize,
     coord: &'a RefCell<Coordinator>,
-    /// Requested-but-uninstalled pages; `None` until the reply arrival
-    /// is known.
-    in_flight: HashMap<PageId, Option<SimTime>>,
-    /// The pages of `in_flight`, for the zone filter's word reads.
-    in_flight_bits: PageBits,
-    /// How many `in_flight` entries still await their arrival.
-    unknown: usize,
-    /// Delivered pages not yet installed, in arrival order.
+    /// Requested-but-uninstalled pages, arriving at
+    /// [`InFlight::UNKNOWN`] until the coordinator delivers their reply.
+    in_flight: InFlight,
+    /// Delivered pages not yet installed, in arrival order: the pages of
+    /// `in_flight` whose arrival is known.
     staged: VecDeque<(SimTime, PageId)>,
+    /// The pages of a request the origin filter passes, reused by every
+    /// request.
+    submit: Vec<PageId>,
+    /// What the deputy accepted and shed of them, reused likewise.
+    admitted: Admitted,
     /// Final counters, taken at the sync turn.
     bytes: (u64, u64),
     deputy: DeputyStats,
@@ -607,10 +609,10 @@ impl<'a> Member<'a> {
         Member {
             id,
             coord,
-            in_flight: HashMap::new(),
-            in_flight_bits: PageBits::default(),
-            unknown: 0,
+            in_flight: InFlight::default(),
             staged: VecDeque::new(),
+            submit: Vec::new(),
+            admitted: Admitted::default(),
             bytes: (0, 0),
             deputy: DeputyStats::default(),
             faults: FaultStats::default(),
@@ -649,15 +651,20 @@ impl<'a> Member<'a> {
     fn absorb(&mut self) {
         let coord = self.coord;
         for (arrival, page) in coord.borrow_mut().delivery_buf[self.id].drain(..) {
-            match self.in_flight.get_mut(&page) {
-                Some(slot @ None) => {
-                    *slot = Some(arrival);
-                    self.unknown -= 1;
-                }
-                _ => debug_assert!(false, "delivery for page not awaiting arrival"),
-            }
+            debug_assert_eq!(
+                self.in_flight.arrival(page),
+                Some(InFlight::UNKNOWN),
+                "delivery for page not awaiting arrival"
+            );
+            self.in_flight.insert(page, arrival);
             self.staged.push_back((arrival, page));
         }
+    }
+
+    /// Whether some requested page's arrival is still with the
+    /// coordinator: every known arrival is staged until installed.
+    fn arrivals_unknown(&self) -> bool {
+        self.in_flight.len() > self.staged.len()
     }
 }
 
@@ -691,44 +698,44 @@ impl Transport for Member<'_> {
         // table view: only origin pages are serviceable, and they move
         // to the destination the moment the deputy accepts them (the
         // single-migrant deputy does both inside `serve_request`).
-        let submit: Vec<PageId> = demand
-            .into_iter()
-            .chain(prefetch.iter().copied())
-            .filter(|&p| table.lookup(p) == Some(PageLocation::Origin))
-            .collect();
-        for &p in &submit {
+        self.submit.clear();
+        self.submit.extend(
+            demand
+                .into_iter()
+                .chain(prefetch.iter().copied())
+                .filter(|&p| table.lookup(p) == Some(PageLocation::Origin)),
+        );
+        for &p in &self.submit {
             table.transfer_to_destination(p);
         }
         // Admission control never sheds the demand page, and downtime
         // recovery is charged only to a request that carries one (a
-        // pure-prefetch request stalls nobody).
-        let demand_submitted = demand.filter(|d| submit.contains(d));
+        // pure-prefetch request stalls nobody). The demand comes first.
+        let demand_submitted = demand.filter(|&d| self.submit.first() == Some(&d));
         self.wait(Wait::Turn(now)).await;
-        let admitted = {
+        {
             let mut coord = self.coord.borrow_mut();
             let arrival =
                 coord.chaos_request_arrival(self.id, now, total_pages, demand_submitted.is_some());
             let admission = coord.admission;
-            let admitted = coord.md.submit_request_admitted(
+            coord.md.submit_request_admitted(
                 MigrantId(self.id as u32),
                 arrival,
-                &submit,
+                &self.submit,
                 demand_submitted,
                 &admission,
+                &mut self.admitted,
             );
             coord.commit_to_horizon();
-            admitted
-        };
+        }
         // Shed prefetches revert to the origin: they were optimistically
         // marked in-transfer above, and the deputy never serviced them.
         // A later touch demand-fetches the page, so nothing is lost.
-        for &p in &admitted.shed {
+        for &p in &self.admitted.shed {
             table.return_to_origin(p);
         }
-        for &p in &admitted.accepted {
-            self.in_flight.insert(p, None);
-            self.in_flight_bits.insert(p);
-            self.unknown += 1;
+        for &p in &self.admitted.accepted {
+            self.in_flight.insert(p, InFlight::UNKNOWN);
             if demand != Some(p) {
                 queued.push(p);
             }
@@ -738,25 +745,28 @@ impl Transport for Member<'_> {
     }
 
     async fn wait_for(&mut self, page: PageId, now: SimTime) -> Result<SimTime, AmpomError> {
-        match self.in_flight.get(&page) {
+        match self.in_flight.arrival(page) {
             None => Err(AmpomError::Transport(format!(
                 "page {page} awaited but never requested"
             ))),
-            Some(Some(arrival)) => Ok(*arrival),
-            Some(None) => {
+            Some(InFlight::UNKNOWN) => {
                 // The request was submitted already: the turn has no side
                 // effect, then the migrant blocks until the page commits.
                 // Nothing is taken in between: the wake looks for the page
                 // among the undelivered pages.
                 self.wait(Wait::Turn(now)).await;
                 self.turn(Wait::Page(page), |_, _| ()).await;
-                Ok(self.in_flight[&page].expect("woken by the page's delivery"))
+                let arrival = self.in_flight.arrival(page);
+                Ok(arrival
+                    .filter(|&at| at != InFlight::UNKNOWN)
+                    .expect("woken by the page's delivery"))
             }
+            Some(arrival) => Ok(arrival),
         }
     }
 
     async fn install_arrived(&mut self, now: &mut SimTime, dest: &mut Destination) {
-        if self.unknown > 0 {
+        if self.arrivals_unknown() {
             // Some arrivals are still with the coordinator: every commit
             // up to this clock has run once the turn comes.
             self.turn(Wait::Turn(*now), |_, _| ()).await;
@@ -767,8 +777,7 @@ impl Transport for Member<'_> {
                 break;
             }
             self.staged.pop_front();
-            self.in_flight.remove(&page);
-            self.in_flight_bits.remove(page);
+            self.in_flight.remove(page);
             dest.space.install(page);
             installed += 1;
         }
@@ -778,11 +787,11 @@ impl Transport for Member<'_> {
     }
 
     fn is_in_flight(&self, page: PageId) -> bool {
-        self.in_flight_bits.contains(page)
+        self.in_flight.contains(page)
     }
 
     fn in_flight_word(&self, word: u64) -> u64 {
-        self.in_flight_bits.word(word)
+        self.in_flight.word(word)
     }
 
     fn in_flight_count(&self) -> usize {

@@ -41,6 +41,7 @@ use ampom_mem::eviction::ClockEvictor;
 use ampom_mem::page::{PageId, PAGE_SIZE};
 use ampom_mem::space::{AddressSpace, PageState, TouchOutcome};
 use ampom_mem::table::{PageLocation, PageTablePair};
+use ampom_mem::writeback::WritebackSink;
 use ampom_net::calibration::{AMPOM_ANALYSIS_COST, MIGRATION_BASE_COST, PER_MESSAGE_OVERHEAD};
 use ampom_net::cross::CrossTraffic;
 use ampom_net::fault::Fate;
@@ -55,7 +56,7 @@ use crate::cluster::NetPath;
 use crate::deputy::{Deputy, ServedPage};
 use crate::error::AmpomError;
 use crate::lifecycle::{writeback_batch_bytes, ForwardWriteback};
-use crate::metrics::{DeputyStats, FaultStats, RunReport, RunSeries};
+use crate::metrics::{DeputyStats, FaultStats, RunReport, RunSeries, WritebackStats};
 use crate::migration::{perform_freeze, FreezeOutcome, PreMigrationState, Scheme};
 use crate::monitor::MonitorDaemon;
 use crate::policy::{extend_by_word, Fetchable, PrefetchFeedback, Prefetcher};
@@ -193,11 +194,12 @@ pub trait Transport {
         let _ = (now, pages);
     }
 
-    /// Carries one writeback delta batch toward the home node and returns
-    /// `(bytes_on_wire, settled_at)` — the instant the batch is applied
-    /// and acknowledged. The default declines (no writeback support):
-    /// zero bytes, instant settle. Background semantics: callers charge
-    /// the link, not the migrant's clock.
+    /// Carries one writeback delta batch toward the home node, resending
+    /// it until it is applied and acknowledged, and returns
+    /// `(bytes_on_wire, settled_at)`: every attempt's bytes, and the
+    /// instant the last ack reached the migrant. The default declines
+    /// (no writeback support): zero bytes, instant settle. Background
+    /// semantics: callers charge the link, not the migrant's clock.
     async fn writeback_batch(
         &mut self,
         now: SimTime,
@@ -208,8 +210,16 @@ pub trait Transport {
         Ok((0, now))
     }
 
+    /// The writeback counters only the far side knows: batches resent,
+    /// and whole batches and page entries the home sink refused as
+    /// duplicates. Every other field is zero. The default is a carrier
+    /// that never loses a batch.
+    fn writeback_recovery(&self) -> WritebackStats {
+        WritebackStats::default()
+    }
+
     /// Drains transport-internal trace events (live connects, retries,
-    /// reconnects) accumulated since the last call.
+    /// reconnects, writeback resends) accumulated since the last call.
     async fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
         Vec::new()
     }
@@ -268,7 +278,11 @@ impl Destination {
     /// of `limit_mb`. Whatever the freeze installed beyond the cap goes
     /// straight back (what an eager copy into a too-small node does);
     /// returns the destination and how many pages bounced.
-    fn new(space: AddressSpace, table: PageTablePair, limit_mb: Option<u64>) -> (Self, u64) {
+    pub(crate) fn new(
+        space: AddressSpace,
+        table: PageTablePair,
+        limit_mb: Option<u64>,
+    ) -> (Self, u64) {
         let mut dest = Destination {
             space,
             table,
@@ -342,12 +356,12 @@ impl Destination {
     }
 }
 
-/// The in-process transport: the FIFO link model, the deputy and the
-/// monitor daemon, with FFA's file server and the fault injector when
-/// the configuration asks for them.
+/// The in-process transport: the FIFO link model, the deputy, the
+/// monitor daemon and the home node's writeback sink, with FFA's file
+/// server and the fault injector when the configuration asks for them.
 #[derive(Debug)]
 pub struct SimulatedTransport {
-    path: NetPath,
+    pub(crate) path: NetPath,
     deputy: Deputy,
     monitor: MonitorDaemon,
     /// Requested-but-uninstalled pages and their (earliest) arrival.
@@ -364,6 +378,22 @@ pub struct SimulatedTransport {
     faults: Option<FaultInjector>,
     /// FFA's file server, set up by an FFA freeze.
     file_server: Option<FileServer>,
+    /// The home node's end of the writeback channel: it applies every
+    /// batch that lands, and refuses the copies a resend repeats. Kept
+    /// under a fault profile, whose resends need it, and by the page
+    /// lifecycle, which checks conservation against it. A fault-free
+    /// forward run settles each batch exactly once and keeps no
+    /// per-page store.
+    pub(crate) sink: Option<WritebackSink>,
+    /// After a deputy outage swallowed a batch: when the sink comes back
+    /// up, its volatile sequence state gone.
+    sink_restart_at: Option<SimTime>,
+    /// Writeback batches sent again after a lost batch, a lost ack or
+    /// an outage.
+    retransmits: u64,
+    /// Events inside the transport (writeback resends) for
+    /// [`Transport::drain_trace`]; `None` when the run is not traced.
+    events: Option<Vec<(SimTime, TraceKind, TraceData)>>,
 }
 
 impl SimulatedTransport {
@@ -392,6 +422,108 @@ impl SimulatedTransport {
                 .filter(|p| !p.is_null())
                 .map(|p| FaultInjector::new(p, cfg.link, cfg.seed)),
             file_server: None,
+            sink: cfg
+                .faults
+                .as_ref()
+                .is_some_and(|p| !p.is_null())
+                .then(WritebackSink::new),
+            sink_restart_at: None,
+            retransmits: 0,
+            events: cfg.trace.then(Vec::new),
+        }
+    }
+
+    /// The transport of the leg that brings the migrant home: the same
+    /// link, monitor, fault injector and sink (one link, one fate
+    /// stream), a fresh deputy on the node the migrant leaves, and
+    /// nothing in flight. The injector's counters start again, so each
+    /// leg reports its own recovery.
+    pub(crate) fn into_return_leg(self) -> Self {
+        SimulatedTransport {
+            deputy: Deputy::new(),
+            in_flight: InFlight::default(),
+            staged: VecDeque::new(),
+            faults: self.faults.map(|f| FaultInjector {
+                stats: FaultStats::default(),
+                ..f
+            }),
+            file_server: None,
+            ..self
+        }
+    }
+
+    /// Waits for every reply still on the wire and installs it, as the
+    /// kernel completes outstanding page I/O before it freezes the
+    /// process again.
+    pub(crate) fn install_in_flight(&mut self, now: &mut SimTime, dest: &mut Destination) {
+        while let Some(&(arrival, _)) = self.staged.front() {
+            *now = (*now).max(arrival);
+            self.install_staged(now, dest);
+        }
+    }
+
+    /// [`Transport::writeback_batch`] under the fault profile. The
+    /// batch's whole fate chain is resolved when it is sent: each
+    /// attempt may be lost, land while the deputy is down (the sink
+    /// then restarts, its sequence state gone, when the deputy is back),
+    /// or land and have its ack lost; every failure resends after the
+    /// retry schedule's timeout. Every attempt is charged to the link at
+    /// `now`: the link is FIFO, so a resend placed at its later instant
+    /// would queue the migrant's own requests behind it. Loss below 1
+    /// and a finite outage timetable end the chain.
+    fn writeback_with_faults(
+        &mut self,
+        now: SimTime,
+        seq: u64,
+        entries: &[(PageId, u64)],
+        transit: SimDuration,
+    ) -> (u64, SimTime) {
+        let f = self
+            .faults
+            .as_mut()
+            .expect("fate chains run only under a fault profile");
+        let sink = self.sink.get_or_insert_with(WritebackSink::new);
+        let bytes = writeback_batch_bytes(entries.len());
+        let (base, latency) = (f.schedule.base_timeout(), self.path.latency());
+        let (mut sent_at, mut attempt, mut wire) = (now, 0u32, bytes);
+        loop {
+            let landed = sent_at + transit;
+            if self.sink_restart_at.is_some_and(|up| up <= landed) {
+                sink.restart();
+                self.sink_restart_at = None;
+            }
+            let timeout = f.profile.retry.timeout(base, attempt);
+            let resend_at = match f.request_plan.fate() {
+                Fate::Dropped => sent_at + timeout,
+                Fate::Delivered { extra_delay } => {
+                    let at = landed + extra_delay;
+                    if f.profile.downtime.is_down(at) {
+                        let up = f.profile.downtime.next_up(at);
+                        self.sink_restart_at = Some(up);
+                        (sent_at + timeout).max(up)
+                    } else {
+                        sink.apply_batch(seq, entries);
+                        match f.reply_plan.fate() {
+                            Fate::Dropped => sent_at + timeout,
+                            Fate::Delivered { extra_delay } => {
+                                return (wire, at + latency + extra_delay)
+                            }
+                        }
+                    }
+                }
+            };
+            attempt += 1;
+            self.retransmits += 1;
+            if let Some(events) = self.events.as_mut() {
+                events.push((
+                    resend_at,
+                    TraceKind::WritebackRetransmit,
+                    TraceData::pages(entries.len() as u64).with_retry(u64::from(attempt)),
+                ));
+            }
+            self.path.send_control_to_home(now, bytes);
+            wire += bytes;
+            sent_at = resend_at;
         }
     }
 
@@ -760,38 +892,70 @@ impl Transport for SimulatedTransport {
         self.evict(now, pages);
     }
 
+    /// Fault-free, a batch is one control message that settles on
+    /// arrival. Under a fault profile the batch's whole fate chain is
+    /// resolved at send: lost batches, lost acks and deputy outages
+    /// resend it until the sink has applied it and its ack is back.
     async fn writeback_batch(
         &mut self,
         now: SimTime,
-        _seq: u64,
+        seq: u64,
         entries: &[(PageId, u64)],
     ) -> Result<(u64, SimTime), AmpomError> {
         let bytes = writeback_batch_bytes(entries.len());
         let arrival = self.path.send_control_to_home(now, bytes);
-        Ok((bytes, arrival))
+        if self.faults.is_none() {
+            if let Some(sink) = self.sink.as_mut() {
+                sink.apply_batch(seq, entries);
+            }
+            return Ok((bytes, arrival));
+        }
+        Ok(self.writeback_with_faults(now, seq, entries, arrival.since(now)))
+    }
+
+    fn writeback_recovery(&self) -> WritebackStats {
+        let sink = self.sink.as_ref().map(|s| s.counters).unwrap_or_default();
+        WritebackStats {
+            retransmits: self.retransmits,
+            duplicate_batches: sink.duplicate_batches,
+            duplicate_pages: sink.duplicate_pages,
+            ..WritebackStats::default()
+        }
+    }
+
+    async fn drain_trace(&mut self) -> Vec<(SimTime, TraceKind, TraceData)> {
+        self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 }
 
-/// The requested-but-uninstalled pages of [`SimulatedTransport`].
+/// The requested-but-uninstalled pages of a simulated migrant: those of
+/// [`SimulatedTransport`] and of a multi-run member.
 ///
 /// The zone filter asks "which of these 64 pages are in flight?" once per
 /// word of the zone, so membership is a page-indexed bitset (1 bit per
 /// page, grown on demand). Arrival times sit in a page-indexed array
 /// beside it, grown with the bitset to the highest page requested (8 B
 /// per page). An entry is valid only while its page's bit is set: a
-/// remove or a clear resets bits and the count, never the array.
+/// remove or a clear resets bits and the count, never the array. A page
+/// whose reply time is not known yet arrives at [`InFlight::UNKNOWN`].
 #[derive(Debug, Default)]
-struct InFlight {
+pub(crate) struct InFlight {
     bits: PageBits,
     arrivals: Vec<SimTime>,
     len: usize,
 }
 
 impl InFlight {
+    /// The arrival of a page whose reply time is not known yet (a
+    /// multi-run member's, until the coordinator delivers it). It is
+    /// later than any real arrival, so inserting the known arrival
+    /// replaces it.
+    pub(crate) const UNKNOWN: SimTime = SimTime::from_nanos(u64::MAX);
+
     /// Marks `page` in flight. A retry's resend can race the late
     /// original; the earliest arrival is kept so the migrant never waits
     /// longer than it has to.
-    fn insert(&mut self, page: PageId, arrives: SimTime) {
+    pub(crate) fn insert(&mut self, page: PageId, arrives: SimTime) {
         let i = page.index() as usize;
         if self.bits.contains(page) {
             self.arrivals[i] = self.arrivals[i].min(arrives);
@@ -806,31 +970,31 @@ impl InFlight {
         self.len += 1;
     }
 
-    fn remove(&mut self, page: PageId) {
+    pub(crate) fn remove(&mut self, page: PageId) {
         if self.bits.remove(page) {
             self.len -= 1;
         }
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bits.clear();
         self.len = 0;
     }
 
-    fn contains(&self, page: PageId) -> bool {
+    pub(crate) fn contains(&self, page: PageId) -> bool {
         self.bits.contains(page)
     }
 
-    fn word(&self, word: u64) -> u64 {
+    pub(crate) fn word(&self, word: u64) -> u64 {
         self.bits.word(word)
     }
 
-    fn arrival(&self, page: PageId) -> Option<SimTime> {
+    pub(crate) fn arrival(&self, page: PageId) -> Option<SimTime> {
         self.contains(page)
             .then(|| self.arrivals[page.index() as usize])
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 }
@@ -986,9 +1150,9 @@ pub(crate) async fn migrant_loop<W: Workload + ?Sized, T: Transport>(
     transport: &mut T,
 ) -> Result<RunReport, AmpomError> {
     cfg.validate()?;
-    let mut policy = (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom));
+    let mut policy = new_policy(cfg);
     let prefetcher = policy.as_deref_mut().map(|p| p as &mut dyn Prefetcher);
-    drive(workload, cfg, transport, prefetcher).await
+    Ok(drive(workload, cfg, transport, prefetcher).await?.report)
 }
 
 /// References the loop pulls from its workload per
@@ -996,36 +1160,101 @@ pub(crate) async fn migrant_loop<W: Workload + ?Sized, T: Transport>(
 /// in L1, so a `dyn Workload` costs one virtual call per 256 references.
 const REF_BLOCK: usize = 256;
 
+/// Where one leg of the migrant loop starts: the node it runs on, the
+/// freeze that put the migrant there, and when that freeze began. A
+/// forward run has one leg, frozen at t=0; the page lifecycle's home leg
+/// starts when its return freeze began, on the run's absolute clock.
+pub(crate) struct LegStart {
+    /// The migrant's address space and tables on the node the leg runs on.
+    pub(crate) dest: Destination,
+    /// When the freeze began.
+    pub(crate) frozen_at: SimTime,
+    /// How long it froze the process.
+    pub(crate) freeze_time: SimDuration,
+    /// MPT bytes it shipped.
+    pub(crate) mpt_bytes: u64,
+    /// The program size the report carries.
+    pub(crate) program_mb: u64,
+    /// The leg's trace so far.
+    pub(crate) trace: Trace,
+}
+
+/// What one leg of the migrant loop hands back: its report, the node
+/// state it ended with, and its write-set (with writeback on).
+pub(crate) struct Leg {
+    pub(crate) report: RunReport,
+    pub(crate) dest: Destination,
+    pub(crate) writeback: Option<ForwardWriteback>,
+}
+
+/// A run's (or a leg's) prefetch policy: `cfg.policy` under
+/// [`Scheme::Ampom`], none otherwise.
+pub(crate) fn new_policy(cfg: &RunConfig) -> Option<Box<dyn Prefetcher>> {
+    (cfg.scheme == Scheme::Ampom).then(|| cfg.policy.build(&cfg.ampom))
+}
+
+/// The trace `cfg` asks for.
+pub(crate) fn new_trace(cfg: &RunConfig) -> Trace {
+    if cfg.trace {
+        Trace::enabled()
+    } else {
+        Trace::disabled()
+    }
+}
+
 /// The loop itself, with the prefetcher supplied by the caller (the VM
-/// runner routes faults to per-guest windows).
-///
-/// It pulls references a block at a time, so the workload may be up to
-/// [`REF_BLOCK`] references ahead of the simulation; a [`Workload`] is
-/// open-loop, so that changes nothing it yields.
+/// runner routes faults to per-guest windows): the freeze through the
+/// transport, then [`drive_from`].
 pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
     workload: &mut W,
     cfg: &RunConfig,
     transport: &mut T,
-    mut prefetcher: Option<&mut dyn Prefetcher>,
-) -> Result<RunReport, AmpomError> {
-    let layout = workload.layout().clone();
-    let pre = PreMigrationState::new(layout.clone(), workload.allocation_pages());
-    let program_mb = (pre.allocated.len() as u64 * PAGE_SIZE) >> 20;
-
-    let mut trace = if cfg.trace {
-        Trace::enabled()
-    } else {
-        Trace::disabled()
-    };
-
+    prefetcher: Option<&mut dyn Prefetcher>,
+) -> Result<Leg, AmpomError> {
+    let pre = PreMigrationState::new(workload.layout().clone(), workload.allocation_pages());
+    let mut trace = new_trace(cfg);
     let freeze = transport.freeze(cfg.scheme, &pre, &mut trace).await?;
-    let mut now = SimTime::ZERO + freeze.freeze_time;
-    let (mut dest, bounced) = Destination::new(freeze.space, freeze.table, cfg.resident_limit_mb);
+    let (dest, bounced) = Destination::new(freeze.space, freeze.table, cfg.resident_limit_mb);
     if bounced > 0 {
-        transport.evict_to_home(now, bounced).await;
+        transport
+            .evict_to_home(SimTime::ZERO + freeze.freeze_time, bounced)
+            .await;
     }
+    let start = LegStart {
+        dest,
+        frozen_at: SimTime::ZERO,
+        freeze_time: freeze.freeze_time,
+        mpt_bytes: freeze.mpt_bytes,
+        program_mb: (pre.allocated.len() as u64 * PAGE_SIZE) >> 20,
+        trace,
+    };
+    drive_from(workload, cfg, transport, prefetcher, start).await
+}
 
-    let total_pages = layout.total_pages();
+/// The loop from the end of a freeze to the end of `workload`. The
+/// report's phases partition the leg: its freeze, then everything after.
+///
+/// It pulls references a block at a time, so the workload may be up to
+/// [`REF_BLOCK`] references ahead of the simulation; a [`Workload`] is
+/// open-loop, so that changes nothing it yields.
+pub(crate) async fn drive_from<W: Workload + ?Sized, T: Transport>(
+    workload: &mut W,
+    cfg: &RunConfig,
+    transport: &mut T,
+    mut prefetcher: Option<&mut dyn Prefetcher>,
+    start: LegStart,
+) -> Result<Leg, AmpomError> {
+    let LegStart {
+        mut dest,
+        frozen_at,
+        freeze_time,
+        mpt_bytes,
+        program_mb,
+        mut trace,
+    } = start;
+    let mut now = frozen_at + freeze_time;
+
+    let total_pages = workload.layout().total_pages();
     let mut was_prefetched = vec![false; total_pages as usize];
     let mut series = cfg.sample_series_every.map(|_| RunSeries::default());
     let sample_every = cfg.sample_series_every.unwrap_or(u64::MAX);
@@ -1308,13 +1537,13 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
         trace.record(at, kind, data);
     }
     trace.record(now, TraceKind::WorkloadDone, TraceData::empty());
-    let total_time = now.since(SimTime::ZERO);
+    let total_time = now.since(frozen_at);
 
     let prefetch_stats = prefetcher.map_or_else(PrefetchStats::default, |pf| pf.observe().stats);
 
     let fault_stats = transport.fault_stats();
     let phases = PhaseBreakdown {
-        freeze: freeze.freeze_time,
+        freeze: freeze_time,
         compute: compute_time,
         minor_fault: MINOR_FAULT_COST.saturating_mul(pages_local_alloc),
         analysis: analysis_time,
@@ -1325,11 +1554,15 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
         prefetch_overlap,
     };
 
-    Ok(RunReport {
+    let writeback = wb
+        .as_ref()
+        .map(|w| w.stats(&transport.writeback_recovery()))
+        .unwrap_or_default();
+    let report = RunReport {
         scheme: cfg.scheme,
         workload: workload.name().to_string(),
         program_mb,
-        freeze_time: freeze.freeze_time,
+        freeze_time,
         total_time,
         compute_time,
         stall_time,
@@ -1346,16 +1579,21 @@ pub(crate) async fn drive<W: Workload + ?Sized, T: Transport>(
         pages_evicted: dest.pages_evicted,
         bytes_to_dest: transport.bytes_to_dest(),
         bytes_from_dest: transport.bytes_from_dest(),
-        mpt_bytes: freeze.mpt_bytes,
+        mpt_bytes,
         analysis_time,
         analysis_count: prefetch_stats.analyses,
         prefetch_stats,
         faults: fault_stats,
         deputy: transport.deputy_stats(),
-        writeback: wb.map(|w| w.stats()).unwrap_or_default(),
+        writeback,
         trace,
         series,
         phases,
+    };
+    Ok(Leg {
+        report,
+        dest,
+        writeback: wb,
     })
 }
 

@@ -312,7 +312,8 @@ pub fn run_vm(mut vm: VmWorkload, cfg: &RunConfig, analysis: VmAnalysis) -> VmRe
         &mut SimulatedTransport::new(&cfg),
         prefetcher,
     ))
-    .unwrap_or_else(|e| panic!("simulated VM run failed: {e}"));
+    .unwrap_or_else(|e| panic!("simulated VM run failed: {e}"))
+    .report;
     report.workload = format!("VM[{}]", vm.process_count());
     VmReport {
         analysis,

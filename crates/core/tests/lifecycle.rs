@@ -1,4 +1,4 @@
-//! Propcheck suite for the bidirectional page lifecycle (PR 8).
+//! Propcheck suite for the bidirectional page lifecycle.
 //!
 //! Three properties pin the subsystem:
 //!
@@ -9,19 +9,19 @@
 //! 2. **Forward-only identity** — a [`RunConfig`] without writeback is
 //!    bit-identical to the pre-lifecycle goldens: the new subsystem is
 //!    invisible unless asked for.
-//! 3. **Replica equivalence** — an [`MptReplica`] driven by the same
-//!    transfer/writeback/return events as the authoritative
-//!    [`PageTablePair`] never serves a stale answer.
+//! 3. **The config contract** — every [`RunConfig`] field, set alone,
+//!    either moves the lifecycle report where it should or is refused.
 
 use ampom_core::chaos;
 use ampom_core::experiment::WorkloadSpec;
-use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig};
-use ampom_core::runner::RunConfig;
+use ampom_core::lifecycle::{run_lifecycle, LifecycleReport, WritebackSpec};
+use ampom_core::policy::PolicySpec;
+use ampom_core::prefetcher::AmpomConfig;
+use ampom_core::reliability::{FailurePolicy, FaultProfile};
+use ampom_core::runner::{CrossTrafficSpec, RunConfig, SyscallProfile};
 use ampom_core::transport::{run_with_transport, SimulatedTransport};
-use ampom_core::Scheme;
-use ampom_mem::page::PageId;
-use ampom_mem::replica::MptReplica;
-use ampom_mem::table::{PageLocation, PageTablePair};
+use ampom_core::{AmpomError, Scheme};
+use ampom_net::calibration::broadband;
 use ampom_sim::propcheck::forall;
 use ampom_sim::time::SimDuration;
 use ampom_workloads::sizes::{Kernel, ProblemSize};
@@ -40,7 +40,7 @@ const STORMS: [Option<&str>; 3] = [
 ];
 
 fn lifecycle_cfg(storm: Option<&str>) -> RunConfig {
-    let cfg = RunConfig::new(Scheme::Ampom);
+    let cfg = RunConfig::new(Scheme::Ampom).with_writeback(WritebackSpec::default());
     match storm {
         None => cfg,
         Some(name) => {
@@ -58,7 +58,7 @@ fn conservation_holds_for_sweeps_under_every_storm() {
         let pages = g.u64(64..1024);
         let frac = 0.2 + 0.6 * g.unit_f64();
         let mut w = SequentialWrite::new(pages, SimDuration::from_micros(15));
-        let report = run_lifecycle(&mut w, &lifecycle_cfg(storm), &LifecycleConfig::new(frac));
+        let report = run_lifecycle(&mut w, &lifecycle_cfg(storm), frac).expect("valid lifecycle");
         report.check_conservation();
         assert!(
             report.pages_dirtied > 0,
@@ -76,7 +76,7 @@ fn conservation_holds_for_random_writers_under_every_storm() {
         let frac = 0.2 + 0.6 * g.unit_f64();
         let rng = g.rng().fork(0x11fe);
         let mut w = UniformRandom::new(pages, touches, SimDuration::from_micros(15), rng);
-        let report = run_lifecycle(&mut w, &lifecycle_cfg(storm), &LifecycleConfig::new(frac));
+        let report = run_lifecycle(&mut w, &lifecycle_cfg(storm), frac).expect("valid lifecycle");
         report.check_conservation();
     });
 }
@@ -89,11 +89,8 @@ fn deputy_restarts_are_survived_not_avoided() {
     for seed in 0..8u64 {
         let pages = 256 + seed * 64;
         let mut w = SequentialWrite::new(pages, SimDuration::from_micros(15));
-        let report = run_lifecycle(
-            &mut w,
-            &lifecycle_cfg(Some("deputy-restart-midstorm")),
-            &LifecycleConfig::new(0.7),
-        );
+        let report = run_lifecycle(&mut w, &lifecycle_cfg(Some("deputy-restart-midstorm")), 0.7)
+            .expect("valid lifecycle");
         report.check_conservation();
         restarts += report.sink_restarts;
     }
@@ -153,83 +150,162 @@ fn forward_only_runs_match_the_pre_lifecycle_goldens() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Replica/table equivalence under random interleavings.
+// 3. The config contract: every field moves the report or is refused.
 // ---------------------------------------------------------------------
 
+/// What setting one field must do to the lifecycle.
+enum Expect {
+    /// Move this projection of the report.
+    Moves(fn(&LifecycleReport) -> u64),
+    /// Be refused at entry.
+    Refused,
+}
+
+fn lifecycle_of(cfg: &RunConfig) -> Result<LifecycleReport, AmpomError> {
+    let mut w = SequentialWrite::new(1024, SimDuration::from_micros(15));
+    run_lifecycle(&mut w, cfg, 0.6)
+}
+
 #[test]
-fn replica_agrees_with_the_table_under_random_interleavings() {
-    forall("mpt-replica-equivalence", 96, |g| {
-        let pages = g.u64(8..64);
-        let mut table = PageTablePair::at_migration((0..pages).map(PageId));
-        let mut replica = MptReplica::from_table(&table);
-
-        let steps = g.usize(20..160);
-        for _ in 0..steps {
-            let page = PageId(g.u64(0..pages + 4)); // some unmapped ids too
-            match g.u64(0..6) {
-                // Transfer events: page moves to the remote node.
-                0 => {
-                    if matches!(
-                        table.lookup(page),
-                        Some(PageLocation::Origin) | Some(PageLocation::FileServer)
-                    ) {
-                        table.transfer_to_destination(page);
-                        replica.invalidate(page);
-                    }
-                }
-                // Writeback / home-return events: page moves home.
-                1 => {
-                    if table.lookup(page) == Some(PageLocation::Destination) {
-                        table.return_to_origin(page);
-                        replica.invalidate(page);
-                    }
-                }
-                // FFA flush events.
-                2 => {
-                    if table.lookup(page) == Some(PageLocation::Origin) {
-                        table.flush_to_file_server(page);
-                        replica.invalidate(page);
-                    }
-                }
-                // Remote zero-fill allocations of fresh pages.
-                3 => {
-                    if table.lookup(page).is_none() {
-                        table.create_at_destination(page);
-                        replica.invalidate(page);
-                    }
-                }
-                // Update-log batches arriving out of band.
-                4 => {
-                    let batch: Vec<PageId> = (0..g.usize(1..4))
-                        .map(|_| PageId(g.u64(0..pages)))
-                        .collect();
-                    for &p in &batch {
-                        if table.lookup(p) == Some(PageLocation::Destination) {
-                            table.return_to_origin(p);
-                        }
-                    }
-                    replica.apply_updates(batch);
-                }
-                // Hot lookups between events must agree bit-for-bit.
-                _ => {
-                    assert_eq!(
-                        replica.lookup(page, &table),
-                        table.lookup(page),
-                        "replica answer diverged on {page}"
-                    );
-                }
+fn every_run_config_field_moves_the_lifecycle_or_is_refused() {
+    let base = RunConfig::new(Scheme::Ampom);
+    // Names every field, so a new one fails to compile here until it
+    // has a row.
+    let RunConfig {
+        scheme: _,
+        link: _,
+        ampom: _,
+        policy: _,
+        trace: _,
+        cross_traffic: _,
+        syscalls: _,
+        sample_series_every: _,
+        resident_limit_mb: _,
+        seed: _,
+        faults: _,
+        writeback: _,
+    } = &base;
+    let lossy = base.clone().with_faults(FaultProfile::lossy(0.05));
+    // (field, the run it is compared against, the run with the field set,
+    // what must happen).
+    let rows: Vec<(&str, &RunConfig, RunConfig, Expect)> = vec![
+        (
+            "scheme",
+            &base,
+            RunConfig::new(Scheme::NoPrefetch),
+            Expect::Moves(|r| r.fault_requests()),
+        ),
+        (
+            "scheme",
+            &base,
+            RunConfig::new(Scheme::Ffa),
+            Expect::Refused,
+        ),
+        (
+            "link",
+            &base,
+            base.clone().with_link(broadband()),
+            Expect::Moves(|r| r.total_time.as_nanos()),
+        ),
+        (
+            "ampom",
+            &base,
+            base.clone().with_ampom(AmpomConfig {
+                baseline_readahead: 0,
+                ..AmpomConfig::default()
+            }),
+            Expect::Moves(|r| r.away.pages_prefetched + r.home.pages_prefetched),
+        ),
+        (
+            "policy",
+            &base,
+            base.clone().with_policy(PolicySpec::all()[1].clone()),
+            Expect::Moves(|r| r.away.pages_prefetched + r.home.pages_prefetched),
+        ),
+        (
+            "trace",
+            &base,
+            base.clone().with_trace(),
+            Expect::Moves(|r| {
+                (r.away.trace.events().len() + r.trace.events().len() + r.home.trace.events().len())
+                    as u64
+            }),
+        ),
+        (
+            "cross_traffic",
+            &base,
+            base.clone().with_cross_traffic(CrossTrafficSpec {
+                bytes_per_sec: 6_000_000,
+                burst_bytes: 1500,
+            }),
+            Expect::Moves(|r| r.total_time.as_nanos()),
+        ),
+        (
+            "syscalls",
+            &base,
+            base.clone().with_syscalls(SyscallProfile {
+                every_refs: 32,
+                work: SimDuration::ZERO,
+            }),
+            Expect::Moves(|r| r.away.syscalls_forwarded + r.home.syscalls_forwarded),
+        ),
+        (
+            "sample_series_every",
+            &base,
+            base.clone().with_sample_series(4),
+            Expect::Moves(|r| u64::from(r.away.series.is_some() && r.home.series.is_some())),
+        ),
+        (
+            "resident_limit_mb",
+            &base,
+            base.clone().with_resident_limit_mb(1),
+            Expect::Moves(|r| r.away.pages_evicted),
+        ),
+        (
+            "seed",
+            &lossy,
+            lossy.clone().with_seed(7),
+            Expect::Moves(|r| r.away.fingerprint() ^ r.home.fingerprint()),
+        ),
+        (
+            "faults",
+            &base,
+            lossy.clone(),
+            Expect::Moves(|r| r.away.faults.messages_dropped + r.home.faults.messages_dropped),
+        ),
+        (
+            "faults",
+            &base,
+            base.clone()
+                .with_faults(FaultProfile::lossy(0.05).with_policy(FailurePolicy::Remigrate)),
+            Expect::Refused,
+        ),
+        (
+            "writeback",
+            &base,
+            base.clone().with_writeback(WritebackSpec::default()),
+            Expect::Moves(|r| r.away.writeback.batches_sent),
+        ),
+    ];
+    let mut failed = Vec::new();
+    let mut fields: Vec<&str> = rows.iter().map(|r| r.0).collect();
+    fields.dedup();
+    assert_eq!(fields.len(), 12, "one row or more per field: {fields:?}");
+    for (field, against, set, expect) in &rows {
+        let got = lifecycle_of(set);
+        let ok = match expect {
+            Expect::Refused => matches!(got, Err(AmpomError::InvalidConfig(_))),
+            Expect::Moves(project) => {
+                let before = lifecycle_of(against).expect("the base lifecycle runs");
+                got.is_ok_and(|r| project(&r) != project(&before))
             }
-            table.check_invariants();
+        };
+        if !ok {
+            failed.push(*field);
         }
-
-        // Every surviving valid entry must still match the authority.
-        replica.check_equivalence(&table);
-
-        // And a full sweep after the dust settles: lazy refreshes heal
-        // every invalidated entry back to the truth.
-        for p in 0..pages + 4 {
-            let page = PageId(p);
-            assert_eq!(replica.lookup(page, &table), table.lookup(page));
-        }
-    });
+    }
+    assert!(
+        failed.is_empty(),
+        "fields neither honoured nor refused: {failed:?}"
+    );
 }

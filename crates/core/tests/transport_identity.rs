@@ -264,6 +264,9 @@ fn feature_rows() -> Vec<(&'static str, Box<dyn Workload>, RunConfig, Golden)> {
                 ],
             ),
         ),
+        // Writeback batches and their acks draw their fates from the
+        // same per-direction streams as the paging requests and replies,
+        // and a lost batch or ack is resent until it settles.
         (
             "lossy_writeback",
             Box::new(SequentialWrite::new(512, CPU)),
@@ -271,14 +274,14 @@ fn feature_rows() -> Vec<(&'static str, Box<dyn Workload>, RunConfig, Golden)> {
                 .with_faults(FaultProfile::lossy(0.02))
                 .with_writeback(wb),
             (
-                0xd0c64a554ebb44d0,
+                0x8a22aafd788fec91,
                 [
                     71_794_742,
                     5_120_000,
                     0,
-                    508_000,
-                    511_000,
-                    198_694_357,
+                    426_000,
+                    540_000,
+                    212_074_857,
                     0,
                     0,
                     5_120_000,

@@ -12,7 +12,7 @@
 
 use ampom_cluster::{run_cluster_life, BalancePolicy, LifeConfig, LifeOutcome};
 use ampom_core::experiment::Experiment;
-use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig};
+use ampom_core::lifecycle::run_lifecycle;
 use ampom_core::migration::Scheme;
 use ampom_core::prefetcher::AmpomConfig;
 use ampom_core::runner::SyscallProfile;
@@ -293,10 +293,11 @@ pub fn ext_roundtrip(quick: bool) -> AsciiTable {
     }
     let results = par_map(specs, move |(frac, scheme)| {
         let mut w = Sequential::new(pages, SimDuration::from_micros(15));
+        // Writeback off (the default): nothing flows home before the
+        // return.
         let cfg = Experiment::new(scheme).config().clone();
-        // Writeback off: nothing flows home before the return.
-        let lifecycle = LifecycleConfig::new(frac).without_writeback();
-        (frac, scheme, run_lifecycle(&mut w, &cfg, &lifecycle))
+        let report = run_lifecycle(&mut w, &cfg, frac).expect("round-trip lifecycle is valid");
+        (frac, scheme, report)
     });
     let mut t = AsciiTable::new(
         format!("Extension: round-trip migration ({pages}-page sequential migrant)"),

@@ -26,7 +26,7 @@
 use std::time::{Duration, Instant};
 
 use ampom_core::chaos::scenario;
-use ampom_core::lifecycle::{run_lifecycle, LifecycleConfig, LifecycleReport};
+use ampom_core::lifecycle::{run_lifecycle, LifecycleReport, WritebackSpec};
 use ampom_core::runner::RunConfig;
 use ampom_core::{AmpomError, Scheme};
 use ampom_mem::page::PageId;
@@ -135,14 +135,16 @@ pub struct LifecycleRun {
 pub fn writeback_pages_per_sec(cell: &LifecycleCell) -> f64 {
     let s = cell.report.away_time.as_secs_f64();
     if s > 0.0 {
-        cell.report.writeback.pages_written_back as f64 / s
+        cell.report.away.writeback.pages_written_back as f64 / s
     } else {
         0.0
     }
 }
 
 fn cell_config(storm: Option<&str>, seed: u64) -> Result<RunConfig, AmpomError> {
-    let cfg = RunConfig::new(Scheme::Ampom).with_seed(seed);
+    let cfg = RunConfig::new(Scheme::Ampom)
+        .with_seed(seed)
+        .with_writeback(WritebackSpec::default());
     match storm {
         None => Ok(cfg),
         Some(name) => {
@@ -164,7 +166,7 @@ pub fn run_lifecycle_cmd(opts: &LifecycleOptions) -> Result<LifecycleRun, AmpomE
         for storm in STORM_PANEL {
             let cfg = cell_config(storm, opts.seed)?;
             let mut w = SequentialWrite::new(mb * PAGES_PER_MB, SimDuration::from_micros(15));
-            let report = run_lifecycle(&mut w, &cfg, &LifecycleConfig::new(AWAY_FRACTION));
+            let report = run_lifecycle(&mut w, &cfg, AWAY_FRACTION)?;
             report.check_conservation();
             cells.push(LifecycleCell {
                 storm: storm.unwrap_or("clean"),
@@ -299,8 +301,8 @@ fn render_facts(cells: &[LifecycleCell], live: Option<&LiveLeg>, seed: u64) -> S
         w.field_f64("home_s", r.home_time.as_secs_f64());
         w.field_f64("total_s", r.total_time.as_secs_f64());
         w.field_u64("pages_dirtied", r.pages_dirtied);
-        w.field_u64("pages_written_back", r.writeback.pages_written_back);
-        w.field_u64("retransmits", r.writeback.retransmits);
+        w.field_u64("pages_written_back", r.away.writeback.pages_written_back);
+        w.field_u64("retransmits", r.away.writeback.retransmits);
         w.field_u64("sink_restarts", r.sink_restarts);
         w.field_u64("stub_pages", r.stub_pages);
         w.field_u64("pages_freed_at_home", r.pages_freed_at_home);
@@ -436,7 +438,7 @@ pub fn lifecycle_table(run: &LifecycleRun) -> AsciiTable {
             secs(r.return_freeze.as_secs_f64()),
             secs(r.home_time.as_secs_f64()),
             r.pages_dirtied.to_string(),
-            r.writeback.pages_written_back.to_string(),
+            r.away.writeback.pages_written_back.to_string(),
             format!("{:.0}", writeback_pages_per_sec(cell)),
             r.stub_pages.to_string(),
             r.pages_freed_at_home.to_string(),
@@ -536,7 +538,7 @@ mod tests {
             .cells
             .iter()
             .filter(|c| c.storm != "clean")
-            .map(|c| c.report.writeback.retransmits)
+            .map(|c| c.report.away.writeback.retransmits)
             .sum();
         assert!(retransmits > 0, "storms must force retransmits");
         let restarts: u64 = run

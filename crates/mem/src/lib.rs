@@ -15,9 +15,7 @@
 //!   RAM cannot hold the whole migrant (the testbed's 512 MB nodes vs
 //!   575 MB processes),
 //! * [`writeback`] — the migrant-side write-set (versioned delta batches)
-//!   and deputy-side sink with exactly-once apply accounting,
-//! * [`replica`] — a Mitosis-style node-local MPT replica with lazy
-//!   invalidation-driven coherence.
+//!   and deputy-side sink with exactly-once apply accounting.
 //!
 //! Nothing here knows about networks or prefetching; `ampom-core` composes
 //! these pieces with `ampom-net` into the full migration machinery.
@@ -25,7 +23,6 @@
 pub mod eviction;
 pub mod page;
 pub mod region;
-pub mod replica;
 pub mod space;
 pub mod table;
 pub mod writeback;
@@ -33,7 +30,6 @@ pub mod writeback;
 pub use eviction::ClockEvictor;
 pub use page::{PageId, PAGE_SIZE};
 pub use region::{MemoryLayout, Region, RegionKind};
-pub use replica::MptReplica;
 pub use space::{AddressSpace, PageState};
 pub use table::{PageLocation, PageTablePair};
 pub use writeback::{WriteSet, WritebackSink};

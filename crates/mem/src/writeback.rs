@@ -31,25 +31,23 @@ use crate::page::PageId;
 pub struct WriteSetCounters {
     /// Dirtying stores noted (first-dirty and redirty alike).
     pub writes_noted: u64,
-    /// Pages redirtied while a flush of their previous version was in
-    /// flight (these force a second writeback of the same page).
-    pub redirties: u64,
     /// Delta batches built.
     pub batches_built: u64,
-    /// Page entries across all built batches (retransmits included).
+    /// Page entries across all built batches.
     pub pages_flushed: u64,
-    /// Batches handed back by [`WriteSet::take_for_retry`].
-    pub retransmits: u64,
-    /// Batches acknowledged.
-    pub acks: u64,
 }
 
-/// The migrant-side write-set: dirty pages awaiting writeback, per-page
-/// version counters, and the in-flight batches not yet acknowledged.
+/// The migrant-side write-set: dirty pages awaiting writeback and
+/// per-page version counters.
 ///
 /// Per-page state is indexed by page number, like the page tables: a
 /// version array (0 for a page never dirtied) and a dirty bitset, both
 /// grown on demand to the highest page dirtied.
+///
+/// The write-set keeps no copy of a batch once built: its carrier
+/// settles each batch before the next store, resending it as often as
+/// the link demands (the simulated transport resolves a batch's whole
+/// fate chain when it sends it; the live client waits for the ack).
 #[derive(Debug, Clone, Default)]
 pub struct WriteSet {
     /// Highest version ever assigned per page (monotone, never reset).
@@ -59,8 +57,6 @@ pub struct WriteSet {
     dirty: Vec<u64>,
     /// Number of bits set in `dirty`.
     dirty_count: usize,
-    /// Sent-but-unacked batches, ascending by sequence number.
-    pending: Vec<(u64, Vec<(PageId, u64)>)>,
     next_seq: u64,
     /// Accumulated counters.
     pub counters: WriteSetCounters,
@@ -72,10 +68,9 @@ impl WriteSet {
         WriteSet::default()
     }
 
-    /// Notes one dirtying store to `page`. The first store since the last
-    /// flush bumps the page's version; a store while that version is
-    /// already batched (in flight) bumps again — the page must travel
-    /// twice, once per version.
+    /// Notes one dirtying store to `page`. The first store since the
+    /// page was last batched bumps its version, so a page dirtied again
+    /// after a flush travels again, once per version.
     pub fn note_write(&mut self, page: PageId) {
         self.counters.writes_noted += 1;
         let i = page.index() as usize;
@@ -90,56 +85,21 @@ impl WriteSet {
         if i >= self.versions.len() {
             self.versions.resize(i + 1, 0);
         }
-        let prior = self.versions[i];
-        if prior > 0 && self.in_flight(page) {
-            self.counters.redirties += 1;
-        }
-        self.versions[i] = prior + 1;
+        self.versions[i] += 1;
         self.dirty[word] |= bit;
         self.dirty_count += 1;
     }
 
-    fn in_flight(&self, page: PageId) -> bool {
-        self.pending
-            .iter()
-            .any(|(_, entries)| entries.iter().any(|&(p, _)| p == page))
-    }
-
-    /// The position of pending batch `seq`.
-    fn pending_index(&self, seq: u64) -> Option<usize> {
-        self.pending.binary_search_by_key(&seq, |&(s, _)| s).ok()
-    }
-
-    /// Builds the next delta batch of at most `max_pages` dirty pages
-    /// (lowest page ids first, deterministic). Returns `None` when nothing
-    /// is dirty; otherwise the batch is recorded as pending under the
-    /// returned sequence number until [`WriteSet::on_ack`].
-    pub fn build_batch(&mut self, max_pages: usize) -> Option<(u64, Vec<(PageId, u64)>)> {
-        let mut entries = Vec::new();
-        let seq = self.fill_batch(max_pages, &mut entries)?;
-        self.pending.push((seq, entries.clone()));
-        Some((seq, entries))
-    }
-
-    /// [`Self::build_batch`] into `entries` (cleared first), for a carrier
-    /// that acknowledges each batch before the next store: the batch
-    /// counts as built and acknowledged at once, and no pending copy is
-    /// kept, so [`Self::on_ack`] and [`Self::take_for_retry`] never see
-    /// it. Returns the batch's sequence number, or `None` when nothing is
-    /// dirty.
+    /// Builds the next delta batch into `entries` (cleared first): at
+    /// most `max_pages` dirty pages, lowest page ids first, with their
+    /// versions. The batch counts as acknowledged once built, since its
+    /// carrier settles it before the next store. Returns the batch's
+    /// sequence number, or `None` when nothing is dirty.
     pub fn build_acked_batch(
         &mut self,
         max_pages: usize,
         entries: &mut Vec<(PageId, u64)>,
     ) -> Option<u64> {
-        let seq = self.fill_batch(max_pages, entries)?;
-        self.counters.acks += 1;
-        Some(seq)
-    }
-
-    /// Moves up to `max_pages` dirty pages, lowest first, with their
-    /// versions into `entries` (cleared first) and numbers the batch.
-    fn fill_batch(&mut self, max_pages: usize, entries: &mut Vec<(PageId, u64)>) -> Option<u64> {
         entries.clear();
         if self.dirty_count == 0 || max_pages == 0 {
             return None;
@@ -163,34 +123,6 @@ impl WriteSet {
         self.counters.batches_built += 1;
         self.counters.pages_flushed += take as u64;
         Some(seq)
-    }
-
-    /// Acknowledges batch `seq`; unknown sequence numbers (a duplicate
-    /// ack) are ignored.
-    pub fn on_ack(&mut self, seq: u64) {
-        if let Some(at) = self.pending_index(seq) {
-            self.pending.remove(at);
-            self.counters.acks += 1;
-        }
-    }
-
-    /// Hands back the pending batch `seq` for retransmission (a lost
-    /// batch or a lost ack — the sink dedups either way).
-    pub fn take_for_retry(&mut self, seq: u64) -> Option<Vec<(PageId, u64)>> {
-        let entries = self.pending[self.pending_index(seq)?].1.clone();
-        self.counters.retransmits += 1;
-        self.counters.pages_flushed += entries.len() as u64;
-        Some(entries)
-    }
-
-    /// Sequence numbers of every sent-but-unacked batch, ascending.
-    pub fn pending_seqs(&self) -> Vec<u64> {
-        self.pending.iter().map(|&(s, _)| s).collect()
-    }
-
-    /// True when every dirtied page has been batched *and* acknowledged.
-    pub fn is_drained(&self) -> bool {
-        self.dirty_count == 0 && self.pending.is_empty()
     }
 
     /// Pages currently dirty and not yet batched.
@@ -352,17 +284,20 @@ mod tests {
     #[test]
     fn versions_are_monotone_and_redirty_forces_a_second_flush() {
         let mut ws = WriteSet::new();
+        let mut batch = Vec::new();
         ws.note_write(PageId(3));
         ws.note_write(PageId(3)); // still dirty, same version
-        let (seq, entries) = ws.build_batch(8).expect("dirty page batches");
-        assert_eq!(entries, vec![(PageId(3), 1)]);
-        // Redirty while version 1 is in flight.
+        ws.build_acked_batch(8, &mut batch)
+            .expect("dirty page batches");
+        assert_eq!(batch, vec![(PageId(3), 1)]);
+        // Redirtied after the flush: the page travels again.
         ws.note_write(PageId(3));
-        assert_eq!(ws.counters.redirties, 1);
-        ws.on_ack(seq);
-        let (_, entries) = ws.build_batch(8).expect("redirty batches again");
-        assert_eq!(entries, vec![(PageId(3), 2)]);
-        assert!(!ws.is_drained(), "second batch unacked");
+        assert_eq!(ws.dirty_len(), 1);
+        ws.build_acked_batch(8, &mut batch)
+            .expect("redirty batches again");
+        assert_eq!(batch, vec![(PageId(3), 2)]);
+        assert_eq!(ws.dirty_len(), 0);
+        assert_eq!(ws.counters.writes_noted, 3);
     }
 
     #[test]
@@ -371,17 +306,20 @@ mod tests {
         for p in 0..10 {
             ws.note_write(PageId(p));
         }
-        let (s0, b0) = ws.build_batch(4).unwrap();
-        let (s1, b1) = ws.build_batch(4).unwrap();
-        let (s2, b2) = ws.build_batch(4).unwrap();
-        assert_eq!((b0.len(), b1.len(), b2.len()), (4, 4, 2));
-        assert!(ws.build_batch(4).is_none(), "nothing left to batch");
-        assert_eq!(b0[0].0, PageId(0), "lowest pages first");
-        for s in [s0, s1, s2] {
-            ws.on_ack(s);
+        let mut lens = Vec::new();
+        let mut first = None;
+        let mut batch = Vec::new();
+        while let Some(seq) = ws.build_acked_batch(4, &mut batch) {
+            assert_eq!(seq, lens.len() as u64, "sequence numbers count up");
+            first.get_or_insert(batch[0].0);
+            lens.push(batch.len());
         }
-        assert!(ws.is_drained());
+        assert_eq!(lens, vec![4, 4, 2]);
+        assert!(batch.is_empty(), "nothing left to batch");
+        assert_eq!(first, Some(PageId(0)), "lowest pages first");
+        assert_eq!(ws.dirty_len(), 0);
         assert_eq!(ws.counters.pages_flushed, 10);
+        assert_eq!(ws.counters.batches_built, 3);
     }
 
     #[test]
@@ -404,20 +342,6 @@ mod tests {
         assert_eq!((newer.applied, newer.duplicates), (1, 0));
         assert_eq!(sink.applied_version(PageId(1)), 2);
         assert_eq!(sink.pages_written_back(), 2);
-    }
-
-    #[test]
-    fn retry_rebuilds_the_pending_batch_verbatim() {
-        let mut ws = WriteSet::new();
-        ws.note_write(PageId(5));
-        let (seq, entries) = ws.build_batch(8).unwrap();
-        let retry = ws.take_for_retry(seq).expect("pending batch");
-        assert_eq!(retry, entries);
-        assert_eq!(ws.counters.retransmits, 1);
-        assert_eq!(ws.pending_seqs(), vec![seq]);
-        ws.on_ack(seq);
-        assert!(ws.take_for_retry(seq).is_none(), "acked batch is gone");
-        assert!(ws.is_drained());
     }
 
     /// The sink as it was with a `BTreeSet` of every applied sequence

@@ -3,7 +3,9 @@
 //!
 //! `PageTablePair` and `WriteSet` once kept their per-page state in
 //! `BTreeMap`/`BTreeSet`s. Those versions are kept below as references,
-//! their code unchanged apart from names, visibility and comments. Each
+//! their code unchanged apart from names, visibility and comments, and
+//! the write-set's pending-batch path, which the write-set no longer
+//! has. Each
 //! property drives a reference and the production type through the same
 //! random legal operation sequence and compares every return value and
 //! every observable after each step; the table suite also compares the
@@ -149,12 +151,12 @@ impl ReferenceTable {
     }
 }
 
-/// The ordered-map write-set.
+/// The ordered-map write-set, without the pending-batch path: every
+/// batch is acknowledged as it is built, as `build_acked_batch` does.
 #[derive(Debug, Clone, Default)]
 struct ReferenceWriteSet {
     versions: BTreeMap<PageId, u64>,
     dirty: BTreeSet<PageId>,
-    pending: BTreeMap<u64, Vec<(PageId, u64)>>,
     next_seq: u64,
     counters: WriteSetCounters,
 }
@@ -166,17 +168,8 @@ impl ReferenceWriteSet {
             return;
         }
         let prior = self.versions.get(&page).copied().unwrap_or(0);
-        if prior > 0 && self.in_flight(page) {
-            self.counters.redirties += 1;
-        }
         self.versions.insert(page, prior + 1);
         self.dirty.insert(page);
-    }
-
-    fn in_flight(&self, page: PageId) -> bool {
-        self.pending
-            .values()
-            .any(|entries| entries.iter().any(|&(p, _)| p == page))
     }
 
     fn build_batch(&mut self, max_pages: usize) -> Option<(u64, Vec<(PageId, u64)>)> {
@@ -195,31 +188,7 @@ impl ReferenceWriteSet {
         self.next_seq += 1;
         self.counters.batches_built += 1;
         self.counters.pages_flushed += entries.len() as u64;
-        self.pending.insert(seq, entries.clone());
         Some((seq, entries))
-    }
-
-    fn on_ack(&mut self, seq: u64) {
-        if self.pending.remove(&seq).is_some() {
-            self.counters.acks += 1;
-        }
-    }
-
-    fn take_for_retry(&mut self, seq: u64) -> Option<Vec<(PageId, u64)>> {
-        let entries = self.pending.get(&seq).cloned();
-        if entries.is_some() {
-            self.counters.retransmits += 1;
-            self.counters.pages_flushed += entries.as_ref().map_or(0, Vec::len) as u64;
-        }
-        entries
-    }
-
-    fn pending_seqs(&self) -> Vec<u64> {
-        self.pending.keys().copied().collect()
-    }
-
-    fn is_drained(&self) -> bool {
-        self.dirty.is_empty() && self.pending.is_empty()
     }
 
     fn dirty_len(&self) -> usize {
@@ -367,86 +336,39 @@ fn assert_write_sets_agree(got: &WriteSet, want: &ReferenceWriteSet) {
     );
     assert_eq!(got.pages_dirtied(), want.versions.len() as u64);
     assert_eq!(got.dirty_len(), want.dirty_len());
-    assert_eq!(got.is_drained(), want.is_drained());
-    assert_eq!(got.pending_seqs(), want.pending_seqs());
     assert_eq!(got.counters, want.counters);
 }
 
 #[test]
 fn write_set_matches_reference() {
-    // Cases reached: a redirty while a batch is pending, a cap of 0, a
-    // batch cut short by its cap, a batch past the first 64 pages, an
-    // out-of-order ack, an ack of a batch already acked, a retry of a
-    // pending batch, a retry of one not pending, a batch built
-    // acknowledged while another is pending.
-    let mut seen = [0u32; 9];
+    // Cases reached: a store to a page already dirty, a store to a page
+    // batched before (a new version), a cap of 0, a batch cut short by
+    // its cap, a batch past the first 64 pages.
+    let mut seen = [0u32; 5];
     forall("write-set-reference", 512, |g: &mut Gen| {
         let span = g.u64(1..200);
         let mut got = WriteSet::new();
         let mut want = ReferenceWriteSet::default();
-        let mut reached = [false; 9];
-        // Stale entries the next acknowledged batch must replace.
-        let mut acked = vec![(PageId(u64::MAX), 0)];
+        let mut reached = [false; 5];
+        // Stale entries the next batch must replace.
+        let mut batch = vec![(PageId(u64::MAX), 0)];
         for _ in 0..g.usize(0..300) {
-            match g.usize(0..8) {
-                0..=3 => {
-                    let page = PageId(g.u64(0..span));
-                    let redirties = want.counters.redirties;
-                    got.note_write(page);
-                    want.note_write(page);
-                    reached[0] |= want.counters.redirties > redirties;
-                }
-                4 => {
-                    let cap = if g.bool(0.1) { 0 } else { g.usize(1..65) };
-                    let dirty = want.dirty_len();
-                    let batch = if g.bool(0.5) {
-                        let batch = got.build_batch(cap);
-                        assert_eq!(batch, want.build_batch(cap), "cap {cap}");
-                        batch
-                    } else {
-                        // Built and acknowledged at once: the reference
-                        // builds, then acks.
-                        let others_pending = !want.pending.is_empty();
-                        let batch = got
-                            .build_acked_batch(cap, &mut acked)
-                            .map(|seq| (seq, acked.clone()));
-                        let reference = want.build_batch(cap);
-                        if let Some((seq, _)) = reference {
-                            want.on_ack(seq);
-                        }
-                        assert_eq!(batch, reference, "acknowledged, cap {cap}");
-                        reached[8] |= batch.is_some() && others_pending;
-                        batch
-                    };
-                    reached[1] |= cap == 0 && dirty > 0;
-                    reached[2] |= cap > 0 && dirty > cap;
-                    reached[3] |= batch.is_some_and(|(_, e)| e.iter().any(|&(p, _)| p.0 >= 64));
-                }
-                5 | 6 => {
-                    let pending = want.pending_seqs();
-                    let seq = if pending.is_empty() || g.bool(0.2) {
-                        g.u64(0..want.next_seq + 2)
-                    } else {
-                        *g.choose(&pending)
-                    };
-                    let is_pending = pending.contains(&seq);
-                    reached[4] |= is_pending && pending[0] < seq;
-                    reached[5] |= !is_pending && seq < want.next_seq;
-                    got.on_ack(seq);
-                    want.on_ack(seq);
-                }
-                _ => {
-                    let pending = want.pending_seqs();
-                    let seq = if pending.is_empty() || g.bool(0.3) {
-                        g.u64(0..want.next_seq + 2)
-                    } else {
-                        *g.choose(&pending)
-                    };
-                    let retry = got.take_for_retry(seq);
-                    reached[6] |= retry.is_some();
-                    reached[7] |= retry.is_none();
-                    assert_eq!(retry, want.take_for_retry(seq), "retry {seq}");
-                }
+            if g.usize(0..5) < 4 {
+                let page = PageId(g.u64(0..span));
+                reached[0] |= want.dirty.contains(&page);
+                reached[1] |= !want.dirty.contains(&page) && want.versions.contains_key(&page);
+                got.note_write(page);
+                want.note_write(page);
+            } else {
+                let cap = if g.bool(0.1) { 0 } else { g.usize(1..65) };
+                let dirty = want.dirty_len();
+                let built = got
+                    .build_acked_batch(cap, &mut batch)
+                    .map(|seq| (seq, batch.clone()));
+                assert_eq!(built, want.build_batch(cap), "cap {cap}");
+                reached[2] |= cap == 0 && dirty > 0;
+                reached[3] |= cap > 0 && dirty > cap;
+                reached[4] |= built.is_some_and(|(_, e)| e.iter().any(|&(p, _)| p.0 >= 64));
             }
             assert_write_sets_agree(&got, &want);
         }

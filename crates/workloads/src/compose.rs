@@ -12,7 +12,9 @@
 //! * [`Repeat`] — loop one workload's reference stream `n` times
 //!   (steady-state services re-enter their main loop),
 //! * [`Scaled`] — multiply every touch's CPU cost (model a slower or
-//!   faster machine without re-deriving a generator).
+//!   faster machine without re-deriving a generator),
+//! * [`Skip`] and [`Prefix`] — the tail and the head of a stream (a
+//!   process migrated mid-execution; one called home partway).
 
 use ampom_mem::page::PageId;
 use ampom_mem::region::MemoryLayout;
@@ -246,6 +248,61 @@ impl Workload for Skip {
     }
 }
 
+/// The head of a workload: at most its first `n` references, pulled from
+/// a workload the caller keeps, which then resumes at reference `n`.
+/// Used to run a process for part of its stream before it is called
+/// home. It reports the inner workload's name, layout and allocation.
+pub struct Prefix<'a, W: ?Sized> {
+    inner: &'a mut W,
+    remaining: u64,
+}
+
+impl<'a, W: Workload + ?Sized> Prefix<'a, W> {
+    /// The first `n` references of `inner`.
+    pub fn new(inner: &'a mut W, n: u64) -> Self {
+        Prefix {
+            inner,
+            remaining: n,
+        }
+    }
+}
+
+impl<W: Workload + ?Sized> Iterator for Prefix<'_, W> {
+    type Item = MemRef;
+    fn next(&mut self) -> Option<MemRef> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let r = self.inner.next()?;
+        self.remaining -= 1;
+        Some(r)
+    }
+}
+
+impl<W: Workload + ?Sized> Workload for Prefix<'_, W> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn layout(&self) -> &MemoryLayout {
+        self.inner.layout()
+    }
+    fn data_bytes(&self) -> u64 {
+        self.inner.data_bytes()
+    }
+    fn allocation_pages(&self) -> Vec<PageId> {
+        self.inner.allocation_pages()
+    }
+    fn total_refs_hint(&self) -> u64 {
+        self.inner.total_refs_hint().min(self.remaining)
+    }
+    fn next_block(&mut self, out: &mut Vec<MemRef>, max: usize) {
+        let before = out.len();
+        let max = usize::try_from(self.remaining).map_or(max, |left| max.min(left));
+        self.inner.next_block(out, max);
+        self.remaining -= (out.len() - before) as u64;
+    }
+}
+
 /// A workload with every touch's CPU cost multiplied by a fixed factor.
 pub struct Scaled {
     inner: Box<dyn Workload>,
@@ -371,6 +428,27 @@ mod tests {
         assert_eq!(s.skipped(), 4);
         assert_eq!(s.total_refs_hint(), 0);
         assert_eq!(s.count(), 0);
+    }
+
+    #[test]
+    fn prefix_stops_at_n_and_leaves_the_rest() {
+        let mut w = Sequential::new(20, CPU);
+        let whole: Vec<_> = Sequential::new(20, CPU).collect();
+        let mut head = Prefix::new(&mut w, 7);
+        assert_eq!(head.total_refs_hint(), 7);
+        let mut block = Vec::new();
+        head.next_block(&mut block, 5);
+        head.next_block(&mut block, 5);
+        assert_eq!(block.len(), 7, "blocks stop at the prefix");
+        head.next_block(&mut block, 5);
+        assert_eq!(block.len(), 7, "and stay done");
+        assert!(head.next().is_none());
+        assert_eq!(block, whole[..7]);
+        let tail: Vec<_> = w.collect();
+        assert_eq!(tail, whole[7..], "the owner resumes at reference 7");
+        // A prefix past the end is the whole stream.
+        let mut short = Sequential::new(4, CPU);
+        assert_eq!(Prefix::new(&mut short, 100).count(), 4);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use ampom::cluster::{run_cluster_life, LifeConfig};
 use ampom::core::prefetcher::AmpomConfig;
 use ampom::core::runner::{run_workload, RunConfig, SyscallProfile};
 use ampom::core::vm::{run_vm, VmAnalysis, VmWorkload};
-use ampom::core::{run_lifecycle, LifecycleConfig, Scheme};
+use ampom::core::{run_lifecycle, Scheme};
 use ampom::sim::time::SimDuration;
 use ampom::workloads::hpl::Hpl;
 use ampom::workloads::ptrans::Ptrans;
@@ -54,9 +54,9 @@ fn cluster_ampom_beats_eager_on_tail_latency() {
 #[test]
 fn round_trip_is_cheap_when_the_stay_is_short() {
     let round_trip = |scheme| {
+        // Writeback off: the analytic round trip.
         let mut w = Sequential::new(1024, CPU);
-        let lifecycle = LifecycleConfig::new(0.25).without_writeback();
-        run_lifecycle(&mut w, &RunConfig::new(scheme), &lifecycle)
+        run_lifecycle(&mut w, &RunConfig::new(scheme), 0.25).expect("valid lifecycle")
     };
     let (ampom, eager) = (round_trip(Scheme::Ampom), round_trip(Scheme::OpenMosix));
     assert!(ampom.total_time.as_secs_f64() * 2.0 < eager.total_time.as_secs_f64());
