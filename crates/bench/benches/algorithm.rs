@@ -33,6 +33,11 @@
 //! `plan_gossip` on a full window, and a whole 60 s run of a 300-node
 //! cluster, whose fingerprint must not change from sample to sample.
 //!
+//! The `rng` group times the draws under the gossip payload and the
+//! RandomAccess stream: a shuffle of a full window's 64 indices, and 256
+//! draws under one bound taken by a `below` loop and by `fill_below`,
+//! which must give the same 256 values.
+//!
 //! The `rpc_codec` group times the live deputy's and migrant's per-page
 //! codec work, reported per page: synthesizing a page's contents, a
 //! 64-page reply batch and a 26-page writeback batch (`sim-paper`'s mean
@@ -470,6 +475,43 @@ fn bench_gossip(h: &mut Harness) {
     g.finish();
 }
 
+fn bench_rng(h: &mut Harness) {
+    // The pages of a 65 MB RandomAccess table. The accept zone keeps 130
+    // of every 256 candidates under this bound, so `below`'s accept test
+    // is close to a coin flip.
+    const BOUND: u64 = 16_640;
+    let seeded = SimRng::seed_from_u64(1);
+    let mut g = h.group("rng");
+
+    let mut rng = seeded.clone();
+    let mut order: [u16; 64] = std::array::from_fn(|i| i as u16);
+    g.bench("shuffle_64", || {
+        rng.shuffle(black_box(&mut order));
+        order[0]
+    });
+
+    // Each sample draws from a fresh copy of one generator, so both
+    // buffers end with the same 256 draws. A filter may skip either
+    // bench, leaving its buffer at `u64::MAX`, which no draw under
+    // `BOUND` is.
+    let mut by_below = [u64::MAX; 256];
+    g.bench("below_x256", || {
+        let mut rng = black_box(seeded.clone());
+        for v in &mut by_below {
+            *v = rng.below(BOUND);
+        }
+    });
+    let mut by_fill = [u64::MAX; 256];
+    g.bench("fill_below_x256", || {
+        let mut rng = black_box(seeded.clone());
+        rng.fill_below(BOUND, &mut by_fill);
+    });
+    if by_below[0] != u64::MAX && by_fill[0] != u64::MAX {
+        assert_eq!(by_below, by_fill, "fill_below draws what below does");
+    }
+    g.finish();
+}
+
 /// XOR of the first 8 bytes of each 64-byte line of `bytes`: a check
 /// on every line of a sample's output that reads one word in eight, so
 /// it adds little to the time of writing the page.
@@ -564,6 +606,7 @@ fn main() {
     bench_multirun(&mut h);
     bench_fault_path(&mut h);
     bench_gossip(&mut h);
+    bench_rng(&mut h);
     bench_rpc_codec(&mut h);
     h.finish();
 }

@@ -46,11 +46,19 @@ pub fn merge_wins(existing: LoadEntry, incoming: LoadEntry) -> bool {
 pub const MAX_WINDOW: usize = u16::MAX as usize;
 
 /// An eviction key: the stalest measurement first, ties toward the
-/// higher node id (a min-heap through the outer `Reverse`).
-type EvictionKey = Reverse<(SimTime, Reverse<usize>)>;
+/// higher node id (a min-heap through the `Reverse`). The timestamp's
+/// nanoseconds fill the high 64 bits and `u64::MAX - node` the low 64, so
+/// the integer orders as the pair `(measured_at, Reverse(node))` does.
+type EvictionKey = Reverse<u128>;
 
 fn eviction_key(node: usize, entry: LoadEntry) -> EvictionKey {
-    Reverse((entry.measured_at, Reverse(node)))
+    let nanos = u128::from(entry.measured_at.as_nanos());
+    Reverse(nanos << 64 | u128::from(u64::MAX - node as u64))
+}
+
+/// The node and the timestamp (in nanoseconds) a key was made from.
+fn key_parts(Reverse(key): EvictionKey) -> (usize, u64) {
+    ((u64::MAX - key as u64) as usize, (key >> 64) as u64)
 }
 
 /// A node's stale, partial view of cluster load: a bounded, age-stamped
@@ -69,12 +77,13 @@ fn eviction_key(node: usize, entry: LoadEntry) -> EvictionKey {
 /// The window's order is observable: [`WindowView::payload`] shuffles it,
 /// so an insert always pushes and an eviction always `swap_remove`s. A
 /// node → slot index finds a held peer without a scan, and a heap of
-/// eviction keys finds the stalest entry. The heap is lazy: a refreshed
-/// entry pushes a new key and leaves its old one behind, a key whose
-/// timestamp no longer matches the window is popped when it surfaces, and
-/// the heap is rebuilt from the window once it holds twice as many keys as
-/// the window holds entries, so a window that never fills (and so never
-/// pops) keeps it bounded.
+/// eviction keys finds the stalest entry. An eviction writes the
+/// newcomer's key over the victim's, on top of the heap, and sifts it
+/// down once. A refresh is lazy: it pushes a new key and leaves the old
+/// one behind, a key whose timestamp no longer matches the window is
+/// popped when it surfaces, and the heap is rebuilt from the window once
+/// it holds twice as many keys as the window holds entries, so a window
+/// that never fills (and so never pops) keeps it bounded.
 #[derive(Debug, Clone)]
 pub struct WindowView {
     me: usize,
@@ -204,13 +213,13 @@ impl WindowView {
             }
             return true;
         }
-        if self.window.len() >= self.capacity {
+        let evicts = self.window.len() >= self.capacity;
+        if evicts {
             let victim = self.stalest_slot();
             if !merge_wins(self.window[victim].1, entry) {
                 // The incoming entry is no fresher than the stalest held.
                 return false;
             }
-            self.stalest.pop();
             let (gone, _) = self.window.swap_remove(victim);
             self.slot[gone] = 0;
             if let Some(&(moved, _)) = self.window.get(victim) {
@@ -223,7 +232,14 @@ impl WindowView {
         }
         self.window.push((node, entry));
         self.slot[node] = Self::slot_value(self.window.len() - 1);
-        self.push_key(eviction_key(node, entry));
+        let key = eviction_key(node, entry);
+        if evicts {
+            // The victim's key is on top: the newcomer's replaces it, one
+            // sift down where a pop and a push took two.
+            *self.stalest.peek_mut().expect("the victim's key is on top") = key;
+        } else {
+            self.push_key(key);
+        }
         true
     }
 
@@ -237,10 +253,9 @@ impl WindowView {
     /// above it. Only called on a non-empty window.
     fn stalest_slot(&mut self) -> usize {
         loop {
-            let Reverse((at, Reverse(node))) =
-                *self.stalest.peek().expect("every held entry has a key");
+            let (node, at) = key_parts(*self.stalest.peek().expect("every held entry has a key"));
             match self.slot_of(node) {
-                Some(i) if self.window[i].1.measured_at == at => return i,
+                Some(i) if self.window[i].1.measured_at.as_nanos() == at => return i,
                 _ => {
                     self.stalest.pop();
                 }
@@ -279,11 +294,23 @@ impl WindowView {
     /// the window in its stored order. The shuffle permutes window
     /// indices, which takes the same draws and gives the same
     /// permutation as shuffling the entries, so only the half that is
-    /// sent is copied and allocated.
+    /// sent is copied. The indices of a window of up to 64 entries (the
+    /// default `window`) are shuffled on the stack, so such a payload
+    /// allocates only itself.
     pub fn payload(&self, rng: &mut SimRng) -> Vec<(usize, LoadEntry)> {
         let len = self.window.len();
-        let mut order: Vec<u16> = (0..len as u16).collect();
-        rng.shuffle(&mut order);
+        let mut on_stack = [0u16; 64];
+        let mut on_heap = Vec::new();
+        let order = if len <= on_stack.len() {
+            &mut on_stack[..len]
+        } else {
+            on_heap.resize(len, 0u16);
+            &mut on_heap[..]
+        };
+        for (i, o) in order.iter_mut().enumerate() {
+            *o = i as u16;
+        }
+        rng.shuffle(order);
         let mut payload = Vec::with_capacity(1 + len / 2);
         payload.push((self.me, self.own));
         payload.extend(

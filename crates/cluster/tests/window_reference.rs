@@ -7,8 +7,12 @@
 //! through the same random `merge`/`set_own`/`reset` sequence and compares
 //! every return value and every observable after each step, including the
 //! gossip payload under identically seeded RNGs, which pins the window's
-//! order. It asserts that every merge case it exists for was reached at
-//! least 10 times.
+//! order. The reference shuffles with its own one-draw-one-swap
+//! Fisher–Yates over `SimRng::below`, so a change to `SimRng::shuffle`
+//! shows here too. The property asserts that every merge case it exists
+//! for was reached at least 10 times; a scripted case drives the
+//! eviction path through a node evicted, re-admitted at the same
+//! timestamp and evicted again.
 
 use ampom_cluster::gossip::{merge_wins, LoadEntry, WindowView};
 use ampom_sim::propcheck::{forall, Gen};
@@ -120,7 +124,10 @@ impl ReferenceWindow {
 
     fn payload(&self, rng: &mut SimRng) -> Vec<(usize, LoadEntry)> {
         let mut known: Vec<(usize, LoadEntry)> = self.window.clone();
-        rng.shuffle(&mut known);
+        for i in (1..known.len()).rev() {
+            let j = rng.below(i as u64 + 1) as usize;
+            known.swap(i, j);
+        }
         known.truncate(known.len() / 2);
         let mut payload = Vec::with_capacity(known.len() + 1);
         payload.push((self.me, self.own));
@@ -218,7 +225,9 @@ fn assert_same(
 fn indexed_window_matches_the_linear_scan_reference() {
     let mut seen = [0u32; CASES.len()];
     forall("window-reference", 256, |g: &mut Gen| {
-        let capacity = g.usize(1..81);
+        // Windows past 64 entries shuffle their payload across the
+        // shuffle's 64-draw chunk edge, and on the heap.
+        let capacity = g.usize(1..151);
         // From fewer peers than slots (the window never fills) to several
         // times as many (it fills and evicts).
         let nodes = g.usize(2..3 * capacity + 4);
@@ -274,5 +283,64 @@ fn indexed_window_matches_the_linear_scan_reference() {
     assert!(
         seen.iter().all(|&n| n >= 10),
         "merge cases reached: {report:?}"
+    );
+}
+
+#[test]
+fn a_node_evicted_and_readmitted_at_its_timestamp_is_evicted_again() {
+    // Two slots. Every step is checked against the reference; `evicts`
+    // says whether the merge changed the window by evicting a peer.
+    let max_age = SimDuration::from_secs(3600);
+    let now = SimTime::ZERO + SimDuration::from_secs(20);
+    let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+    let mut model = ReferenceWindow::new(0, 2);
+    let mut real = WindowView::new(0, 2);
+    let steps: [(usize, f64, u64, bool); 9] = [
+        (1, 1.0, 10, false),
+        (2, 1.0, 10, false),
+        // A refresh: node 1's key at 10 stays behind, stale.
+        (1, 1.0, 11, false),
+        // Ties at 10 go to the higher id: node 2 is evicted.
+        (3, 2.0, 10, true),
+        // Node 2 again at 10, with a higher load than node 3's: it
+        // evicts node 3 and holds a key at the timestamp it was evicted
+        // with.
+        (2, 3.0, 10, true),
+        // Node 2 is the stalest again and is evicted again.
+        (4, 4.0, 10, true),
+        // Node 4 at 10 outweighs this entry: refused.
+        (5, 0.0, 10, false),
+        (5, 0.0, 12, true),
+        // Node 1's stale key at 10 surfaces and is popped; node 1 at 11
+        // is the victim.
+        (6, 0.0, 13, true),
+    ];
+    let mut seed = 7;
+    for (step, &(node, load, s, evicts)) in steps.iter().enumerate() {
+        let entry = LoadEntry {
+            load,
+            measured_at: at(s),
+        };
+        let full = model.known_peers() == 2 && model.entry(node).is_none();
+        let want = model.merge(node, entry, now, max_age);
+        assert_eq!(want, real.merge(node, entry, now, max_age), "step {step}");
+        assert_eq!(full && want, evicts, "step {step} evicts");
+        seed += 1;
+        assert_same(&model, &real, 8, now, max_age, seed);
+    }
+    assert_eq!(real.entry(2), None);
+    assert_eq!(real.entry(1), None);
+    assert_eq!(
+        (real.entry(5), real.entry(6)),
+        (
+            Some(LoadEntry {
+                load: 0.0,
+                measured_at: at(12)
+            }),
+            Some(LoadEntry {
+                load: 0.0,
+                measured_at: at(13)
+            })
+        )
     );
 }

@@ -79,19 +79,50 @@ impl SimRng {
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "SimRng::range: empty range");
         let span = hi - lo;
-        // Lemire widening-multiply with rejection: unbiased, and accepts on
-        // the first draw unless the span divides 2^64 unevenly enough for
-        // the value to land in the biased zone.
-        let zone = (span << span.leading_zeros()).wrapping_sub(1);
+        let zone = accept_zone(span);
         loop {
-            let v = self.next_u64();
-            let m = (v as u128).wrapping_mul(span as u128);
-            let hi_part = (m >> 64) as u64;
-            let lo_part = m as u64;
-            if lo_part <= zone {
-                return lo + hi_part;
+            let (value, accepted) = self.candidate(span, zone);
+            if accepted {
+                return lo + value;
             }
         }
+    }
+
+    /// Fills `out` with uniform draws in `[0, bound)`: the values, and the
+    /// state after, of one [`SimRng::below`] call per slot in order, with
+    /// no branch on the accept test.
+    ///
+    /// # Panics
+    /// Panics if `bound == 0`.
+    pub fn fill_below(&mut self, bound: u64, out: &mut [u64]) {
+        assert!(bound > 0, "SimRng::fill_below(0)");
+        self.draws_under(out, |_| bound);
+    }
+
+    /// One `below(span(k))` draw into each slot `k` of `out`, in order.
+    ///
+    /// A rejected candidate is written and then overwritten by the next
+    /// one: the slot index steps on the accept test's outcome instead of
+    /// branching on it, a branch that mispredicts often when the zone
+    /// rejects up to half the candidates.
+    fn draws_under(&mut self, out: &mut [u64], span: impl Fn(usize) -> u64) {
+        let mut k = 0;
+        while k < out.len() {
+            let span = span(k);
+            let (value, accepted) = self.candidate(span, accept_zone(span));
+            out[k] = value;
+            k += usize::from(accepted);
+        }
+    }
+
+    /// One Lemire widening-multiply candidate under `span`: the product's
+    /// high half, and whether its low half is at most `zone`
+    /// ([`accept_zone`]). The accepted values are unbiased. By the span's
+    /// leading bits, the zone keeps from half of the candidates (under 1
+    /// or any power of two) to nearly all of them (under `u64::MAX`).
+    fn candidate(&mut self, span: u64, zone: u64) -> (u64, bool) {
+        let m = u128::from(self.next_u64()) * u128::from(span);
+        ((m >> 64) as u64, m as u64 <= zone)
     }
 
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
@@ -131,13 +162,48 @@ impl SimRng {
         result
     }
 
-    /// Fisher–Yates shuffle of a slice.
+    /// Fisher–Yates shuffle of a slice: for each position `i` from the
+    /// last down to 1, one `below(i + 1)` draw `j` and a swap of `i` and
+    /// `j`.
+    ///
+    /// The draws for up to `SHUFFLE_CHUNK` (64) positions are taken first,
+    /// into a stack buffer, and the chunk's swaps applied after them in
+    /// the same order. A draw depends only on its position, never on the
+    /// slice, so the permutation, the draws and the state left behind are
+    /// those of swapping after each draw. Taken in a loop of their own,
+    /// the draws need no branch on the accept test, as in
+    /// [`SimRng::fill_below`].
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
+        let mut draws = [0u64; SHUFFLE_CHUNK];
+        // Positions `top - 1` down to 1 are still to be drawn.
+        let mut top = slice.len();
+        while top > 1 {
+            let n = (top - 1).min(SHUFFLE_CHUNK);
+            self.positions_below(top, &mut draws[..n]);
+            for (k, &j) in draws[..n].iter().enumerate() {
+                slice.swap(top - 1 - k, j as usize);
+            }
+            top -= n;
         }
     }
+
+    /// The shuffle's draws for positions `top - 1` down to
+    /// `top - out.len()`: slot `k` holds a `below(top - k)` draw. Not
+    /// generic, so the draw loop is compiled here once, next to
+    /// [`SimRng::next_u64`], for every element type.
+    fn positions_below(&mut self, top: usize, out: &mut [u64]) {
+        self.draws_under(out, |k| (top - k) as u64);
+    }
+}
+
+/// Positions whose draws [`SimRng::shuffle`] takes at a time.
+const SHUFFLE_CHUNK: usize = 64;
+
+/// The largest low half of a candidate's product that
+/// [`SimRng::candidate`] accepts under `span`: `span` shifted up to the top
+/// bit, less one.
+fn accept_zone(span: u64) -> u64 {
+    (span << span.leading_zeros()).wrapping_sub(1)
 }
 
 #[cfg(test)]
@@ -246,6 +312,79 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-5.0));
         assert!(r.chance(5.0));
+    }
+
+    /// The shuffle as one draw and one swap per position, over `below`.
+    fn one_draw_one_swap<T>(rng: &mut SimRng, slice: &mut [T]) {
+        for i in (1..slice.len()).rev() {
+            let j = rng.below(i as u64 + 1) as usize;
+            slice.swap(i, j);
+        }
+    }
+
+    #[test]
+    fn shuffle_takes_the_draws_and_swaps_of_one_draw_one_swap() {
+        // Lengths past 64 cross the chunk edge, up to four times.
+        for seed in 0..64 {
+            for len in 0..=300u32 {
+                let mut chunked = SimRng::seed_from_u64(seed);
+                let mut reference = chunked.clone();
+                let mut got: Vec<u32> = (0..len).collect();
+                let mut want = got.clone();
+                chunked.shuffle(&mut got);
+                one_draw_one_swap(&mut reference, &mut want);
+                assert_eq!(got, want, "seed {seed}, length {len}");
+                assert_eq!(
+                    chunked.next_u64(),
+                    reference.next_u64(),
+                    "state after: seed {seed}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shuffle_golden_permutation() {
+        // Captured before the draws were taken in chunks.
+        let mut r = SimRng::seed_from_u64(0);
+        let mut v: Vec<u32> = (0..20).collect();
+        r.shuffle(&mut v);
+        assert_eq!(
+            v,
+            [9, 18, 5, 17, 2, 8, 15, 3, 10, 14, 13, 1, 4, 11, 12, 16, 0, 19, 7, 6]
+        );
+        assert_eq!(r.next_u64(), 0x8315_93E6_B50A_E928);
+    }
+
+    #[test]
+    fn fill_below_takes_the_draws_of_a_below_loop() {
+        // The accept zone rejects about half the candidates under 1, the
+        // powers of two, 65 and 2^63 + 1, a quarter under 3 and almost
+        // none under `u64::MAX`.
+        let bounds = [1, 2, 3, 64, 65, 16_640, 1 << 63, (1 << 63) + 1, u64::MAX];
+        for bound in bounds {
+            for seed in 0..8 {
+                for len in [0, 1, 2, 63, 64, 65, 300] {
+                    let mut filled = SimRng::seed_from_u64(seed);
+                    let mut looped = filled.clone();
+                    let mut got = vec![0; len];
+                    filled.fill_below(bound, &mut got);
+                    let want: Vec<u64> = (0..len).map(|_| looped.below(bound)).collect();
+                    assert_eq!(got, want, "bound {bound}, seed {seed}, length {len}");
+                    assert_eq!(
+                        filled.next_u64(),
+                        looped.next_u64(),
+                        "state after: bound {bound}, seed {seed}, length {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SimRng::fill_below(0)")]
+    fn fill_below_refuses_an_empty_range() {
+        SimRng::seed_from_u64(1).fill_below(0, &mut [0; 4]);
     }
 
     #[test]
