@@ -33,10 +33,8 @@
 //! `plan_gossip` on a full window, and a whole 60 s run of a 300-node
 //! cluster, whose fingerprint must not change from sample to sample.
 //!
-//! The `rng` group times the draws under the gossip payload and the
-//! RandomAccess stream: a shuffle of a full window's 64 indices, and 256
-//! draws under one bound taken by a `below` loop and by `fill_below`,
-//! which must give the same 256 values.
+//! The `rng` group times the draws under the gossip payload: a shuffle
+//! of a full window's 64 indices, reported per shuffle.
 //!
 //! The `rpc_codec` group times the live deputy's and migrant's per-page
 //! codec work, reported per page: synthesizing a page's contents, a
@@ -476,39 +474,19 @@ fn bench_gossip(h: &mut Harness) {
 }
 
 fn bench_rng(h: &mut Harness) {
-    // The pages of a 65 MB RandomAccess table. The accept zone keeps 130
-    // of every 256 candidates under this bound, so `below`'s accept test
-    // is close to a coin flip.
-    const BOUND: u64 = 16_640;
-    let seeded = SimRng::seed_from_u64(1);
-    let mut g = h.group("rng");
-
-    let mut rng = seeded.clone();
+    // One shuffle is a third of a microsecond, too short for one
+    // `Instant` pair to resolve; a sample times a thousand of them and
+    // reports the time of one.
+    const SHUFFLES: u32 = 1_000;
+    let mut rng = SimRng::seed_from_u64(1);
     let mut order: [u16; 64] = std::array::from_fn(|i| i as u16);
-    g.bench("shuffle_64", || {
-        rng.shuffle(black_box(&mut order));
+    let mut g = h.group("rng");
+    g.bench_per("shuffle_64", SHUFFLES, || {
+        for _ in 0..SHUFFLES {
+            rng.shuffle(black_box(&mut order));
+        }
         order[0]
     });
-
-    // Each sample draws from a fresh copy of one generator, so both
-    // buffers end with the same 256 draws. A filter may skip either
-    // bench, leaving its buffer at `u64::MAX`, which no draw under
-    // `BOUND` is.
-    let mut by_below = [u64::MAX; 256];
-    g.bench("below_x256", || {
-        let mut rng = black_box(seeded.clone());
-        for v in &mut by_below {
-            *v = rng.below(BOUND);
-        }
-    });
-    let mut by_fill = [u64::MAX; 256];
-    g.bench("fill_below_x256", || {
-        let mut rng = black_box(seeded.clone());
-        rng.fill_below(BOUND, &mut by_fill);
-    });
-    if by_below[0] != u64::MAX && by_fill[0] != u64::MAX {
-        assert_eq!(by_below, by_fill, "fill_below draws what below does");
-    }
     g.finish();
 }
 

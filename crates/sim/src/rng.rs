@@ -88,33 +88,6 @@ impl SimRng {
         }
     }
 
-    /// Fills `out` with uniform draws in `[0, bound)`: the values, and the
-    /// state after, of one [`SimRng::below`] call per slot in order, with
-    /// no branch on the accept test.
-    ///
-    /// # Panics
-    /// Panics if `bound == 0`.
-    pub fn fill_below(&mut self, bound: u64, out: &mut [u64]) {
-        assert!(bound > 0, "SimRng::fill_below(0)");
-        self.draws_under(out, |_| bound);
-    }
-
-    /// One `below(span(k))` draw into each slot `k` of `out`, in order.
-    ///
-    /// A rejected candidate is written and then overwritten by the next
-    /// one: the slot index steps on the accept test's outcome instead of
-    /// branching on it, a branch that mispredicts often when the zone
-    /// rejects up to half the candidates.
-    fn draws_under(&mut self, out: &mut [u64], span: impl Fn(usize) -> u64) {
-        let mut k = 0;
-        while k < out.len() {
-            let span = span(k);
-            let (value, accepted) = self.candidate(span, accept_zone(span));
-            out[k] = value;
-            k += usize::from(accepted);
-        }
-    }
-
     /// One Lemire widening-multiply candidate under `span`: the product's
     /// high half, and whether its low half is at most `zone`
     /// ([`accept_zone`]). The accepted values are unbiased. By the span's
@@ -171,8 +144,7 @@ impl SimRng {
     /// the same order. A draw depends only on its position, never on the
     /// slice, so the permutation, the draws and the state left behind are
     /// those of swapping after each draw. Taken in a loop of their own,
-    /// the draws need no branch on the accept test, as in
-    /// [`SimRng::fill_below`].
+    /// the draws need no branch on the accept test.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         let mut draws = [0u64; SHUFFLE_CHUNK];
         // Positions `top - 1` down to 1 are still to be drawn.
@@ -191,8 +163,19 @@ impl SimRng {
     /// `top - out.len()`: slot `k` holds a `below(top - k)` draw. Not
     /// generic, so the draw loop is compiled here once, next to
     /// [`SimRng::next_u64`], for every element type.
+    ///
+    /// A rejected candidate is written and then overwritten by the next
+    /// one: the slot index steps on the accept test's outcome instead of
+    /// branching on it, a branch that mispredicts often when the zone
+    /// rejects up to half the candidates.
     fn positions_below(&mut self, top: usize, out: &mut [u64]) {
-        self.draws_under(out, |k| (top - k) as u64);
+        let mut k = 0;
+        while k < out.len() {
+            let span = (top - k) as u64;
+            let (value, accepted) = self.candidate(span, accept_zone(span));
+            out[k] = value;
+            k += usize::from(accepted);
+        }
     }
 }
 
@@ -354,37 +337,6 @@ mod tests {
             [9, 18, 5, 17, 2, 8, 15, 3, 10, 14, 13, 1, 4, 11, 12, 16, 0, 19, 7, 6]
         );
         assert_eq!(r.next_u64(), 0x8315_93E6_B50A_E928);
-    }
-
-    #[test]
-    fn fill_below_takes_the_draws_of_a_below_loop() {
-        // The accept zone rejects about half the candidates under 1, the
-        // powers of two, 65 and 2^63 + 1, a quarter under 3 and almost
-        // none under `u64::MAX`.
-        let bounds = [1, 2, 3, 64, 65, 16_640, 1 << 63, (1 << 63) + 1, u64::MAX];
-        for bound in bounds {
-            for seed in 0..8 {
-                for len in [0, 1, 2, 63, 64, 65, 300] {
-                    let mut filled = SimRng::seed_from_u64(seed);
-                    let mut looped = filled.clone();
-                    let mut got = vec![0; len];
-                    filled.fill_below(bound, &mut got);
-                    let want: Vec<u64> = (0..len).map(|_| looped.below(bound)).collect();
-                    assert_eq!(got, want, "bound {bound}, seed {seed}, length {len}");
-                    assert_eq!(
-                        filled.next_u64(),
-                        looped.next_u64(),
-                        "state after: bound {bound}, seed {seed}, length {len}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "SimRng::fill_below(0)")]
-    fn fill_below_refuses_an_empty_range() {
-        SimRng::seed_from_u64(1).fill_below(0, &mut [0; 4]);
     }
 
     #[test]

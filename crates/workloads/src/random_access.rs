@@ -107,26 +107,6 @@ impl Workload for RandomAccess {
     fn total_refs_hint(&self) -> u64 {
         self.total_touches
     }
-
-    /// Draws the block's pages up to 64 at a time with
-    /// [`SimRng::fill_below`], the same draws `next()` makes one by one.
-    fn next_block(&mut self, out: &mut Vec<MemRef>, max: usize) {
-        let left = self.total_touches - self.emitted;
-        let n = usize::try_from(left).map_or(max, |left| max.min(left));
-        let mut draws = [0u64; 64];
-        let mut rest = n;
-        while rest > 0 {
-            let chunk = &mut draws[..rest.min(64)];
-            self.rng.fill_below(self.table_pages, chunk);
-            out.extend(chunk.iter().map(|&d| MemRef {
-                page: self.base.offset(d),
-                write: true,
-                cpu: Self::CPU_PER_TOUCH,
-            }));
-            rest -= chunk.len();
-        }
-        self.emitted += n as u64;
-    }
 }
 
 #[cfg(test)]
